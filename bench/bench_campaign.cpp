@@ -43,56 +43,13 @@
 
 #include "bench_util.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/differential.hpp"
 
 using namespace fortress;
 using namespace fortress::bench;
 using namespace fortress::scenario;
 
 namespace {
-
-// FNV-1a over the raw bytes of every aggregate field: any single-bit
-// divergence between thread counts changes the fingerprint.
-class Fingerprint {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  template <typename T>
-  void add(T v) {
-    add_bytes(&v, sizeof v);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-std::uint64_t fingerprint(const CampaignResult& r) {
-  Fingerprint fp;
-  for (const CellStats& c : r.cells) {
-    fp.add(c.trials);
-    fp.add(c.compromised);
-    fp.add(c.censored);
-    fp.add(c.lifetime.mean());
-    fp.add(c.lifetime.variance());
-    fp.add(c.lifetime_ci.lo);
-    fp.add(c.lifetime_ci.hi);
-    fp.add(c.attacker.direct_probes);
-    fp.add(c.attacker.indirect_probes);
-    fp.add(c.attacker.crashes_caused);
-    fp.add(c.attacker.compromises);
-    fp.add(c.attacker.keys_learned);
-    fp.add(c.events_executed);
-    fp.add(c.blacklisted_sources);
-  }
-  fp.add(r.total_trials);
-  fp.add(r.total_events);
-  return fp.value();
-}
 
 net::ScenarioPlan bench_plan(std::uint64_t chi, double kappa) {
   net::ScenarioPlan plan;
@@ -141,7 +98,7 @@ int main(int argc, char** argv) {
     const double sec = ns_per_op / 1e9;
     const double rate = static_cast<double>(grid_trials) / sec;
     const double ev_rate = static_cast<double>(result.total_events) / sec;
-    const std::uint64_t fp = fingerprint(result);
+    const std::uint64_t fp = campaign_fingerprint(result);
     if (threads == 1) {
       reference_fp = fp;
       t1_rate = rate;
@@ -198,7 +155,7 @@ int main(int argc, char** argv) {
         static_cast<double>(pool_trials);
     const double rate = 1e9 / ns_per_trial;
     (pooled ? pooled_rate : fresh_rate) = rate;
-    (pooled ? fp_pooled : fp_fresh) = fingerprint(result);
+    (pooled ? fp_pooled : fp_fresh) = campaign_fingerprint(result);
     std::printf("%8s %12.0f %14.0f\n", pooled ? "pooled" : "fresh", rate,
                 ns_per_trial);
   }
@@ -303,11 +260,13 @@ int main(int argc, char** argv) {
     const double rate =
         static_cast<double>(result.total_trials) / (ns / 1e9);
     (stealing ? steal_rate : nosteal_rate) = rate;
-    (stealing ? fp_steal : fp_nosteal) = fingerprint(result);
+    // Stealing changes how many rounds a cell stays open, not its trials.
     std::uint64_t max_rounds = 0;
-    for (const CellStats& cell : result.cells) {
+    for (CellStats& cell : result.cells) {
       max_rounds = std::max(max_rounds, cell.rounds);
+      cell.rounds = 0;
     }
+    (stealing ? fp_steal : fp_nosteal) = campaign_fingerprint(result);
     std::printf("%10s %12.0f %10llu %10llu\n", stealing ? "on" : "off", rate,
                 static_cast<unsigned long long>(result.total_trials),
                 static_cast<unsigned long long>(max_rounds));

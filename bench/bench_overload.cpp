@@ -27,6 +27,7 @@
 
 #include "bench_util.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/differential.hpp"
 
 using namespace fortress;
 using namespace fortress::bench;
@@ -98,17 +99,6 @@ double timed(Fn&& fn) {
       .count();
 }
 
-bool traffic_identical(const TrafficStats& a, const TrafficStats& b) {
-  return a.offered == b.offered && a.completed == b.completed &&
-         a.timed_out == b.timed_out && a.gave_up == b.gave_up &&
-         a.retries == b.retries && a.enqueued == b.enqueued &&
-         a.served == b.served && a.shed == b.shed &&
-         a.backpressured == b.backpressured && a.degraded == b.degraded &&
-         a.dropped_on_reboot == b.dropped_on_reboot &&
-         a.max_queue_depth == b.max_queue_depth && a.goodput == b.goodput &&
-         a.latency.fingerprint() == b.latency.fingerprint();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -148,7 +138,7 @@ int main(int argc, char** argv) {
     cfg.threads = 4;
     r4 = run_campaign(cells, cfg);
     const TrafficStats& t = r1.cells[0].traffic;
-    if (!traffic_identical(t, r4.cells[0].traffic)) {
+    if (campaign_fingerprint(r1) != campaign_fingerprint(r4)) {
       std::printf("MISMATCH: %s aggregates differ between 1 and 4 threads\n",
                   pc.tag);
       deterministic = false;

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "osl/machine.hpp"
@@ -59,6 +60,16 @@ struct AttackerStats {
   std::uint64_t compromises = 0;        ///< owned-acks received
   std::uint64_t keys_learned = 0;
 };
+
+template <fields::FieldsOf<AttackerStats> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("direct_probes", s.direct_probes, fields::kU64);
+  v("indirect_probes", s.indirect_probes, fields::kU64);
+  v("crashes_caused", s.crashes_caused, fields::kU64);
+  v("compromises", s.compromises, fields::kU64);
+  v("keys_learned", s.keys_learned, fields::kU64);
+}
+static_assert(fields::complete<AttackerStats>());
 
 class DerandAttacker final : public net::Handler {
  public:

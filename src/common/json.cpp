@@ -35,80 +35,60 @@ const char* Value::kind_name(Kind k) {
 }
 
 namespace {
-[[noreturn]] void type_fail(const std::string& ctx, const char* want,
+[[noreturn]] void type_fail(const Path& path, const char* want,
                             Value::Kind got) {
-  fail(ctx + ": expected " + want + ", got " + Value::kind_name(got));
+  fail_at(path, std::string(": expected ") + want + ", got " +
+                    Value::kind_name(got));
 }
 }  // namespace
 
-bool Value::as_bool(const std::string& ctx) const {
-  if (kind_ != Kind::Bool) type_fail(ctx, "bool", kind_);
+bool Value::as_bool(const Path& path) const {
+  if (kind_ != Kind::Bool) type_fail(path, "bool", kind_);
   return bool_;
 }
 
-double Value::as_double(const std::string& ctx) const {
-  if (kind_ != Kind::Number) type_fail(ctx, "number", kind_);
+double Value::as_double(const Path& path) const {
+  if (kind_ != Kind::Number) type_fail(path, "number", kind_);
   return num_;
 }
 
-std::uint64_t Value::as_u64(const std::string& ctx) const {
-  if (kind_ != Kind::Number) type_fail(ctx, "number", kind_);
+std::uint64_t Value::as_u64(const Path& path) const {
+  if (kind_ != Kind::Number) type_fail(path, "number", kind_);
   std::uint64_t u = 0;
   const char* first = str_.data();
   const char* last = first + str_.size();
   auto [ptr, ec] = std::from_chars(first, last, u);
   if (ec != std::errc{} || ptr != last) {
-    fail(ctx + ": expected unsigned integer, got '" + str_ + "'");
+    fail_at(path, ": expected unsigned integer, got '" + str_ + "'");
   }
   return u;
 }
 
-std::int64_t Value::as_i64(const std::string& ctx) const {
-  if (kind_ != Kind::Number) type_fail(ctx, "number", kind_);
+std::int64_t Value::as_i64(const Path& path) const {
+  if (kind_ != Kind::Number) type_fail(path, "number", kind_);
   std::int64_t v = 0;
   const char* first = str_.data();
   const char* last = first + str_.size();
   auto [ptr, ec] = std::from_chars(first, last, v);
   if (ec != std::errc{} || ptr != last) {
-    fail(ctx + ": expected integer, got '" + str_ + "'");
+    fail_at(path, ": expected integer, got '" + str_ + "'");
   }
   return v;
 }
 
-const std::string& Value::number_lexeme(const std::string& ctx) const {
-  if (kind_ != Kind::Number) type_fail(ctx, "number", kind_);
+const std::string& Value::as_string(const Path& path) const {
+  if (kind_ != Kind::String) type_fail(path, "string", kind_);
   return str_;
 }
 
-const std::string& Value::as_string(const std::string& ctx) const {
-  if (kind_ != Kind::String) type_fail(ctx, "string", kind_);
-  return str_;
-}
-
-const std::vector<Value>& Value::as_array(const std::string& ctx) const {
-  if (kind_ != Kind::Array) type_fail(ctx, "array", kind_);
+const std::vector<Value>& Value::as_array(const Path& path) const {
+  if (kind_ != Kind::Array) type_fail(path, "array", kind_);
   return items_;
 }
 
-const Value* Value::get(const std::string& key) const {
-  if (kind_ != Kind::Object) return nullptr;
-  for (const auto& [k, v] : members_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-const Value& Value::required(const std::string& key,
-                             const std::string& ctx) const {
-  if (kind_ != Kind::Object) type_fail(ctx, "object", kind_);
-  const Value* v = get(key);
-  if (v == nullptr) fail(ctx + ": missing required key \"" + key + "\"");
-  return *v;
-}
-
 const std::vector<std::pair<std::string, Value>>& Value::members(
-    const std::string& ctx) const {
-  if (kind_ != Kind::Object) type_fail(ctx, "object", kind_);
+    const Path& path) const {
+  if (kind_ != Kind::Object) type_fail(path, "object", kind_);
   return members_;
 }
 
@@ -477,11 +457,6 @@ void Writer::value_null() {
   raw("null");
 }
 
-void Writer::value_raw_number(std::string_view lexeme) {
-  prefix();
-  raw(lexeme);
-}
-
 void Writer::quoted(std::string_view s) {
   out_.push_back('"');
   for (char c : s) {
@@ -524,36 +499,6 @@ std::string Writer::format_double(double d) {
   return s;
 }
 
-void reemit(Writer& w, const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::Null:
-      w.value_null();
-      break;
-    case Value::Kind::Bool:
-      w.value(v.as_bool(""));
-      break;
-    case Value::Kind::Number:
-      w.value_raw_number(v.number_lexeme(""));
-      break;
-    case Value::Kind::String:
-      w.value(std::string_view(v.as_string("")));
-      break;
-    case Value::Kind::Array:
-      w.begin_array();
-      for (const Value& it : v.as_array("")) reemit(w, it);
-      w.end_array();
-      break;
-    case Value::Kind::Object:
-      w.begin_object();
-      for (const auto& [k, m] : v.members("")) {
-        w.key(k);
-        reemit(w, m);
-      }
-      w.end_object();
-      break;
-  }
-}
-
 std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t h = 14695981039346656037ull;
   for (char c : bytes) {
@@ -561,6 +506,68 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t parse_hex64(const std::string& s, const Path& path) {
+  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
+    fail_at(path, ": expected \"0x\" + 16 hex digits, got \"" + s + "\"");
+  }
+  std::uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    fail_at(path, ": invalid hex literal \"" + s + "\"");
+  }
+  return v;
+}
+
+// ---------------------------------------------------------------------------
+// Path, ObjectReader
+// ---------------------------------------------------------------------------
+
+std::string Path::str() const {
+  std::string out = parent_ != nullptr ? parent_->str() : std::string();
+  if (key_ == nullptr) {
+    out += "[" + std::to_string(index_) + "]";
+  } else {
+    if (parent_ != nullptr) out.push_back('.');
+    out += key_;
+  }
+  return out;
+}
+
+void fail_at(const Path& path, const std::string& what) {
+  fail(path.str() + what);
+}
+
+ObjectReader::ObjectReader(const Value& v, const Path& path)
+    : path_(path), members_(v.members(path)), used_(members_.size(), false) {}
+
+const Value& ObjectReader::required(const char* key) {
+  const std::size_t n = members_.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = (next_ + k) % n;
+    if (members_[i].first == key) {
+      used_[i] = true;
+      next_ = i + 1;
+      return members_[i].second;
+    }
+  }
+  fail_at(path_, ": missing required key \"" + std::string(key) + "\"");
+}
+
+void ObjectReader::done() const {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (!used_[i]) {
+      fail_at(path_, ": unknown key \"" + members_[i].first + "\"");
+    }
+  }
 }
 
 }  // namespace fortress::json

@@ -36,6 +36,27 @@ class ParseError : public std::runtime_error {
   explicit ParseError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A member path ("plan.faults[2].at") kept as a chain of stack frames and
+/// rendered only when an error message needs it, so a successful decode
+/// builds no path strings.
+class Path {
+ public:
+  explicit Path(const char* root) : key_(root) {}
+  Path(const Path& parent, const char* key) : parent_(&parent), key_(key) {}
+  Path(const Path& parent, std::size_t index)
+      : parent_(&parent), index_(index) {}
+
+  std::string str() const;
+
+ private:
+  const Path* parent_ = nullptr;
+  const char* key_ = nullptr;  ///< root name or member key; null = index
+  std::size_t index_ = 0;
+};
+
+/// Throws ParseError("<path><what>"), e.g. what = ": expected number".
+[[noreturn]] void fail_at(const Path& path, const std::string& what);
+
 /// One parsed JSON value. Object member order is preserved (insertion
 /// order), which the strict codecs rely on to verify canonical layout.
 class Value {
@@ -43,30 +64,21 @@ class Value {
   enum class Kind { Null, Bool, Number, String, Array, Object };
 
   Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::Object; }
-  bool is_array() const { return kind_ == Kind::Array; }
-  bool is_number() const { return kind_ == Kind::Number; }
-  bool is_string() const { return kind_ == Kind::String; }
-  bool is_bool() const { return kind_ == Kind::Bool; }
 
-  /// Typed accessors. `ctx` names the field in error messages ("faults[2].at").
-  bool as_bool(const std::string& ctx) const;
-  double as_double(const std::string& ctx) const;
+  /// Typed accessors. `path` names the value in error messages
+  /// ("plan.faults[2].at").
+  bool as_bool(const Path& path) const;
+  double as_double(const Path& path) const;
   /// Re-parses the raw number lexeme as an unsigned integer; rejects
   /// fractions, exponents, negatives and doubles-only lexemes.
-  std::uint64_t as_u64(const std::string& ctx) const;
-  std::int64_t as_i64(const std::string& ctx) const;
-  /// The number's raw source lexeme ("1024", "0.1", "1e-09") — lets
-  /// re-emitters preserve integer values beyond double precision.
-  const std::string& number_lexeme(const std::string& ctx) const;
-  const std::string& as_string(const std::string& ctx) const;
-  const std::vector<Value>& as_array(const std::string& ctx) const;
+  std::uint64_t as_u64(const Path& path) const;
+  std::int64_t as_i64(const Path& path) const;
+  const std::string& as_string(const Path& path) const;
+  const std::vector<Value>& as_array(const Path& path) const;
 
-  /// Object access: get() returns nullptr when absent; required() throws.
-  const Value* get(const std::string& key) const;
-  const Value& required(const std::string& key, const std::string& ctx) const;
+  /// Object members in document order (ObjectReader is the strict walk).
   const std::vector<std::pair<std::string, Value>>& members(
-      const std::string& ctx) const;
+      const Path& path) const;
 
   static const char* kind_name(Kind k);
 
@@ -115,9 +127,6 @@ class Writer {
   void value(int i);
   void value(std::string_view s);
   void value_null();
-  /// Emits a number lexeme verbatim (caller guarantees it is a valid JSON
-  /// number — typically one handed back by Value::number_lexeme).
-  void value_raw_number(std::string_view lexeme);
 
   /// The finished document. Precondition: all containers closed.
   std::string str() const;
@@ -138,15 +147,38 @@ class Writer {
   bool pending_key_ = false;
 };
 
-/// Re-emit a parsed Value through `w` verbatim: numbers keep their raw
-/// lexemes (u64 fields never pass through a double), member order is
-/// preserved. This is how a wrapper document (corpus entry, campaign spec)
-/// hands an embedded subtree to a strict sub-codec that only takes text.
-void reemit(Writer& w, const Value& v);
-
 /// FNV-1a 64-bit over a byte string — the digest primitive the plan codec
 /// and corpus fixtures use (offset basis 14695981039346656037, prime
 /// 1099511628211).
 std::uint64_t fnv1a64(std::string_view bytes);
+
+/// "0x" + 16 lower-case hex digits: how digests and bit-pinned doubles
+/// cross a fixture.
+std::string hex64(std::uint64_t v);
+/// Inverse of hex64; anything but exactly "0x" + 16 hex digits throws
+/// ParseError naming `path`.
+std::uint64_t parse_hex64(const std::string& s, const Path& path);
+
+/// Strict object reader: every member must be consumed exactly once, and
+/// done() rejects members the codec never asked for — that is what turns an
+/// unknown or misspelled key into a load-time error instead of a silently
+/// default-valued field.
+class ObjectReader {
+ public:
+  /// Throws unless `v` is an object. `path` must outlive the reader.
+  ObjectReader(const Value& v, const Path& path);
+
+  /// The member `key`; throws "missing required key" when absent.
+  const Value& required(const char* key);
+  const Path& path() const { return path_; }
+  /// Call after reading every expected key.
+  void done() const;
+
+ private:
+  const Path& path_;
+  const std::vector<std::pair<std::string, Value>>& members_;
+  std::vector<bool> used_;
+  std::size_t next_ = 0;  ///< where required() looks first (canonical order)
+};
 
 }  // namespace fortress::json

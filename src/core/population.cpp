@@ -10,17 +10,6 @@ namespace fortress::core {
 using replication::MessageView;
 using replication::MsgType;
 
-void PopulationStats::merge(const PopulationStats& o) {
-  offered += o.offered;
-  completed += o.completed;
-  timed_out += o.timed_out;
-  gave_up += o.gave_up;
-  retries += o.retries;
-  rejected_responses += o.rejected_responses;
-  skipped_busy += o.skipped_busy;
-  latency.merge(o.latency);
-}
-
 ClientPopulation::ClientPopulation(sim::Simulator& sim, net::Network& network,
                                    const crypto::KeyRegistry& registry,
                                    Directory directory,

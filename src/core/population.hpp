@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/directory.hpp"
@@ -48,9 +49,9 @@
 namespace fortress::core {
 
 /// Population-plane aggregates of one trial (all zero when the plan has no
-/// PopulationSpec). merge() is the exact cell reduction — sums and an
-/// elementwise histogram add — so campaign aggregates stay bit-identical
-/// for any trial batching.
+/// PopulationSpec). merge() is the exact cell reduction over the field
+/// table below — sums and an elementwise histogram add — so campaign
+/// aggregates stay bit-identical for any trial batching.
 struct PopulationStats {
   std::uint64_t offered = 0;    ///< requests submitted (excluding retries)
   std::uint64_t completed = 0;  ///< accepted responses
@@ -66,6 +67,23 @@ struct PopulationStats {
 
   void merge(const PopulationStats& o);
 };
+
+template <fields::FieldsOf<PopulationStats> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("offered", s.offered, fields::kU64);
+  v("completed", s.completed, fields::kU64);
+  v("timed_out", s.timed_out, fields::kU64);
+  v("gave_up", s.gave_up, fields::kU64);
+  v("retries", s.retries, fields::kU64);
+  v("rejected_responses", s.rejected_responses, fields::kU64);
+  v("skipped_busy", s.skipped_busy, fields::kU64);
+  v("latency_bins", s.latency, fields::kHistogram);
+}
+static_assert(fields::complete<PopulationStats>());
+
+inline void PopulationStats::merge(const PopulationStats& o) {
+  fields::merge(*this, o);
+}
 
 class ClientPopulation final : public net::Handler {
  public:

@@ -7,12 +7,7 @@
 namespace fortress::model {
 
 std::string to_string(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::S0: return "S0";
-    case SystemKind::S1: return "S1";
-    case SystemKind::S2: return "S2";
-  }
-  return "?";
+  return kSystemKindNames.names[static_cast<std::size_t>(kind)];
 }
 
 std::string to_string(Obfuscation obf) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hpp"
+
 namespace fortress::model {
 
 /// Obfuscation policy (§4.1).
@@ -32,6 +34,9 @@ enum class SystemKind {
        ///< (shared key); compromised via server (direct-through-proxy or
        ///< indirect) or via all np proxies
 };
+
+inline constexpr fields::EnumNames<SystemKind, 3> kSystemKindNames{
+    "system", {"S0", "S1", "S2"}};
 
 std::string to_string(SystemKind kind);
 std::string to_string(Obfuscation obf);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -71,6 +72,17 @@ struct LatencySpec {
   void validate(const std::string& ctx = "LatencySpec") const;
 };
 
+inline constexpr fields::EnumNames<LatencySpec::Kind, 3> kLatencyKindNames{
+    "latency kind", {"fixed", "uniform", "exponential"}};
+
+template <fields::FieldsOf<LatencySpec> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("kind", s.kind, kLatencyKindNames);
+  v("a", s.a, fields::kDouble);
+  v("b", s.b, fields::kDouble);
+}
+static_assert(fields::complete<LatencySpec>());
+
 /// One scheduled partition: during [start, end) the hosts in `island` are
 /// cut off from every host outside it (messages in either direction are
 /// lost). Overlapping windows compose: a link is blocked if ANY active
@@ -83,6 +95,14 @@ struct PartitionWindow {
   bool active_at(sim::Time t) const { return t >= start && t < end; }
   bool contains(const Address& addr) const;
 };
+
+template <fields::FieldsOf<PartitionWindow> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("start", s.start, fields::kDouble);
+  v("end", s.end, fields::kDouble);
+  v("island", s.island, fields::kString);
+}
+static_assert(fields::complete<PartitionWindow>());
 
 /// One scheduled fault. Addressed by deployment tier + index because
 /// concrete addresses are assigned by the LiveSystem. Boundary semantics:
@@ -108,6 +128,20 @@ struct FaultEvent {
   Kind kind = Kind::Recover;
 };
 
+inline constexpr fields::EnumNames<FaultEvent::Target, 2> kFaultTargetNames{
+    "fault target", {"server", "proxy"}};
+inline constexpr fields::EnumNames<FaultEvent::Kind, 2> kFaultKindNames{
+    "fault kind", {"recover", "crash"}};
+
+template <fields::FieldsOf<FaultEvent> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("target", s.target, kFaultTargetNames);
+  v("index", s.index, fields::kInt);
+  v("at", s.at, fields::kDouble);
+  v("kind", s.kind, kFaultKindNames);
+}
+static_assert(fields::complete<FaultEvent>());
+
 /// The de-randomization attacker's probe schedule (§4.2 rates).
 struct AttackSchedule {
   bool enabled = true;
@@ -126,6 +160,17 @@ struct AttackSchedule {
   /// Source identities presented (Sybil evasion of per-source detection).
   unsigned sybil_identities = 1;
 };
+
+template <fields::FieldsOf<AttackSchedule> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("enabled", s.enabled, fields::kBool);
+  v("direct_enabled", s.direct_enabled, fields::kBool);
+  v("probes_per_step", s.probes_per_step, fields::kDouble);
+  v("indirect_fraction", s.indirect_fraction, fields::kDouble);
+  v("start_time", s.start_time, fields::kDouble);
+  v("sybil_identities", s.sybil_identities, fields::kU32);
+}
+static_assert(fields::complete<AttackSchedule>());
 
 /// What a machine does with an inbound message when its bounded service
 /// queue is full (see osl::Machine and the ServiceModel below).
@@ -146,6 +191,10 @@ enum class OverloadPolicy : std::uint8_t {
   /// A full queue still drops the arrival, as DropTail.
   DegradeUnsigned,
 };
+
+inline constexpr fields::EnumNames<OverloadPolicy, 4> kOverloadPolicyNames{
+    "overload policy",
+    {"drop_tail", "shed_newest", "backpressure", "degrade_unsigned"}};
 
 /// Per-machine service-time model: when enabled, every protocol message a
 /// machine's application would handle is run through a bounded single-server
@@ -181,6 +230,21 @@ struct ServiceModel {
   void validate(const std::string& ctx = "ServiceModel") const;
 };
 
+template <fields::FieldsOf<ServiceModel> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("enabled", s.enabled, fields::kBool);
+  v("request_service", s.request_service, fields::kNested);
+  v("response_service", s.response_service, fields::kNested);
+  v("other_service", s.other_service, fields::kNested);
+  v("verify_cost", s.verify_cost, fields::kDouble);
+  v("queue_capacity", s.queue_capacity, fields::kU32);
+  v("policy", s.policy, kOverloadPolicyNames);
+  v("degrade_watermark", s.degrade_watermark, fields::kU32);
+  v("pushback_delay", s.pushback_delay, fields::kDouble);
+  v("queue_control", s.queue_control, fields::kBool);
+}
+static_assert(fields::complete<ServiceModel>());
+
 /// One piece of a piecewise-constant arrival-rate schedule: from `at`
 /// onwards, `rate` requests per simulation-time unit (until the next phase).
 /// A zero-rate phase pauses arrivals until the next phase.
@@ -188,6 +252,13 @@ struct RatePhase {
   sim::Time at = 0.0;
   double rate = 1.0;
 };
+
+template <fields::FieldsOf<RatePhase> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("at", s.at, fields::kDouble);
+  v("rate", s.rate, fields::kDouble);
+}
+static_assert(fields::complete<RatePhase>());
 
 /// Open-loop client traffic for a trial: `clients` load-generating clients
 /// submit requests at the scheduled arrival rate (Poisson or evenly spaced
@@ -219,6 +290,22 @@ struct TrafficSpec {
   bool enabled() const { return clients > 0 && !schedule.empty(); }
   void validate(const std::string& ctx = "TrafficSpec") const;
 };
+
+template <fields::FieldsOf<TrafficSpec> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("schedule", s.schedule, fields::kNested);
+  v("clients", s.clients, fields::kInt);
+  v("write_fraction", s.write_fraction, fields::kDouble);
+  v("distinct_keys", s.distinct_keys, fields::kU32);
+  v("poisson", s.poisson, fields::kBool);
+  v("retry_base", s.retry_base, fields::kDouble);
+  v("retry_multiplier", s.retry_multiplier, fields::kDouble);
+  v("retry_cap", s.retry_cap, fields::kDouble);
+  v("retry_jitter", s.retry_jitter, fields::kDouble);
+  v("retry_budget", s.retry_budget, fields::kU32);
+  v("request_deadline", s.request_deadline, fields::kDouble);
+}
+static_assert(fields::complete<TrafficSpec>());
 
 /// A compact client population for internet-scale trials: `clients` clients
 /// live as O(bytes) slots in a flat core::ClientPopulation SoA table driven
@@ -256,6 +343,22 @@ struct PopulationSpec {
   bool enabled() const { return clients > 0; }
   void validate(const std::string& ctx = "PopulationSpec") const;
 };
+
+template <fields::FieldsOf<PopulationSpec> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("clients", s.clients, fields::kU64);
+  v("cohort_size", s.cohort_size, fields::kU32);
+  v("request_rate", s.request_rate, fields::kDouble);
+  v("write_fraction", s.write_fraction, fields::kDouble);
+  v("distinct_keys", s.distinct_keys, fields::kU32);
+  v("tick_interval", s.tick_interval, fields::kDouble);
+  v("retry_base", s.retry_base, fields::kDouble);
+  v("retry_multiplier", s.retry_multiplier, fields::kDouble);
+  v("retry_cap", s.retry_cap, fields::kDouble);
+  v("retry_budget", s.retry_budget, fields::kU32);
+  v("request_deadline", s.request_deadline, fields::kDouble);
+}
+static_assert(fields::complete<PopulationSpec>());
 
 /// A complete scenario: network behaviour + schedules + deployment knobs.
 struct ScenarioPlan {
@@ -322,5 +425,31 @@ struct ScenarioPlan {
   /// builds; campaigns validate every cell plan up front.
   void validate() const;
 };
+
+/// The plan's one field list: plan_codec's canonical JSON walks it in this
+/// order, so a new plan field is one line here (and moves every digest).
+template <fields::FieldsOf<ScenarioPlan> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("name", s.name, fields::kString);
+  v("latency", s.latency, fields::kNested);
+  v("drop_probability", s.drop_probability, fields::kDouble);
+  v("duplicate_probability", s.duplicate_probability, fields::kDouble);
+  v("partitions", s.partitions, fields::kNested);
+  v("faults", s.faults, fields::kNested);
+  v("attack", s.attack, fields::kNested);
+  v("keyspace", s.keyspace, fields::kU64);
+  v("step_duration", s.step_duration, fields::kDouble);
+  v("rerandomize", s.rerandomize, fields::kBool);
+  v("n_servers", s.n_servers, fields::kInt);
+  v("n_proxies", s.n_proxies, fields::kInt);
+  v("proxy_blacklist", s.proxy_blacklist, fields::kBool);
+  v("detection_threshold", s.detection_threshold, fields::kU32);
+  v("detection_window", s.detection_window, fields::kDouble);
+  v("horizon_steps", s.horizon_steps, fields::kU64);
+  v("service", s.service, fields::kNested);
+  v("traffic", s.traffic, fields::kNested);
+  v("population", s.population, fields::kNested);
+}
+static_assert(fields::complete<ScenarioPlan>());
 
 }  // namespace fortress::net

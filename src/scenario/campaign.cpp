@@ -10,24 +10,6 @@
 
 namespace fortress::scenario {
 
-void TrafficStats::merge(const TrafficStats& o) {
-  offered += o.offered;
-  completed += o.completed;
-  timed_out += o.timed_out;
-  gave_up += o.gave_up;
-  retries += o.retries;
-  rejected_responses += o.rejected_responses;
-  enqueued += o.enqueued;
-  served += o.served;
-  shed += o.shed;
-  backpressured += o.backpressured;
-  degraded += o.degraded;
-  dropped_on_reboot += o.dropped_on_reboot;
-  max_queue_depth = std::max(max_queue_depth, o.max_queue_depth);
-  goodput += o.goodput;
-  latency.merge(o.latency);
-}
-
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell,
                          std::uint64_t trial) {
   // Absorb base, cell and trial through SEQUENTIAL SplitMix64 finalizations
@@ -352,11 +334,7 @@ void absorb_outcome(CellStats& stats, const TrialOutcome& o) {
     ++stats.censored;
   }
   stats.lifetime.add(static_cast<double>(o.lifetime_steps));
-  stats.attacker.direct_probes += o.attacker.direct_probes;
-  stats.attacker.indirect_probes += o.attacker.indirect_probes;
-  stats.attacker.crashes_caused += o.attacker.crashes_caused;
-  stats.attacker.compromises += o.attacker.compromises;
-  stats.attacker.keys_learned += o.attacker.keys_learned;
+  fields::merge(stats.attacker, o.attacker);
   stats.events_executed += o.events_executed;
   stats.blacklisted_sources += o.blacklisted_sources;
   stats.traffic.merge(o.traffic);

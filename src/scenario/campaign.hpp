@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "attack/derand_attacker.hpp"
+#include "common/fields.hpp"
 #include "common/stats.hpp"
 #include "core/population.hpp"
 #include "model/params.hpp"
@@ -46,9 +47,10 @@ namespace fortress::scenario {
 /// Traffic-plane aggregates of one trial (all zero when the plan has no
 /// TrafficSpec): client-side request accounting, per-deployment sums of the
 /// machines' OverloadStats, and the completed-request latency histogram.
-/// merge() is the exact cell reduction — every field is a sum, a max, or an
-/// elementwise histogram add, so cell aggregates are bit-identical for any
-/// trial-batching (the campaign's thread-count invariance extends to these).
+/// merge() is the exact cell reduction over the field table below — every
+/// field is a sum, a max, or an elementwise histogram add, so cell
+/// aggregates are bit-identical for any trial-batching (the campaign's
+/// thread-count invariance extends to these).
 struct TrafficStats {
   // --- client side ---------------------------------------------------------
   std::uint64_t offered = 0;    ///< requests submitted (excluding retries)
@@ -73,6 +75,30 @@ struct TrafficStats {
 
   void merge(const TrafficStats& o);
 };
+
+template <fields::FieldsOf<TrafficStats> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("offered", s.offered, fields::kU64);
+  v("completed", s.completed, fields::kU64);
+  v("timed_out", s.timed_out, fields::kU64);
+  v("gave_up", s.gave_up, fields::kU64);
+  v("retries", s.retries, fields::kU64);
+  v("rejected_responses", s.rejected_responses, fields::kU64);
+  v("enqueued", s.enqueued, fields::kU64);
+  v("served", s.served, fields::kU64);
+  v("shed", s.shed, fields::kU64);
+  v("backpressured", s.backpressured, fields::kU64);
+  v("degraded", s.degraded, fields::kU64);
+  v("dropped_on_reboot", s.dropped_on_reboot, fields::kU64);
+  v("max_queue_depth", s.max_queue_depth, fields::kMax);
+  v("goodput_bits", s.goodput, fields::kGoodput);
+  v("latency_bins", s.latency, fields::kHistogram);
+}
+static_assert(fields::complete<TrafficStats>());
+
+inline void TrafficStats::merge(const TrafficStats& o) {
+  fields::merge(*this, o);
+}
 
 /// Outcome of one live trial.
 struct TrialOutcome {
@@ -148,6 +174,18 @@ struct StoppingRule {
   double abs_floor = 0.0;
 };
 
+inline constexpr fields::EnumNames<StoppingRule::Metric, 3> kMetricNames{
+    "metric", {"mean_lifetime", "compromise_probability", "latency_quantile"}};
+
+template <fields::FieldsOf<StoppingRule> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("metric", s.metric, kMetricNames);
+  v("quantile", s.quantile, fields::kDouble);
+  v("target_rel", s.target_rel, fields::kDouble);
+  v("abs_floor", s.abs_floor, fields::kDouble);
+}
+static_assert(fields::complete<StoppingRule>());
+
 /// Adaptive (sequential-sampling) mode: instead of a fixed trial budget per
 /// cell, cells run in deterministic ROUNDS of `round_trials` each; after
 /// every round the serial reducer closes any cell whose stopping rules are
@@ -198,6 +236,18 @@ struct AdaptiveConfig {
   std::vector<StoppingRule> effective_rules() const;
 };
 
+template <fields::FieldsOf<AdaptiveConfig> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("enabled", s.enabled, fields::kBool);
+  v("round_trials", s.round_trials, fields::kU64);
+  v("target_rel_ci", s.target_rel_ci, fields::kDouble);
+  v("abs_ci_floor", s.abs_ci_floor, fields::kDouble);
+  v("max_trials_per_cell", s.max_trials_per_cell, fields::kU64);
+  v("work_stealing", s.work_stealing, fields::kBool);
+  v("rules", s.rules, fields::kNested);
+}
+static_assert(fields::complete<AdaptiveConfig>());
+
 struct CampaignConfig {
   /// Fixed mode (adaptive.enabled == false): exactly this many trials per
   /// cell. Ignored in adaptive mode.
@@ -222,6 +272,18 @@ struct CampaignConfig {
   /// compares both).
   bool reuse_trial_stacks = true;
 };
+
+template <fields::FieldsOf<CampaignConfig> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("base_seed", s.base_seed, fields::kU64);
+  v("threads", s.threads, fields::kU32);
+  v("ci_level", s.ci_level, fields::kDouble);
+  v("scheduler", s.scheduler, sim::kSchedulerKindNames);
+  v("reuse_trial_stacks", s.reuse_trial_stacks, fields::kBool);
+  v("trials_per_cell", s.trials_per_cell, fields::kU64);
+  v("adaptive", s.adaptive, fields::kNested);
+}
+static_assert(fields::complete<CampaignConfig>());
 
 /// Aggregated statistics for one cell, reduced in trial-index order.
 struct CellStats {
@@ -252,6 +314,27 @@ struct CellStats {
     return trials > 0 ? traffic.goodput / static_cast<double>(trials) : 0.0;
   }
 };
+
+/// The sidecar and report encode a cell through this table (doubles by bit
+/// pattern), and campaign_fingerprint hashes that encoding — so a field
+/// added here is sharded, reported and fingerprinted with no other edit.
+template <fields::FieldsOf<CellStats> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("system", s.system, model::kSystemKindNames);
+  v("plan_name", s.plan_name, fields::kString);
+  v("trials", s.trials, fields::kU64);
+  v("rounds", s.rounds, fields::kU64);
+  v("compromised", s.compromised, fields::kU64);
+  v("censored", s.censored, fields::kU64);
+  v("lifetime", s.lifetime, fields::kWelford);
+  v("lifetime_ci", s.lifetime_ci, fields::kInterval);
+  v("attacker", s.attacker, fields::kNested);
+  v("events_executed", s.events_executed, fields::kU64);
+  v("blacklisted_sources", s.blacklisted_sources, fields::kU64);
+  v("traffic", s.traffic, fields::kNested);
+  v("population", s.population, fields::kNested);
+}
+static_assert(fields::complete<CellStats>());
 
 struct CampaignResult {
   std::vector<CellStats> cells;  ///< one per input cell, same order

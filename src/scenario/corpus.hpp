@@ -29,8 +29,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "model/params.hpp"
 #include "net/scenario.hpp"
+#include "scenario/campaign.hpp"
 
 namespace fortress::scenario {
 
@@ -51,6 +53,23 @@ struct CorpusGoldenCell {
   std::uint64_t population_fingerprint = 0;  ///< PopulationStats::latency
 };
 
+/// A golden row's file layout, and the pin list check_corpus_entry walks.
+template <fields::FieldsOf<CorpusGoldenCell> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("system", s.system, model::kSystemKindNames);
+  v("trials", s.trials, fields::kU64);
+  v("compromised", s.compromised, fields::kU64);
+  v("censored", s.censored, fields::kU64);
+  v("lifetime_mean_bits", s.lifetime_mean_bits, fields::kHex);
+  v("direct_probes", s.direct_probes, fields::kU64);
+  v("indirect_probes", s.indirect_probes, fields::kU64);
+  v("events_executed", s.events_executed, fields::kU64);
+  v("blacklisted_sources", s.blacklisted_sources, fields::kU64);
+  v("traffic_fingerprint", s.traffic_fingerprint, fields::kHex);
+  v("population_fingerprint", s.population_fingerprint, fields::kHex);
+}
+static_assert(fields::complete<CorpusGoldenCell>());
+
 struct CorpusEntry {
   std::string name;
   std::string description;
@@ -61,6 +80,19 @@ struct CorpusEntry {
   net::ScenarioPlan plan;
   std::vector<CorpusGoldenCell> golden;  ///< one per system, same order
 };
+
+template <fields::FieldsOf<CorpusEntry> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("name", s.name, fields::kString);
+  v("description", s.description, fields::kString);
+  v("base_seed", s.base_seed, fields::kU64);
+  v("trials_per_cell", s.trials_per_cell, fields::kU64);
+  v("systems", s.systems, model::kSystemKindNames);
+  v("digest", s.digest, fields::kString);
+  v("plan", s.plan, fields::kNested);
+  v("golden", s.golden, fields::kNested);
+}
+static_assert(fields::complete<CorpusEntry>());
 
 /// Strict decode (json::ParseError on malformed wrapper or plan;
 /// net::PlanValidationError on an invalid plan). Checks structural

@@ -1,92 +1,12 @@
 #include "scenario/differential.hpp"
 
-#include <cstdio>
-#include <cstring>
+#include "common/json.hpp"
+#include "scenario/shard.hpp"
 
 namespace fortress::scenario {
 
-namespace {
-
-/// Streaming FNV-1a 64 over heterogeneous aggregate words.
-class Fnv {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 1099511628211ull;
-    }
-  }
-  void add(double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof u);
-    add(u);
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ull;
-};
-
-std::string hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
-
 std::uint64_t campaign_fingerprint(const CampaignResult& result) {
-  Fnv f;
-  f.add(static_cast<std::uint64_t>(result.cells.size()));
-  f.add(result.total_trials);
-  f.add(result.total_events);
-  for (const CellStats& c : result.cells) {
-    f.add(c.trials);
-    f.add(c.rounds);
-    f.add(c.compromised);
-    f.add(c.censored);
-    f.add(c.lifetime.count());
-    if (c.lifetime.count() > 0) {
-      f.add(c.lifetime.mean());
-      f.add(c.lifetime.min());
-      f.add(c.lifetime.max());
-    }
-    if (c.lifetime.count() > 1) f.add(c.lifetime.variance());
-    f.add(c.attacker.direct_probes);
-    f.add(c.attacker.indirect_probes);
-    f.add(c.attacker.crashes_caused);
-    f.add(c.attacker.compromises);
-    f.add(c.attacker.keys_learned);
-    f.add(c.events_executed);
-    f.add(c.blacklisted_sources);
-    const TrafficStats& t = c.traffic;
-    f.add(t.offered);
-    f.add(t.completed);
-    f.add(t.timed_out);
-    f.add(t.gave_up);
-    f.add(t.retries);
-    f.add(t.rejected_responses);
-    f.add(t.enqueued);
-    f.add(t.served);
-    f.add(t.shed);
-    f.add(t.backpressured);
-    f.add(t.degraded);
-    f.add(t.dropped_on_reboot);
-    f.add(t.max_queue_depth);
-    f.add(t.goodput);
-    f.add(t.latency.fingerprint());
-    const core::PopulationStats& p = c.population;
-    f.add(p.offered);
-    f.add(p.completed);
-    f.add(p.timed_out);
-    f.add(p.gave_up);
-    f.add(p.retries);
-    f.add(p.rejected_responses);
-    f.add(p.skipped_busy);
-    f.add(p.latency.fingerprint());
-  }
-  return f.digest();
+  return json::fnv1a64(campaign_result_to_json(result));
 }
 
 std::vector<std::string> differential_check(
@@ -126,8 +46,8 @@ std::vector<std::string> differential_check(
         campaign_fingerprint(run_campaign(cells, arm.cfg));
     if (got != want) {
       divergences.push_back("plan '" + plan.name + "': " + arm.label +
-                            " diverged — fingerprint " + hex(got) +
-                            " != reference " + hex(want));
+                            " diverged — fingerprint " + json::hex64(got) +
+                            " != reference " + json::hex64(want));
     }
   }
   return divergences;

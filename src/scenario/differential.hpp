@@ -21,13 +21,9 @@
 
 namespace fortress::scenario {
 
-/// FNV-1a 64 over every aggregate of a campaign result: per cell, the
-/// trial/compromise/censor counts, the lifetime moment bits (mean,
-/// variance, min, max — included only where their count preconditions
-/// hold), all attacker counters, event and blacklist totals, every
-/// TrafficStats and PopulationStats field, and both latency-histogram
-/// fingerprints. Two results fingerprint equal iff the aggregates the
-/// campaign determinism contract covers are bit-identical.
+/// FNV-1a 64 over campaign_result_to_json(result): the report encodes every
+/// CellStats table field, doubles by bit pattern, so two results
+/// fingerprint equal iff every aggregate is bit-identical.
 std::uint64_t campaign_fingerprint(const CampaignResult& result);
 
 struct DifferentialOptions {

@@ -17,6 +17,11 @@
 //    field change (including the name). Corpus files pin it as
 //    "fnv1a64:<16 hex digits>".
 //
+// Both directions are the generic fields:: visitors (common/fields.hpp)
+// walking the plan's field tables — the visit_fields beside each struct in
+// net/scenario.hpp, whose line order is the member order above. A new plan
+// field is one table line, encoded and strictly decoded with no codec edit.
+//
 // Default-valued fields ARE emitted (no omit-if-default): a plan file reads
 // complete, and adding a field to ScenarioPlan visibly changes every digest
 // — which is what forces corpus golden values to be re-captured when the

@@ -1,366 +1,33 @@
 #include "scenario/shard.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <cstring>
-
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "common/json.hpp"
-#include "scenario/corpus.hpp"
-#include "scenario/plan_codec.hpp"
 
 namespace fortress::scenario {
 
 namespace {
 
+using fields::Doubles;
 using json::ParseError;
-using json::reemit;
-using json::Value;
-using json::Writer;
 
 constexpr const char* kSpecSchema = "fortress-campaign-v1";
 constexpr const char* kShardSchema = "fortress-campaign-shard-v1";
 constexpr const char* kResultSchema = "fortress-campaign-result-v1";
 
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+// Cells cross the sidecar and the report with every double as a bit
+// pattern, never as decimal text: the merge's bit-identity contract has no
+// room for a parse round-trip to be "close". (Shortest round-trip formatting
+// would in fact round-trip too, but bits make the intent unmissable and
+// survive any future formatter.)
 
-std::uint64_t parse_hex64(const std::string& s, const std::string& ctx) {
-  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(ctx + ": expected \"0x\" + 16 hex digits, got \"" + s +
-                     "\"");
-  }
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(ctx + ": invalid hex literal \"" + s + "\"");
-  }
-  return v;
-}
-
-// Doubles cross the sidecar as bit patterns, never as decimal text: the
-// merge's bit-identity contract has no room for a parse round-trip to be
-// "close". (Shortest round-trip formatting would in fact round-trip too,
-// but bits make the intent unmissable and survive any future formatter.)
-std::string double_bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof d);
-  return hex64(u);
-}
-
-double bits_double(const std::string& s, const std::string& ctx) {
-  const std::uint64_t u = parse_hex64(s, ctx);
-  double d = 0.0;
-  std::memcpy(&d, &u, sizeof d);
-  return d;
-}
-
-sim::SchedulerKind scheduler_from_string(const std::string& s,
-                                         const std::string& ctx) {
-  if (s == "wheel") return sim::SchedulerKind::Wheel;
-  if (s == "heap") return sim::SchedulerKind::Heap;
-  throw ParseError(ctx + ": unknown scheduler \"" + s +
-                   "\" (want wheel|heap)");
-}
-
-const char* metric_to_string(StoppingRule::Metric m) {
-  switch (m) {
-    case StoppingRule::Metric::MeanLifetime:
-      return "mean_lifetime";
-    case StoppingRule::Metric::CompromiseProbability:
-      return "compromise_probability";
-    case StoppingRule::Metric::LatencyQuantile:
-      return "latency_quantile";
-  }
-  return "mean_lifetime";  // unreachable
-}
-
-StoppingRule::Metric metric_from_string(const std::string& s,
-                                        const std::string& ctx) {
-  if (s == "mean_lifetime") return StoppingRule::Metric::MeanLifetime;
-  if (s == "compromise_probability") {
-    return StoppingRule::Metric::CompromiseProbability;
-  }
-  if (s == "latency_quantile") return StoppingRule::Metric::LatencyQuantile;
-  throw ParseError(
-      ctx + ": unknown metric \"" + s +
-      "\" (want mean_lifetime|compromise_probability|latency_quantile)");
-}
-
-void check_keys(const Value& obj, const std::string& ctx,
-                std::initializer_list<const char*> keys) {
-  for (const auto& [k, v] : obj.members(ctx)) {
-    bool known = false;
-    for (const char* key : keys) known = known || (k == key);
-    if (!known) throw ParseError(ctx + ": unknown key \"" + k + "\"");
-  }
-}
-
-// --- CellStats codec (shared by the sidecar and the result report) --------
-
-void write_histogram(Writer& w, const LatencyHistogram& h) {
-  w.begin_array();
-  for (int b = 0; b < LatencyHistogram::kBins; ++b) w.value(h.bin(b));
-  w.end_array();
-}
-
-LatencyHistogram read_histogram(const Value& v, const std::string& ctx) {
-  const auto& bins = v.as_array(ctx);
-  if (bins.size() != LatencyHistogram::kBins) {
-    throw ParseError(ctx + ": expected " +
-                     std::to_string(LatencyHistogram::kBins) + " bins, got " +
-                     std::to_string(bins.size()));
-  }
-  LatencyHistogram h;
-  for (int b = 0; b < LatencyHistogram::kBins; ++b) {
-    const std::uint64_t n = bins[static_cast<std::size_t>(b)].as_u64(
-        ctx + "[" + std::to_string(b) + "]");
-    if (n > 0) h.add_bin(b, n);
-  }
-  return h;
-}
-
-void write_cell(Writer& w, std::uint64_t index, const CellStats& c) {
+/// One row of a sidecar or report: the cell's global index, then its
+/// CellStats members.
+void write_cell(json::Writer& w, std::uint64_t index, const CellStats& c) {
   w.begin_object();
-  w.key("index");
-  w.value(index);
-  w.key("system");
-  w.value(std::string_view(model::to_string(c.system)));
-  w.key("plan_name");
-  w.value(std::string_view(c.plan_name));
-  w.key("trials");
-  w.value(c.trials);
-  w.key("rounds");
-  w.value(c.rounds);
-  w.key("compromised");
-  w.value(c.compromised);
-  w.key("censored");
-  w.value(c.censored);
-  w.key("lifetime");
-  w.begin_object();
-  w.key("count");
-  w.value(c.lifetime.count());
-  w.key("mean_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_mean())));
-  w.key("m2_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_m2())));
-  w.key("min_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_min())));
-  w.key("max_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_max())));
+  fields::write_field(w, "index", index, fields::kU64, Doubles::Bits);
+  fields::write_members(w, c, Doubles::Bits);
   w.end_object();
-  w.key("lifetime_ci");
-  w.begin_object();
-  w.key("lo_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.lo)));
-  w.key("hi_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.hi)));
-  w.key("level_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.level)));
-  w.end_object();
-  w.key("attacker");
-  w.begin_object();
-  w.key("direct_probes");
-  w.value(c.attacker.direct_probes);
-  w.key("indirect_probes");
-  w.value(c.attacker.indirect_probes);
-  w.key("crashes_caused");
-  w.value(c.attacker.crashes_caused);
-  w.key("compromises");
-  w.value(c.attacker.compromises);
-  w.key("keys_learned");
-  w.value(c.attacker.keys_learned);
-  w.end_object();
-  w.key("events_executed");
-  w.value(c.events_executed);
-  w.key("blacklisted_sources");
-  w.value(c.blacklisted_sources);
-  w.key("traffic");
-  w.begin_object();
-  w.key("offered");
-  w.value(c.traffic.offered);
-  w.key("completed");
-  w.value(c.traffic.completed);
-  w.key("timed_out");
-  w.value(c.traffic.timed_out);
-  w.key("gave_up");
-  w.value(c.traffic.gave_up);
-  w.key("retries");
-  w.value(c.traffic.retries);
-  w.key("rejected_responses");
-  w.value(c.traffic.rejected_responses);
-  w.key("enqueued");
-  w.value(c.traffic.enqueued);
-  w.key("served");
-  w.value(c.traffic.served);
-  w.key("shed");
-  w.value(c.traffic.shed);
-  w.key("backpressured");
-  w.value(c.traffic.backpressured);
-  w.key("degraded");
-  w.value(c.traffic.degraded);
-  w.key("dropped_on_reboot");
-  w.value(c.traffic.dropped_on_reboot);
-  w.key("max_queue_depth");
-  w.value(c.traffic.max_queue_depth);
-  w.key("goodput_bits");
-  w.value(std::string_view(double_bits(c.traffic.goodput)));
-  w.key("latency_bins");
-  write_histogram(w, c.traffic.latency);
-  w.end_object();
-  w.key("population");
-  w.begin_object();
-  w.key("offered");
-  w.value(c.population.offered);
-  w.key("completed");
-  w.value(c.population.completed);
-  w.key("timed_out");
-  w.value(c.population.timed_out);
-  w.key("gave_up");
-  w.value(c.population.gave_up);
-  w.key("retries");
-  w.value(c.population.retries);
-  w.key("rejected_responses");
-  w.value(c.population.rejected_responses);
-  w.key("skipped_busy");
-  w.value(c.population.skipped_busy);
-  w.key("latency_bins");
-  write_histogram(w, c.population.latency);
-  w.end_object();
-  w.end_object();
-}
-
-std::pair<std::uint64_t, CellStats> read_cell(const Value& row,
-                                              const std::string& ctx) {
-  check_keys(row, ctx,
-             {"index", "system", "plan_name", "trials", "rounds",
-              "compromised", "censored", "lifetime", "lifetime_ci",
-              "attacker", "events_executed", "blacklisted_sources", "traffic",
-              "population"});
-  CellStats c;
-  const std::uint64_t index =
-      row.required("index", ctx).as_u64(ctx + ".index");
-  c.system = system_kind_from_string(
-      row.required("system", ctx).as_string(ctx + ".system"), ctx);
-  c.plan_name =
-      row.required("plan_name", ctx).as_string(ctx + ".plan_name");
-  c.trials = row.required("trials", ctx).as_u64(ctx + ".trials");
-  c.rounds = row.required("rounds", ctx).as_u64(ctx + ".rounds");
-  c.compromised =
-      row.required("compromised", ctx).as_u64(ctx + ".compromised");
-  c.censored = row.required("censored", ctx).as_u64(ctx + ".censored");
-  {
-    const std::string lctx = ctx + ".lifetime";
-    const Value& l = row.required("lifetime", ctx);
-    check_keys(l, lctx,
-               {"count", "mean_bits", "m2_bits", "min_bits", "max_bits"});
-    c.lifetime = RunningStats::from_raw(
-        l.required("count", lctx).as_u64(lctx + ".count"),
-        bits_double(l.required("mean_bits", lctx).as_string(lctx),
-                    lctx + ".mean_bits"),
-        bits_double(l.required("m2_bits", lctx).as_string(lctx),
-                    lctx + ".m2_bits"),
-        bits_double(l.required("min_bits", lctx).as_string(lctx),
-                    lctx + ".min_bits"),
-        bits_double(l.required("max_bits", lctx).as_string(lctx),
-                    lctx + ".max_bits"));
-  }
-  {
-    const std::string ictx = ctx + ".lifetime_ci";
-    const Value& i = row.required("lifetime_ci", ctx);
-    check_keys(i, ictx, {"lo_bits", "hi_bits", "level_bits"});
-    c.lifetime_ci.lo = bits_double(
-        i.required("lo_bits", ictx).as_string(ictx), ictx + ".lo_bits");
-    c.lifetime_ci.hi = bits_double(
-        i.required("hi_bits", ictx).as_string(ictx), ictx + ".hi_bits");
-    c.lifetime_ci.level = bits_double(
-        i.required("level_bits", ictx).as_string(ictx), ictx + ".level_bits");
-  }
-  {
-    const std::string actx = ctx + ".attacker";
-    const Value& a = row.required("attacker", ctx);
-    check_keys(a, actx,
-               {"direct_probes", "indirect_probes", "crashes_caused",
-                "compromises", "keys_learned"});
-    c.attacker.direct_probes =
-        a.required("direct_probes", actx).as_u64(actx + ".direct_probes");
-    c.attacker.indirect_probes =
-        a.required("indirect_probes", actx).as_u64(actx + ".indirect_probes");
-    c.attacker.crashes_caused =
-        a.required("crashes_caused", actx).as_u64(actx + ".crashes_caused");
-    c.attacker.compromises =
-        a.required("compromises", actx).as_u64(actx + ".compromises");
-    c.attacker.keys_learned =
-        a.required("keys_learned", actx).as_u64(actx + ".keys_learned");
-  }
-  c.events_executed =
-      row.required("events_executed", ctx).as_u64(ctx + ".events_executed");
-  c.blacklisted_sources = row.required("blacklisted_sources", ctx)
-                              .as_u64(ctx + ".blacklisted_sources");
-  {
-    const std::string tctx = ctx + ".traffic";
-    const Value& t = row.required("traffic", ctx);
-    check_keys(t, tctx,
-               {"offered", "completed", "timed_out", "gave_up", "retries",
-                "rejected_responses", "enqueued", "served", "shed",
-                "backpressured", "degraded", "dropped_on_reboot",
-                "max_queue_depth", "goodput_bits", "latency_bins"});
-    c.traffic.offered = t.required("offered", tctx).as_u64(tctx + ".offered");
-    c.traffic.completed =
-        t.required("completed", tctx).as_u64(tctx + ".completed");
-    c.traffic.timed_out =
-        t.required("timed_out", tctx).as_u64(tctx + ".timed_out");
-    c.traffic.gave_up = t.required("gave_up", tctx).as_u64(tctx + ".gave_up");
-    c.traffic.retries = t.required("retries", tctx).as_u64(tctx + ".retries");
-    c.traffic.rejected_responses = t.required("rejected_responses", tctx)
-                                       .as_u64(tctx + ".rejected_responses");
-    c.traffic.enqueued =
-        t.required("enqueued", tctx).as_u64(tctx + ".enqueued");
-    c.traffic.served = t.required("served", tctx).as_u64(tctx + ".served");
-    c.traffic.shed = t.required("shed", tctx).as_u64(tctx + ".shed");
-    c.traffic.backpressured =
-        t.required("backpressured", tctx).as_u64(tctx + ".backpressured");
-    c.traffic.degraded =
-        t.required("degraded", tctx).as_u64(tctx + ".degraded");
-    c.traffic.dropped_on_reboot = t.required("dropped_on_reboot", tctx)
-                                      .as_u64(tctx + ".dropped_on_reboot");
-    c.traffic.max_queue_depth =
-        t.required("max_queue_depth", tctx).as_u64(tctx + ".max_queue_depth");
-    c.traffic.goodput =
-        bits_double(t.required("goodput_bits", tctx).as_string(tctx),
-                    tctx + ".goodput_bits");
-    c.traffic.latency = read_histogram(t.required("latency_bins", tctx),
-                                       tctx + ".latency_bins");
-  }
-  {
-    const std::string pctx = ctx + ".population";
-    const Value& p = row.required("population", ctx);
-    check_keys(p, pctx,
-               {"offered", "completed", "timed_out", "gave_up", "retries",
-                "rejected_responses", "skipped_busy", "latency_bins"});
-    c.population.offered =
-        p.required("offered", pctx).as_u64(pctx + ".offered");
-    c.population.completed =
-        p.required("completed", pctx).as_u64(pctx + ".completed");
-    c.population.timed_out =
-        p.required("timed_out", pctx).as_u64(pctx + ".timed_out");
-    c.population.gave_up =
-        p.required("gave_up", pctx).as_u64(pctx + ".gave_up");
-    c.population.retries =
-        p.required("retries", pctx).as_u64(pctx + ".retries");
-    c.population.rejected_responses = p.required("rejected_responses", pctx)
-                                          .as_u64(pctx +
-                                                  ".rejected_responses");
-    c.population.skipped_busy =
-        p.required("skipped_busy", pctx).as_u64(pctx + ".skipped_busy");
-    c.population.latency = read_histogram(p.required("latency_bins", pctx),
-                                          pctx + ".latency_bins");
-  }
-  return {index, std::move(c)};
 }
 
 }  // namespace
@@ -368,181 +35,20 @@ std::pair<std::uint64_t, CellStats> read_cell(const Value& row,
 // --- CampaignSpec codec ---------------------------------------------------
 
 std::string campaign_spec_to_json(const CampaignSpec& spec) {
-  Writer w(/*compact=*/false);
-  w.begin_object();
-  w.key("schema");
-  w.value(std::string_view(kSpecSchema));
-  w.key("name");
-  w.value(std::string_view(spec.name));
-  w.key("description");
-  w.value(std::string_view(spec.description));
-  w.key("base_seed");
-  w.value(spec.config.base_seed);
-  w.key("threads");
-  w.value(static_cast<std::uint64_t>(spec.config.threads));
-  w.key("ci_level");
-  w.value(spec.config.ci_level);
-  w.key("scheduler");
-  w.value(std::string_view(sim::to_string(spec.config.scheduler)));
-  w.key("reuse_trial_stacks");
-  w.value(spec.config.reuse_trial_stacks);
-  w.key("trials_per_cell");
-  w.value(spec.config.trials_per_cell);
-  w.key("adaptive");
-  w.begin_object();
-  w.key("enabled");
-  w.value(spec.config.adaptive.enabled);
-  w.key("round_trials");
-  w.value(spec.config.adaptive.round_trials);
-  w.key("target_rel_ci");
-  w.value(spec.config.adaptive.target_rel_ci);
-  w.key("abs_ci_floor");
-  w.value(spec.config.adaptive.abs_ci_floor);
-  w.key("max_trials_per_cell");
-  w.value(spec.config.adaptive.max_trials_per_cell);
-  w.key("work_stealing");
-  w.value(spec.config.adaptive.work_stealing);
-  w.key("rules");
-  w.begin_array();
-  for (const StoppingRule& r : spec.config.adaptive.rules) {
-    w.begin_object();
-    w.key("metric");
-    w.value(std::string_view(metric_to_string(r.metric)));
-    w.key("quantile");
-    w.value(r.quantile);
-    w.key("target_rel");
-    w.value(r.target_rel);
-    w.key("abs_floor");
-    w.value(r.abs_floor);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.key("systems");
-  w.begin_array();
-  for (model::SystemKind s : spec.systems) {
-    w.value(std::string_view(model::to_string(s)));
-  }
-  w.end_array();
-  w.key("plans");
-  w.begin_array();
-  // Splice each plan's canonical pretty encoding (the plan_codec layout is
-  // the contract), re-indented two levels, via the corpus placeholder
-  // idiom: Writer has no raw-splice API on purpose.
-  for (std::size_t i = 0; i < spec.plans.size(); ++i) {
-    w.value(std::string_view("\x01plan" + std::to_string(i) + "\x01"));
-  }
-  w.end_array();
-  w.end_object();
-  std::string out = w.str();
-  for (std::size_t i = 0; i < spec.plans.size(); ++i) {
-    const std::string placeholder =
-        "\"\\u0001plan" + std::to_string(i) + "\\u0001\"";
-    const std::string plan_json = plan_to_json(spec.plans[i]);
-    std::string shifted;
-    shifted.reserve(plan_json.size() + 128);
-    for (char c : plan_json) {
-      shifted.push_back(c);
-      if (c == '\n') shifted.append("    ");
-    }
-    const std::size_t at = out.find(placeholder);
-    FORTRESS_EXPECTS(at != std::string::npos);
-    out.replace(at, placeholder.size(), shifted);
-  }
-  out.push_back('\n');  // committed files end with a newline
-  return out;
+  return fields::to_document(spec, kSpecSchema, Doubles::Decimal);
 }
 
 CampaignSpec campaign_spec_from_json(std::string_view text) {
-  const Value root = json::parse(text);
-  const std::string ctx = "campaign spec";
-  check_keys(root, ctx,
-             {"schema", "name", "description", "base_seed", "threads",
-              "ci_level", "scheduler", "reuse_trial_stacks",
-              "trials_per_cell", "adaptive", "systems", "plans"});
-
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
-  if (schema != kSpecSchema) {
-    throw ParseError(ctx + ".schema: expected \"" + kSpecSchema +
-                     "\", got \"" + schema + "\"");
-  }
-
-  CampaignSpec spec;
-  spec.name = root.required("name", ctx).as_string(ctx + ".name");
-  spec.description =
-      root.required("description", ctx).as_string(ctx + ".description");
-  spec.config.base_seed =
-      root.required("base_seed", ctx).as_u64(ctx + ".base_seed");
-  spec.config.threads = static_cast<unsigned>(
-      root.required("threads", ctx).as_u64(ctx + ".threads"));
-  spec.config.ci_level =
-      root.required("ci_level", ctx).as_double(ctx + ".ci_level");
-  spec.config.scheduler = scheduler_from_string(
-      root.required("scheduler", ctx).as_string(ctx + ".scheduler"),
-      ctx + ".scheduler");
-  spec.config.reuse_trial_stacks = root.required("reuse_trial_stacks", ctx)
-                                       .as_bool(ctx + ".reuse_trial_stacks");
-  spec.config.trials_per_cell =
-      root.required("trials_per_cell", ctx).as_u64(ctx + ".trials_per_cell");
-  {
-    const std::string actx = ctx + ".adaptive";
-    const Value& a = root.required("adaptive", ctx);
-    check_keys(a, actx,
-               {"enabled", "round_trials", "target_rel_ci", "abs_ci_floor",
-                "max_trials_per_cell", "work_stealing", "rules"});
-    spec.config.adaptive.enabled =
-        a.required("enabled", actx).as_bool(actx + ".enabled");
-    spec.config.adaptive.round_trials =
-        a.required("round_trials", actx).as_u64(actx + ".round_trials");
-    spec.config.adaptive.target_rel_ci =
-        a.required("target_rel_ci", actx).as_double(actx + ".target_rel_ci");
-    spec.config.adaptive.abs_ci_floor =
-        a.required("abs_ci_floor", actx).as_double(actx + ".abs_ci_floor");
-    spec.config.adaptive.max_trials_per_cell =
-        a.required("max_trials_per_cell", actx)
-            .as_u64(actx + ".max_trials_per_cell");
-    spec.config.adaptive.work_stealing =
-        a.required("work_stealing", actx).as_bool(actx + ".work_stealing");
-    const auto& rules =
-        a.required("rules", actx).as_array(actx + ".rules");
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      const std::string rctx = actx + ".rules[" + std::to_string(i) + "]";
-      const Value& rv = rules[i];
-      check_keys(rv, rctx, {"metric", "quantile", "target_rel", "abs_floor"});
-      StoppingRule r;
-      r.metric = metric_from_string(
-          rv.required("metric", rctx).as_string(rctx + ".metric"),
-          rctx + ".metric");
-      r.quantile =
-          rv.required("quantile", rctx).as_double(rctx + ".quantile");
-      r.target_rel =
-          rv.required("target_rel", rctx).as_double(rctx + ".target_rel");
-      r.abs_floor =
-          rv.required("abs_floor", rctx).as_double(rctx + ".abs_floor");
-      spec.config.adaptive.rules.push_back(r);
-    }
-  }
-  for (const Value& s :
-       root.required("systems", ctx).as_array(ctx + ".systems")) {
-    spec.systems.push_back(system_kind_from_string(
-        s.as_string(ctx + ".systems element"), ctx + ".systems"));
-  }
+  CampaignSpec spec = fields::from_document<CampaignSpec>(
+      text, "campaign spec", kSpecSchema, Doubles::Decimal);
   if (spec.systems.empty()) {
-    throw ParseError(ctx + ".systems: must list at least one system class");
+    throw ParseError(
+        "campaign spec.systems: must list at least one system class");
   }
-  const auto& plans = root.required("plans", ctx).as_array(ctx + ".plans");
-  if (plans.empty()) {
-    throw ParseError(ctx + ".plans: must list at least one plan");
+  if (spec.plans.empty()) {
+    throw ParseError("campaign spec.plans: must list at least one plan");
   }
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    // Re-encode the subtree compactly (reemit keeps number lexemes
-    // verbatim) and strict-decode through the plan codec, so every plan
-    // obeys exactly the plan fixture contract.
-    Writer w(/*compact=*/true);
-    reemit(w, plans[i]);
-    spec.plans.push_back(plan_from_json(w.str()));
-  }
+  for (const net::ScenarioPlan& plan : spec.plans) plan.validate();
   return spec;
 }
 
@@ -595,7 +101,8 @@ CampaignResult merge_shards(const std::vector<ShardResult>& shards) {
       if (digest != 0 && s.spec_digest != digest) {
         throw ParseError("merge: shard " + std::to_string(s.shard) +
                          " was computed from a different spec (digest " +
-                         hex64(s.spec_digest) + " vs " + hex64(digest) + ")");
+                         json::hex64(s.spec_digest) + " vs " +
+                         json::hex64(digest) + ")");
       }
       digest = s.spec_digest;
     }
@@ -644,18 +151,17 @@ CampaignResult merge_shards(const std::vector<ShardResult>& shards) {
 
 std::string shard_result_to_json(const ShardResult& result) {
   FORTRESS_EXPECTS(result.cell_indices.size() == result.cells.size());
-  Writer w(/*compact=*/false);
+  json::Writer w(/*compact=*/false);
   w.begin_object();
   w.key("schema");
   w.value(std::string_view(kShardSchema));
-  w.key("shard");
-  w.value(static_cast<std::uint64_t>(result.shard));
-  w.key("n_shards");
-  w.value(static_cast<std::uint64_t>(result.n_shards));
-  w.key("n_cells");
-  w.value(result.n_cells);
-  w.key("spec_digest");
-  w.value(std::string_view(hex64(result.spec_digest)));
+  fields::write_field(w, "shard", result.shard, fields::kU32, Doubles::Bits);
+  fields::write_field(w, "n_shards", result.n_shards, fields::kU32,
+                      Doubles::Bits);
+  fields::write_field(w, "n_cells", result.n_cells, fields::kU64,
+                      Doubles::Bits);
+  fields::write_field(w, "spec_digest", result.spec_digest, fields::kHex,
+                      Doubles::Bits);
   w.key("cells");
   w.begin_array();
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
@@ -669,54 +175,48 @@ std::string shard_result_to_json(const ShardResult& result) {
 }
 
 ShardResult shard_result_from_json(std::string_view text) {
-  const Value root = json::parse(text);
-  const std::string ctx = "shard result";
-  check_keys(root, ctx,
-             {"schema", "shard", "n_shards", "n_cells", "spec_digest",
-              "cells"});
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
-  if (schema != kShardSchema) {
-    throw ParseError(ctx + ".schema: expected \"" + kShardSchema +
-                     "\", got \"" + schema + "\"");
+  const json::Value root = json::parse(text);
+  const json::Path path("shard result");
+  json::ObjectReader r(root, path);
+  fields::check_schema(r, kShardSchema);
+  ShardResult s;
+  fields::read_field(r, "shard", s.shard, fields::kU32, Doubles::Bits);
+  fields::read_field(r, "n_shards", s.n_shards, fields::kU32, Doubles::Bits);
+  fields::read_field(r, "n_cells", s.n_cells, fields::kU64, Doubles::Bits);
+  fields::read_field(r, "spec_digest", s.spec_digest, fields::kHex,
+                     Doubles::Bits);
+  if (s.n_shards < 1 || s.shard >= s.n_shards) {
+    json::fail_at(path, ": shard " + std::to_string(s.shard) +
+                            " outside n_shards " + std::to_string(s.n_shards));
   }
-  ShardResult r;
-  r.shard = static_cast<std::uint32_t>(
-      root.required("shard", ctx).as_u64(ctx + ".shard"));
-  r.n_shards = static_cast<std::uint32_t>(
-      root.required("n_shards", ctx).as_u64(ctx + ".n_shards"));
-  r.n_cells = root.required("n_cells", ctx).as_u64(ctx + ".n_cells");
-  r.spec_digest = parse_hex64(
-      root.required("spec_digest", ctx).as_string(ctx + ".spec_digest"),
-      ctx + ".spec_digest");
-  if (r.n_shards < 1 || r.shard >= r.n_shards) {
-    throw ParseError(ctx + ": shard " + std::to_string(r.shard) +
-                     " outside n_shards " + std::to_string(r.n_shards));
-  }
-  const auto& rows = root.required("cells", ctx).as_array(ctx + ".cells");
-  std::uint64_t prev = 0;
+  const json::Path cells_path(path, "cells");
+  const auto& rows = r.required("cells").as_array(cells_path);
+  r.done();
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::string rctx = ctx + ".cells[" + std::to_string(i) + "]";
-    auto [index, stats] = read_cell(rows[i], rctx);
-    if (i > 0 && index <= prev) {
-      throw ParseError(rctx + ": cell indices must be strictly ascending");
+    const json::Path row_path(cells_path, i);
+    json::ObjectReader row(rows[i], row_path);
+    std::uint64_t index = 0;
+    fields::read_field(row, "index", index, fields::kU64, Doubles::Bits);
+    CellStats& cell = s.cells.emplace_back();
+    fields::read_members(row, cell, Doubles::Bits);
+    row.done();
+    if (i > 0 && index <= s.cell_indices.back()) {
+      json::fail_at(row_path, ": cell indices must be strictly ascending");
     }
-    prev = index;
-    r.cell_indices.push_back(index);
-    r.cells.push_back(std::move(stats));
+    s.cell_indices.push_back(index);
   }
-  return r;
+  return s;
 }
 
 std::string campaign_result_to_json(const CampaignResult& result) {
-  Writer w(/*compact=*/false);
+  json::Writer w(/*compact=*/false);
   w.begin_object();
   w.key("schema");
   w.value(std::string_view(kResultSchema));
-  w.key("total_trials");
-  w.value(result.total_trials);
-  w.key("total_events");
-  w.value(result.total_events);
+  fields::write_field(w, "total_trials", result.total_trials, fields::kU64,
+                      Doubles::Bits);
+  fields::write_field(w, "total_events", result.total_events, fields::kU64,
+                      Doubles::Bits);
   w.key("cells");
   w.begin_array();
   for (std::size_t i = 0; i < result.cells.size(); ++i) {

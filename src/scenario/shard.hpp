@@ -22,6 +22,13 @@
 //    order — so the merged result is bit-identical to the one-process
 //    run_campaign over the same spec.
 //
+// All three codecs are the generic fields:: visitors over field tables:
+// CampaignSpec's and CampaignConfig's below and in campaign.hpp, and
+// CellStats' (with TrafficStats', PopulationStats' and AttackerStats'
+// beside their structs). A counter added to one of those tables is merged,
+// carried by sidecars, reported and fingerprinted with no codec edit; a
+// u32 field past 32 bits is rejected on read, never truncated.
+//
 // Why the merge can be bit-identical at all: trial seeds derive from the
 // GLOBAL cell index (run_campaign_subset), and adaptive stopping decisions
 // are per-cell — a cell's close/continue history depends only on its own
@@ -59,6 +66,18 @@ struct CampaignSpec {
     return cross(systems, plans);
   }
 };
+
+/// The spec document's member list; the config's own table is spliced in
+/// flat, between the description and the grid.
+template <fields::FieldsOf<CampaignSpec> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("name", s.name, fields::kString);
+  v("description", s.description, fields::kString);
+  v("config", s.config, fields::kInline);
+  v("systems", s.systems, model::kSystemKindNames);
+  v("plans", s.plans, fields::kNested);
+}
+static_assert(fields::complete<CampaignSpec>());
 
 /// Canonical encode ("fortress-campaign-v1", the committed-file form).
 /// Plans are spliced in their plan_codec pretty encoding, so a spec file's

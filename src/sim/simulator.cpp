@@ -22,7 +22,7 @@ SchedulerKind default_scheduler_kind() {
 }
 
 const char* to_string(SchedulerKind kind) {
-  return kind == SchedulerKind::Heap ? "heap" : "wheel";
+  return kSchedulerKindNames.names[static_cast<std::size_t>(kind)];
 }
 
 EventId Simulator::schedule_at(Time at, EventFn fn) {

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/timer_wheel.hpp"
 
@@ -69,6 +70,9 @@ enum class SchedulerKind : std::uint8_t { Wheel, Heap };
 /// Process-wide default, resolved once: FORTRESS_SIM_SCHEDULER=heap|wheel
 /// overrides; otherwise Wheel.
 SchedulerKind default_scheduler_kind();
+
+inline constexpr fields::EnumNames<SchedulerKind, 2> kSchedulerKindNames{
+    "scheduler", {"wheel", "heap"}};
 
 const char* to_string(SchedulerKind kind);
 
