@@ -144,6 +144,9 @@ void LatencyHistogram::add(double v) {
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
+  // Exact: count_ is the sum of the bins, so an empty histogram has all-zero
+  // bins. Trials without a traffic or population plane merge two of these.
+  if (other.count_ == 0) return;
   for (int b = 0; b < kBins; ++b) {
     bins_[static_cast<unsigned>(b)] += other.bins_[static_cast<unsigned>(b)];
   }

@@ -61,6 +61,7 @@ void ClientPopulation::build(sim::Time horizon, std::uint64_t seed) {
   cohort_addrs_.clear();
   cohort_rngs_.assign(cohorts, Rng{0});
   cursors_.assign(cohorts, 0);
+  busy_.assign(cohorts, 0);
   host_to_cohort_.clear();
   cohort_hosts_.reserve(cohorts);
   cohort_addrs_.reserve(cohorts);
@@ -123,6 +124,7 @@ void ClientPopulation::tick(std::size_t k) {
 }
 
 void ClientPopulation::scan_busy(std::size_t k, sim::Time now) {
+  if (busy_[k] == 0) return;
   const std::uint32_t b = cohort_begin(k);
   const std::uint32_t e = cohort_end(k);
   for (std::uint32_t slot = b; slot < e; ++slot) {
@@ -132,12 +134,14 @@ void ClientPopulation::scan_busy(std::size_t k, sim::Time now) {
         now - submitted_at_[slot] >= spec_.request_deadline) {
       ++stats_.timed_out;
       state_[slot] = kIdle;
+      --busy_[k];
       continue;
     }
     if (now < retry_at_[slot]) continue;
     if (spec_.retry_budget > 0 && retries_used_[slot] >= spec_.retry_budget) {
       ++stats_.gave_up;
       state_[slot] = kIdle;
+      --busy_[k];
       continue;
     }
     ++retries_used_[slot];
@@ -178,6 +182,7 @@ void ClientPopulation::arrivals(std::size_t k, sim::Time now) {
     const bool write = rng.bernoulli(spec_.write_fraction);
     key_[slot] = static_cast<std::uint16_t>(key);
     state_[slot] = write ? kBusyWrite : kBusyRead;
+    ++busy_[k];
     submitted_at_[slot] = now;
     next_delay_[slot] = static_cast<float>(spec_.retry_base);
     retry_at_[slot] = now + spec_.retry_base;
@@ -293,6 +298,7 @@ void ClientPopulation::on_message(const net::Envelope& env) {
   stats_.latency.add(sim_.now() - submitted_at_[slot]);
   ++stats_.completed;
   state_[slot] = kIdle;
+  --busy_[k];
 }
 
 }  // namespace fortress::core

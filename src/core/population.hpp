@@ -166,6 +166,9 @@ class ClientPopulation final : public net::Handler {
   std::vector<net::Address> cohort_addrs_;
   std::vector<Rng> cohort_rngs_;
   std::vector<std::uint32_t> cursors_;  ///< round-robin idle-slot cursor
+  /// Non-idle rows per cohort, kept at every idle/busy transition, so a
+  /// tick skips the busy-row scan of a cohort with nothing outstanding.
+  std::vector<std::uint32_t> busy_;
   /// (host id, cohort index), sorted by host id — the response demux.
   std::vector<std::pair<net::HostId, std::uint32_t>> host_to_cohort_;
 

@@ -388,17 +388,30 @@ CampaignResult run_campaign_subset(
     for (auto& a : arenas) a = std::make_unique<TrialArena>(config.scheduler);
   }
 
-  struct Task {
-    std::uint32_t cell;
-    std::uint64_t trial;
-  };
-  std::vector<Task> tasks;
-  std::vector<TrialOutcome> outcomes;
+  // A round is its per-cell grants plus their prefix offsets: task t of the
+  // round is trial (next_trial - grant[c]) + (t - offsets[c]) of the cell c
+  // with offsets[c] <= t < offsets[c + 1]. Nothing is stored per trial
+  // except the outcome window below.
   std::vector<std::uint64_t> grant(states.size(), 0);
+  std::vector<std::uint64_t> offsets(states.size() + 1, 0);
+  auto task_cell = [&](std::uint64_t t) {
+    return static_cast<std::size_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), t) -
+        offsets.begin() - 1);
+  };
 
-  // Rounds: plan this round's per-cell trial grants, fan out, reduce in
-  // task-index order, close cells whose stopping rules all hold (or that
-  // hit the cap). Fixed mode is the degenerate single round of
+  // Trials run through a fixed window of outcome slots (see
+  // kOutcomeWindowPerThread), each window absorbed before the next starts,
+  // so campaign memory grows with cells, not with trials per round.
+  const unsigned participants =
+      config.threads == 0 ? pool.slot_count()
+                          : std::min(config.threads, pool.slot_count());
+  const std::uint64_t window = kOutcomeWindowPerThread * participants;
+  std::vector<TrialOutcome> outcomes;
+
+  // Rounds: plan this round's per-cell trial grants, run them window by
+  // window, reduce in task-index order, close cells whose stopping rules all
+  // hold (or that hit the cap). Fixed mode is the degenerate single round of
   // `trials_per_cell` for every cell. The planner runs serially between
   // rounds, so the grant schedule — and with it the executed (cell, trial)
   // seed set — is a pure function of per-round aggregates, never of thread
@@ -455,51 +468,54 @@ CampaignResult run_campaign_subset(
       }
     }
 
-    tasks.clear();
     for (std::size_t c = 0; c < states.size(); ++c) {
-      CellState& st = states[c];
-      const std::uint64_t n = grant[c];
-      if (n == 0) continue;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        tasks.push_back({static_cast<std::uint32_t>(c), st.next_trial + i});
-      }
-      st.next_trial += n;
-      ++st.stats.rounds;
+      offsets[c + 1] = offsets[c] + grant[c];
+      if (grant[c] == 0) continue;
+      states[c].next_trial += grant[c];
+      ++states[c].stats.rounds;
     }
-    if (tasks.empty()) break;
-    outcomes.assign(tasks.size(), TrialOutcome{});
+    const std::uint64_t round_size = offsets.back();
+    if (round_size == 0) break;
+    outcomes.resize(std::max<std::size_t>(outcomes.size(),
+                                          std::min(window, round_size)));
 
-    // One task per trial: lengths are heavy-tailed (a surviving trial runs
-    // the whole horizon), so the pool's atomic-ticket scheduling does the
-    // load balancing. Slots are disjoint; no synchronization needed.
-    pool.parallel_chunks(
-        tasks.size(), 1, config.threads,
-        [&](std::uint64_t chunk, std::uint64_t begin, std::uint64_t end) {
-          (void)chunk;
-          // Foreign-pool workers (slot >= arenas.size()) take the
-          // fresh-stack path — see the arena-vector comment above.
-          const unsigned slot = exec::ThreadPool::current_slot();
-          TrialArena* arena =
-              config.reuse_trial_stacks && slot < arenas.size()
-                  ? arenas[slot].get()
-                  : nullptr;
-          for (std::uint64_t t = begin; t < end; ++t) {
-            const Task& task = tasks[t];
-            const CampaignCell& cell = cells[task.cell];
-            const std::uint64_t seed = trial_seed(
-                config.base_seed, cell_indices[task.cell], task.trial);
-            outcomes[t] =
-                arena != nullptr
-                    ? arena->run(cell.system, cell.plan, seed)
-                    : run_trial(cell.system, cell.plan, seed,
-                                config.scheduler);
-          }
-        });
+    for (std::uint64_t first = 0; first < round_size; first += window) {
+      const std::uint64_t n = std::min(window, round_size - first);
+      // One task per trial: lengths are heavy-tailed (a surviving trial
+      // runs the whole horizon), so the pool's atomic-ticket scheduling
+      // does the load balancing. Slots are disjoint; no synchronization
+      // needed.
+      pool.parallel_chunks(
+          n, 1, config.threads,
+          [&](std::uint64_t, std::uint64_t begin, std::uint64_t end) {
+            // Foreign-pool workers (slot >= arenas.size()) take the
+            // fresh-stack path — see the arena-vector comment above.
+            const unsigned slot = exec::ThreadPool::current_slot();
+            TrialArena* arena =
+                config.reuse_trial_stacks && slot < arenas.size()
+                    ? arenas[slot].get()
+                    : nullptr;
+            for (std::uint64_t i = begin; i < end; ++i) {
+              const std::uint64_t t = first + i;
+              const std::size_t c = task_cell(t);
+              const std::uint64_t trial =
+                  states[c].next_trial - grant[c] + (t - offsets[c]);
+              const CampaignCell& cell = cells[c];
+              const std::uint64_t seed =
+                  trial_seed(config.base_seed, cell_indices[c], trial);
+              outcomes[i] =
+                  arena != nullptr
+                      ? arena->run(cell.system, cell.plan, seed)
+                      : run_trial(cell.system, cell.plan, seed,
+                                  config.scheduler);
+            }
+          });
 
-    // Serial reduction in task-index order: bit-identical for any thread
-    // count — and the close/continue decisions below depend only on it.
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      absorb_outcome(states[tasks[t].cell].stats, outcomes[t]);
+      // Serial reduction in task-index order: bit-identical for any thread
+      // count — and the close/continue decisions below depend only on it.
+      for (std::uint64_t i = 0; i < n; ++i) {
+        absorb_outcome(states[task_cell(first + i)].stats, outcomes[i]);
+      }
     }
 
     any_open = false;

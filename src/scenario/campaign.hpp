@@ -12,9 +12,10 @@
 // per-worker pooled stack reset between trials (TrialArena).
 //
 // Determinism contract: per-trial outcomes depend only on the trial's
-// derived seed, results land in a slot indexed by the round's task index,
-// and the reduction (including adaptive close/continue decisions) runs
-// serially in index order after the pool drains each round. Campaign
+// derived seed, results land in a window slot indexed by the round's task
+// index, and the reduction runs serially in index order after the pool
+// drains each window (adaptive close/continue decisions after each round).
+// Campaign
 // output is therefore BIT-identical for any thread count and for either
 // isolation strategy (tested), which makes campaign statistics usable as
 // regression oracles.
@@ -341,6 +342,14 @@ struct CampaignResult {
   std::uint64_t total_trials = 0;
   std::uint64_t total_events = 0;
 };
+
+/// Outcome slots per participating thread in run_campaign's trial window.
+/// A round's trials run window by window, each window fanned out over the
+/// pool and reduced in task order before the next one starts, so a campaign
+/// holds O(cells + window) state however many trials a round grants; 1024
+/// slots (~1.25 MiB per thread) keep the barrier between windows rare next
+/// to the trials themselves. Results do not depend on it.
+inline constexpr std::uint64_t kOutcomeWindowPerThread = 1024;
 
 /// Run every cell's trials fanned out over the shared thread pool.
 CampaignResult run_campaign(const std::vector<CampaignCell>& cells,

@@ -239,6 +239,22 @@ TEST(LatencyHistogramTest, AddBinRebuildsExactly) {
   EXPECT_THROW(b.add_bin(LatencyHistogram::kBins, 1), ContractViolation);
 }
 
+TEST(LatencyHistogramTest, MergingAnEmptyHistogramChangesNothing) {
+  LatencyHistogram h;
+  for (double v : {0.005, 0.02, 0.5, 3.0, 700.0}) h.add(v);
+  LatencyHistogram before = h;
+  h.merge(LatencyHistogram{});
+  EXPECT_EQ(h.count(), before.count());
+  for (int bin = 0; bin < LatencyHistogram::kBins; ++bin) {
+    EXPECT_EQ(h.bin(bin), before.bin(bin)) << "bin " << bin;
+  }
+  // And the other way round: an empty histogram takes the other's bins.
+  LatencyHistogram empty;
+  empty.merge(h);
+  EXPECT_EQ(empty.count(), h.count());
+  EXPECT_EQ(empty.fingerprint(), h.fingerprint());
+}
+
 TEST(LatencyHistogramTest, QuantileCiEmptyAndSingleBin) {
   const LatencyHistogram empty;
   const ConfidenceInterval none = empty.quantile_ci(0.5);

@@ -126,6 +126,49 @@ TEST(PopulationTest, WheelAndHeapSchedulersBitIdentical) {
   }
 }
 
+TEST(PopulationTest, LossyTrialsTimeOutGiveUpAndRetryIdentically) {
+  // Half the datagrams are lost, so requests retry and then end unanswered:
+  // by deadline in one plan (deadline 6 falls before the third retry) and by
+  // retry budget in the other (no deadline, two retries). With completions
+  // these are every busy-to-idle transition, so the per-cohort busy count
+  // that lets a tick skip an idle cohort is exercised on each. Pooled,
+  // fresh, wheel and heap runs must agree, and the pinned totals catch a
+  // count that drifts low and skips rows that are still busy.
+  net::ScenarioPlan deadline = population_plan(600, 0.001, 4);
+  deadline.drop_probability = 0.5;
+  deadline.population.retry_base = 1.0;
+  deadline.population.request_deadline = 6.0;
+  net::ScenarioPlan budget = deadline;
+  budget.population.request_deadline = 0.0;
+  budget.population.retry_budget = 2;
+
+  struct Pin {
+    const net::ScenarioPlan* plan;
+    std::uint64_t offered, completed, timed_out, gave_up, retries;
+  };
+  const Pin pins[] = {{&deadline, 499, 361, 137, 0, 461},
+                      {&budget, 499, 361, 0, 137, 461}};
+  TrialArena arena;
+  for (const Pin& pin : pins) {
+    core::PopulationStats total;
+    for (std::uint64_t seed : {61ull, 62ull}) {
+      const TrialOutcome fresh =
+          run_trial(model::SystemKind::S2, *pin.plan, seed);
+      expect_outcomes_equal(arena.run(model::SystemKind::S2, *pin.plan, seed),
+                            fresh);
+      expect_outcomes_equal(run_trial(model::SystemKind::S2, *pin.plan, seed,
+                                      sim::SchedulerKind::Heap),
+                            fresh);
+      total.merge(fresh.population);
+    }
+    EXPECT_EQ(total.offered, pin.offered);
+    EXPECT_EQ(total.completed, pin.completed);
+    EXPECT_EQ(total.timed_out, pin.timed_out);
+    EXPECT_EQ(total.gave_up, pin.gave_up);
+    EXPECT_EQ(total.retries, pin.retries);
+  }
+}
+
 TEST(PopulationTest, HundredThousandClientsComplete) {
   // The tentpole scale target: a 10^5-client trial under the wheel
   // scheduler completes (in test time) with real request round trips.

@@ -12,6 +12,7 @@
 #include "core/live_system.hpp"
 #include "exec/thread_pool.hpp"
 #include "replication/service.hpp"
+#include "scenario/shard.hpp"
 
 namespace fortress::scenario {
 namespace {
@@ -578,6 +579,120 @@ TEST(CampaignTest, NestedCampaignInsideForeignPoolBitIdentical) {
                 want.cells[c].lifetime.mean());
       EXPECT_EQ(results[i].cells[c].lifetime.variance(),
                 want.cells[c].lifetime.variance());
+    }
+  }
+}
+
+// One-step screening trials: cheap enough to run tens of thousands in a
+// test, and roughly one in seven is compromised, so seeds matter.
+net::ScenarioPlan screening_plan(std::uint64_t chi) {
+  net::ScenarioPlan plan = fast_plan(chi, 8.0, 0.25, 1);
+  plan.name = "screening-" + std::to_string(chi);
+  plan.step_duration = 5.0;
+  plan.attack.start_time = 1.0;
+  return plan;
+}
+
+// The fixed-mode campaign restated without windows or threads: every trial
+// run alone by run_trial at its trial_seed, absorbed cell by cell in trial
+// order, which is the round's task order.
+CampaignResult per_trial_oracle(const std::vector<CampaignCell>& cells,
+                                const CampaignConfig& cfg) {
+  CampaignResult want;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    CellStats s;
+    s.system = cells[c].system;
+    s.plan_name = cells[c].plan.name;
+    s.rounds = 1;
+    for (std::uint64_t t = 0; t < cfg.trials_per_cell; ++t) {
+      const TrialOutcome o = run_trial(cells[c].system, cells[c].plan,
+                                       trial_seed(cfg.base_seed, c, t));
+      ++s.trials;
+      ++(o.compromised ? s.compromised : s.censored);
+      s.lifetime.add(static_cast<double>(o.lifetime_steps));
+      fields::merge(s.attacker, o.attacker);
+      s.events_executed += o.events_executed;
+      s.blacklisted_sources += o.blacklisted_sources;
+      s.traffic.merge(o.traffic);
+      s.population.merge(o.population);
+    }
+    if (s.lifetime.count() > 1) {
+      s.lifetime_ci = normal_ci(s.lifetime, cfg.ci_level);
+    }
+    want.total_trials += s.trials;
+    want.total_events += s.events_executed;
+    want.cells.push_back(std::move(s));
+  }
+  return want;
+}
+
+TEST(CampaignWindowTest, MultiWindowRoundMatchesPerTrialOracle) {
+  // One fixed-mode round of three full outcome windows plus a remainder even
+  // at 8 threads, the widest window here (more windows at fewer threads),
+  // with the boundary between the two cells inside a window.
+  const std::vector<CampaignCell> cells =
+      cross({model::SystemKind::S1, model::SystemKind::S2},
+            {screening_plan(64)});
+  CampaignConfig cfg;
+  cfg.base_seed = 515;
+  const std::uint64_t widest = kOutcomeWindowPerThread * 8;
+  cfg.trials_per_cell = (3 * widest + widest / 3) / 2;
+  const CampaignResult oracle = per_trial_oracle(cells, cfg);
+  EXPECT_GT(oracle.cells[0].compromised, 0u);
+  const std::string want = campaign_result_to_json(oracle);
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    for (bool pooled : {true, false}) {
+      cfg.threads = threads;
+      cfg.reuse_trial_stacks = pooled;
+      EXPECT_EQ(campaign_result_to_json(run_campaign(cells, cfg)), want)
+          << threads << " threads, " << (pooled ? "pooled" : "fresh");
+    }
+  }
+}
+
+TEST(CampaignWindowTest, StolenGrantsCrossWindowEdgesBitIdentically) {
+  // Work stealing makes grants uneven: the calm cell closes after round one
+  // and its 700 trials a round go to the two attacked cells, which close on
+  // the compromise-probability floor or at the cap in later rounds. Every
+  // round (2100 trials) spans more than two windows at one thread and fits
+  // in one at eight, so window edges fall at different task indices, and
+  // inside different cells, from run to run.
+  net::ScenarioPlan calm = screening_plan(64);
+  calm.name = "calm";
+  calm.attack.enabled = false;
+  const std::vector<CampaignCell> cells = {
+      {model::SystemKind::S1, calm},
+      {model::SystemKind::S1, screening_plan(64)},
+      {model::SystemKind::S2, screening_plan(64)}};
+  CampaignConfig cfg;
+  cfg.base_seed = 616;
+  cfg.adaptive.enabled = true;
+  cfg.adaptive.work_stealing = true;
+  cfg.adaptive.round_trials = 700;
+  cfg.adaptive.max_trials_per_cell = 4000;
+  StoppingRule rule;
+  rule.metric = StoppingRule::Metric::CompromiseProbability;
+  rule.target_rel = 0.01;
+  rule.abs_floor = 0.015;
+  cfg.adaptive.rules = {rule};
+
+  cfg.threads = 1;
+  const CampaignResult reference = run_campaign(cells, cfg);
+  EXPECT_EQ(reference.cells[0].rounds, 1u);
+  for (std::size_t c = 1; c < cells.size(); ++c) {
+    EXPECT_GT(reference.cells[c].rounds, 1u) << "cell " << c;
+    EXPECT_GT(reference.cells[c].trials,
+              cfg.adaptive.round_trials * reference.cells[c].rounds)
+        << "cell " << c << " never received stolen capacity";
+  }
+  const std::string want = campaign_result_to_json(reference);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    for (bool pooled : {true, false}) {
+      cfg.threads = threads;
+      cfg.reuse_trial_stacks = pooled;
+      EXPECT_EQ(campaign_result_to_json(run_campaign(cells, cfg)), want)
+          << threads << " threads, " << (pooled ? "pooled" : "fresh");
     }
   }
 }

@@ -27,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -49,11 +50,27 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+/// Write `text` to `<path>.tmp` beside `path`, then rename it over `path`:
+/// a process killed mid-write leaves at most a stray `.tmp`, never a
+/// truncated sidecar or report that merge would fail to parse.
 void spit(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << text;
-  if (!out) throw std::runtime_error("write failed: " + path);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot write " + tmp);
+    out << text;
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw std::runtime_error("write failed: " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    throw std::runtime_error("cannot rename " + tmp + " to " + path + ": " +
+                             std::strerror(err));
+  }
 }
 
 struct Options {

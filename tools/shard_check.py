@@ -12,7 +12,8 @@ scale-out contract of scenario/shard.hpp: trial seeds derive from global
 cell indices and adaptive stopping is per-cell, so partitioning the grid
 across processes must change nothing (specs here keep work_stealing off,
 whose donation pool is deliberately per-process). The check also exercises
-fork/wait, the sidecar codec and the merge's coverage checks for real.
+fork/wait, the sidecar codec and the merge's coverage checks for real, and
+requires that the driver's write-to-temp-then-rename leaves no *.tmp file.
 
 An empty or missing specs directory is an error: the spec is a committed
 fixture, losing it silently would disarm the gate.
@@ -38,6 +39,12 @@ def run_sharded(driver: str, spec: pathlib.Path, shards: int,
     if len(sidecars) != shards:
         raise RuntimeError(
             f"{spec.name}: expected {shards} sidecars, found {len(sidecars)}")
+    # Outputs are written to <path>.tmp and renamed into place; a leftover
+    # means a write was not completed.
+    leftovers = sorted(p.name for p in workdir.rglob("*.tmp"))
+    if leftovers:
+        raise RuntimeError(f"{spec.name}: temporary files left behind: "
+                           f"{', '.join(leftovers)}")
     return merged.read_bytes()
 
 
