@@ -10,7 +10,6 @@
 #include "analysis/markov.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "crypto/batch.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_kernel.hpp"
@@ -198,7 +197,7 @@ BENCHMARK(BM_RngGeometric);
 
 template <typename Fn>
 double time_ns(int iters, Fn&& fn) {
-  fn();  // warm caches / page in the lanes before the timed loop
+  fn();  // warm caches before the timed loop
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) fn();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -209,7 +208,7 @@ double time_ns(int iters, Fn&& fn) {
 // BenchRecorder-schema crypto records, written next to the google-benchmark
 // JSON: unlike that output (informational), these entries are diffed by the
 // bench_diff target against bench/baseline.json. Each record carries the
-// numeric SHA-256 dispatch tier (0 = scalar, 1 = avx2, 2 = sha-ni) so a
+// numeric SHA-256 dispatch tier (0 = scalar, 2 = sha-ni) so a
 // perf number is always explicable by the kernel that produced it.
 bool write_crypto_records(const std::string& path) {
   bench::BenchRecorder rec;
@@ -233,31 +232,6 @@ bool write_crypto_records(const std::string& path) {
       benchmark::DoNotOptimize(d);
     });
     rec.add("micro.hmac_sign", ns, 1e9 / ns, extras);
-  }
-  {
-    // Eight (schedule, message, tag) triples verified through one full lane
-    // group — the shape the machine's staging plane flushes.
-    crypto::HmacKey schedule(bytes_of("principal-secret"));
-    std::vector<Bytes> msgs;
-    std::vector<crypto::Digest> tags;
-    for (int i = 0; i < 8; ++i) {
-      msgs.emplace_back(256, static_cast<std::uint8_t>(0x20 + i));
-      tags.push_back(schedule.mac(msgs.back()));
-    }
-    crypto::BatchVerifier batch;
-    double ns = time_ns(10000, [&] {
-      batch.clear();
-      for (int i = 0; i < 8; ++i) {
-        batch.enqueue(&schedule, msgs[static_cast<std::size_t>(i)],
-                      BytesView(tags[static_cast<std::size_t>(i)].data(),
-                                tags[static_cast<std::size_t>(i)].size()));
-      }
-      batch.flush();
-      for (std::size_t i = 0; i < 8; ++i) {
-        benchmark::DoNotOptimize(batch.verdict(i));
-      }
-    });
-    rec.add("micro.verify_batch8", ns, 1e9 / ns * 8.0, extras);
   }
   return rec.write_json(path);
 }

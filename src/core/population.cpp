@@ -258,7 +258,8 @@ bool ClientPopulation::acceptable(const MessageView& msg) const {
         std::find(directory_.proxies.begin(), directory_.proxies.end(),
                   msg.over_signature()->signer) != directory_.proxies.end();
     if (!proxy_known) return false;
-    return replication::verify_double_signature(msg, registry_);
+    return replication::verify_message(msg, registry_) &&
+           replication::verify_over_signature(msg, registry_);
   }
 
   // 1-tier: one authentic server-signed response. For SMR this is the

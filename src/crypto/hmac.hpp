@@ -24,13 +24,6 @@ class HmacKey {
   /// HMAC-SHA256(key, message) — bit-identical to hmac_sha256.
   Digest mac(BytesView message) const;
 
-  /// The cached pad midstates (one 64-byte block absorbed each). Exposed
-  /// so crypto::BatchVerifier can fork them straight into multi-buffer
-  /// kernel lanes without round-tripping through Sha256 contexts. The
-  /// batched MAC is bit-identical to mac().
-  const Sha256& inner_midstate() const { return inner_mid_; }
-  const Sha256& outer_midstate() const { return outer_mid_; }
-
  private:
   Sha256 inner_mid_;
   Sha256 outer_mid_;

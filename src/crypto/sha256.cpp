@@ -68,13 +68,6 @@ Digest Sha256::finish() {
   return out;
 }
 
-const std::array<std::uint32_t, 8>& Sha256::midstate() const {
-  FORTRESS_EXPECTS(!finished_ && buffer_len_ == 0);
-  return state_;
-}
-
-std::uint64_t Sha256::absorbed_len() const { return total_len_; }
-
 Digest Sha256::hash(BytesView data) {
   Sha256 h;
   h.update(data);

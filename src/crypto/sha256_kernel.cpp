@@ -7,7 +7,6 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
-#include <immintrin.h>
 #endif
 
 namespace fortress::crypto::kernel {
@@ -25,62 +24,26 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 #endif
 
 #if defined(__x86_64__) || defined(__i386__)
-struct CpuFeatures {
-  bool avx2 = false;
-  bool shani = false;
-};
-
-CpuFeatures detect_cpu() {
-  CpuFeatures f;
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_max(0, nullptr) < 7) return f;
-  __cpuid(1, eax, ebx, ecx, edx);
-  const bool osxsave = (ecx & (1u << 27)) != 0;
-  const bool avx = (ecx & (1u << 28)) != 0;
-  // YMM state must be OS-enabled for AVX2 to be usable. Raw xgetbv via
-  // asm: the _xgetbv intrinsic needs -mxsave, which this dispatch TU
-  // deliberately does not enable.
-  bool ymm_enabled = false;
-  if (osxsave && avx) {
-    std::uint32_t xcr0_lo = 0, xcr0_hi = 0;
-    __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
-    ymm_enabled = (xcr0_lo & 0x6) == 0x6;
-  }
-  __cpuid_count(7, 0, eax, ebx, ecx, edx);
-  f.avx2 = ymm_enabled && (ebx & (1u << 5)) != 0;
-  f.shani = (ebx & (1u << 29)) != 0;
-  return f;
-}
-
-const CpuFeatures& cpu_features() {
-  static const CpuFeatures f = detect_cpu();
-  return f;
+bool cpu_has_shani() {
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_max(0, nullptr) < 7) return false;
+    __cpuid_count(7, 0, eax, ebx, ecx, edx);
+    return (ebx & (1u << 29)) != 0;
+  }();
+  return has;
 }
 #endif
 
-ShaTier clamp_to_available(ShaTier wanted) {
-  // Fall back to the best available tier at or below the request, so a
-  // forced "shani" on an AVX2-only box still runs vectorized.
-  for (int t = static_cast<int>(wanted); t > 0; --t) {
-    if (tier_available(static_cast<ShaTier>(t))) {
-      return static_cast<ShaTier>(t);
-    }
-  }
-  return ShaTier::Scalar;
-}
-
 ShaTier parse_tier_request(const char* request) {
-  if (request == nullptr || std::strcmp(request, "native") == 0) {
-    return clamp_to_available(ShaTier::ShaNi);
+  // "native" and "shani" both ask for the best tier, which falls back to
+  // the reference one on a CPU without the SHA extensions.
+  if (request == nullptr || std::strcmp(request, "native") == 0 ||
+      std::strcmp(request, "shani") == 0) {
+    return tier_available(ShaTier::ShaNi) ? ShaTier::ShaNi : ShaTier::Scalar;
   }
-  if (std::strcmp(request, "scalar") == 0) return ShaTier::Scalar;
-  if (std::strcmp(request, "avx2") == 0) {
-    return clamp_to_available(ShaTier::Avx2);
-  }
-  if (std::strcmp(request, "shani") == 0) {
-    return clamp_to_available(ShaTier::ShaNi);
-  }
-  // Unrecognized request: the safe interpretation is the reference tier.
+  // "scalar", or an unrecognized request: the safe interpretation is the
+  // reference tier.
   return ShaTier::Scalar;
 }
 
@@ -100,7 +63,6 @@ ShaTier& active_tier_slot() {
 const char* tier_name(ShaTier tier) {
   switch (tier) {
     case ShaTier::Scalar: return "scalar";
-    case ShaTier::Avx2: return "avx2";
     case ShaTier::ShaNi: return "shani";
   }
   return "?";
@@ -111,14 +73,11 @@ bool tier_available(ShaTier tier) {
     case ShaTier::Scalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case ShaTier::Avx2:
-      return cpu_features().avx2;
     case ShaTier::ShaNi:
       // The SHA-NI kernel uses SSE2/SSSE3-era loads, universal on any CPU
       // that has the SHA extensions.
-      return cpu_features().shani;
+      return cpu_has_shani();
 #else
-    case ShaTier::Avx2:
     case ShaTier::ShaNi:
       return false;
 #endif
@@ -201,34 +160,7 @@ void compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
       return;
 #endif
     default:
-      // AVX2 buys nothing on a single stream; its win is the x8 entry.
       compress_blocks_scalar(state, data, nblocks);
-      return;
-  }
-}
-
-void compress_blocks_x8(std::uint32_t states[][8],
-                        const std::uint8_t* const data[8],
-                        const std::size_t nblocks[8]) {
-  switch (active_tier_slot()) {
-#if defined(__x86_64__) || defined(__i386__)
-    case ShaTier::Avx2:
-      compress_blocks_x8_avx2(states, data, nblocks);
-      return;
-    case ShaTier::ShaNi:
-      for (int lane = 0; lane < 8; ++lane) {
-        if (nblocks[lane] > 0) {
-          compress_blocks_shani(states[lane], data[lane], nblocks[lane]);
-        }
-      }
-      return;
-#endif
-    default:
-      for (int lane = 0; lane < 8; ++lane) {
-        if (nblocks[lane] > 0) {
-          compress_blocks_scalar(states[lane], data[lane], nblocks[lane]);
-        }
-      }
       return;
   }
 }

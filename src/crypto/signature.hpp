@@ -115,12 +115,8 @@ class KeyRegistry {
   /// acceptance as verify()/verify_with() without materializing a
   /// Signature. `tag` must be Digest-sized (anything else never verifies).
   ///
-  /// BATCHING NOTE: crypto::BatchVerifier computes exactly this predicate
-  /// through the multi-buffer kernel, several jobs per compress run. Lane
-  /// batching changes only when the HMACs are computed — never which
-  /// (message, signer, tag) triples are accepted, and handlers still
-  /// consume verdicts in arrival order, so acceptance semantics are
-  /// bit-identical to this one-shot path (see batch.hpp).
+  /// Handlers check each protocol message once, at dispatch, through this
+  /// one-shot path.
   bool verify_tag(BytesView message, std::string_view signer,
                   BytesView tag) const;
   static bool verify_tag_with(const HmacKey& schedule, BytesView message,

@@ -173,7 +173,7 @@ void Network::deliver(HostId from, HostId to, Bytes payload,
         }
         ++delivered_;
         handler->on_message(
-            Envelope{from, to, BytesView(payload), conn, false, {}});
+            Envelope{from, to, BytesView(payload), conn, false});
         recycle_buffer(std::move(payload));
       });
 }
@@ -244,7 +244,7 @@ void Network::send_batch(HostId from, HostId to, Bytes frames,
           }
           ++delivered_;
           handler->on_message(
-              Envelope{from, to, frame, std::nullopt, false, {}});
+              Envelope{from, to, frame, std::nullopt, false});
         }
         recycle_buffer(std::move(frames));
       });

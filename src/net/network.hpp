@@ -64,12 +64,6 @@ struct Envelope {
   /// policy: the application should skip signature verification for this
   /// dispatch (see net::OverloadPolicy). Never set by the network itself.
   bool degraded = false;
-  /// Set by a machine that staged this message's signature verification
-  /// through the lane-batched crypto plane while the message sat in the
-  /// service queue (see Application::stage_verify): the precomputed
-  /// verdict of the application's own staged check, equal to what the
-  /// one-shot verify would return at dispatch. Never set by the network.
-  std::optional<bool> staged_verdict;
 };
 
 /// Why a connection went away — the attacker distinguishes these.

@@ -30,7 +30,6 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
-#include "crypto/batch.hpp"
 #include "net/network.hpp"
 #include "osl/probe.hpp"
 
@@ -58,22 +57,6 @@ class Application {
   /// The machine rebooted (recover/rerandomize): connections are gone.
   /// Durable service state survives; volatile sessions do not.
   virtual void handle_reboot() {}
-  /// Lane-batched verification staging. The machine calls this when `env`'s
-  /// message enters the service queue (never for degraded admissions): the
-  /// application may enqueue into `batch` the signature check it would
-  /// otherwise compute one-shot inside handle_message, and return the job
-  /// id. The machine flushes the batch kLanes wide and hands the verdict
-  /// back as env.staged_verdict at dispatch. Return nullopt to decline —
-  /// handle_message then runs with staged_verdict unset and verifies as
-  /// usual. Crypto costs real time, not simulated time, so staging is
-  /// observationally invisible to the simulation; the application's
-  /// contract is that the staged verdict equals its one-shot verify.
-  virtual std::optional<std::size_t> stage_verify(
-      const net::Envelope& env, crypto::BatchVerifier& batch) {
-    (void)env;
-    (void)batch;
-    return std::nullopt;
-  }
 };
 
 /// Counters the bounded service queue keeps (all zero while the machine's
@@ -218,9 +201,6 @@ class Machine final : public net::Handler {
     std::optional<net::ConnectionId> connection;
     ServiceClass cls = ServiceClass::Request;
     bool degraded = false;
-    /// Job id in verify_batch_ when the application staged this message's
-    /// signature check at admission (Application::stage_verify).
-    std::optional<std::size_t> verify_job;
   };
 
   void reboot_common();
@@ -261,17 +241,6 @@ class Machine final : public net::Handler {
   /// incarnation they belonged to is gone.
   std::uint64_t service_epoch_ = 0;
   OverloadStats overload_stats_;
-  /// Lane-batched verification staging area for queued messages. Flushed
-  /// kLanes wide as admissions accumulate; cleared whenever the queue
-  /// drains (job ids are batch indices, so clearing requires that no
-  /// queued message still references one). Orphaned jobs — e.g. a staged
-  /// message later evicted by ShedNewest — are harmless: their verdicts
-  /// are simply never read. NOTE the interplay with DegradeUnsigned:
-  /// degraded admissions are never staged (the handler skips verification
-  /// entirely) and keep skipping the simulated verify_cost in
-  /// begin_service — batching changes real compute cost only, never the
-  /// simulated timing model.
-  crypto::BatchVerifier verify_batch_;
 };
 
 }  // namespace fortress::osl

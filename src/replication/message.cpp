@@ -432,48 +432,6 @@ bool verify_over_signature(const MessageView& m,
                              m.over_signature()->tag);
 }
 
-bool verify_double_signature(const MessageView& m,
-                             const crypto::KeyRegistry& registry) {
-  if (!m.signature() || !m.over_signature()) return false;
-  // One 2-lane flush instead of two sequential HMACs. enqueue() copies the
-  // signing bytes into the batch arena, so the scratch buffer can be
-  // reused between the two splices. A signer the registry does not know
-  // yields a null schedule, which enqueue() records as a false verdict —
-  // the same rejection verify_tag's by-name lookup produces.
-  thread_local crypto::BatchVerifier batch;
-  batch.clear();
-  Bytes& scratch = verify_scratch();
-  m.signing_bytes_into(scratch);
-  const std::size_t inner = batch.enqueue(
-      registry.schedule_for(m.signature()->signer), scratch,
-      m.signature()->tag);
-  m.over_signing_bytes_into(scratch);
-  const std::size_t over = batch.enqueue(
-      registry.schedule_for(m.over_signature()->signer), scratch,
-      m.over_signature()->tag);
-  batch.flush();
-  return batch.verdict(inner) && batch.verdict(over);
-}
-
-std::optional<std::size_t> stage_verify_from_indexed_peer(
-    const MessageView& m, std::span<const crypto::HmacKey* const> schedules,
-    std::span<const std::string> names, crypto::BatchVerifier& batch) {
-  // Stage only when the amortized path of verify_from_indexed_peer would
-  // run: the schedule pointer is then stable (KeyRegistry keeps schedules
-  // in place until reset()) and the verdict cannot depend on registry
-  // state between staging and consumption.
-  if (!m.signature() || m.sender_index() >= schedules.size()) {
-    return std::nullopt;
-  }
-  const crypto::HmacKey* schedule = schedules[m.sender_index()];
-  if (schedule == nullptr || m.signature()->signer != names[m.sender_index()]) {
-    return std::nullopt;
-  }
-  Bytes& scratch = verify_scratch();
-  m.signing_bytes_into(scratch);
-  return batch.enqueue(schedule, scratch, m.signature()->tag);
-}
-
 SignedResponseTemplate::SignedResponseTemplate(const Message& core,
                                                const crypto::SigningKey& key) {
   Message canonical = core;

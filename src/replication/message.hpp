@@ -25,7 +25,6 @@
 #include <string_view>
 
 #include "common/bytes.hpp"
-#include "crypto/batch.hpp"
 #include "crypto/signature.hpp"
 
 namespace fortress::replication {
@@ -266,28 +265,6 @@ bool verify_from_indexed_peer(const MessageView& m,
                               const crypto::KeyRegistry& registry);
 bool verify_over_signature(const MessageView& m,
                            const crypto::KeyRegistry& registry);
-
-/// The client's fortified double-signature check — verify_message(m) AND
-/// verify_over_signature(m) — with both HMACs computed through one 2-lane
-/// batch flush so the multi-buffer kernel covers them in a single pass.
-/// AND semantics make the speculative evaluation of the second check
-/// observationally invisible; acceptance is identical to the two one-shot
-/// calls.
-bool verify_double_signature(const MessageView& m,
-                             const crypto::KeyRegistry& registry);
-
-/// Stage the indexed-peer verification of `m` into `batch` instead of
-/// computing it now: the lane-batched half of verify_from_indexed_peer.
-/// Stages ONLY when the amortized fast path fully resolves (signature
-/// present, sender_index addresses a cached schedule, claimed signer
-/// matches) — the returned job id's verdict then equals what
-/// verify_from_indexed_peer would have returned. Anything unusual returns
-/// nullopt WITHOUT staging; the caller must fall back to the one-shot
-/// verifier at consume time, preserving the registry-fallback acceptance
-/// semantics exactly.
-std::optional<std::size_t> stage_verify_from_indexed_peer(
-    const MessageView& m, std::span<const crypto::HmacKey* const> schedules,
-    std::span<const std::string> names, crypto::BatchVerifier& batch);
 
 /// A signed response fan-out template: sign ONCE, then splice each
 /// recipient's address into precomputed wire bytes. Because signatures

@@ -192,8 +192,7 @@ class ScopedTier {
 
 std::vector<kernel::ShaTier> available_tiers() {
   std::vector<kernel::ShaTier> tiers;
-  for (kernel::ShaTier t : {kernel::ShaTier::Scalar, kernel::ShaTier::Avx2,
-                            kernel::ShaTier::ShaNi}) {
+  for (kernel::ShaTier t : {kernel::ShaTier::Scalar, kernel::ShaTier::ShaNi}) {
     if (kernel::tier_available(t)) tiers.push_back(t);
   }
   return tiers;
@@ -250,69 +249,9 @@ TEST(Sha256DispatchTest, EveryLaneMatchesScalarEveryLength) {
   }
 }
 
-TEST(Sha256DispatchTest, MultiBufferLanesMatchScalarEveryLength) {
-  // Sweep 8-lane groups over all lengths 0..130: lanes inside one group
-  // have different lengths (and therefore different block counts), which
-  // exercises the AVX2 kernel's per-lane masking.
-  for (kernel::ShaTier tier : available_tiers()) {
-    ScopedTier scope(tier);
-    ASSERT_TRUE(scope.forced()) << kernel::tier_name(tier);
-    for (std::size_t base = 0; base <= 130; base += 8) {
-      Bytes lane_padded[8];
-      std::uint32_t states[8][8];
-      const std::uint8_t* data[8];
-      std::size_t nblocks[8];
-      std::size_t lane_len[8];
-      for (std::size_t l = 0; l < 8; ++l) {
-        lane_len[l] = std::min<std::size_t>(base + l * 17, 130);
-        lane_padded[l] = padded(pattern_msg(lane_len[l]));
-        std::copy(std::begin(kIv), std::end(kIv), states[l]);
-        data[l] = lane_padded[l].data();
-        nblocks[l] = lane_padded[l].size() / 64;
-      }
-      kernel::compress_blocks_x8(states, data, nblocks);
-      for (std::size_t l = 0; l < 8; ++l) {
-        EXPECT_EQ(digest_from_state(states[l]),
-                  Sha256::hash(pattern_msg(lane_len[l])))
-            << "tier=" << kernel::tier_name(tier) << " lane=" << l
-            << " len=" << lane_len[l];
-      }
-    }
-  }
-}
-
-TEST(Sha256DispatchTest, MultiBufferSkipsEmptyLanes) {
-  for (kernel::ShaTier tier : available_tiers()) {
-    ScopedTier scope(tier);
-    Bytes pb = padded(bytes_of("abc"));
-    std::uint32_t states[8][8];
-    const std::uint8_t* data[8] = {};
-    std::size_t nblocks[8] = {};
-    for (std::size_t l = 0; l < 8; ++l) {
-      std::copy(std::begin(kIv), std::end(kIv), states[l]);
-    }
-    // Only lanes 2 and 5 hash; the rest must stay untouched (null data).
-    data[2] = pb.data();
-    nblocks[2] = pb.size() / 64;
-    data[5] = pb.data();
-    nblocks[5] = pb.size() / 64;
-    kernel::compress_blocks_x8(states, data, nblocks);
-    const Digest abc = Sha256::hash(bytes_of("abc"));
-    for (std::size_t l = 0; l < 8; ++l) {
-      if (l == 2 || l == 5) {
-        EXPECT_EQ(digest_from_state(states[l]), abc) << "lane=" << l;
-      } else {
-        EXPECT_TRUE(std::equal(std::begin(kIv), std::end(kIv), states[l]))
-            << "tier=" << kernel::tier_name(tier) << " lane=" << l;
-      }
-    }
-  }
-}
-
 TEST(Sha256DispatchTest, TierNamesAndScalarAlwaysAvailable) {
   EXPECT_TRUE(kernel::tier_available(kernel::ShaTier::Scalar));
   EXPECT_STREQ(kernel::tier_name(kernel::ShaTier::Scalar), "scalar");
-  EXPECT_STREQ(kernel::tier_name(kernel::ShaTier::Avx2), "avx2");
   EXPECT_STREQ(kernel::tier_name(kernel::ShaTier::ShaNi), "shani");
   // Forcing the scalar reference always succeeds and round-trips.
   ScopedTier scope(kernel::ShaTier::Scalar);

@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "crypto/signature.hpp"
 #include "net/network.hpp"
 #include "osl/machine.hpp"
 #include "osl/probe.hpp"
@@ -51,51 +50,6 @@ class ServiceApp : public Application {
  private:
   sim::Simulator& sim_;
 };
-
-
-/// Stages every signed message's HMAC check through the machine's batched
-/// crypto plane and records the verdict handed back at dispatch.
-class StagingApp : public Application {
- public:
-  explicit StagingApp(const crypto::HmacKey* schedule)
-      : schedule_(schedule) {}
-
-  void handle_message(const net::Envelope& env) override {
-    verdicts.push_back(env.staged_verdict);
-    degraded_flags.push_back(env.degraded);
-  }
-
-  std::optional<std::size_t> stage_verify(
-      const net::Envelope& env, crypto::BatchVerifier& batch) override {
-    auto msg = replication::MessageView::decode(env.payload);
-    if (!msg || !msg->signature()) return std::nullopt;
-    ++staged_calls;
-    Bytes scratch;
-    msg->signing_bytes_into(scratch);
-    return batch.enqueue(schedule_, scratch, msg->signature()->tag);
-  }
-
-  std::vector<std::optional<bool>> verdicts;
-  std::vector<bool> degraded_flags;
-  int staged_calls = 0;
-
- private:
-  const crypto::HmacKey* schedule_;
-};
-
-Bytes signed_response_wire(const crypto::SigningKey& key, std::uint64_t seq,
-                           bool corrupt_tag) {
-  replication::Message m;
-  m.type = replication::MsgType::Response;
-  m.request_id = replication::RequestId{"c", seq};
-  m.payload = bytes_of("result");
-  replication::sign_message(m, key);
-  Bytes wire = m.encode();
-  // The tag is the 32 bytes immediately before the trailing over-signature
-  // presence byte: flipping one bit keeps the framing valid.
-  if (corrupt_tag) wire[wire.size() - 2] ^= 0x01;
-  return wire;
-}
 
 class NullHandler : public net::Handler {
  public:
@@ -256,72 +210,6 @@ TEST_F(MachineOverloadTest, ProbesAbsorbedBeforeQueue) {
   EXPECT_EQ(machine_.child_crashes(), 1u);
   EXPECT_EQ(machine_.overload().enqueued, 0u);
   EXPECT_TRUE(app_.payloads.empty());
-}
-
-
-TEST_F(MachineOverloadTest, StagedVerdictsDeliveredAtDispatch) {
-  crypto::KeyRegistry registry(3);
-  crypto::SigningKey server = registry.enroll("server-0");
-  StagingApp app(registry.schedule_for("server-0"));
-  machine_.set_application(&app);
-  machine_.configure_service(model(net::OverloadPolicy::DropTail, 16), 1);
-  for (int i = 0; i < 12; ++i) {
-    net_.send("sender", "target",
-              signed_response_wire(server, static_cast<std::uint64_t>(i) + 1,
-                                   i % 3 == 2));
-  }
-  sim_.run_until(60.0);
-  ASSERT_EQ(app.verdicts.size(), 12u);
-  EXPECT_EQ(app.staged_calls, 12);
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(app.verdicts[static_cast<std::size_t>(i)].has_value())
-        << "dispatch " << i;
-    // Corrupted tags (every third message) must come back rejected.
-    EXPECT_EQ(*app.verdicts[static_cast<std::size_t>(i)], i % 3 != 2)
-        << "dispatch " << i;
-  }
-}
-
-TEST_F(MachineOverloadTest, DegradedAdmissionsAreNeverStaged) {
-  crypto::KeyRegistry registry(3);
-  crypto::SigningKey server = registry.enroll("server-0");
-  StagingApp app(registry.schedule_for("server-0"));
-  machine_.set_application(&app);
-  net::ServiceModel m = model(net::OverloadPolicy::DegradeUnsigned, 8);
-  m.degrade_watermark = 2;
-  machine_.configure_service(m, 1);
-  for (int i = 0; i < 4; ++i) {
-    net_.send("sender", "target",
-              signed_response_wire(server, static_cast<std::uint64_t>(i) + 1,
-                                   false));
-  }
-  sim_.run_until(30.0);
-  ASSERT_EQ(app.verdicts.size(), 4u);
-  // Depth at admission: 0, 1, 2, 3 — the last two cross the watermark and
-  // dispatch degraded, so stage_verify never ran for them.
-  EXPECT_EQ(app.staged_calls, 2);
-  EXPECT_TRUE(app.verdicts[0].has_value());
-  EXPECT_TRUE(app.verdicts[1].has_value());
-  EXPECT_TRUE(*app.verdicts[0]);
-  EXPECT_TRUE(*app.verdicts[1]);
-  EXPECT_FALSE(app.verdicts[2].has_value());
-  EXPECT_FALSE(app.verdicts[3].has_value());
-  EXPECT_TRUE(app.degraded_flags[2]);
-  EXPECT_TRUE(app.degraded_flags[3]);
-}
-
-TEST_F(MachineOverloadTest, UnstagedDispatchesCarryNoVerdict) {
-  crypto::KeyRegistry registry(3);
-  crypto::SigningKey server = registry.enroll("server-0");
-  StagingApp app(registry.schedule_for("server-0"));
-  machine_.set_application(&app);
-  machine_.configure_service(model(net::OverloadPolicy::DropTail, 8), 1);
-  send_requests(2);  // unsigned requests: stage_verify declines them
-  sim_.run_until(10.0);
-  ASSERT_EQ(app.verdicts.size(), 2u);
-  EXPECT_EQ(app.staged_calls, 0);
-  EXPECT_FALSE(app.verdicts[0].has_value());
-  EXPECT_FALSE(app.verdicts[1].has_value());
 }
 
 TEST_F(MachineOverloadTest, RebootDropsQueuedWork) {

@@ -104,6 +104,80 @@ class ProxyTest : public ::testing::Test {
   std::unique_ptr<ProxyNode> proxy_;
 };
 
+/// Server stand-in: takes the proxy's connections and forwarded requests
+/// and answers nothing, so every response the proxy sees is one a test
+/// crafts.
+class SilentServer : public net::Handler {
+ public:
+  void on_message(const net::Envelope&) override {}
+};
+
+// One proxy behind a bounded service queue, in front of one stub server.
+// Responses are sent in bursts, so they wait in the queue and the proxy
+// verifies each one when the machine dispatches it.
+class ProxyOverloadTest : public ::testing::Test {
+ protected:
+  ProxyOverloadTest()
+      : net_(sim_, std::make_unique<net::FixedLatency>(0.5)),
+        server_key_(registry_.enroll("server-0")),
+        client_(net_, "client") {
+    net_.attach("server-0", server_);
+    ProxyConfig cfg;
+    cfg.address = "proxy-0";
+    cfg.servers = {"server-0"};
+    osl::MachineConfig mc{"proxy-0", 1 << 10};
+    mc.processes_request_payloads = false;
+    machine_ = std::make_unique<osl::Machine>(net_, mc);
+    proxy_ = std::make_unique<ProxyNode>(sim_, net_, registry_, cfg);
+    machine_->set_application(proxy_.get());
+  }
+
+  /// Boots the proxy with a 16-deep queue and one time unit per message,
+  /// then has `requests` client requests forwarded so that responses to
+  /// them are pending.
+  void start(net::OverloadPolicy policy, std::uint32_t degrade_watermark,
+             std::uint64_t requests) {
+    net::ServiceModel m;
+    m.enabled = true;
+    m.request_service = net::LatencySpec::fixed(1.0);
+    m.response_service = net::LatencySpec::fixed(1.0);
+    m.other_service = net::LatencySpec::fixed(1.0);
+    m.queue_capacity = 16;
+    m.policy = policy;
+    m.degrade_watermark = degrade_watermark;
+    machine_->configure_service(m, 1);
+    machine_->boot(20);
+    proxy_->start();
+    for (std::uint64_t seq = 1; seq <= requests; ++seq) {
+      client_.send_request({"client", seq}, "GET a", "proxy-0");
+    }
+    sim_.run_until(sim_.now() + 30.0);
+    ASSERT_EQ(proxy_->stats().requests_forwarded, requests);
+  }
+
+  /// Sends the server's response to request `seq`; a corrupted one has a
+  /// bit of its signature tag flipped.
+  void respond(std::uint64_t seq, bool corrupt) {
+    Message m;
+    m.type = MsgType::Response;
+    m.request_id = RequestId{"client", seq};
+    m.requester = "proxy-0";
+    m.payload = bytes_of("OK");
+    replication::sign_message(m, server_key_);
+    if (corrupt) m.signature->tag[0] ^= 0x01;
+    net_.send("server-0", "proxy-0", m.encode());
+  }
+
+  sim::Simulator sim_;
+  net::Network net_;
+  crypto::KeyRegistry registry_{77};
+  crypto::SigningKey server_key_;
+  SilentServer server_;
+  ClientEndpoint client_;
+  std::unique_ptr<osl::Machine> machine_;
+  std::unique_ptr<ProxyNode> proxy_;
+};
+
 TEST(ProbeLogTest, ScoreAndWindowExpiry) {
   const net::HostId evil = 7;
   ProbeLog log(DetectionConfig{100.0, 3});
@@ -264,6 +338,30 @@ TEST_F(ProxyTest, UnsolicitedServerResponseIgnored) {
   net_.send(server_addrs_[0], "proxy-0", fake.encode());
   sim_.run_until(sim_.now() + 5.0);
   EXPECT_EQ(proxy_->stats().responses_delivered, 0u);
+}
+
+TEST_F(ProxyOverloadTest, QueuedResponsesVerifiedAtDispatch) {
+  start(net::OverloadPolicy::DropTail, 0, 12);
+  // One burst: every response waits in the queue, every third is forged.
+  for (std::uint64_t seq = 1; seq <= 12; ++seq) respond(seq, seq % 3 == 0);
+  sim_.run_until(sim_.now() + 30.0);
+  EXPECT_EQ(machine_->overload().shed, 0u);
+  EXPECT_EQ(proxy_->stats().invalid_signatures, 4u);
+  EXPECT_EQ(proxy_->stats().degraded_responses, 0u);
+  EXPECT_EQ(proxy_->stats().responses_delivered, 8u);
+  EXPECT_EQ(client_.responses.size(), 8u);
+}
+
+TEST_F(ProxyOverloadTest, DegradedResponsesSkipVerification) {
+  start(net::OverloadPolicy::DegradeUnsigned, 2, 4);
+  // Four forged responses in one burst. Depth at admission: 0, 1, 2, 3 —
+  // the first two are checked and rejected; the last two cross the
+  // watermark and are trusted unchecked.
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) respond(seq, true);
+  sim_.run_until(sim_.now() + 30.0);
+  EXPECT_EQ(proxy_->stats().invalid_signatures, 2u);
+  EXPECT_EQ(proxy_->stats().degraded_responses, 2u);
+  EXPECT_EQ(proxy_->stats().responses_delivered, 2u);
 }
 
 }  // namespace

@@ -425,34 +425,7 @@ TEST(SignedResponseTemplateTest, EmitReplacesBufferContents) {
   EXPECT_EQ(out, reference.encode());
 }
 
-TEST(MessageViewTest, DoubleSignatureMatchesSequentialChecks) {
-  crypto::KeyRegistry registry(11);
-  crypto::SigningKey server = registry.enroll("server-0");
-  crypto::SigningKey proxy = registry.enroll("proxy-0");
-  Rng rng(0xD0B1E);
-
-  for (int trial = 0; trial < 200; ++trial) {
-    Message m = sample();
-    m.type = MsgType::ProxyResponse;
-    sign_message(m, server);
-    over_sign_message(m, proxy);
-    Bytes wire = m.encode();
-    // Corrupt one wire byte in half the trials: the batched check must
-    // reject exactly what the sequential pair rejects.
-    if (trial % 2 == 1) {
-      wire[rng.below(wire.size())] ^= static_cast<std::uint8_t>(
-          1u << rng.below(8));
-    }
-    auto view = MessageView::decode(wire);
-    if (!view.has_value()) continue;  // corruption broke framing entirely
-    const bool sequential = verify_message(*view, registry) &&
-                            verify_over_signature(*view, registry);
-    EXPECT_EQ(verify_double_signature(*view, registry), sequential)
-        << "trial " << trial;
-  }
-}
-
-TEST(MessageViewTest, DoubleSignatureRejectsUnknownSigners) {
+TEST(MessageViewTest, OverSignatureRejectsUnknownSigners) {
   crypto::KeyRegistry registry(11);
   crypto::SigningKey server = registry.enroll("server-0");
   crypto::KeyRegistry other(13);
@@ -465,10 +438,8 @@ TEST(MessageViewTest, DoubleSignatureRejectsUnknownSigners) {
   Bytes wire = m.encode();
   auto view = MessageView::decode(wire);
   ASSERT_TRUE(view.has_value());
-  EXPECT_FALSE(verify_double_signature(*view, registry));
-  EXPECT_EQ(verify_double_signature(*view, registry),
-            verify_message(*view, registry) &&
-                verify_over_signature(*view, registry));
+  EXPECT_TRUE(verify_message(*view, registry));
+  EXPECT_FALSE(verify_over_signature(*view, registry));
 }
 
 }  // namespace
