@@ -1,14 +1,11 @@
-// bench_codec — what decoding one protocol message costs, at the three
+// bench_codec — what decoding one protocol message costs, at the two
 // depths a handler can choose from:
 //
 //  * BM_MessageHeaderPeek — MessageView::peek: magic + fixed header only
 //    (the cheapest route/drop decision);
 //  * BM_MessageViewDecode — MessageView::decode: full structural validation
 //    with every field borrowed from the wire (what every protocol handler
-//    now dispatches on);
-//  * BM_MessageFullDecode — Message::decode: the legacy owning decoder that
-//    heap-materializes request_id/requester/payload/aux (+ signature), kept
-//    for retention paths and as the differential-fuzz reference.
+//    dispatches on).
 //
 // The workload is a signed StateUpdate-sized record (the universal record
 // with every field populated — the shape replicas exchange). Writes
@@ -67,22 +64,8 @@ int main(int argc, char** argv) {
                             }) /
       kBatch;
 
-  const double full_ns =
-      recorder.time_and_add("codec_full_decode", /*iters=*/500,
-                            static_cast<double>(kBatch), [&] {
-                              for (int i = 0; i < kBatch; ++i) {
-                                auto m = replication::Message::decode(wire);
-                                sink += m->payload.size() +
-                                        m->request_id.client.size();
-                              }
-                            }) /
-      kBatch;
-
   std::printf("BM_MessageHeaderPeek  %8.1f ns/msg\n", peek_ns);
-  std::printf("BM_MessageViewDecode  %8.1f ns/msg\n", view_ns);
-  std::printf("BM_MessageFullDecode  %8.1f ns/msg\n", full_ns);
-  std::printf("view-vs-full speedup: %.2fx (sink %llu)\n",
-              view_ns > 0 ? full_ns / view_ns : 0.0,
+  std::printf("BM_MessageViewDecode  %8.1f ns/msg (sink %llu)\n", view_ns,
               static_cast<unsigned long long>(sink));
 
   recorder.write_json(out_path);

@@ -53,7 +53,7 @@ void BM_MessageEncodeDecode(benchmark::State& state) {
   replication::sign_message(msg, key);
   for (auto _ : state) {
     Bytes wire = msg.encode();
-    auto decoded = replication::Message::decode(wire);
+    auto decoded = replication::MessageView::decode(wire);
     benchmark::DoNotOptimize(decoded);
   }
 }
@@ -64,9 +64,14 @@ void BM_SignVerify(benchmark::State& state) {
   crypto::SigningKey key = registry.enroll("server-0");
   replication::Message msg;
   msg.payload = Bytes(256, 0x22);
+  Bytes wire;
   for (auto _ : state) {
+    // Sign, put on the wire, verify the received view: the verifiers
+    // take only a decoded MessageView.
     replication::sign_message(msg, key);
-    benchmark::DoNotOptimize(replication::verify_message(msg, registry));
+    msg.encode_into(wire);
+    auto view = replication::MessageView::decode(wire);
+    benchmark::DoNotOptimize(replication::verify_message(*view, registry));
   }
 }
 BENCHMARK(BM_SignVerify);

@@ -1,7 +1,5 @@
 #include "core/client.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace fortress::core {
@@ -119,34 +117,11 @@ void Client::fail(std::uint64_t seq, RequestOutcome outcome) {
 }
 
 bool Client::acceptable(const MessageView& msg, Outstanding& out) {
-  const auto& principals = directory_.server_principals;
-  auto known_server = [&](std::string_view name) {
-    return std::find(principals.begin(), principals.end(), name) !=
-           principals.end();
-  };
-
-  if (directory_.fortified()) {
-    // Double-signature rule: over-signature by a known proxy AND inner
-    // signature by a known server principal. All checks run on the
-    // borrowed view; nothing allocates until a response is accepted.
-    if (msg.type() != MsgType::ProxyResponse) return false;
-    if (!msg.signature() || !msg.over_signature()) return false;
-    if (!known_server(msg.signature()->signer)) return false;
-    auto proxy_known =
-        std::find(directory_.proxies.begin(), directory_.proxies.end(),
-                  msg.over_signature()->signer) != directory_.proxies.end();
-    if (!proxy_known) return false;
-    return replication::verify_message(msg, registry_) &&
-           replication::verify_over_signature(msg, registry_);
-  }
-
-  if (msg.type() != MsgType::Response) return false;
-  if (!msg.signature() || !known_server(msg.signature()->signer)) {
-    return false;
-  }
-  if (!replication::verify_message(msg, registry_)) return false;
-
-  if (directory_.replication == ReplicationType::PrimaryBackup) {
+  // All checks up to acceptance run on the borrowed view; nothing
+  // allocates until a response is authentic.
+  if (!authentic_response(directory_, msg, registry_)) return false;
+  if (directory_.fortified() ||
+      directory_.replication == ReplicationType::PrimaryBackup) {
     return true;  // one authentic response suffices under the crash model
   }
 

@@ -8,6 +8,8 @@
 //   * S0/SMR:      f+1 matching responses signed by distinct server
 //                  principals (one is guaranteed correct);
 //   * S1/PB:       one authentic server-signed response (crash model).
+// "Authentic" is core::authentic_response (directory.hpp), the signature
+// rule ClientPopulation shares; the SMR f+1 vote is this class's own.
 //
 // Unanswered requests are re-sent under capped exponential backoff with
 // optional deterministic jitter: the first retry fires retry_interval after

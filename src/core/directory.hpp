@@ -14,6 +14,13 @@
 #include "common/bytes.hpp"
 #include "net/network.hpp"
 
+namespace fortress::crypto {
+class KeyRegistry;
+}
+namespace fortress::replication {
+class MessageView;
+}
+
 namespace fortress::core {
 
 enum class ReplicationType : std::uint32_t {
@@ -41,5 +48,17 @@ struct Directory {
 
   bool operator==(const Directory&) const = default;
 };
+
+/// The client-side response-acceptance rule of `dir`'s deployment: the one
+/// signature check every client model runs on a response view.
+///  * Fortified (2-tier): a ProxyResponse whose inner signature is by a
+///    known server principal and whose over-signature is by a known proxy,
+///    both verifying (the double-signature rule).
+///  * 1-tier: a Response signed by a known server principal that verifies.
+/// Runs entirely on the borrowed view; nothing allocates. Callers layer
+/// their own quorum rule on top (core::Client's SMR f+1 vote).
+bool authentic_response(const Directory& dir,
+                        const replication::MessageView& msg,
+                        const crypto::KeyRegistry& registry);
 
 }  // namespace fortress::core

@@ -242,35 +242,6 @@ void ClientPopulation::flush_batches(std::size_t k) {
   }
 }
 
-bool ClientPopulation::acceptable(const MessageView& msg) const {
-  const auto& principals = directory_.server_principals;
-  auto known_server = [&](std::string_view name) {
-    return std::find(principals.begin(), principals.end(), name) !=
-           principals.end();
-  };
-
-  if (directory_.fortified()) {
-    // Bit-faithful to core::Client::acceptable's double-signature rule.
-    if (msg.type() != MsgType::ProxyResponse) return false;
-    if (!msg.signature() || !msg.over_signature()) return false;
-    if (!known_server(msg.signature()->signer)) return false;
-    const bool proxy_known =
-        std::find(directory_.proxies.begin(), directory_.proxies.end(),
-                  msg.over_signature()->signer) != directory_.proxies.end();
-    if (!proxy_known) return false;
-    return replication::verify_message(msg, registry_) &&
-           replication::verify_over_signature(msg, registry_);
-  }
-
-  // 1-tier: one authentic server-signed response. For SMR this is the
-  // documented first-valid divergence from core::Client's f+1 vote rule.
-  if (msg.type() != MsgType::Response) return false;
-  if (!msg.signature() || !known_server(msg.signature()->signer)) {
-    return false;
-  }
-  return replication::verify_message(msg, registry_);
-}
-
 void ClientPopulation::on_message(const net::Envelope& env) {
   auto msg = MessageView::decode(env.payload);
   if (!msg) return;
@@ -292,7 +263,8 @@ void ClientPopulation::on_message(const net::Envelope& env) {
   if (state_[slot] == kIdle) return;  // duplicate of a finished request
   if ((seq & 0xFFFFFFu) != counter_[slot]) return;  // answer to a past life
   if (msg->request_client() != cohort_addrs_[k]) return;
-  if (!acceptable(*msg)) {
+  // core::Client's acceptance without its SMR f+1 vote (see the header).
+  if (!authentic_response(directory_, *msg, registry_)) {
     ++stats_.rejected_responses;
     return;
   }

@@ -23,8 +23,8 @@
 //  * SMR acceptance — the population accepts the FIRST authentic
 //    server-signed response instead of collecting f+1 matching votes
 //    (vote sets are per-request heap state, exactly what the flat table
-//    exists to avoid). S2/FORTRESS double-signature and S1/PB acceptance
-//    are bit-faithful to core::Client::acceptable.
+//    exists to avoid). Signature acceptance is core::authentic_response,
+//    the same rule core::Client applies before its vote.
 //
 // Determinism: everything is drawn from per-cohort substreams of one seed,
 // cohort ticks are ordinary simulator events, and batch delivery draws its
@@ -143,7 +143,6 @@ class ClientPopulation final : public net::Handler {
   void encode_request(std::size_t k, std::uint32_t slot);
   void append_to_batches(std::size_t k);
   void flush_batches(std::size_t k);
-  bool acceptable(const replication::MessageView& msg) const;
 
   sim::Simulator& sim_;
   net::Network& network_;

@@ -61,21 +61,10 @@ SigningKey KeyRegistry::enroll(const std::string& name) {
   return SigningKey(PrincipalId{name}, mac);
 }
 
-bool KeyRegistry::verify(BytesView message, const Signature& sig) const {
-  return verify_tag(message, sig.signer.name,
-                    BytesView(sig.tag.data(), sig.tag.size()));
-}
-
 const HmacKey* KeyRegistry::schedule_for(std::string_view name) const {
   const std::size_t slot = find_slot(name);
   // Deque blocks are stable: the pointer survives later enrollments.
   return slot != static_cast<std::size_t>(-1) ? &schedules_[slot] : nullptr;
-}
-
-bool KeyRegistry::verify_with(const HmacKey& schedule, BytesView message,
-                              const Signature& sig) {
-  return verify_tag_with(schedule, message,
-                         BytesView(sig.tag.data(), sig.tag.size()));
 }
 
 bool KeyRegistry::verify_tag(BytesView message, std::string_view signer,

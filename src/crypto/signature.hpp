@@ -91,34 +91,30 @@ class KeyRegistry {
   /// same name twice returns a key with the same secret (idempotent).
   SigningKey enroll(const std::string& name);
 
-  /// True iff `sig` is a valid signature by `sig.signer` over `message` and
-  /// the signer is enrolled.
-  bool verify(BytesView message, const Signature& sig) const;
-
   /// The precomputed verification schedule of an enrolled principal, or
   /// nullptr. The pointer is stable until reset() (enrollment never moves a
   /// schedule), so per-message verifiers — proxies checking server
   /// responses, SMR replicas checking peer ordering traffic — resolve each
   /// expected signer ONCE into a direct-indexed table and skip the
-  /// per-message string-map lookup; see verify_with(). Accepts a borrowed
-  /// name (no allocation — the MessageView verify path).
+  /// per-message string-map lookup; see verify_tag_with(). Accepts a
+  /// borrowed name (no allocation).
   const HmacKey* schedule_for(std::string_view name) const;
 
-  /// Verify `sig` against an explicit schedule (obtained from
-  /// schedule_for): the amortized-lookup half of the verify path. The
-  /// CALLER asserts that `schedule` belongs to `sig.signer` — pair this
-  /// with an identity check against the expected principal.
-  static bool verify_with(const HmacKey& schedule, BytesView message,
-                          const Signature& sig);
-
-  /// Tag-level verify for borrowed signatures (MessageView): same
-  /// acceptance as verify()/verify_with() without materializing a
-  /// Signature. `tag` must be Digest-sized (anything else never verifies).
+  /// True iff `tag` is a valid signature by the enrolled principal `signer`
+  /// over `message`. Signer and tag are borrowed (a decoded MessageView's
+  /// signature field), so nothing is materialized; `tag` must be
+  /// Digest-sized (anything else never verifies). An unenrolled signer
+  /// never verifies.
   ///
   /// Handlers check each protocol message once, at dispatch, through this
-  /// one-shot path.
+  /// one-shot path (replication::verify_message and friends).
   bool verify_tag(BytesView message, std::string_view signer,
                   BytesView tag) const;
+
+  /// Verify `tag` against an explicit schedule (obtained from
+  /// schedule_for): the amortized-lookup half of verify_tag. The CALLER
+  /// asserts that `schedule` belongs to the claimed signer — pair this with
+  /// an identity check against the expected principal.
   static bool verify_tag_with(const HmacKey& schedule, BytesView message,
                               BytesView tag);
 

@@ -27,78 +27,6 @@ void append_signature(Bytes& out, const std::optional<crypto::Signature>& sig) {
   append(out, BytesView(sig->tag.data(), sig->tag.size()));
 }
 
-class Reader {
- public:
-  explicit Reader(BytesView data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-
-  std::uint32_t u32() {
-    if (!require(4)) return 0;
-    std::uint32_t v = read_u32_be(data_, off_);
-    off_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!require(8)) return 0;
-    std::uint64_t v = read_u64_be(data_, off_);
-    off_ += 8;
-    return v;
-  }
-
-  std::uint8_t byte() {
-    if (!require(1)) return 0;
-    return data_[off_++];
-  }
-
-  std::string str() {
-    std::uint64_t len = u64();
-    if (!require(len)) return {};
-    std::string s(data_.begin() + static_cast<std::ptrdiff_t>(off_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(off_ + len));
-    off_ += len;
-    return s;
-  }
-
-  Bytes blob() {
-    std::uint64_t len = u64();
-    if (!require(len)) return {};
-    Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(off_),
-            data_.begin() + static_cast<std::ptrdiff_t>(off_ + len));
-    off_ += len;
-    return b;
-  }
-
-  std::optional<crypto::Signature> signature() {
-    std::uint8_t present = byte();
-    if (!ok_ || present == 0) return std::nullopt;
-    crypto::Signature sig;
-    sig.signer.name = str();
-    if (!require(sig.tag.size())) return std::nullopt;
-    std::memcpy(sig.tag.data(), data_.data() + off_, sig.tag.size());
-    off_ += sig.tag.size();
-    return sig;
-  }
-
-  bool exhausted() const { return off_ == data_.size(); }
-
- private:
-  bool require(std::uint64_t n) {
-    // Compare against the REMAINING length: `off_ + n` would wrap for the
-    // huge length fields a hostile sender can craft.
-    if (!ok_ || n > data_.size() - off_) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  BytesView data_;
-  std::size_t off_ = 0;
-  bool ok_ = true;
-};
-
 void encode_core_into(Bytes& out, const Message& m) {
   append_u32_be(out, kWireMagic);
   append_u32_be(out, static_cast<std::uint32_t>(m.type));
@@ -175,13 +103,11 @@ std::optional<MessageHeader> MessageView::peek(BytesView data) {
 }
 
 std::optional<MessageView> MessageView::decode(BytesView data) {
-  // Mirrors the Reader-based Message::decode walk exactly (the legacy
-  // decoder fails "softly" and rejects at the end; failing fast here
-  // produces the same accept set — differentially fuzzed). Offsets only;
-  // no heap, no redundant bounds checks (every load is guarded by an
-  // explicit remaining-length comparison, which also defeats the offset
-  // wrap a hostile huge length field would otherwise cause), and the view
-  // is built in place inside the returned optional.
+  // Offsets only; no heap, no redundant bounds checks (every load is
+  // guarded by an explicit remaining-length comparison, which also defeats
+  // the offset wrap a hostile huge length field would otherwise cause), and
+  // the view is built in place inside the returned optional. The first
+  // failure rejects.
   std::optional<MessageView> out;
   const std::size_t n = data.size();
   const std::uint8_t* const p = data.data();
@@ -206,8 +132,11 @@ std::optional<MessageView> MessageView::decode(BytesView data) {
   auto signature = [&](std::optional<SignatureView>& sig, std::size_t& at) {
     at = off;
     if (n - off < 1) return false;
+    // The encoder writes presence as exactly 0 or 1; anything else has no
+    // encoding, so it is malformed (the format stays canonical).
     const std::uint8_t present = p[off++];
     if (present == 0) return true;
+    if (present != 1) return false;
     std::size_t signer_off = 0, signer_len = 0;
     if (!field(signer_off, signer_len)) return false;
     if (n - off < crypto::Digest{}.size()) return false;
@@ -287,12 +216,6 @@ void MessageView::over_signing_bytes_into(Bytes& out) const {
   append(out, data_.subspan(sig_off_, over_off_ - sig_off_));
 }
 
-Bytes MessageView::signing_bytes() const {
-  Bytes out;
-  signing_bytes_into(out);
-  return out;
-}
-
 void MessageView::encode_readdressed_into(Bytes& out,
                                           std::string_view requester) const {
   out.clear();
@@ -321,26 +244,6 @@ void MessageView::encode_proxy_response_into(
   append_signature(out, over);
 }
 
-std::optional<Message> Message::decode(BytesView data) {
-  Reader r(data);
-  if (r.u32() != kWireMagic) return std::nullopt;
-  Message m;
-  std::uint32_t type = r.u32();
-  m.type = static_cast<MsgType>(type);
-  m.view = r.u64();
-  m.seq = r.u64();
-  m.sender_index = r.u32();
-  m.request_id.client = r.str();
-  m.request_id.seq = r.u64();
-  m.requester = r.str();
-  m.payload = r.blob();
-  m.aux = r.blob();
-  m.signature = r.signature();
-  m.over_signature = r.signature();
-  if (!r.ok() || !r.exhausted()) return std::nullopt;
-  return m;
-}
-
 void sign_message(Message& msg, const crypto::SigningKey& key) {
   msg.signature = key.sign(msg.signing_bytes());
 }
@@ -348,37 +251,6 @@ void sign_message(Message& msg, const crypto::SigningKey& key) {
 void over_sign_message(Message& msg, const crypto::SigningKey& key) {
   FORTRESS_EXPECTS(msg.signature.has_value());
   msg.over_signature = key.sign(msg.over_signing_bytes());
-}
-
-bool verify_message(const Message& msg, const crypto::HmacKey& schedule) {
-  if (!msg.signature) return false;
-  return crypto::KeyRegistry::verify_with(schedule, msg.signing_bytes(),
-                                          *msg.signature);
-}
-
-bool verify_message(const Message& msg, const crypto::KeyRegistry& registry) {
-  if (!msg.signature) return false;
-  return registry.verify(msg.signing_bytes(), *msg.signature);
-}
-
-bool verify_from_indexed_peer(const Message& msg,
-                              std::span<const crypto::HmacKey* const> schedules,
-                              std::span<const std::string> names,
-                              const crypto::KeyRegistry& registry) {
-  if (msg.signature && msg.sender_index < schedules.size()) {
-    const crypto::HmacKey* schedule = schedules[msg.sender_index];
-    if (schedule != nullptr &&
-        msg.signature->signer.name == names[msg.sender_index]) {
-      return verify_message(msg, *schedule);
-    }
-  }
-  return verify_message(msg, registry);
-}
-
-bool verify_over_signature(const Message& msg,
-                           const crypto::KeyRegistry& registry) {
-  if (!msg.signature || !msg.over_signature) return false;
-  return registry.verify(msg.over_signing_bytes(), *msg.over_signature);
 }
 
 namespace {

@@ -3,19 +3,22 @@
 // One self-describing record type covers every protocol message (client
 // request, primary-backup state update, SMR ordering traffic, signed
 // responses, name-server lookups). Fields unused by a message type are left
-// empty; encode/decode round-trips all fields. Signatures sign the encoding
-// WITHOUT the signature fields (signing_bytes()).
+// empty. Signatures sign the encoding WITHOUT the signature fields
+// (signing_bytes()).
 //
-// Two decoders over the same wire format:
-//  * Message::decode — the owning decoder: heap-materializes every field.
-//    Use where a record must outlive the network buffer it arrived in.
-//  * MessageView::decode — the zero-copy decoder: validates the full
+// One path out, one path in:
+//  * Message is the send-side record: handlers build one, sign it and
+//    encode it (encode_into writes into a pooled network buffer).
+//  * MessageView::decode is the only decoder. It validates the full
 //    structure but keeps string/bytes fields as views borrowed from the
-//    input span. This is what every protocol handler dispatches on; a view
+//    input span, and it is the only thing the verifiers accept. A view
 //    DIES WHEN THE HANDLER RETURNS (the network recycles the buffer), so
 //    anything retained past that point must go through materialize() or a
-//    field-level copy. The two decoders accept exactly the same inputs and
-//    agree on every field (differentially fuzzed in codec_fuzz_test).
+//    field-level copy. The format is length-prefixed and canonical, so a
+//    correct decoder is the encoder's inverse: for every Message m,
+//    MessageView::decode(m.encode()) yields m's fields, and for every input
+//    the view accepts, materialize().encode() reproduces it byte for byte
+//    (fuzzed in codec_fuzz_test).
 #pragma once
 
 #include <cstdint>
@@ -112,9 +115,6 @@ struct Message {
   /// signature (so the proxy endorses a specific server-signed response).
   Bytes signing_bytes() const;
   Bytes over_signing_bytes() const;
-
-  /// Decode; nullopt on malformed input (never throws on hostile bytes).
-  static std::optional<Message> decode(BytesView data);
 };
 
 /// Borrowed view of one signature field on the wire: signer name and tag
@@ -135,22 +135,22 @@ struct MessageHeader {
   std::uint32_t sender_index = 0;
 };
 
-/// Zero-copy decode of a wire message: full structural validation (accepts
-/// exactly what Message::decode accepts), but every string/bytes field is a
-/// view borrowed from the input span — nothing is heap-materialized until a
-/// handler calls materialize() (or copies a field) because it must retain
-/// data past its return. Fixed-width fields are parsed eagerly (they are
-/// free); a MessageView is a small stack value whose lifetime must not
-/// exceed the buffer it was decoded from.
+/// Zero-copy decode of a wire message: full structural validation, but
+/// every string/bytes field is a view borrowed from the input span —
+/// nothing is heap-materialized until a handler calls materialize() (or
+/// copies a field) because it must retain data past its return.
+/// Fixed-width fields are parsed eagerly (they are free); a MessageView is
+/// a small stack value whose lifetime must not exceed the buffer it was
+/// decoded from.
 class MessageView {
  public:
   /// Validate magic + fixed header only; nullopt if `data` cannot begin a
   /// wire message. For handlers that drop/route on type alone.
   static std::optional<MessageHeader> peek(BytesView data);
 
-  /// Validate the whole record; nullopt exactly when Message::decode
-  /// returns nullopt (never throws on hostile bytes, never reads outside
-  /// `data` — differentially fuzzed).
+  /// Validate the whole record; nullopt on malformed input, including a
+  /// signature-presence byte other than 0 or 1 (never throws on hostile
+  /// bytes, never reads outside `data` — fuzzed against the encoder).
   static std::optional<MessageView> decode(BytesView data);
 
   MsgType type() const { return header_.type; }
@@ -173,9 +173,9 @@ class MessageView {
   /// Materialize the request identity (allocates the client string).
   RequestId request_id() const;
 
-  /// Materialize the full owning record — bit-equivalent to
-  /// Message::decode(wire()). For the few paths that must retain a message
-  /// (slot proposals, pending buffers, snapshots).
+  /// Materialize the full owning record: materialize().encode() == wire().
+  /// For the few paths that must retain a message (slot proposals, pending
+  /// buffers, snapshots).
   Message materialize() const;
 
   /// Assemble the byte string the server signature covers into `out`
@@ -186,7 +186,6 @@ class MessageView {
   /// signature (which must be present).
   void signing_bytes_into(Bytes& out) const;
   void over_signing_bytes_into(Bytes& out) const;
-  Bytes signing_bytes() const;
 
   /// Re-encode this view into `out` with only the requester field replaced
   /// — the proxy forward path (bit-identical to materialize + mutate +
@@ -225,44 +224,34 @@ void sign_message(Message& msg, const crypto::SigningKey& key);
 /// Precondition: msg.signature already present.
 void over_sign_message(Message& msg, const crypto::SigningKey& key);
 
+// --- verify -----------------------------------------------------------------
+// Every verifier takes a decoded view: the byte string a signature covers is
+// spliced from the wire into a per-thread scratch buffer, so the verify path
+// allocates nothing and never materializes the message.
+
 /// Verify the server signature against `registry`.
-bool verify_message(const Message& msg, const crypto::KeyRegistry& registry);
+bool verify_message(const MessageView& m, const crypto::KeyRegistry& registry);
 
 /// Verify the server signature against an explicit precomputed schedule
 /// (crypto::KeyRegistry::schedule_for) — the amortized per-sender path:
-/// the caller has already matched `msg.signature->signer` to the principal
-/// the schedule belongs to (e.g. by the message's sender_index).
-bool verify_message(const Message& msg, const crypto::HmacKey& schedule);
+/// the caller has already matched the claimed signer to the principal the
+/// schedule belongs to (e.g. by the message's sender_index).
+bool verify_message(const MessageView& m, const crypto::HmacKey& schedule);
 
 /// THE amortized indexed-peer verify, shared by every per-message verifier
 /// (proxy checking server responses, SMR replica checking ordering
-/// traffic): when msg.sender_index addresses a cached schedule AND the
+/// traffic): when m.sender_index() addresses a cached schedule AND the
 /// claimed signer is exactly names[sender_index], verify against that
 /// schedule; anything unusual (missing signature, out-of-range index,
 /// unresolved schedule, index/signer mismatch) falls back to the
 /// registry's by-name lookup, preserving its acceptance semantics exactly.
 /// `schedules` is index-aligned with `names` (entries may be nullptr).
-bool verify_from_indexed_peer(const Message& msg,
+bool verify_from_indexed_peer(const MessageView& m,
                               std::span<const crypto::HmacKey* const> schedules,
                               std::span<const std::string> names,
                               const crypto::KeyRegistry& registry);
 
 /// Verify the proxy over-signature (and require the inner one to be present).
-bool verify_over_signature(const Message& msg,
-                           const crypto::KeyRegistry& registry);
-
-// --- zero-copy verify -------------------------------------------------------
-// View counterparts of the verifiers above: the byte string a signature
-// covers is spliced from the wire into a per-thread scratch buffer, so the
-// steady-state verify path allocates nothing and never materializes the
-// message. Acceptance semantics are identical to the Message overloads.
-
-bool verify_message(const MessageView& m, const crypto::HmacKey& schedule);
-bool verify_message(const MessageView& m, const crypto::KeyRegistry& registry);
-bool verify_from_indexed_peer(const MessageView& m,
-                              std::span<const crypto::HmacKey* const> schedules,
-                              std::span<const std::string> names,
-                              const crypto::KeyRegistry& registry);
 bool verify_over_signature(const MessageView& m,
                            const crypto::KeyRegistry& registry);
 

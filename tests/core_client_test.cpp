@@ -15,6 +15,7 @@ namespace fortress::core {
 namespace {
 
 using replication::Message;
+using replication::MessageView;
 using replication::MsgType;
 using replication::RequestId;
 
@@ -28,9 +29,9 @@ class Responder : public net::Handler {
   ~Responder() override { net_.detach(addr_); }
 
   void on_message(const net::Envelope& env) override {
-    auto msg = Message::decode(env.payload);
-    if (msg && msg->type == MsgType::Request) {
-      requests.push_back(*msg);
+    auto msg = MessageView::decode(env.payload);
+    if (msg && msg->type() == MsgType::Request) {
+      requests.push_back(msg->materialize());
       last_from = env.from;
     }
   }
@@ -282,8 +283,8 @@ class TimedResponder : public net::Handler {
   ~TimedResponder() override { net_.detach(addr_); }
 
   void on_message(const net::Envelope& env) override {
-    auto msg = Message::decode(env.payload);
-    if (msg && msg->type == MsgType::Request) {
+    auto msg = MessageView::decode(env.payload);
+    if (msg && msg->type() == MsgType::Request) {
       times.push_back(sim_.now());
       senders.push_back(net_.address_of(env.from));
     }

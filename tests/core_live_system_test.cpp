@@ -265,8 +265,10 @@ TEST(NameServerTest, ServesSignedDirectory) {
   class Lookup : public net::Handler {
    public:
     void on_message(const net::Envelope& env) override {
-      auto msg = replication::Message::decode(env.payload);
-      if (msg && msg->type == replication::MsgType::NsReply) reply = *msg;
+      auto msg = replication::MessageView::decode(env.payload);
+      if (msg && msg->type() == replication::MsgType::NsReply) {
+        reply = msg->materialize();
+      }
     }
     std::optional<replication::Message> reply;
   } lookup;
@@ -279,7 +281,10 @@ TEST(NameServerTest, ServesSignedDirectory) {
   sim.run_until(sim.now() + 5.0);
 
   ASSERT_TRUE(lookup.reply.has_value());
-  EXPECT_TRUE(replication::verify_message(*lookup.reply, system.registry()));
+  const Bytes wire = lookup.reply->encode();
+  auto view = replication::MessageView::decode(wire);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(replication::verify_message(*view, system.registry()));
   auto dir = Directory::decode(lookup.reply->aux);
   ASSERT_TRUE(dir.has_value());
   EXPECT_EQ(*dir, system.directory());

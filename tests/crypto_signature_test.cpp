@@ -7,20 +7,27 @@
 namespace fortress::crypto {
 namespace {
 
+// Verify a materialized Signature through the registry's borrowed-tag path.
+bool verifies(const KeyRegistry& registry, BytesView message,
+              const Signature& sig) {
+  return registry.verify_tag(message, sig.signer.name,
+                             BytesView(sig.tag.data(), sig.tag.size()));
+}
+
 TEST(SignatureTest, SignVerifyRoundTrip) {
   KeyRegistry registry(1);
   SigningKey key = registry.enroll("server-0");
   Bytes msg = bytes_of("response payload");
   Signature sig = key.sign(msg);
   EXPECT_EQ(sig.signer.name, "server-0");
-  EXPECT_TRUE(registry.verify(msg, sig));
+  EXPECT_TRUE(verifies(registry, msg, sig));
 }
 
 TEST(SignatureTest, TamperedMessageFails) {
   KeyRegistry registry(1);
   SigningKey key = registry.enroll("server-0");
   Signature sig = key.sign(bytes_of("original"));
-  EXPECT_FALSE(registry.verify(bytes_of("tampered"), sig));
+  EXPECT_FALSE(verifies(registry, bytes_of("tampered"), sig));
 }
 
 TEST(SignatureTest, TamperedTagFails) {
@@ -29,7 +36,7 @@ TEST(SignatureTest, TamperedTagFails) {
   Bytes msg = bytes_of("msg");
   Signature sig = key.sign(msg);
   sig.tag[0] ^= 0x01;
-  EXPECT_FALSE(registry.verify(msg, sig));
+  EXPECT_FALSE(verifies(registry, msg, sig));
 }
 
 TEST(SignatureTest, ImpersonationFails) {
@@ -40,7 +47,7 @@ TEST(SignatureTest, ImpersonationFails) {
   Bytes msg = bytes_of("msg");
   Signature sig = mallory.sign(msg);
   sig.signer = PrincipalId{"server-0"};  // forged claim
-  EXPECT_FALSE(registry.verify(msg, sig));
+  EXPECT_FALSE(verifies(registry, msg, sig));
 }
 
 TEST(SignatureTest, UnenrolledSignerRejected) {
@@ -48,7 +55,7 @@ TEST(SignatureTest, UnenrolledSignerRejected) {
   KeyRegistry other(2);
   SigningKey foreign = other.enroll("stranger");
   Signature sig = foreign.sign(bytes_of("msg"));
-  EXPECT_FALSE(registry.verify(bytes_of("msg"), sig));
+  EXPECT_FALSE(verifies(registry, bytes_of("msg"), sig));
 }
 
 TEST(SignatureTest, EnrollIsIdempotent) {
@@ -81,20 +88,20 @@ TEST(SignatureTest, ResetRekeysAndDropsEnrollments) {
   SigningKey old_key = registry.enroll("server-0");
   Bytes msg = bytes_of("payload");
   Signature old_sig = old_key.sign(msg);
-  ASSERT_TRUE(registry.verify(msg, old_sig));
+  ASSERT_TRUE(verifies(registry, msg, old_sig));
 
   registry.reset(2);
   // All enrollments are gone and old-master signatures no longer verify.
   EXPECT_EQ(registry.enrolled_count(), 0u);
   EXPECT_FALSE(registry.is_enrolled("server-0"));
-  EXPECT_FALSE(registry.verify(msg, old_sig));
+  EXPECT_FALSE(verifies(registry, msg, old_sig));
   // Re-enrolling under the new master yields a different, working secret.
   SigningKey new_key = registry.enroll("server-0");
   Signature new_sig = new_key.sign(msg);
   EXPECT_NE(new_sig.tag, old_sig.tag);
-  EXPECT_TRUE(registry.verify(msg, new_sig));
+  EXPECT_TRUE(verifies(registry, msg, new_sig));
   // Stale handles keep signing under the OLD secret: their tags fail.
-  EXPECT_FALSE(registry.verify(msg, old_key.sign(msg)));
+  EXPECT_FALSE(verifies(registry, msg, old_key.sign(msg)));
 
   // reset(same seed) is equivalent to fresh construction with that seed.
   registry.reset(1);
@@ -123,8 +130,8 @@ TEST(SignatureTest, DoubleSignatureChain) {
   append(over_signed, BytesView(server_sig.tag.data(), server_sig.tag.size()));
   Signature proxy_sig = proxy.sign(over_signed);
 
-  EXPECT_TRUE(registry.verify(response, server_sig));
-  EXPECT_TRUE(registry.verify(over_signed, proxy_sig));
+  EXPECT_TRUE(verifies(registry, response, server_sig));
+  EXPECT_TRUE(verifies(registry, over_signed, proxy_sig));
 }
 
 }  // namespace

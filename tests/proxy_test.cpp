@@ -16,6 +16,7 @@ namespace fortress::proxy {
 namespace {
 
 using replication::Message;
+using replication::MessageView;
 using replication::MsgType;
 using replication::RequestId;
 
@@ -28,8 +29,8 @@ class ClientEndpoint : public net::Handler {
   ~ClientEndpoint() override { net_.detach(addr_); }
 
   void on_message(const net::Envelope& env) override {
-    auto msg = Message::decode(env.payload);
-    if (msg) responses.push_back(*msg);
+    auto msg = MessageView::decode(env.payload);
+    if (msg) responses.push_back(msg->materialize());
   }
 
   void send_request(const RequestId& rid, const std::string& body,
@@ -229,8 +230,11 @@ TEST_F(ProxyTest, ForwardsAndOverSignsResponses) {
   ASSERT_TRUE(r.signature.has_value());
   ASSERT_TRUE(r.over_signature.has_value());
   EXPECT_EQ(r.over_signature->signer.name, "proxy-0");
-  EXPECT_TRUE(replication::verify_message(r, registry_));
-  EXPECT_TRUE(replication::verify_over_signature(r, registry_));
+  const Bytes wire = r.encode();
+  auto view = MessageView::decode(wire);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(replication::verify_message(*view, registry_));
+  EXPECT_TRUE(replication::verify_over_signature(*view, registry_));
 }
 
 TEST_F(ProxyTest, OnlyOneResponsePerClientPerRequest) {

@@ -23,20 +23,37 @@ Message sample() {
   return m;
 }
 
+Bytes to_bytes(BytesView v) { return Bytes(v.begin(), v.end()); }
+
+// Encode `m` and verify the wire through the view verifiers — the only
+// verify path there is.
+bool wire_verifies(const Message& m, const crypto::KeyRegistry& registry) {
+  const Bytes wire = m.encode();
+  auto view = MessageView::decode(wire);
+  return view.has_value() && verify_message(*view, registry);
+}
+
+bool wire_over_verifies(const Message& m, const crypto::KeyRegistry& registry) {
+  const Bytes wire = m.encode();
+  auto view = MessageView::decode(wire);
+  return view.has_value() && verify_over_signature(*view, registry);
+}
+
 TEST(MessageTest, EncodeDecodeRoundTrip) {
   Message m = sample();
-  auto decoded = Message::decode(m.encode());
+  const Bytes wire = m.encode();
+  auto decoded = MessageView::decode(wire);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, m.type);
-  EXPECT_EQ(decoded->view, m.view);
-  EXPECT_EQ(decoded->seq, m.seq);
-  EXPECT_EQ(decoded->sender_index, m.sender_index);
-  EXPECT_EQ(decoded->request_id, m.request_id);
-  EXPECT_EQ(decoded->requester, m.requester);
-  EXPECT_EQ(decoded->payload, m.payload);
-  EXPECT_EQ(decoded->aux, m.aux);
-  EXPECT_FALSE(decoded->signature.has_value());
-  EXPECT_FALSE(decoded->over_signature.has_value());
+  EXPECT_EQ(decoded->type(), m.type);
+  EXPECT_EQ(decoded->view(), m.view);
+  EXPECT_EQ(decoded->seq(), m.seq);
+  EXPECT_EQ(decoded->sender_index(), m.sender_index);
+  EXPECT_EQ(decoded->request_id(), m.request_id);
+  EXPECT_EQ(decoded->requester(), m.requester);
+  EXPECT_EQ(to_bytes(decoded->payload()), m.payload);
+  EXPECT_EQ(to_bytes(decoded->aux()), m.aux);
+  EXPECT_FALSE(decoded->signature().has_value());
+  EXPECT_FALSE(decoded->over_signature().has_value());
 }
 
 TEST(MessageTest, RoundTripWithSignatures) {
@@ -47,35 +64,37 @@ TEST(MessageTest, RoundTripWithSignatures) {
   Message m = sample();
   sign_message(m, server);
   over_sign_message(m, proxy);
-  auto decoded = Message::decode(m.encode());
+  const Bytes wire = m.encode();
+  auto decoded = MessageView::decode(wire);
   ASSERT_TRUE(decoded.has_value());
-  ASSERT_TRUE(decoded->signature.has_value());
-  ASSERT_TRUE(decoded->over_signature.has_value());
-  EXPECT_EQ(decoded->signature->signer.name, "server-0");
-  EXPECT_EQ(decoded->over_signature->signer.name, "proxy-0");
+  ASSERT_TRUE(decoded->signature().has_value());
+  ASSERT_TRUE(decoded->over_signature().has_value());
+  EXPECT_EQ(decoded->signature()->signer, "server-0");
+  EXPECT_EQ(decoded->over_signature()->signer, "proxy-0");
   EXPECT_TRUE(verify_message(*decoded, registry));
   EXPECT_TRUE(verify_over_signature(*decoded, registry));
 }
 
 TEST(MessageTest, EmptyFieldsRoundTrip) {
   Message m;
-  auto decoded = Message::decode(m.encode());
+  const Bytes wire = m.encode();
+  auto decoded = MessageView::decode(wire);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->request_id.client, "");
-  EXPECT_TRUE(decoded->payload.empty());
+  EXPECT_EQ(decoded->request_client(), "");
+  EXPECT_TRUE(decoded->payload().empty());
 }
 
 TEST(MessageTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(Message::decode(bytes_of("not a message")).has_value());
-  EXPECT_FALSE(Message::decode(Bytes{}).has_value());
-  EXPECT_FALSE(Message::decode(Bytes{0x46, 0x54}).has_value());
+  EXPECT_FALSE(MessageView::decode(bytes_of("not a message")).has_value());
+  EXPECT_FALSE(MessageView::decode(Bytes{}).has_value());
+  EXPECT_FALSE(MessageView::decode(Bytes{0x46, 0x54}).has_value());
 }
 
 TEST(MessageTest, DecodeRejectsTruncation) {
   Bytes wire = sample().encode();
   for (std::size_t cut : {wire.size() - 1, wire.size() / 2, std::size_t{5}}) {
     EXPECT_FALSE(
-        Message::decode(BytesView(wire.data(), cut)).has_value())
+        MessageView::decode(BytesView(wire.data(), cut)).has_value())
         << "cut=" << cut;
   }
 }
@@ -83,7 +102,7 @@ TEST(MessageTest, DecodeRejectsTruncation) {
 TEST(MessageTest, DecodeRejectsTrailingBytes) {
   Bytes wire = sample().encode();
   wire.push_back(0);
-  EXPECT_FALSE(Message::decode(wire).has_value());
+  EXPECT_FALSE(MessageView::decode(wire).has_value());
 }
 
 TEST(MessageTest, SignatureCoversAllCoreFields) {
@@ -91,21 +110,21 @@ TEST(MessageTest, SignatureCoversAllCoreFields) {
   crypto::SigningKey key = registry.enroll("server-0");
   Message m = sample();
   sign_message(m, key);
-  ASSERT_TRUE(verify_message(m, registry));
+  ASSERT_TRUE(wire_verifies(m, registry));
 
   // Any mutated core field must invalidate the signature.
   Message t1 = m;
   t1.payload = bytes_of("tampered");
-  EXPECT_FALSE(verify_message(t1, registry));
+  EXPECT_FALSE(wire_verifies(t1, registry));
   Message t2 = m;
   t2.seq += 1;
-  EXPECT_FALSE(verify_message(t2, registry));
+  EXPECT_FALSE(wire_verifies(t2, registry));
   Message t3 = m;
   t3.request_id.seq += 1;
-  EXPECT_FALSE(verify_message(t3, registry));
+  EXPECT_FALSE(wire_verifies(t3, registry));
   Message t4 = m;
   t4.sender_index += 1;
-  EXPECT_FALSE(verify_message(t4, registry));
+  EXPECT_FALSE(wire_verifies(t4, registry));
 }
 
 TEST(MessageTest, OverSignatureBindsInnerSignature) {
@@ -117,14 +136,14 @@ TEST(MessageTest, OverSignatureBindsInnerSignature) {
   Message m = sample();
   sign_message(m, server0);
   over_sign_message(m, proxy);
-  ASSERT_TRUE(verify_over_signature(m, registry));
+  ASSERT_TRUE(wire_over_verifies(m, registry));
 
   // Swapping the inner signature for another server's (even a valid one)
   // must break the proxy's endorsement.
   Message swapped = m;
   sign_message(swapped, server1);  // still a valid inner signature...
-  EXPECT_TRUE(verify_message(swapped, registry));
-  EXPECT_FALSE(verify_over_signature(swapped, registry));
+  EXPECT_TRUE(wire_verifies(swapped, registry));
+  EXPECT_FALSE(wire_over_verifies(swapped, registry));
 }
 
 TEST(MessageTest, OverSignWithoutInnerViolatesContract) {
@@ -137,8 +156,8 @@ TEST(MessageTest, OverSignWithoutInnerViolatesContract) {
 TEST(MessageTest, VerifyMissingSignatureIsFalse) {
   crypto::KeyRegistry registry(1);
   Message m = sample();
-  EXPECT_FALSE(verify_message(m, registry));
-  EXPECT_FALSE(verify_over_signature(m, registry));
+  EXPECT_FALSE(wire_verifies(m, registry));
+  EXPECT_FALSE(wire_over_verifies(m, registry));
 }
 
 TEST(RequestIdTest, OrderingAndFormat) {
@@ -214,7 +233,9 @@ TEST(MessageViewTest, SigningBytesMatchLegacySplice) {
     Bytes wire = m.encode();
     auto view = MessageView::decode(wire);
     ASSERT_TRUE(view.has_value());
-    EXPECT_EQ(view->signing_bytes(), m.signing_bytes());
+    Bytes signing;
+    view->signing_bytes_into(signing);
+    EXPECT_EQ(signing, m.signing_bytes());
     if (m.signature.has_value()) {
       Bytes over;
       view->over_signing_bytes_into(over);
@@ -242,19 +263,53 @@ TEST(MessageViewTest, ViewVerifyRejectsWhatLegacyRejects) {
       pristine->payload().data() - wire.data());
   Bytes tampered = wire;
   tampered[payload_off] ^= 0xff;
-  auto legacy = Message::decode(tampered);
   auto view = MessageView::decode(tampered);
-  ASSERT_TRUE(legacy.has_value());
   ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(verify_message(*legacy, registry), verify_message(*view, registry));
   EXPECT_FALSE(verify_message(*view, registry));
+  // The re-encoding reference agrees: the materialized record's
+  // Message::signing_bytes() does not carry the tag either.
+  const Message reference = view->materialize();
+  EXPECT_FALSE(registry.verify_tag(
+      reference.signing_bytes(), reference.signature->signer.name,
+      BytesView(reference.signature->tag.data(),
+                reference.signature->tag.size())));
 
-  auto unsigned_view = MessageView::decode(wire);
   Message no_sig = sample();
   Bytes no_sig_wire = no_sig.encode();
   auto no_sig_view = MessageView::decode(no_sig_wire);
   ASSERT_TRUE(no_sig_view.has_value());
   EXPECT_FALSE(verify_message(*no_sig_view, registry));
+}
+
+TEST(MessageViewTest, RejectsNonCanonicalSignaturePresence) {
+  // The encoder writes a signature-presence byte of exactly 0 or 1. Any
+  // other value has no encoding, so the decoder rejects it: a byte of 2
+  // would otherwise decode as "present" and materialize to a different
+  // wire, splitting the verifiers that splice from the wire from the
+  // re-encoding reference.
+  crypto::KeyRegistry registry(1);
+  crypto::SigningKey server = registry.enroll("server-0");
+  crypto::SigningKey proxy = registry.enroll("proxy-0");
+  Message m = sample();
+  m.type = MsgType::ProxyResponse;
+  sign_message(m, server);
+  over_sign_message(m, proxy);
+  const Bytes wire = m.encode();
+  auto pristine = MessageView::decode(wire);
+  ASSERT_TRUE(pristine.has_value());
+  // Both presence bytes sit just before their signer-length fields.
+  const auto presence_at = [&](std::string_view signer) {
+    return static_cast<std::size_t>(
+        reinterpret_cast<const std::uint8_t*>(signer.data()) - wire.data()) -
+        8 - 1;
+  };
+  for (std::size_t at : {presence_at(pristine->signature()->signer),
+                         presence_at(pristine->over_signature()->signer)}) {
+    ASSERT_EQ(wire[at], 1u);
+    Bytes bent = wire;
+    bent[at] = 2;
+    EXPECT_FALSE(MessageView::decode(bent).has_value()) << "offset " << at;
+  }
 }
 
 TEST(MessageViewTest, ReaddressedEncodeMatchesMaterializedRewrite) {
@@ -368,7 +423,9 @@ TEST(MessageViewTest, RandomizedRoundTripIsBitIdentical) {
     auto view = MessageView::decode(wire);
     ASSERT_TRUE(view.has_value()) << "trial " << trial;
     EXPECT_EQ(view->materialize().encode(), wire) << "trial " << trial;
-    EXPECT_EQ(view->signing_bytes(), m.signing_bytes()) << "trial " << trial;
+    Bytes signing;
+    view->signing_bytes_into(signing);
+    EXPECT_EQ(signing, m.signing_bytes()) << "trial " << trial;
     if (sigs >= 1) {
       EXPECT_TRUE(verify_message(*view, registry)) << "trial " << trial;
     }

@@ -22,8 +22,10 @@ class TestClient : public net::Handler {
   ~TestClient() override { net_.detach(addr_); }
 
   void on_message(const net::Envelope& env) override {
-    auto msg = Message::decode(env.payload);
-    if (msg && msg->type == MsgType::Response) responses.push_back(*msg);
+    auto msg = MessageView::decode(env.payload);
+    if (msg && msg->type() == MsgType::Response) {
+      responses.push_back(msg->materialize());
+    }
   }
 
   void send_request(const RequestId& rid, const std::string& body,
@@ -112,7 +114,10 @@ TEST_F(PbTest, AllReplicasSignAndAnswer) {
   EXPECT_EQ(responders.size(), 3u);
   // All responses carry valid signatures.
   for (const auto& r : client_.responses) {
-    EXPECT_TRUE(verify_message(r, registry_));
+    const Bytes wire = r.encode();
+    auto view = MessageView::decode(wire);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_TRUE(verify_message(*view, registry_));
   }
 }
 
