@@ -210,11 +210,21 @@ double time_ns(int iters, Fn&& fn) {
          1e9 / iters;
 }
 
-// BenchRecorder-schema crypto records, written next to the google-benchmark
+// BenchRecorder-schema kernel records, written next to the google-benchmark
 // JSON: unlike that output (informational), these entries are diffed by the
-// bench_diff target against bench/baseline.json. Each record carries the
-// numeric SHA-256 dispatch tier (0 = scalar, 2 = sha-ni) so a
+// bench_diff target against bench/baseline.json. Each crypto record carries
+// the numeric SHA-256 dispatch tier (0 = scalar, 2 = sha-ni) so a
 // perf number is always explicable by the kernel that produced it.
+//
+// The two codec records time what decoding one protocol message costs at
+// the two depths a handler can choose from, over a signed StateUpdate-sized
+// record (every field populated — the shape replicas exchange):
+//  * codec_header_peek — MessageView::peek: magic + fixed header only (the
+//    cheapest route/drop decision);
+//  * codec_view_decode — MessageView::decode: full structural validation
+//    with every field borrowed from the wire (what every handler
+//    dispatches on).
+// Each is ns per batch of kCodecBatch decodes; items/sec counts messages.
 bool write_crypto_records(const std::string& path) {
   bench::BenchRecorder rec;
   const double tier =
@@ -238,6 +248,40 @@ bool write_crypto_records(const std::string& path) {
     });
     rec.add("micro.hmac_sign", ns, 1e9 / ns, extras);
   }
+  {
+    crypto::KeyRegistry registry(7);
+    crypto::SigningKey key = registry.enroll("s1-server-0");
+    replication::Message msg;
+    msg.type = replication::MsgType::StateUpdate;
+    msg.view = 3;
+    msg.seq = 1234;
+    msg.sender_index = 0;
+    msg.request_id = {"client-17", 42};
+    msg.requester = "s2-proxy-1";
+    msg.payload = bytes_of("VALUE some-kv-response-body");
+    msg.aux = Bytes(96, 0xa5);  // snapshot-ish blob
+    replication::sign_message(msg, key);
+    const Bytes wire = msg.encode();
+
+    constexpr int kCodecBatch = 10000;
+    // Sink the decoded bits so the optimizer cannot drop the decode.
+    std::uint64_t sink = 0;
+    double ns = time_ns(2000, [&] {
+      for (int i = 0; i < kCodecBatch; ++i) {
+        auto h = replication::MessageView::peek(wire);
+        sink += static_cast<std::uint64_t>(h->type) + h->seq;
+      }
+    });
+    rec.add("codec_header_peek", ns, 1e9 / ns * kCodecBatch);
+    ns = time_ns(500, [&] {
+      for (int i = 0; i < kCodecBatch; ++i) {
+        auto v = replication::MessageView::decode(wire);
+        sink += v->payload().size() + v->request_client().size();
+      }
+    });
+    rec.add("codec_view_decode", ns, 1e9 / ns * kCodecBatch);
+    benchmark::DoNotOptimize(sink);
+  }
   return rec.write_json(path);
 }
 
@@ -246,7 +290,7 @@ bool write_crypto_records(const std::string& path) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   // Everything google-benchmark did not consume is the BenchRecorder output
-  // path for the gated crypto records.
+  // path for the gated crypto and codec records.
   const std::string out =
       argc > 1 ? argv[argc - 1] : "BENCH_micro_crypto.json";
   benchmark::RunSpecifiedBenchmarks();

@@ -19,9 +19,9 @@ namespace fortress::bench {
 /// (BENCH_results.json) so the perf trajectory can be tracked across PRs.
 /// Schema: [{"name": str, "ns_per_op": num, "items_per_sec": num}, ...]
 /// where items_per_sec is 0 when a bench has no natural item rate. A record
-/// may carry further numeric keys (e.g. latency quantiles from the overload
-/// bench); tools/bench_diff.py gates only ns_per_op and renders the extras
-/// in its --report table.
+/// may carry further numeric keys (e.g. bench_micro's SHA-256
+/// dispatch_tier); tools/bench_diff.py gates only ns_per_op and renders the
+/// extras in its --report table.
 class BenchRecorder {
  public:
   using Extras = std::vector<std::pair<std::string, double>>;

@@ -4,37 +4,30 @@
 Usage:
     bench_diff.py BASELINE FRESH [FRESH...] [--threshold 0.15] [--report]
 
-Multiple FRESH files are merged into one result set (the baseline spans
-several bench binaries: bench_mc_throughput's BENCH_results.json and
-bench_campaign's BENCH_campaign.json). Exit status is non-zero when any
-benchmark present in both sides regressed by more than THRESHOLD
-(fractional slowdown in ns/op), or when a baseline benchmark is missing
-from the fresh run (renames must update the baseline).
+Every file uses the BenchRecorder schema (bench/bench_util.hpp):
+[{"name", "ns_per_op", "items_per_sec", ...extras}]. Multiple FRESH files
+are merged into one result set (the baseline spans several bench binaries:
+bench_mc_throughput, bench_micro's kernel records and bench_world). Exit
+status is non-zero when any benchmark present in both sides regressed by
+more than THRESHOLD (fractional slowdown in ns/op), or when a baseline
+benchmark is missing from the fresh run (renames must update the baseline).
 
-Two schemas are accepted, so the same tool gates both result files:
-  * BenchRecorder (bench_util.hpp):  [{"name", "ns_per_op", "items_per_sec"}]
-  * google-benchmark --benchmark_out: {"benchmarks": [{"name", "real_time",
-    "time_unit", ...}]}  (aggregate entries like _mean/_stddev are skipped)
-
-Malformed entries (a record missing its "name"/"ns_per_op"/"real_time" key)
-fail with a message naming the file and entry instead of a bare KeyError.
+Malformed entries (a record missing its "name"/"ns_per_op" key) fail with a
+message naming the file and entry instead of a bare KeyError.
 
 --report additionally prints a Markdown before/after table (baseline ns/op,
 fresh ns/op, delta, speedup) ready to paste into a PR description; the
 pass/fail gate and exit status are unchanged.
 
-BenchRecorder entries may carry extra numeric keys beyond the standard
-three (the overload bench emits latency quantiles p50/p99/p999, goodput
-and shed/timeout counts). Extras are never gated — only ns_per_op is — but
---report renders them in a second Markdown table so tail-latency shifts
-are visible in the PR description alongside the throughput deltas.
+Entries may carry extra numeric keys beyond the standard three (bench_micro
+tags each crypto record with its SHA-256 `dispatch_tier`). Extras are never
+gated — only ns_per_op is — but --report renders them in a second Markdown
+table so a number is always shown next to the kernel that produced it.
 """
 
 import argparse
 import json
 import sys
-
-_TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 class SchemaError(ValueError):
@@ -55,34 +48,25 @@ _STANDARD_KEYS = {"name", "ns_per_op", "items_per_sec"}
 
 
 def load_ns_per_op(path):
-    """Return ({benchmark name: ns/op}, {name: {extra key: value}}) from
-    either supported schema. Extras (numeric keys beyond the BenchRecorder
-    standard three) are reporting-only and empty for google-benchmark
-    files."""
+    """Return ({benchmark name: ns/op}, {name: {extra key: value}}).
+    Extras are the numeric keys beyond the standard three; they are
+    reporting-only."""
     with open(path) as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: invalid benchmark JSON: {err}")
+    if not isinstance(data, list):
+        raise SchemaError(f"{path}: unrecognized benchmark JSON schema "
+                          f"(want a BenchRecorder list of records)")
     out, extras = {}, {}
-    if isinstance(data, dict) and "benchmarks" in data:  # google-benchmark
-        for i, b in enumerate(data["benchmarks"]):
-            if b.get("run_type") == "aggregate":
-                continue
-            scale = _TIME_UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
-            name = _require(b, "name", path, i)
-            out[name] = float(_require(b, "real_time", path, i)) * scale
-    elif isinstance(data, list):  # BenchRecorder
-        for i, b in enumerate(data):
-            name = _require(b, "name", path, i)
-            out[name] = float(_require(b, "ns_per_op", path, i))
-            extra = {k: v for k, v in b.items()
-                     if k not in _STANDARD_KEYS
-                     and isinstance(v, (int, float))}
-            if extra:
-                extras[name] = extra
-    else:
-        raise SchemaError(f"{path}: unrecognized benchmark JSON schema")
+    for i, b in enumerate(data):
+        name = _require(b, "name", path, i)
+        out[name] = float(_require(b, "ns_per_op", path, i))
+        extra = {k: v for k, v in b.items()
+                 if k not in _STANDARD_KEYS and isinstance(v, (int, float))}
+        if extra:
+            extras[name] = extra
     return out, extras
 
 

@@ -98,14 +98,11 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("missing the 'ns_per_op' key", out)
 
-    def test_google_benchmark_schema_accepted(self):
-        base = {"benchmarks": [
-            {"name": "g", "real_time": 5.0, "time_unit": "us"}]}
-        fresh = {"benchmarks": [
-            {"name": "g", "real_time": 5.0, "time_unit": "us"},
-            {"name": "g_mean", "real_time": 99.0, "run_type": "aggregate"}]}
-        code, _ = run_diff(base, [fresh])
-        self.assertEqual(code, 0)
+    def test_non_recorder_schema_fails_with_diagnosis(self):
+        code, out = run_diff([entry("a", 100.0)],
+                             [{"benchmarks": [{"name": "a"}]}])
+        self.assertEqual(code, 1)
+        self.assertIn("unrecognized benchmark JSON schema", out)
 
 
 if __name__ == "__main__":
