@@ -1,17 +1,11 @@
-// bench_util.hpp — shared helpers for the reproduction benches.
+// bench_util.hpp — BenchRecorder, the record writer the kernel benches share.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "analysis/evaluator.hpp"
-#include "exec/thread_pool.hpp"
-#include "model/params.hpp"
-#include "montecarlo/engine.hpp"
 
 namespace fortress::bench {
 
@@ -82,67 +76,5 @@ class BenchRecorder {
   };
   std::vector<Record> records_;
 };
-
-/// Evaluate EL with the best available method, mirroring §5: analytic
-/// (closed form / Markov) when it exists, Monte-Carlo otherwise. Returns the
-/// EL and the method label.
-struct ElResult {
-  double el = 0.0;
-  std::string method;
-  bool censored = false;
-};
-
-inline model::SystemShape shape_of(model::SystemKind kind, int n_proxies = 3) {
-  switch (kind) {
-    case model::SystemKind::S0: return model::SystemShape::s0();
-    case model::SystemKind::S1: return model::SystemShape::s1();
-    case model::SystemKind::S2: return model::SystemShape::s2(n_proxies);
-  }
-  return model::SystemShape::s1();
-}
-
-inline ElResult evaluate_el(const model::SystemShape& shape,
-                            const model::AttackParams& params,
-                            model::Obfuscation obf,
-                            std::uint64_t mc_trials = 200000,
-                            std::uint64_t seed = 2026,
-                            unsigned mc_threads = 4) {
-  if (auto analytic = analysis::analytic_lifetime(shape, params, obf)) {
-    return {analytic->expected_lifetime,
-            analysis::to_string(analytic->method), false};
-  }
-  montecarlo::McConfig cfg;
-  cfg.trials = mc_trials;
-  cfg.seed = seed;
-  cfg.max_steps = 1ull << 40;
-  cfg.threads = mc_threads;
-  auto mc = montecarlo::estimate_lifetime(shape, params, obf,
-                                          model::Granularity::Step, cfg);
-  return {mc.expected_lifetime(), "monte-carlo", mc.any_censored()};
-}
-
-/// Run `n` independent parameter-grid cells over the shared thread pool (one
-/// cell per chunk, dynamically scheduled). Cells must write results into
-/// their own index slot and the caller must print AFTER the sweep, in index
-/// order — output is then identical to the sequential sweep for any thread
-/// count. Cells execute on pool workers, so they must not re-enter the pool:
-/// inside a grid, call evaluate_el with mc_threads = 1 (the sequential MC
-/// path never touches the pool; MC results are bit-identical either way).
-template <typename Fn>
-inline void parallel_grid(std::size_t n, Fn&& cell) {
-  exec::ThreadPool::shared().parallel_chunks(
-      n, /*chunk_size=*/1, /*parallelism=*/0,
-      [&](std::uint64_t idx, std::uint64_t, std::uint64_t) {
-        cell(static_cast<std::size_t>(idx));
-      });
-}
-
-/// Print a horizontal rule sized to `width`.
-inline void rule(int width) {
-  for (int i = 0; i < width; ++i) std::putchar('-');
-  std::putchar('\n');
-}
-
-inline const char* pass(bool ok) { return ok ? "PASS" : "FAIL"; }
 
 }  // namespace fortress::bench

@@ -40,12 +40,10 @@ void evaluate_one(model::SystemKind kind, model::Obfuscation obf,
 
   std::printf("%-6s", model::system_label(kind, obf).c_str());
 
-  if (auto analytic = analysis::analytic_lifetime(shape, params, obf)) {
-    std::printf("  %14.6g  (%s)", analytic->expected_lifetime,
-                analysis::to_string(analytic->method));
-  } else {
-    std::printf("  %14s  %s", "-", "(no closed form)");
-  }
+  const analysis::Evaluation analytic =
+      analysis::analytic_lifetime(shape, params, obf);
+  std::printf("  %14.6g  (%s)", analytic.expected_lifetime,
+              analysis::to_string(analytic.method));
 
   montecarlo::McConfig cfg;
   cfg.trials = 100000;

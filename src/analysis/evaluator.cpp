@@ -2,6 +2,7 @@
 
 #include "analysis/markov.hpp"
 #include "analysis/so_numeric.hpp"
+#include "common/check.hpp"
 #include "model/step_model.hpp"
 
 namespace fortress::analysis {
@@ -11,23 +12,15 @@ const char* to_string(Method method) {
     case Method::ClosedForm: return "closed-form";
     case Method::MarkovChain: return "markov-chain";
     case Method::NumericIntegration: return "numeric-integration";
-    case Method::Unavailable: return "unavailable";
   }
   return "?";
 }
 
-bool has_analytic(model::SystemKind kind, model::Obfuscation obf) {
-  (void)kind;
-  (void)obf;
-  return true;  // S2SO gained a numeric evaluator; every cell is covered
-}
-
-std::optional<Evaluation> analytic_lifetime(const model::SystemShape& shape,
-                                            const model::AttackParams& params,
-                                            model::Obfuscation obf) {
+Evaluation analytic_lifetime(const model::SystemShape& shape,
+                              const model::AttackParams& params,
+                              model::Obfuscation obf) {
   shape.validate();
   params.validate();
-  if (!has_analytic(shape.kind, obf)) return std::nullopt;
 
   Evaluation out;
   if (obf == model::Obfuscation::Proactive) {
@@ -56,7 +49,8 @@ std::optional<Evaluation> analytic_lifetime(const model::SystemShape& shape,
       out.method = Method::NumericIntegration;
       return out;
   }
-  return std::nullopt;
+  FORTRESS_CHECK(false);
+  return out;
 }
 
 }  // namespace fortress::analysis

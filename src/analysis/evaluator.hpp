@@ -10,31 +10,25 @@
 //                      order-statistic approximation.
 #pragma once
 
-#include <optional>
-#include <string>
-
 #include "model/params.hpp"
 
 namespace fortress::analysis {
 
 /// Which analytic method produced a number.
-enum class Method { ClosedForm, MarkovChain, NumericIntegration, Unavailable };
+enum class Method { ClosedForm, MarkovChain, NumericIntegration };
 
 const char* to_string(Method method);
 
 struct Evaluation {
   double expected_lifetime = 0.0;
-  Method method = Method::Unavailable;
+  Method method = Method::ClosedForm;
 };
 
-/// True if an exact analytic EL exists for this combination.
-bool has_analytic(model::SystemKind kind, model::Obfuscation obf);
-
-/// Exact analytic EL, or nullopt when has_analytic() is false.
+/// Exact analytic EL; every (system, policy) combination has one.
 /// For Proactive systems with period > 1 the Markov chain is used; with
 /// period == 1 the closed form is used (and the chain agrees — see tests).
-std::optional<Evaluation> analytic_lifetime(const model::SystemShape& shape,
-                                            const model::AttackParams& params,
-                                            model::Obfuscation obf);
+Evaluation analytic_lifetime(const model::SystemShape& shape,
+                              const model::AttackParams& params,
+                              model::Obfuscation obf);
 
 }  // namespace fortress::analysis

@@ -92,15 +92,4 @@ McResult estimate_lifetime(const model::SystemShape& shape,
   return result;
 }
 
-bool mc_feasible(double predicted_el, const McConfig& config,
-                 double budget_events) {
-  if (predicted_el < 0) return false;
-  // Each trial costs O(1) for SO/PO-step and O(expected event count) for
-  // PO-probe; use the conservative O(1 + EL-dependent) proxy: a trial is
-  // charged ~1 event per 1e3 lifetime steps (skip-ahead) plus a constant.
-  double per_trial = 10.0 + predicted_el / 1e3;
-  return per_trial * static_cast<double>(config.trials) <= budget_events &&
-         predicted_el < static_cast<double>(config.max_steps) / 10.0;
-}
-
 }  // namespace fortress::montecarlo

@@ -88,11 +88,4 @@ McResult estimate_lifetime(const model::SystemShape& shape,
                            model::Obfuscation obf, model::Granularity gran,
                            const McConfig& config);
 
-/// Convenience: decide whether Monte-Carlo is feasible for a predicted EL —
-/// i.e., whether `trials` trials are expected to complete within roughly
-/// `budget_events` sampled events. Used by benches to fall back to analytic
-/// methods for very long-lived systems.
-bool mc_feasible(double predicted_el, const McConfig& config,
-                 double budget_events = 5e8);
-
 }  // namespace fortress::montecarlo

@@ -66,7 +66,8 @@ TEST(S2SoNumericTest, ProxyCountTradesPadSpeedAgainstSweepLength) {
   // With alpha = 0.01 the compromise is min(server-via-pad, all-proxies):
   // np = 2 is bounded by the sweep (~2/3 chi), np = 5 by the pad route
   // (~1/6 chi + 1/2 chi), so np = 5 survives slightly LONGER here — the
-  // benefit of extra proxies is not redundancy (see bench_ablation_proxies).
+  // benefit of extra proxies is not redundancy (see paper_report's
+  // ablation_proxies claim).
   auto p = params(0.01, 0.0);
   double np2 = expected_lifetime_s2_so_numeric(SystemShape::s2(2), p);
   double np5 = expected_lifetime_s2_so_numeric(SystemShape::s2(5), p);

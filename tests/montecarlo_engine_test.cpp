@@ -156,17 +156,6 @@ TEST(EngineTest, ThreadsClampedToTrials) {
   EXPECT_EQ(r.stats.count(), 3u);
 }
 
-TEST(FeasibilityTest, ShortLifetimesFeasible) {
-  McConfig cfg = config(10000);
-  EXPECT_TRUE(mc_feasible(100.0, cfg));
-}
-
-TEST(FeasibilityTest, AstronomicalLifetimesInfeasible) {
-  McConfig cfg = config(10000);
-  cfg.max_steps = 1000;
-  EXPECT_FALSE(mc_feasible(1e9, cfg));
-}
-
 TEST(EngineTest, SoTrialsAreCheapEvenForHugeLifetimes) {
   // SO trials are O(1): even at alpha = 1e-5 (EL ~ 3e4 steps) a large batch
   // must complete quickly and uncensored.

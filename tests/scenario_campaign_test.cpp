@@ -714,8 +714,8 @@ TEST(CampaignTest, CrossIsSystemsMajor) {
 // The live stack implements mechanisms (sequential probes, connection
 // side channels, launch pads), not the abstract per-step model, so exact
 // agreement is not expected; tolerance is 25% of the prediction plus the
-// campaign's own 99% confidence half-width (cf. bench_crossvalidate's 35%
-// band for live-vs-model S1).
+// campaign's own 99% confidence half-width (cf. paper_report's live_vs_model
+// band of 0.65-1.45 for S1).
 TEST(CampaignTest, S2LifetimeMatchesMarkovAcrossPlans) {
   struct Case {
     std::uint64_t chi;
