@@ -155,9 +155,10 @@ void bench_pop(BenchRecorder& rec, const char* label, std::uint64_t clients,
   std::uint64_t completed = 0;
   auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
-    scenario::TrialOutcome out = scenario::run_trial(
-        model::SystemKind::S2, plan, 0xB0B5ULL + static_cast<std::uint64_t>(r),
-        sim::SchedulerKind::Wheel);
+    scenario::TrialOutcome out =
+        scenario::TrialArena(sim::SchedulerKind::Wheel)
+            .run(model::SystemKind::S2, plan,
+                 0xB0B5ULL + static_cast<std::uint64_t>(r));
     total_events += out.events_executed;
     completed += out.population.completed;
   }

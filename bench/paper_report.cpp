@@ -389,15 +389,14 @@ struct DetectionRun {
 
 DetectionRun run_detection(double rate) {
   sim::Simulator sim;
-  core::LiveConfig cfg;
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1 << 16;  // large: the attack will not succeed by luck
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
+  cfg.rerandomize = true;
   cfg.step_duration = 100.0;
-  cfg.seed = 11;
   cfg.proxy_blacklist = true;
-  cfg.detection.threshold = 5;
-  cfg.detection.window = 500.0;
-  core::LiveS2 system(sim, cfg, kv_service);
+  cfg.detection_threshold = 5;
+  cfg.detection_window = 500.0;
+  core::LiveS2 system(sim, cfg, /*seed=*/11, kv_service);
   system.start();
   sim.run_until(5.0);
 
@@ -521,14 +520,15 @@ struct Load {
 /// completes, through the deployment's normal client path.
 template <typename System>
 Load closed_loop_load(sim::Time warmup, int requests) {
-  core::LiveConfig cfg;
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1 << 16;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
+  cfg.rerandomize = true;
   cfg.step_duration = 10000.0;  // no reboot during the measurement window
   cfg.latency = net::LatencySpec::uniform(0.4, 0.6);  // ~0.5 per hop
-  cfg.seed = 3;
+  cfg.proxy_blacklist = true;  // S2's detection tier on, as deployed
+  cfg.detection_threshold = 5;
   sim::Simulator sim;
-  System system(sim, cfg, kv_service);
+  System system(sim, cfg, /*seed=*/3, kv_service);
   system.start();
   if (warmup > 0.0) sim.run_until(warmup);
 

@@ -15,16 +15,15 @@ using namespace fortress;
 
 int main() {
   sim::Simulator sim;
-  core::LiveConfig cfg;
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1ull << 16;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
+  cfg.rerandomize = true;
   cfg.step_duration = 100.0;
   cfg.proxy_blacklist = true;
-  cfg.detection.threshold = 5;
-  cfg.detection.window = 500.0;
-  cfg.seed = 99;
+  cfg.detection_threshold = 5;
+  cfg.detection_window = 500.0;
 
-  core::LiveS2 fortress(sim, cfg, [](std::uint32_t) {
+  core::LiveS2 fortress(sim, cfg, /*seed=*/99, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   fortress.start();
@@ -52,8 +51,8 @@ int main() {
   attacker.start();
 
   std::printf("Proxy detection timeline (threshold: %u suspicious events in "
-              "a %.0f-unit window)\n\n", cfg.detection.threshold,
-              cfg.detection.window);
+              "a %.0f-unit window)\n\n", cfg.detection_threshold,
+              cfg.detection_window);
   std::printf("%8s %16s %18s %14s %12s\n", "time", "attacker probes",
               "crashes observed", "blacklisted by", "honest OKs");
   for (int i = 0; i < 74; ++i) std::putchar('-');

@@ -39,15 +39,17 @@ int main() {
               "primary-backup service\n\n");
 
   sim::Simulator sim;
-  core::LiveConfig config;
-  config.keyspace = 1ull << 16;                          // chi = 2^16
-  config.policy = osl::ObfuscationPolicy::Rerandomize;   // proactive obfuscation
-  config.step_duration = 500.0;                          // unit time-step
+  net::ScenarioPlan config;
+  config.keyspace = 1ull << 16;   // chi = 2^16
+  config.rerandomize = true;      // proactive obfuscation
+  config.step_duration = 500.0;   // unit time-step
+  config.proxy_blacklist = true;  // proxy-tier detection (§2.2)
+  config.detection_threshold = 5;
 
   // The replicated service may be non-deterministic: SessionTokenService
   // mints random tokens, which primary-backup replication handles by
   // shipping state (SMR could not re-execute this service).
-  core::LiveS2 fortress(sim, config, [](std::uint32_t index) {
+  core::LiveS2 fortress(sim, config, /*seed=*/1, [](std::uint32_t index) {
     return std::make_unique<replication::SessionTokenService>(7000 + index);
   });
   fortress.start();

@@ -42,12 +42,13 @@ class FalselyDeterministicTokenService final
   replication::SessionTokenService inner_;
 };
 
-core::LiveConfig config() {
-  core::LiveConfig cfg;
+constexpr std::uint64_t kSeed = 77;
+
+net::ScenarioPlan config() {
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1 << 12;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
+  cfg.rerandomize = true;
   cfg.step_duration = 5000.0;
-  cfg.seed = 77;
   return cfg;
 }
 
@@ -59,7 +60,7 @@ int main() {
   // --- 1. Non-deterministic service on primary-backup: fine. -------------
   {
     sim::Simulator sim;
-    core::LiveS1 pb(sim, config(), [](std::uint32_t index) {
+    core::LiveS1 pb(sim, config(), kSeed, [](std::uint32_t index) {
       return std::make_unique<replication::SessionTokenService>(100 + index);
     });
     pb.start();
@@ -82,14 +83,14 @@ int main() {
               "unique_ptr<DeterministicService>;\n"
               "    SessionTokenService is deliberately NOT a "
               "DeterministicService.\n");
-  std::printf("    // core::LiveS0 smr(sim, cfg, [](std::uint32_t i) {\n"
+  std::printf("    // core::LiveS0 smr(sim, plan, seed, [](std::uint32_t i) {\n"
               "    //   return std::make_unique<SessionTokenService>(i); "
               "});  <- type error\n\n");
 
   // --- 3. Faking the determinism claim: divergence, caught by voting. ----
   {
     sim::Simulator sim;
-    core::LiveS0 smr(sim, config(), [](std::uint32_t index) {
+    core::LiveS0 smr(sim, config(), kSeed, [](std::uint32_t index) {
       // Different per-replica seeds, as different machines would have.
       return std::make_unique<FalselyDeterministicTokenService>(200 + index);
     });
@@ -125,7 +126,7 @@ int main() {
   // --- 4. A genuinely deterministic service on SMR: fine. ----------------
   {
     sim::Simulator sim;
-    core::LiveS0 smr(sim, config(), [](std::uint32_t) {
+    core::LiveS0 smr(sim, config(), kSeed, [](std::uint32_t) {
       return std::make_unique<replication::KvService>();
     });
     smr.start();

@@ -33,7 +33,6 @@ class AbsorbingChain {
   AbsorbingChain(Matrix transition, std::size_t transient_count);
 
   std::size_t transient_count() const { return t_; }
-  std::size_t absorbing_count() const { return a_; }
 
   /// Expected number of steps to absorption starting from each transient
   /// state: t = (I - Q)^{-1} 1.

@@ -300,12 +300,4 @@ void DerandAttacker::on_connection_closed(net::ConnectionId id,
   }
 }
 
-int DerandAttacker::controlled_targets() const {
-  int count = 0;
-  for (const auto& channel : channels_) {
-    if (channel->controlled) ++count;
-  }
-  return count;
-}
-
 }  // namespace fortress::attack

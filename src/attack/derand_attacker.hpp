@@ -109,9 +109,6 @@ class DerandAttacker final : public net::Handler {
 
   const AttackerStats& stats() const { return stats_; }
 
-  /// Number of direct targets currently controlled.
-  int controlled_targets() const;
-
   // net::Handler:
   void on_message(const net::Envelope& env) override;
   void on_connection_closed(net::ConnectionId id, net::HostId peer,

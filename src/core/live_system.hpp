@@ -37,30 +37,6 @@
 
 namespace fortress::core {
 
-struct LiveConfig {
-  std::uint64_t keyspace = 1ull << 16;  ///< χ
-  osl::ObfuscationPolicy policy = osl::ObfuscationPolicy::Rerandomize;
-  sim::Time step_duration = 100.0;  ///< the unit time-step
-  /// Network behaviour (fed into net::Network at construction; the
-  /// network's rng_seed is derived from `seed`, overriding network.rng_seed).
-  net::LatencySpec latency = net::LatencySpec::uniform(0.1, 0.5);
-  net::NetworkConfig network;
-  std::uint64_t seed = 1;
-  sim::Time heartbeat_interval = 5.0;
-  sim::Time failover_timeout = 20.0;
-  bool proxy_blacklist = true;
-  proxy::DetectionConfig detection{};
-  /// Per-machine bounded service queue (osl::Machine::configure_service);
-  /// disabled by default — plans without a service model dispatch
-  /// synchronously exactly as before the overload plane existed.
-  net::ServiceModel service{};
-
-  /// Deployment knobs of a scenario plan mapped onto a LiveConfig (network
-  /// behaviour, keyspace, policy, step duration, proxy detection).
-  static LiveConfig from_plan(const net::ScenarioPlan& plan,
-                              std::uint64_t seed);
-};
-
 /// Factory for the replicated service instance each replica runs.
 using ServiceFactory =
     std::function<std::unique_ptr<replication::Service>(std::uint32_t index)>;
@@ -75,10 +51,10 @@ class LiveSystem {
   LiveSystem(const LiveSystem&) = delete;
   LiveSystem& operator=(const LiveSystem&) = delete;
 
-  net::Network& network() { return *network_; }
+  net::Network& network() { return network_; }
   crypto::KeyRegistry& registry() { return registry_; }
   const Directory& directory() const { return directory_; }
-  osl::ObfuscationScheduler& scheduler() { return *scheduler_; }
+  osl::ObfuscationScheduler& scheduler() { return scheduler_; }
   sim::Simulator& simulator() { return sim_; }
 
   /// Boot machines, start applications and the obfuscation clock.
@@ -110,7 +86,7 @@ class LiveSystem {
   /// Campaign trials use this to stop the simulation early.
   std::function<void()> on_failure;
 
-  std::uint64_t steps_completed() const { return scheduler_->steps_completed(); }
+  std::uint64_t steps_completed() const { return scheduler_.steps_completed(); }
 
   // --- class-generic topology hooks (the campaign runner drives every
   // system class through these) -------------------------------------------
@@ -146,35 +122,40 @@ class LiveSystem {
   virtual std::vector<const osl::Machine*> service_machines() const = 0;
 
  protected:
-  LiveSystem(sim::Simulator& sim, LiveConfig config);
+  /// Build the network and obfuscation clock `plan` describes for trial
+  /// `seed` (the plan is validated here, through NetworkConfig::from_plan).
+  LiveSystem(sim::Simulator& sim, const net::ScenarioPlan& plan,
+             std::uint64_t seed);
 
   void latch_failure();
   /// Called on every machine compromise; subclasses evaluate their rule.
   virtual bool compromise_rule() const = 0;
   void watch(osl::Machine& machine);
 
-  /// Install config_.service on one machine under a per-machine seed derived
-  /// from the trial seed and `salt` (a stable per-deployment machine index),
-  /// so service-time draws are independent across machines yet bit-identical
+  /// Install `service` on one machine under a per-machine seed derived from
+  /// the trial seed and `salt` (a stable per-deployment machine index), so
+  /// service-time draws are independent across machines yet bit-identical
   /// between a fresh construction and a pooled reset.
-  void configure_machine_service(osl::Machine& machine, std::uint64_t salt);
+  void configure_machine_service(osl::Machine& machine,
+                                 const net::ServiceModel& service,
+                                 std::uint64_t salt);
+
+  /// Return every machine of one tier to its just-constructed state for
+  /// `plan`: reset under the plan's keyspace, re-watch, and re-install the
+  /// service model under salts first_salt, first_salt + 1, ...
+  void reset_tier(const std::vector<std::unique_ptr<osl::Machine>>& tier,
+                  const net::ScenarioPlan& plan, std::uint64_t first_salt);
 
   /// Subclass half of reset(): return machines/replicas/proxies to their
-  /// just-constructed state (reset + re-watch each machine) under the
-  /// already-updated config_.
-  virtual void reset_components() = 0;
-
-  /// The network/obfuscation configs a LiveConfig implies — shared by
-  /// construction and reset() so the seed-derivation scheme lives in one
-  /// place.
-  static net::NetworkConfig net_config_for(const LiveConfig& config);
-  static osl::ObfuscationConfig obf_config_for(const LiveConfig& config);
+  /// just-constructed state for `plan` under the already-updated seed_.
+  virtual void reset_components(const net::ScenarioPlan& plan) = 0;
 
   sim::Simulator& sim_;
-  LiveConfig config_;
+  std::uint64_t seed_;
+  sim::Time step_duration_;
   crypto::KeyRegistry registry_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<osl::ObfuscationScheduler> scheduler_;
+  net::Network network_;
+  osl::ObfuscationScheduler scheduler_;
   Directory directory_;
   std::unique_ptr<NameServer> nameserver_;
   std::optional<sim::Time> failure_time_;
@@ -183,8 +164,8 @@ class LiveSystem {
 /// S1: 1-tier primary-backup (Definition 2).
 class LiveS1 final : public LiveSystem {
  public:
-  LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
-         int n_servers = 3, const std::string& prefix = "s1");
+  LiveS1(sim::Simulator& sim, const net::ScenarioPlan& plan,
+         std::uint64_t seed, ServiceFactory factory);
 
   void start() override;
 
@@ -198,7 +179,7 @@ class LiveS1 final : public LiveSystem {
 
  private:
   bool compromise_rule() const override;
-  void reset_components() override;
+  void reset_components(const net::ScenarioPlan& plan) override;
 
   std::vector<std::unique_ptr<osl::Machine>> machines_;
   std::vector<std::unique_ptr<replication::PbReplica>> replicas_;
@@ -207,9 +188,9 @@ class LiveS1 final : public LiveSystem {
 /// S0: 1-tier state-machine replication (Definition 1).
 class LiveS0 final : public LiveSystem {
  public:
-  LiveS0(sim::Simulator& sim, LiveConfig config,
-         DeterministicServiceFactory factory, std::uint32_t f = 1,
-         const std::string& prefix = "s0");
+  /// Deploys the smallest SMR quorum 3f+1 >= max(4, plan.n_servers).
+  LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
+         std::uint64_t seed, DeterministicServiceFactory factory);
 
   void start() override;
 
@@ -224,7 +205,7 @@ class LiveS0 final : public LiveSystem {
 
  private:
   bool compromise_rule() const override;
-  void reset_components() override;
+  void reset_components(const net::ScenarioPlan& plan) override;
 
   std::vector<std::unique_ptr<osl::Machine>> machines_;
   std::vector<std::unique_ptr<replication::SmrReplica>> replicas_;
@@ -233,9 +214,8 @@ class LiveS0 final : public LiveSystem {
 /// S2: the FORTRESS deployment (Definition 3).
 class LiveS2 final : public LiveSystem {
  public:
-  LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
-         int n_servers = 3, int n_proxies = 3,
-         const std::string& prefix = "s2");
+  LiveS2(sim::Simulator& sim, const net::ScenarioPlan& plan,
+         std::uint64_t seed, ServiceFactory factory);
 
   void start() override;
 
@@ -259,7 +239,7 @@ class LiveS2 final : public LiveSystem {
 
  private:
   bool compromise_rule() const override;
-  void reset_components() override;
+  void reset_components(const net::ScenarioPlan& plan) override;
 
   std::vector<std::unique_ptr<osl::Machine>> proxy_machines_;
   std::vector<std::unique_ptr<osl::Machine>> server_machines_;
@@ -269,9 +249,7 @@ class LiveS2 final : public LiveSystem {
 };
 
 /// Build the deployment a ScenarioPlan describes for the given system class
-/// (a KvService instance per replica). S0 treats the plan's server count as
-/// a floor, deploying the smallest SMR quorum 3f+1 >= max(4, n_servers)
-/// (the default n_servers = 3 gives the paper's 4-node shape).
+/// (a KvService instance per replica).
 std::unique_ptr<LiveSystem> make_live_system(sim::Simulator& sim,
                                              model::SystemKind kind,
                                              const net::ScenarioPlan& plan,

@@ -17,12 +17,6 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-// The compile-time default tier request (CMake -DFORTRESS_SHA_DISPATCH);
-// the FORTRESS_SHA_DISPATCH environment variable overrides it at startup.
-#ifndef FORTRESS_SHA_DISPATCH_DEFAULT
-#define FORTRESS_SHA_DISPATCH_DEFAULT "native"
-#endif
-
 #if defined(__x86_64__) || defined(__i386__)
 bool cpu_has_shani() {
   static const bool has = [] {
@@ -48,9 +42,8 @@ ShaTier parse_tier_request(const char* request) {
 }
 
 ShaTier select_startup_tier() {
-  const char* env = std::getenv("FORTRESS_SHA_DISPATCH");
-  return parse_tier_request(env != nullptr ? env
-                                           : FORTRESS_SHA_DISPATCH_DEFAULT);
+  // Unset means "native" (parse_tier_request treats nullptr so).
+  return parse_tier_request(std::getenv("FORTRESS_SHA_DISPATCH"));
 }
 
 ShaTier& active_tier_slot() {

@@ -10,14 +10,10 @@
 // tests); dispatch is therefore observationally invisible to everything
 // above, including the campaign golden aggregates.
 //
-// Override order for the startup selection:
-//   1. env FORTRESS_SHA_DISPATCH = scalar | native | shani
-//   2. the CMake cache default (-DFORTRESS_SHA_DISPATCH=..., baked in as
-//      FORTRESS_SHA_DISPATCH_DEFAULT)
-//   3. "native": the best tier CPUID reports.
-// Requesting an unavailable tier falls back to the scalar one, so a
-// scalar-forced CI lane and a heterogeneous fleet both run without
-// special-casing.
+// Startup selection: env FORTRESS_SHA_DISPATCH = scalar | native | shani,
+// or "native" (the best tier CPUID reports) when it is unset. Requesting
+// an unavailable tier falls back to the scalar one, so a scalar-forced CI
+// lane and a heterogeneous fleet both run without special-casing.
 #pragma once
 
 #include <cstddef>

@@ -14,19 +14,16 @@ const char* to_string(CloseReason reason) {
   return "?";
 }
 
-Network::Network(sim::Simulator& sim, std::unique_ptr<LatencyModel> latency,
-                 NetworkConfig config)
-    : sim_(sim),
-      latency_(std::move(latency)),
-      config_(std::move(config)),
-      rng_(config_.rng_seed) {
-  FORTRESS_EXPECTS(latency_ != nullptr);
+Network::Network(sim::Simulator& sim, NetworkConfig config)
+    : sim_(sim), config_(std::move(config)), rng_(config_.rng_seed) {
+  config_.latency.validate();
 }
 
 NetworkConfig NetworkConfig::from_plan(const ScenarioPlan& plan,
                                        std::uint64_t rng_seed) {
   plan.validate();
   NetworkConfig cfg;
+  cfg.latency = plan.latency;
   cfg.drop_probability = plan.drop_probability;
   cfg.duplicate_probability = plan.duplicate_probability;
   cfg.partitions = plan.partitions;
@@ -34,15 +31,8 @@ NetworkConfig NetworkConfig::from_plan(const ScenarioPlan& plan,
   return cfg;
 }
 
-Network::Network(sim::Simulator& sim, const ScenarioPlan& plan,
-                 std::uint64_t rng_seed)
-    : Network(sim, std::make_unique<SpecLatency>(plan.latency),
-              NetworkConfig::from_plan(plan, rng_seed)) {}
-
-void Network::reset(std::unique_ptr<LatencyModel> latency,
-                    NetworkConfig config) {
-  FORTRESS_EXPECTS(latency != nullptr);
-  latency_ = std::move(latency);
+void Network::reset(NetworkConfig config) {
+  config.latency.validate();
   config_ = std::move(config);
   rng_ = Rng(config_.rng_seed);
   // Interner and buffer pool survive (the arena-reuse contract); the host
@@ -112,10 +102,6 @@ void Network::attach(HostId id, Handler& handler) {
   hosts_[id] = &handler;
 }
 
-void Network::detach(const Address& addr, CloseReason reason) {
-  detach(id_of(addr), reason);
-}
-
 void Network::detach(HostId id, CloseReason reason) {
   if (!attached(id)) return;
   hosts_[id] = nullptr;
@@ -162,7 +148,7 @@ void Network::deliver(HostId from, HostId to, Bytes payload,
     recycle_buffer(std::move(payload));
     return;
   }
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(
       delay, [this, from, to, conn, payload = std::move(payload)]() mutable {
         Handler* handler = to < hosts_.size() ? hosts_[to] : nullptr;
@@ -176,10 +162,6 @@ void Network::deliver(HostId from, HostId to, Bytes payload,
             Envelope{from, to, BytesView(payload), conn, false});
         recycle_buffer(std::move(payload));
       });
-}
-
-void Network::send(const Address& from, const Address& to, Bytes payload) {
-  send(intern(from), intern(to), std::move(payload));
 }
 
 void Network::send(HostId from, HostId to, Bytes payload) {
@@ -220,7 +202,7 @@ void Network::send_batch(HostId from, HostId to, Bytes frames,
     recycle_buffer(std::move(frames));
     return;
   }
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(
       delay, [this, from, to, count, frames = std::move(frames)]() mutable {
         Handler* handler = to < hosts_.size() ? hosts_[to] : nullptr;
@@ -250,11 +232,6 @@ void Network::send_batch(HostId from, HostId to, Bytes frames,
       });
 }
 
-std::optional<ConnectionId> Network::connect(const Address& from,
-                                             const Address& to) {
-  return connect(intern(from), intern(to));
-}
-
 std::optional<ConnectionId> Network::connect(HostId from, HostId to) {
   // Refused if either end lacks network presence (caller mid-reboot, or
   // callee down) or an active partition separates the endpoints.
@@ -278,7 +255,7 @@ std::optional<ConnectionId> Network::connect(HostId from, HostId to) {
   c.opened_seq = ++conn_seq_;
   ++open_conns_;
   const ConnectionId id = make_conn_id(slot, c.gen);
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(delay, [this, id, from, to] {
     if (conn_at(id) == nullptr) return;
     Handler* handler = to < hosts_.size() ? hosts_[to] : nullptr;
@@ -286,10 +263,6 @@ std::optional<ConnectionId> Network::connect(HostId from, HostId to) {
     handler->on_connection_opened(id, from);
   });
   return id;
-}
-
-bool Network::send_on(ConnectionId id, const Address& from, Bytes payload) {
-  return send_on(id, id_of(from), std::move(payload));
 }
 
 bool Network::send_on(ConnectionId id, HostId from, Bytes payload) {
@@ -327,16 +300,8 @@ void Network::teardown(ConnectionId id, HostId endpoint, CloseReason reason) {
   notify_closed(peer, id, endpoint, reason);
 }
 
-void Network::close(ConnectionId id, const Address& closer) {
-  teardown(id, id_of(closer), CloseReason::PeerClosed);
-}
-
 void Network::close(ConnectionId id, HostId closer) {
   teardown(id, closer, CloseReason::PeerClosed);
-}
-
-void Network::abort(ConnectionId id, const Address& crasher) {
-  teardown(id, id_of(crasher), CloseReason::PeerCrashed);
 }
 
 void Network::abort(ConnectionId id, HostId crasher) {
@@ -345,7 +310,7 @@ void Network::abort(ConnectionId id, HostId crasher) {
 
 void Network::notify_closed(HostId endpoint, ConnectionId id, HostId peer,
                             CloseReason reason) {
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(delay, [this, endpoint, id, peer, reason] {
     Handler* handler = endpoint < hosts_.size() ? hosts_[endpoint] : nullptr;
     if (handler == nullptr) return;

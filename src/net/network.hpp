@@ -2,7 +2,7 @@
 //
 // Models exactly the network behaviour the paper's attack analysis relies
 // on:
-//  * datagram-style delivery with a pluggable latency model;
+//  * datagram-style delivery with a declarative latency distribution;
 //  * TCP-like connections: when the process behind one endpoint crashes or
 //    closes, the peer receives a Closed notification. This closure signal is
 //    the side channel that de-randomization attacks [Shacham04, Sovarel05]
@@ -16,8 +16,8 @@
 // messages): the live event path is dense-id and allocation-free.
 //  * Addresses are interned to HostId once, at registration; the host table
 //    is a flat vector indexed by id and Envelope carries ids, not strings.
-//    Strings appear only at the configuration boundary (the Address
-//    overloads, ScenarioPlan, logging).
+//    Strings appear only at the configuration boundary (attach/intern,
+//    ScenarioPlan, logging).
 //  * Connections live in a slot table with free-list reuse; ConnectionId
 //    encodes (slot, generation) so lookup is an O(1) indexed check immune to
 //    slot-reuse ABA.
@@ -27,14 +27,13 @@
 //    directly in a pooled buffer; the datagram-duplication path is the only
 //    place a payload is copied.
 //
-// Behaviour (latency distribution, loss, duplication, partitions) is
-// injected either via the classic (LatencyModel, NetworkConfig) pair or
-// wholesale from a declarative net::ScenarioPlan (see scenario.hpp), which
-// is how the scenario campaign runner builds per-experiment networks.
+// Behaviour (latency distribution, loss, duplication, partitions) is one
+// NetworkConfig; NetworkConfig::from_plan derives it from a declarative
+// net::ScenarioPlan (see scenario.hpp), which is how every live deployment
+// builds its network.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,52 +99,11 @@ class Handler {
   }
 };
 
-/// Latency model for message delivery.
-class LatencyModel {
- public:
-  virtual ~LatencyModel() = default;
-  virtual sim::Time sample(Rng& rng) = 0;
-};
-
-/// Constant latency.
-class FixedLatency final : public LatencyModel {
- public:
-  explicit FixedLatency(sim::Time latency) : latency_(latency) {
-    FORTRESS_EXPECTS(latency >= 0);
-  }
-  sim::Time sample(Rng&) override { return latency_; }
-
- private:
-  sim::Time latency_;
-};
-
-/// Uniform latency in [lo, hi].
-class UniformLatency final : public LatencyModel {
- public:
-  UniformLatency(sim::Time lo, sim::Time hi) : lo_(lo), hi_(hi) {
-    FORTRESS_EXPECTS(lo >= 0 && hi >= lo);
-  }
-  sim::Time sample(Rng& rng) override {
-    return lo_ + (hi_ - lo_) * rng.uniform01();
-  }
-
- private:
-  sim::Time lo_;
-  sim::Time hi_;
-};
-
-/// Latency driven by a ScenarioPlan's declarative LatencySpec.
-class SpecLatency final : public LatencyModel {
- public:
-  explicit SpecLatency(LatencySpec spec) : spec_(spec) { spec_.validate(); }
-  sim::Time sample(Rng& rng) override { return spec_.sample(rng); }
-
- private:
-  LatencySpec spec_;
-};
-
 /// Network configuration.
 struct NetworkConfig {
+  /// Per-delivery latency distribution (Network's constructor and reset()
+  /// validate it).
+  LatencySpec latency = LatencySpec::uniform(0.1, 0.5);
   /// Probability an individual datagram is dropped (connections are
   /// reliable; drops model UDP-style client traffic).
   double drop_probability = 0.0;
@@ -161,10 +119,10 @@ struct NetworkConfig {
   std::vector<PartitionWindow> partitions;
   std::uint64_t rng_seed = 1;
 
-  /// THE mapping from a plan's network-behaviour fields. Every consumer
-  /// that builds a network from a ScenarioPlan (the Network plan ctor,
-  /// core::LiveConfig::from_plan) goes through here, so a new field added
-  /// to the plan is wired up in exactly one place.
+  /// THE mapping from a plan's network-behaviour fields, and the one place
+  /// a deployment's plan is validated: core::LiveSystem builds its network
+  /// through here both on construction and on every pooled reset(), so a
+  /// new field added to the plan is wired up in exactly one place.
   static NetworkConfig from_plan(const ScenarioPlan& plan,
                                  std::uint64_t rng_seed);
 };
@@ -172,23 +130,18 @@ struct NetworkConfig {
 /// The simulated network.
 class Network {
  public:
-  Network(sim::Simulator& sim, std::unique_ptr<LatencyModel> latency,
-          NetworkConfig config = {});
-
-  /// Build the network a ScenarioPlan describes: its latency distribution,
-  /// drop/duplication probabilities and partition schedule.
-  Network(sim::Simulator& sim, const ScenarioPlan& plan,
-          std::uint64_t rng_seed);
+  /// Throws PlanValidationError if `config.latency` is invalid.
+  Network(sim::Simulator& sim, NetworkConfig config);
 
   /// Return to the freshly-constructed state under a new behaviour
-  /// (latency model + config): all hosts detach silently (no closure
+  /// (validated as by the constructor): all hosts detach silently (no closure
   /// notifications — the simulation they belonged to is over), all
   /// connections drop, counters and the RNG stream restart. The address
   /// interner and the payload-buffer pool survive — that is the campaign
   /// trial-arena reuse path: a rebuilt deployment re-interns the same
   /// addresses to the same ids. The simulator should be reset by the
   /// caller as well, since in-flight deliveries are scheduled events.
-  void reset(std::unique_ptr<LatencyModel> latency, NetworkConfig config);
+  void reset(NetworkConfig config);
 
   // --- the address/id boundary ---------------------------------------------
 
@@ -220,13 +173,11 @@ class Network {
   /// `reason` tells peers whether this looked like a crash. No-op if not
   /// attached.
   void detach(HostId id, CloseReason reason = CloseReason::PeerClosed);
-  void detach(const Address& addr, CloseReason reason = CloseReason::PeerClosed);
 
   /// True if a host is currently attached.
   bool attached(HostId id) const {
     return id < hosts_.size() && hosts_[id] != nullptr;
   }
-  bool attached(const Address& addr) const { return attached(id_of(addr)); }
 
   // --- payload buffers -----------------------------------------------------
 
@@ -246,7 +197,6 @@ class Network {
   /// time or the drop coin fires. The payload buffer is consumed (recycled
   /// after delivery).
   void send(HostId from, HostId to, Bytes payload);
-  void send(const Address& from, const Address& to, Bytes payload);
 
   /// Datagram from a pooled copy of `payload` — the multi-recipient
   /// broadcast path (encode once, send_copy per recipient).
@@ -271,7 +221,6 @@ class Network {
   /// Returns nullopt if `to` is not attached (connection refused) or the
   /// link is currently partitioned (the SYN is lost).
   std::optional<ConnectionId> connect(HostId from, HostId to);
-  std::optional<ConnectionId> connect(const Address& from, const Address& to);
 
   /// Send on an established connection: exempt from datagram drop and
   /// duplication, ordered by delivery time — but NOT partition-proof. A
@@ -279,7 +228,6 @@ class Network {
   /// at send time with no notification; `true` only means the connection
   /// existed and `from` was an endpoint (false otherwise).
   bool send_on(ConnectionId id, HostId from, Bytes payload);
-  bool send_on(ConnectionId id, const Address& from, Bytes payload);
 
   /// send_on from a pooled copy of `payload` (multi-recipient fan-out over
   /// connections; see send_copy).
@@ -287,13 +235,11 @@ class Network {
 
   /// Close a connection from one side; the peer is notified (PeerClosed).
   void close(ConnectionId id, HostId closer);
-  void close(ConnectionId id, const Address& closer);
 
   /// Tear down a connection because the process (child) behind `crasher`
   /// crashed; the peer is notified with PeerCrashed — the observable signal
   /// a de-randomization attacker relies on.
   void abort(ConnectionId id, HostId crasher);
-  void abort(ConnectionId id, const Address& crasher);
 
   /// Diagnostics/testing: whether an active partition window separates
   /// `x` and `y` right now (always false when the config has no windows).
@@ -349,7 +295,6 @@ class Network {
   void sync_partition_bits() const;
 
   sim::Simulator& sim_;
-  std::unique_ptr<LatencyModel> latency_;
   NetworkConfig config_;
   Rng rng_;
   AddressInterner interner_;

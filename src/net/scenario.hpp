@@ -8,7 +8,7 @@
 //
 // Consumers by layer:
 //  * net::Network reads the network-behaviour fields (latency, drop,
-//    duplication, partitions) — see the Network(sim, plan, seed) ctor;
+//    duplication, partitions) — see NetworkConfig::from_plan;
 //  * core::make_live_system reads the deployment fields;
 //  * scenario::Campaign reads the fault and attack schedules and fans
 //    (system class x plan x seed) grids over a thread pool.
@@ -421,8 +421,9 @@ struct ScenarioPlan {
   /// horizon_steps) — the campaign DROPS such events instead of scheduling
   /// dead work (see FaultEvent) — but it must be finite and >= 0.
   ///
-  /// Called by the plan codec on every load and by run_trial in debug
-  /// builds; campaigns validate every cell plan up front.
+  /// Called by the plan codec on every load, by NetworkConfig::from_plan on
+  /// every deployment construction and pooled reset, and by run_trial in
+  /// debug builds; campaigns validate every cell plan up front.
   void validate() const;
 };
 

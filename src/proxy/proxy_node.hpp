@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -32,6 +31,7 @@
 #include "osl/machine.hpp"
 #include "proxy/probe_log.hpp"
 #include "replication/message.hpp"
+#include "replication/request_table.hpp"
 #include "sim/simulator.hpp"
 
 namespace fortress::proxy {
@@ -133,14 +133,17 @@ class ProxyNode final : public osl::Application {
   ProxyStats stats_;
   ProbeLog log_;
 
+  /// Per-request fan-in state. Both id lists are sorted ascending (kept by
+  /// insert_sorted_unique), so responses go out in HostId order.
   struct PendingRequest {
-    std::set<net::HostId> clients;   ///< who asked
-    std::set<net::HostId> answered;  ///< who already got a response
+    replication::RequestId rid;
+    std::uint64_t hash = 0;
+    std::vector<net::HostId> clients;   ///< who asked
+    std::vector<net::HostId> answered;  ///< who already got a response
   };
-  /// Transparent comparator: probed with the borrowed (client, seq) key of
-  /// a MessageView — the per-message lookup allocates nothing.
-  std::map<replication::RequestId, PendingRequest, replication::RequestIdLess>
-      pending_;
+  /// Probed with the borrowed (client, seq) key of a MessageView — the
+  /// per-message lookup allocates nothing.
+  replication::RequestTable<PendingRequest> pending_;
   std::set<net::HostId> blacklist_;
   /// Splice target for over-signing (capacity reused across responses).
   Bytes sign_scratch_;

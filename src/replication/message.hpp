@@ -67,29 +67,6 @@ struct RequestId {
   std::string to_string() const { return client + "#" + std::to_string(seq); }
 };
 
-/// A borrowed request identity (the MessageView fields) for probing
-/// RequestId-keyed containers without materializing the client string.
-struct RequestKeyRef {
-  std::string_view client;
-  std::uint64_t seq = 0;
-};
-
-/// Transparent strict-weak order over RequestId / RequestKeyRef, matching
-/// RequestId's own (client, seq) ordering.
-struct RequestIdLess {
-  using is_transparent = void;
-  static std::pair<std::string_view, std::uint64_t> key(const RequestId& r) {
-    return {r.client, r.seq};
-  }
-  static std::pair<std::string_view, std::uint64_t> key(const RequestKeyRef& r) {
-    return {r.client, r.seq};
-  }
-  template <typename A, typename B>
-  bool operator()(const A& a, const B& b) const {
-    return key(a) < key(b);
-  }
-};
-
 /// The universal protocol record.
 struct Message {
   MsgType type = MsgType::Request;

@@ -55,19 +55,18 @@ void apply_fault(core::LiveSystem& sys, const net::FaultEvent& fault) {
   }
 }
 
-/// The trial driver shared by the fresh-stack path (run_trial) and the
-/// pooled path (TrialArena::run): schedule the plan's faults, wire the
+/// TrialArena::run's trial driver: schedule the plan's faults, wire the
 /// attacker, simulate to compromise or horizon, collect the outcome.
 /// `live` must be freshly constructed or freshly reset for (plan, seed).
-/// `pool` (nullable) carries a pooled attacker across trials: when the
-/// wiring this trial needs matches the cached shape, the attacker is
-/// reset in place; otherwise it is rebuilt (and cached when pooled).
-/// `pop_pool` (nullable) likewise carries a pooled ClientPopulation; its
-/// reset() handles any shape change, so pooled populations always hit.
+/// `pool` carries the attacker across trials: when the wiring this trial
+/// needs matches the cached shape, the attacker is reset in place;
+/// otherwise it is rebuilt into the pool. `pop_pool` likewise carries the
+/// ClientPopulation; its reset() handles any shape change, so a pooled
+/// population always hits.
 TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
                          const net::ScenarioPlan& plan, std::uint64_t seed,
-                         AttackerPool* pool,
-                         std::unique_ptr<core::ClientPopulation>* pop_pool) {
+                         AttackerPool& pool,
+                         std::unique_ptr<core::ClientPopulation>& pop_pool) {
   live.start();
   live.on_failure = [&sim] { sim.request_stop(); };
 
@@ -87,26 +86,23 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
 
   TrialOutcome out;
   // Construction order — population, then traffic, then attacker — is
-  // identical on the fresh and pooled paths, so every plane interns its
+  // identical on first use and on reuse, so every plane interns its
   // addresses in the same order everywhere; interning order is part of the
   // determinism contract.
   core::ClientPopulation* population = nullptr;
-  std::unique_ptr<core::ClientPopulation> pop_local;  // fresh-path ownership
   if (plan.population.enabled()) {
     const std::uint64_t pop_seed = seed ^ 0x50B5CA1EULL;
-    if (pop_pool != nullptr && *pop_pool != nullptr) {
-      (*pop_pool)->reset(live.directory(), plan.population, horizon, pop_seed);
-      population = pop_pool->get();
+    if (pop_pool != nullptr) {
+      pop_pool->reset(live.directory(), plan.population, horizon, pop_seed);
     } else {
-      pop_local = std::make_unique<core::ClientPopulation>(
+      pop_pool = std::make_unique<core::ClientPopulation>(
           sim, live.network(), live.registry(), live.directory(),
           plan.population, horizon, pop_seed);
-      population = pop_local.get();
-      if (pop_pool != nullptr) *pop_pool = std::move(pop_local);
     }
-  } else if (pop_pool != nullptr) {
+    population = pop_pool.get();
+  } else {
     // A population pooled by an earlier plan must not linger half-wired.
-    pop_pool->reset();
+    pop_pool.reset();
   }
   std::unique_ptr<TrafficGenerator> traffic;
   if (plan.traffic.enabled()) {
@@ -115,7 +111,6 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
         horizon, seed ^ 0x7AFF1CULL);
   }
   attack::DerandAttacker* attacker = nullptr;
-  std::unique_ptr<attack::DerandAttacker> local;  // fresh-path ownership
   if (plan.attack.enabled) {
     // Give the deployment its dial-in window before the attack begins.
     out.events_executed +=
@@ -133,40 +128,36 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
     const std::vector<net::Address> hidden = live.hidden_server_addresses();
     const bool indirect_active =
         !hidden.empty() && acfg.indirect_probes_per_step > 0.0;
-    const bool pool_hit = pool != nullptr && pool->attacker != nullptr &&
-                          pool->direct_wired == plan.attack.direct_enabled &&
-                          pool->sybils == acfg.sybil_identities &&
-                          (!indirect_active || pool->indirect_wired);
+    const bool pool_hit = pool.attacker != nullptr &&
+                          pool.direct_wired == plan.attack.direct_enabled &&
+                          pool.sybils == acfg.sybil_identities &&
+                          (!indirect_active || pool.indirect_wired);
     if (pool_hit) {
-      pool->attacker->reset(acfg, indirect_active);
-      attacker = pool->attacker.get();
+      pool.attacker->reset(acfg, indirect_active);
     } else {
       // Destroy a stale pooled attacker BEFORE wiring the new one: its
       // destructor detaches the shared attacker identities.
-      if (pool != nullptr) pool->attacker.reset();
-      local =
+      pool.attacker.reset();
+      pool.attacker =
           std::make_unique<attack::DerandAttacker>(sim, live.network(), acfg);
       if (plan.attack.direct_enabled) {
         for (osl::Machine* target : live.direct_attack_surface()) {
-          local->add_direct_target(*target);
+          pool.attacker->add_direct_target(*target);
         }
       }
       if (!hidden.empty()) {
         for (osl::Machine* pad : live.launchpad_machines()) {
-          local->add_launchpad(*pad, hidden);
+          pool.attacker->add_launchpad(*pad, hidden);
         }
         if (indirect_active) {
-          local->set_indirect_channel(live.directory().proxies);
+          pool.attacker->set_indirect_channel(live.directory().proxies);
         }
       }
-      attacker = local.get();
-      if (pool != nullptr) {
-        pool->attacker = std::move(local);
-        pool->direct_wired = plan.attack.direct_enabled;
-        pool->indirect_wired = indirect_active;
-        pool->sybils = acfg.sybil_identities;
-      }
+      pool.direct_wired = plan.attack.direct_enabled;
+      pool.indirect_wired = indirect_active;
+      pool.sybils = acfg.sybil_identities;
     }
+    attacker = pool.attacker.get();
     if (!live.failed()) attacker->start();
   }
 
@@ -210,25 +201,15 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
 
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
                        std::uint64_t seed) {
-  return run_trial(system, plan, seed, sim::default_scheduler_kind());
-}
-
-TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
-                       std::uint64_t seed, sim::SchedulerKind scheduler) {
 #ifndef NDEBUG
-  // Debug builds validate the FULL plan here so a malformed hand-authored
-  // plan fails with a precise PlanValidationError at the trial boundary.
-  // Release builds skip it: make_live_system below validates the fields it
-  // consumes (via NetworkConfig::from_plan), and campaigns already validate
-  // every cell before fanning out — per-trial re-validation would be pure
-  // repeated work in the hot path.
+  // Debug builds validate the plan here, before anything is built, so a
+  // malformed hand-authored plan fails with a precise PlanValidationError
+  // at the trial boundary. Release builds rely on the deployment: it
+  // validates the whole plan through NetworkConfig::from_plan on
+  // construction and on every pooled reset.
   plan.validate();
 #endif
-  sim::Simulator sim(scheduler);
-  std::unique_ptr<core::LiveSystem> live =
-      core::make_live_system(sim, system, plan, seed);
-  return drive_trial(sim, *live, plan, seed, /*pool=*/nullptr,
-                     /*pop_pool=*/nullptr);
+  return TrialArena().run(system, plan, seed);
 }
 
 TrialArena::TrialArena() = default;
@@ -261,7 +242,7 @@ TrialOutcome TrialArena::run(model::SystemKind system,
     built_servers_ = plan.n_servers;
     built_proxies_ = plan.n_proxies;
   }
-  return drive_trial(sim_, *live_, plan, seed, &attacker_pool_, &population_);
+  return drive_trial(sim_, *live_, plan, seed, attacker_pool_, population_);
 }
 
 std::vector<StoppingRule> AdaptiveConfig::effective_rules() const {
@@ -506,8 +487,8 @@ CampaignResult run_campaign_subset(
               outcomes[i] =
                   arena != nullptr
                       ? arena->run(cell.system, cell.plan, seed)
-                      : run_trial(cell.system, cell.plan, seed,
-                                  config.scheduler);
+                      : TrialArena(config.scheduler)
+                            .run(cell.system, cell.plan, seed);
             }
           });
 

@@ -118,15 +118,15 @@ struct TrialOutcome {
   core::PopulationStats population;
 };
 
-/// Run one live experiment: build the deployment `plan` describes for
-/// `system`, schedule the plan's faults, wire the plan's attacker to the
-/// system's attack surface, and simulate until compromise or the plan
-/// horizon. Deterministic in (system, plan, seed) — and bit-identical for
-/// either scheduler kind (the wheel/heap differential tests pin this).
+/// Run one live experiment on a fresh stack under the process-wide
+/// scheduler: build the deployment `plan` describes for `system`, schedule
+/// the plan's faults, wire the plan's attacker to the system's attack
+/// surface, and simulate until compromise or the plan horizon. Deterministic
+/// in (system, plan, seed) — and bit-identical for either scheduler kind
+/// (the wheel/heap differential tests pin this; a one-trial
+/// TrialArena(scheduler) picks the kind).
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
                        std::uint64_t seed);
-TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
-                       std::uint64_t seed, sim::SchedulerKind scheduler);
 
 /// One campaign cell: a system class under a scenario.
 struct CampaignCell {
@@ -310,10 +310,6 @@ struct CellStats {
   double mean_lifetime() const {
     return lifetime.count() > 0 ? lifetime.mean() : 0.0;
   }
-  /// Mean per-trial goodput (TrafficStats::goodput is summed by merge).
-  double mean_goodput() const {
-    return trials > 0 ? traffic.goodput / static_cast<double>(trials) : 0.0;
-  }
 };
 
 /// The sidecar and report encode a cell through this table (doubles by bit
@@ -384,11 +380,11 @@ std::vector<CampaignCell> cross(const std::vector<model::SystemKind>& systems,
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell,
                          std::uint64_t trial);
 
-/// Implementation detail of the pooled trial path: the attacker pooled
-/// alongside a TrialArena's deployment (its channels point at the
-/// deployment's machines). Reused via DerandAttacker::reset when the
-/// wiring a fresh trial would produce matches the cached shape flags,
-/// rebuilt otherwise — see drive_trial in campaign.cpp.
+/// Implementation detail of TrialArena: the attacker pooled alongside the
+/// arena's deployment (its channels point at the deployment's machines).
+/// Reused via DerandAttacker::reset when the wiring a trial needs matches
+/// the cached shape flags, rebuilt otherwise — see drive_trial in
+/// campaign.cpp.
 struct AttackerPool {
   std::unique_ptr<attack::DerandAttacker> attacker;
   bool direct_wired = false;
@@ -405,9 +401,11 @@ struct AttackerPool {
 /// fresh — campaign rounds iterate cells in order, so consecutive trials
 /// usually hit.
 ///
-/// run() returns TrialOutcomes bit-identical to the free run_trial() for
-/// every (system, plan, seed) — pooling is a pure setup-cost optimization
-/// (tested). Not thread-safe; campaigns key one arena per pool worker slot
+/// run() is the one trial driver: its first trial builds the stack through
+/// core::make_live_system, later ones reset it, and both give bit-identical
+/// TrialOutcomes for every (system, plan, seed) — pooling is a pure
+/// setup-cost optimization (tested). run_trial() is a one-trial arena. Not
+/// thread-safe; campaigns key one arena per pool worker slot
 /// (exec::ThreadPool::current_slot).
 class TrialArena {
  public:

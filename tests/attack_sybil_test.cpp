@@ -23,15 +23,14 @@ struct Outcome {
 
 Outcome run(unsigned sybil_identities, double total_rate) {
   sim::Simulator sim;
-  core::LiveConfig cfg;
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1ull << 16;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
+  cfg.rerandomize = true;
   cfg.step_duration = 100.0;
-  cfg.seed = 17;
   cfg.proxy_blacklist = true;
-  cfg.detection.threshold = 5;
-  cfg.detection.window = 500.0;
-  core::LiveS2 system(sim, cfg, [](std::uint32_t) {
+  cfg.detection_threshold = 5;
+  cfg.detection_window = 500.0;
+  core::LiveS2 system(sim, cfg, /*seed=*/17, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();

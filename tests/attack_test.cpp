@@ -13,14 +13,19 @@
 namespace fortress::attack {
 namespace {
 
-core::LiveConfig live_config(osl::ObfuscationPolicy policy,
-                             std::uint64_t chi = 64) {
-  core::LiveConfig cfg;
+constexpr std::uint64_t kSeed = 7;
+
+/// Proxy detection is on (blacklisting at threshold 5), as these tests
+/// expect; ScenarioPlan's own defaults leave it off.
+net::ScenarioPlan live_config(osl::ObfuscationPolicy policy,
+                              std::uint64_t chi = 64) {
+  net::ScenarioPlan cfg;
   cfg.keyspace = chi;  // tiny keyspace so attacks land within test budget
-  cfg.policy = policy;
+  cfg.rerandomize = policy == osl::ObfuscationPolicy::Rerandomize;
   cfg.step_duration = 100.0;
   cfg.latency = net::LatencySpec::uniform(0.05, 0.1);
-  cfg.seed = 7;
+  cfg.proxy_blacklist = true;
+  cfg.detection_threshold = 5;
   return cfg;
 }
 
@@ -44,7 +49,7 @@ TEST(AttackTest, DirectAttackBreaksS1UnderRecovery) {
   // probes/step must compromise S1 within ~4-5 steps.
   sim::Simulator sim;
   auto cfg = live_config(osl::ObfuscationPolicy::Recover);
-  core::LiveS1 system(sim, cfg, kv_factory());
+  core::LiveS1 system(sim, cfg, kSeed, kv_factory());
   system.start();
 
   DerandAttacker attacker(sim, system.network(),
@@ -65,7 +70,7 @@ TEST(AttackTest, DirectAttackBreaksS1UnderRecovery) {
 TEST(AttackTest, AttackerObservesCrashesThroughItsConnection) {
   sim::Simulator sim;
   auto cfg = live_config(osl::ObfuscationPolicy::Recover);
-  core::LiveS1 system(sim, cfg, kv_factory());
+  core::LiveS1 system(sim, cfg, kSeed, kv_factory());
   system.start();
   DerandAttacker attacker(sim, system.network(),
                           attacker_config(cfg.keyspace, 8.0, 0.0));
@@ -82,7 +87,7 @@ TEST(AttackTest, RecoveryDoesNotEvictAttackerKnowledge) {
   sim::Simulator sim;
   auto cfg = live_config(osl::ObfuscationPolicy::Recover);
   cfg.step_duration = 50.0;
-  core::LiveS1 system(sim, cfg, kv_factory());
+  core::LiveS1 system(sim, cfg, kSeed, kv_factory());
   system.start();
   AttackerConfig acfg = attacker_config(cfg.keyspace, 16.0, 0.0);
   acfg.step_duration = 50.0;
@@ -103,7 +108,7 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
   // invalidates eliminated candidates.
   sim::Simulator sim;
   auto so_cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
-  core::LiveS1 so_system(sim, so_cfg, kv_factory());
+  core::LiveS1 so_system(sim, so_cfg, kSeed, kv_factory());
   so_system.start();
   DerandAttacker so_attacker(sim, so_system.network(),
                              attacker_config(so_cfg.keyspace, 64.0, 0.0));
@@ -116,7 +121,7 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
 
   sim::Simulator sim2;
   auto po_cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 1 << 10);
-  core::LiveS1 po_system(sim2, po_cfg, kv_factory());
+  core::LiveS1 po_system(sim2, po_cfg, kSeed, kv_factory());
   po_system.start();
   DerandAttacker po_attacker(sim2, po_system.network(),
                              attacker_config(po_cfg.keyspace, 8.0, 0.0));
@@ -134,7 +139,7 @@ TEST(AttackTest, IndirectProbesCrashServersWithoutAttackerFeedback) {
   sim::Simulator sim;
   auto cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
   cfg.proxy_blacklist = false;  // observe raw crash plumbing
-  core::LiveS2 system(sim, cfg, kv_factory());
+  core::LiveS2 system(sim, cfg, kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);
 
@@ -165,9 +170,9 @@ TEST(AttackTest, BlacklistingShutsDownIndirectChannel) {
   sim::Simulator sim;
   auto cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
   cfg.proxy_blacklist = true;
-  cfg.detection.window = 1000.0;
-  cfg.detection.threshold = 4;
-  core::LiveS2 system(sim, cfg, kv_factory());
+  cfg.detection_window = 1000.0;
+  cfg.detection_threshold = 4;
+  core::LiveS2 system(sim, cfg, kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);
 
@@ -199,7 +204,7 @@ TEST(AttackTest, BlacklistingShutsDownIndirectChannel) {
 TEST(AttackTest, CompromisedProxyBecomesLaunchpad) {
   sim::Simulator sim;
   auto cfg = live_config(osl::ObfuscationPolicy::Recover, 64);
-  core::LiveS2 system(sim, cfg, kv_factory());
+  core::LiveS2 system(sim, cfg, kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);
 
@@ -230,8 +235,7 @@ TEST(AttackTest, FortressOutlastsUnfortifiedUnderIdenticalAttack) {
   auto run_s1 = [&](std::uint64_t seed) {
     sim::Simulator sim;
     auto cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 256);
-    cfg.seed = seed;
-    core::LiveS1 system(sim, cfg, kv_factory());
+    core::LiveS1 system(sim, cfg, seed, kv_factory());
     system.start();
     AttackerConfig acfg = attacker_config(256, 32.0, 0.0);
     acfg.seed = seed * 31 + 1;
@@ -246,9 +250,8 @@ TEST(AttackTest, FortressOutlastsUnfortifiedUnderIdenticalAttack) {
   auto run_s2 = [&](std::uint64_t seed) {
     sim::Simulator sim;
     auto cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 256);
-    cfg.seed = seed;
     cfg.proxy_blacklist = false;  // isolate the kappa effect
-    core::LiveS2 system(sim, cfg, kv_factory());
+    core::LiveS2 system(sim, cfg, seed, kv_factory());
     system.start();
     sim.run_until(5.0);
     AttackerConfig acfg = attacker_config(256, 32.0, 8.0);  // kappa = 0.25

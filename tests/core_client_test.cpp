@@ -23,10 +23,8 @@ using replication::RequestId;
 class Responder : public net::Handler {
  public:
   Responder(net::Network& net, net::Address addr)
-      : net_(net), addr_(std::move(addr)) {
-    net_.attach(addr_, *this);
-  }
-  ~Responder() override { net_.detach(addr_); }
+      : net_(net), addr_(std::move(addr)), id_(net_.attach(addr_, *this)) {}
+  ~Responder() override { net_.detach(id_); }
 
   void on_message(const net::Envelope& env) override {
     auto msg = MessageView::decode(env.payload);
@@ -37,7 +35,7 @@ class Responder : public net::Handler {
   }
 
   void send(const net::Address& to, const Message& msg) {
-    net_.send(addr_, to, msg.encode());
+    net_.send(id_, net_.id_of(to), msg.encode());
   }
 
   std::vector<Message> requests;
@@ -46,11 +44,12 @@ class Responder : public net::Handler {
  private:
   net::Network& net_;
   net::Address addr_;
+  net::HostId id_;
 };
 
 class ClientTest : public ::testing::Test {
  protected:
-  ClientTest() : net_(sim_, std::make_unique<net::FixedLatency>(0.5)) {}
+  ClientTest() : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}) {}
 
   Directory fortified_directory() {
     Directory d;
@@ -277,10 +276,9 @@ TEST_F(ClientTest, DirectoryWithNoTargetsViolatesContract) {
 class TimedResponder : public net::Handler {
  public:
   TimedResponder(sim::Simulator& sim, net::Network& net, net::Address addr)
-      : sim_(sim), net_(net), addr_(std::move(addr)) {
-    net_.attach(addr_, *this);
-  }
-  ~TimedResponder() override { net_.detach(addr_); }
+      : sim_(sim), net_(net), addr_(std::move(addr)),
+        id_(net_.attach(addr_, *this)) {}
+  ~TimedResponder() override { net_.detach(id_); }
 
   void on_message(const net::Envelope& env) override {
     auto msg = MessageView::decode(env.payload);
@@ -305,6 +303,7 @@ class TimedResponder : public net::Handler {
   sim::Simulator& sim_;
   net::Network& net_;
   net::Address addr_;
+  net::HostId id_;
 };
 
 TEST_F(ClientTest, BackoffScheduleIsCappedExponential) {

@@ -15,13 +15,18 @@
 namespace fortress::core {
 namespace {
 
-LiveConfig test_config(osl::ObfuscationPolicy policy) {
-  LiveConfig cfg;
+constexpr std::uint64_t kSeed = 42;
+
+/// Proxy detection is on (blacklisting at threshold 5), as these tests
+/// expect; ScenarioPlan's own defaults leave it off.
+net::ScenarioPlan test_config(osl::ObfuscationPolicy policy) {
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1 << 10;
-  cfg.policy = policy;
+  cfg.rerandomize = policy == osl::ObfuscationPolicy::Rerandomize;
   cfg.step_duration = 200.0;
   cfg.latency = net::LatencySpec::uniform(0.1, 0.3);
-  cfg.seed = 42;
+  cfg.proxy_blacklist = true;
+  cfg.detection_threshold = 5;
   return cfg;
 }
 
@@ -54,7 +59,7 @@ std::vector<std::string> collect_responses(sim::Simulator& sim, Client& client,
 
 TEST(LiveS1Test, EndToEndRequests) {
   sim::Simulator sim;
-  LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
@@ -68,9 +73,9 @@ TEST(LiveS1Test, EndToEndRequests) {
 
 TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
   sim::Simulator sim;
-  LiveConfig cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
+  net::ScenarioPlan cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
   cfg.step_duration = 50.0;  // several reboots during the workload
-  LiveS1 system(sim, cfg, kv_factory());
+  LiveS1 system(sim, cfg, kSeed, kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
                 ClientConfig{"client"});
@@ -85,7 +90,7 @@ TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
 
 TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
   sim::Simulator sim;
-  LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
   EXPECT_FALSE(system.failed());
@@ -94,8 +99,9 @@ TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
    public:
     void on_message(const net::Envelope&) override {}
   } attacker;
-  system.network().attach("attacker", attacker);
-  system.network().send("attacker", system.server_machine(2).address(),
+  const net::HostId attacker_id =
+      system.network().attach("attacker", attacker);
+  system.network().send(attacker_id, system.server_machine(2).id(),
                         osl::encode_probe(system.server_machine(2).key()));
   sim.run_until(sim.now() + 5.0);
   EXPECT_TRUE(system.failed());
@@ -105,7 +111,7 @@ TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
 
 TEST(LiveS0Test, EndToEndRequestsWithVoting) {
   sim::Simulator sim;
-  LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 det_kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
@@ -116,22 +122,23 @@ TEST(LiveS0Test, EndToEndRequestsWithVoting) {
 
 TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
   sim::Simulator sim;
-  LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 det_kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
     void on_message(const net::Envelope&) override {}
   } attacker;
-  system.network().attach("attacker", attacker);
+  const net::HostId attacker_id =
+      system.network().attach("attacker", attacker);
 
-  system.network().send("attacker", system.server_machine(1).address(),
+  system.network().send(attacker_id, system.server_machine(1).id(),
                         osl::encode_probe(system.server_machine(1).key()));
   sim.run_until(sim.now() + 5.0);
   EXPECT_EQ(system.currently_compromised(), 1);
   EXPECT_FALSE(system.failed());  // Definition 1: needs MORE than one
 
-  system.network().send("attacker", system.server_machine(3).address(),
+  system.network().send(attacker_id, system.server_machine(3).id(),
                         osl::encode_probe(system.server_machine(3).key()));
   sim.run_until(sim.now() + 5.0);
   EXPECT_TRUE(system.failed());
@@ -139,9 +146,9 @@ TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
 
 TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
   sim::Simulator sim;
-  LiveConfig cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
+  net::ScenarioPlan cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
   cfg.step_duration = 100.0;
-  LiveS0 system(sim, cfg, det_kv_factory());
+  LiveS0 system(sim, cfg, kSeed, det_kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
                 ClientConfig{"client"});
@@ -160,7 +167,7 @@ TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
 
 TEST(LiveS2Test, EndToEndThroughProxies) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
   sim.run_until(5.0);  // proxies dial the servers
@@ -172,7 +179,7 @@ TEST(LiveS2Test, EndToEndThroughProxies) {
 
 TEST(LiveS2Test, DirectoryHidesServerAddresses) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   EXPECT_TRUE(system.directory().fortified());
   EXPECT_TRUE(system.directory().server_addrs.empty());
@@ -182,18 +189,19 @@ TEST(LiveS2Test, DirectoryHidesServerAddresses) {
 
 TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
     void on_message(const net::Envelope&) override {}
   } attacker;
-  system.network().attach("attacker", attacker);
+  const net::HostId attacker_id =
+      system.network().attach("attacker", attacker);
 
   // Two of three proxies: not compromised yet.
   for (int i = 0; i < 2; ++i) {
-    system.network().send("attacker", system.proxy_machine(i).address(),
+    system.network().send(attacker_id, system.proxy_machine(i).id(),
                           osl::encode_probe(system.proxy_machine(i).key()));
   }
   sim.run_until(sim.now() + 5.0);
@@ -201,7 +209,7 @@ TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
   EXPECT_FALSE(system.failed());
 
   // Third proxy: all proxies fallen -> system compromised.
-  system.network().send("attacker", system.proxy_machine(2).address(),
+  system.network().send(attacker_id, system.proxy_machine(2).id(),
                         osl::encode_probe(system.proxy_machine(2).key()));
   sim.run_until(sim.now() + 5.0);
   EXPECT_TRUE(system.failed());
@@ -209,15 +217,16 @@ TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
 
 TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
     void on_message(const net::Envelope&) override {}
   } attacker;
-  system.network().attach("attacker", attacker);
-  system.network().send("attacker", system.server_machine(0).address(),
+  const net::HostId attacker_id =
+      system.network().attach("attacker", attacker);
+  system.network().send(attacker_id, system.server_machine(0).id(),
                         osl::encode_probe(system.server_machine(0).key()));
   sim.run_until(sim.now() + 5.0);
   EXPECT_TRUE(system.failed());
@@ -225,16 +234,17 @@ TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
 
 TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
   sim::Simulator sim;
-  LiveConfig cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
+  net::ScenarioPlan cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
   cfg.step_duration = 50.0;
-  LiveS2 system(sim, cfg, kv_factory());
+  LiveS2 system(sim, cfg, kSeed, kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
     void on_message(const net::Envelope&) override {}
   } attacker;
-  system.network().attach("attacker", attacker);
-  system.network().send("attacker", system.proxy_machine(0).address(),
+  const net::HostId attacker_id =
+      system.network().attach("attacker", attacker);
+  system.network().send(attacker_id, system.proxy_machine(0).id(),
                         osl::encode_probe(system.proxy_machine(0).key()));
   sim.run_until(sim.now() + 5.0);
   ASSERT_TRUE(system.proxy_machine(0).compromised());
@@ -245,7 +255,7 @@ TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
 
 TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
   EXPECT_EQ(system.server_machine(0).key(), system.server_machine(1).key());
@@ -258,7 +268,7 @@ TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
 
 TEST(NameServerTest, ServesSignedDirectory) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
+  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
 
@@ -272,11 +282,13 @@ TEST(NameServerTest, ServesSignedDirectory) {
     }
     std::optional<replication::Message> reply;
   } lookup;
-  system.network().attach("prospective-client", lookup);
+  const net::HostId client_id =
+      system.network().attach("prospective-client", lookup);
 
   replication::Message req;
   req.type = replication::MsgType::NsLookup;
-  system.network().send("prospective-client", kNameServerAddress,
+  system.network().send(client_id,
+                        system.network().id_of(kNameServerAddress),
                         req.encode());
   sim.run_until(sim.now() + 5.0);
 

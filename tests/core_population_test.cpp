@@ -121,8 +121,10 @@ TEST(PopulationTest, WheelAndHeapSchedulersBitIdentical) {
   plan.keyspace = 1ull << 12;
   for (std::uint64_t seed : {41ull, 42ull}) {
     expect_outcomes_equal(
-        run_trial(model::SystemKind::S2, plan, seed, sim::SchedulerKind::Wheel),
-        run_trial(model::SystemKind::S2, plan, seed, sim::SchedulerKind::Heap));
+        TrialArena(sim::SchedulerKind::Wheel)
+            .run(model::SystemKind::S2, plan, seed),
+        TrialArena(sim::SchedulerKind::Heap)
+            .run(model::SystemKind::S2, plan, seed));
   }
 }
 
@@ -156,8 +158,8 @@ TEST(PopulationTest, LossyTrialsTimeOutGiveUpAndRetryIdentically) {
           run_trial(model::SystemKind::S2, *pin.plan, seed);
       expect_outcomes_equal(arena.run(model::SystemKind::S2, *pin.plan, seed),
                             fresh);
-      expect_outcomes_equal(run_trial(model::SystemKind::S2, *pin.plan, seed,
-                                      sim::SchedulerKind::Heap),
+      expect_outcomes_equal(TrialArena(sim::SchedulerKind::Heap)
+                                .run(model::SystemKind::S2, *pin.plan, seed),
                             fresh);
       total.merge(fresh.population);
     }
@@ -174,8 +176,8 @@ TEST(PopulationTest, HundredThousandClientsComplete) {
   // scheduler completes (in test time) with real request round trips.
   net::ScenarioPlan plan = population_plan(100'000, 0.0003, 1);
   plan.latency = net::LatencySpec::uniform(0.01, 0.05);
-  TrialOutcome out =
-      run_trial(model::SystemKind::S1, plan, 51, sim::SchedulerKind::Wheel);
+  TrialOutcome out = TrialArena(sim::SchedulerKind::Wheel)
+                         .run(model::SystemKind::S1, plan, 51);
   EXPECT_GT(out.population.offered, 1'000u);
   EXPECT_GT(out.population.completed, 0u);
   EXPECT_EQ(out.population.rejected_responses, 0u);

@@ -28,8 +28,8 @@ class LossyPbTest : public ::testing::TestWithParam<double> {
     net::NetworkConfig ncfg;
     ncfg.drop_probability = GetParam();
     ncfg.rng_seed = 77;
-    net_ = std::make_unique<net::Network>(
-        sim_, std::make_unique<net::FixedLatency>(0.5), ncfg);
+    ncfg.latency = net::LatencySpec::fixed(0.5);
+    net_ = std::make_unique<net::Network>(sim_, ncfg);
     for (int i = 0; i < 3; ++i) {
       addrs_.push_back("server-" + std::to_string(i));
     }
@@ -97,18 +97,23 @@ INSTANTIATE_TEST_SUITE_P(DropRates, LossyPbTest,
 
 // --- reboot races on the FORTRESS deployment -------------------------------
 
-core::LiveConfig fast_reboot_config() {
-  core::LiveConfig cfg;
+constexpr std::uint64_t kSeed = 5;
+
+/// Proxy detection is on (blacklisting at threshold 5), as these tests
+/// expect; ScenarioPlan's own defaults leave it off.
+net::ScenarioPlan fast_reboot_config() {
+  net::ScenarioPlan cfg;
   cfg.keyspace = 1 << 10;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
+  cfg.rerandomize = true;
   cfg.step_duration = 30.0;  // reboots come thick and fast
-  cfg.seed = 5;
+  cfg.proxy_blacklist = true;
+  cfg.detection_threshold = 5;
   return cfg;
 }
 
 TEST(RebootRaceTest, S2ServesThroughAggressiveRerandomization) {
   sim::Simulator sim;
-  core::LiveS2 system(sim, fast_reboot_config(), [](std::uint32_t) {
+  core::LiveS2 system(sim, fast_reboot_config(), kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -138,9 +143,9 @@ TEST(RebootRaceTest, S2ServesThroughAggressiveRerandomization) {
 
 TEST(RebootRaceTest, ProxyRebootMidRequestIsAbsorbedByOtherProxies) {
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
+  net::ScenarioPlan cfg = fast_reboot_config();
   cfg.step_duration = 10000.0;  // manual reboots only
-  core::LiveS2 system(sim, cfg, [](std::uint32_t) {
+  core::LiveS2 system(sim, cfg, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -159,9 +164,9 @@ TEST(RebootRaceTest, ProxyRebootMidRequestIsAbsorbedByOtherProxies) {
 
 TEST(RebootRaceTest, AllServersRebootTogetherStateSurvives) {
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
+  net::ScenarioPlan cfg = fast_reboot_config();
   cfg.step_duration = 10000.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  core::LiveS1 system(sim, cfg, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -191,9 +196,9 @@ TEST(RebootRaceTest, AllServersRebootTogetherStateSurvives) {
 
 TEST(CascadeTest, PbPrimaryAloneStillServes) {
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
+  net::ScenarioPlan cfg = fast_reboot_config();
   cfg.step_duration = 10000.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  core::LiveS1 system(sim, cfg, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -213,10 +218,9 @@ TEST(CascadeTest, PbPrimaryAloneStillServes) {
 TEST(CascadeTest, PbChainOfFailovers) {
   // Primary dies; successor takes over; successor dies; last replica leads.
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
+  net::ScenarioPlan cfg = fast_reboot_config();
   cfg.step_duration = 100000.0;
-  cfg.failover_timeout = 20.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  core::LiveS1 system(sim, cfg, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();

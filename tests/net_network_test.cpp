@@ -52,17 +52,18 @@ class RecordingHandler : public Handler {
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() {
-    net_.attach("a", a_);
-    net_.attach("b", b_);
+    ida_ = net_.attach("a", a_);
+    idb_ = net_.attach("b", b_);
   }
 
   sim::Simulator sim_;
-  Network net_{sim_, std::make_unique<FixedLatency>(1.0)};
+  Network net_{sim_, {.latency = LatencySpec::fixed(1.0)}};
   RecordingHandler a_{net_}, b_{net_};
+  HostId ida_ = kInvalidHost, idb_ = kInvalidHost;
 };
 
 TEST_F(NetworkTest, DatagramDelivery) {
-  net_.send("a", "b", Bytes{1, 2, 3});
+  net_.send(ida_, idb_, Bytes{1, 2, 3});
   sim_.run();
   ASSERT_EQ(b_.messages.size(), 1u);
   EXPECT_EQ(b_.messages[0].from, "a");
@@ -72,7 +73,7 @@ TEST_F(NetworkTest, DatagramDelivery) {
 }
 
 TEST_F(NetworkTest, DeliveryTakesLatency) {
-  net_.send("a", "b", Bytes{9});
+  net_.send(ida_, idb_, Bytes{9});
   sim_.run_until(0.5);
   EXPECT_TRUE(b_.messages.empty());
   sim_.run_until(1.0);
@@ -80,20 +81,20 @@ TEST_F(NetworkTest, DeliveryTakesLatency) {
 }
 
 TEST_F(NetworkTest, SendToUnknownAddressIsDropped) {
-  net_.send("a", "ghost", Bytes{1});
+  net_.send(ida_, net_.intern("ghost"), Bytes{1});
   sim_.run();
   EXPECT_EQ(net_.delivered_count(), 0u);
 }
 
 TEST_F(NetworkTest, DetachDropsInFlightMessages) {
-  net_.send("a", "b", Bytes{1});
-  net_.detach("b");
+  net_.send(ida_, idb_, Bytes{1});
+  net_.detach(idb_);
   sim_.run();
   EXPECT_TRUE(b_.messages.empty());
 }
 
 TEST_F(NetworkTest, ConnectNotifiesAcceptor) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   ASSERT_TRUE(conn.has_value());
   sim_.run();
   ASSERT_EQ(b_.opened.size(), 1u);
@@ -102,15 +103,15 @@ TEST_F(NetworkTest, ConnectNotifiesAcceptor) {
 }
 
 TEST_F(NetworkTest, ConnectToUnknownRefused) {
-  EXPECT_FALSE(net_.connect("a", "nobody").has_value());
+  EXPECT_FALSE(net_.connect(ida_, net_.intern("nobody")).has_value());
 }
 
 TEST_F(NetworkTest, ConnectionMessagesFlowBothWays) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   ASSERT_TRUE(conn.has_value());
   sim_.run();
-  EXPECT_TRUE(net_.send_on(*conn, "a", Bytes{1}));
-  EXPECT_TRUE(net_.send_on(*conn, "b", Bytes{2}));
+  EXPECT_TRUE(net_.send_on(*conn, ida_, Bytes{1}));
+  EXPECT_TRUE(net_.send_on(*conn, idb_, Bytes{2}));
   sim_.run();
   ASSERT_EQ(b_.messages.size(), 1u);
   ASSERT_EQ(a_.messages.size(), 1u);
@@ -120,17 +121,17 @@ TEST_F(NetworkTest, ConnectionMessagesFlowBothWays) {
 
 TEST_F(NetworkTest, SendOnByNonEndpointRejected) {
   RecordingHandler c{net_};
-  net_.attach("c", c);
-  auto conn = net_.connect("a", "b");
+  const HostId idc = net_.attach("c", c);
+  auto conn = net_.connect(ida_, idb_);
   ASSERT_TRUE(conn.has_value());
   sim_.run();
-  EXPECT_FALSE(net_.send_on(*conn, "c", Bytes{1}));
+  EXPECT_FALSE(net_.send_on(*conn, idc, Bytes{1}));
 }
 
 TEST_F(NetworkTest, CloseNotifiesPeerWithPeerClosed) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   sim_.run();
-  net_.close(*conn, "a");
+  net_.close(*conn, ida_);
   sim_.run();
   ASSERT_EQ(b_.closed.size(), 1u);
   EXPECT_EQ(b_.closed[0].reason, CloseReason::PeerClosed);
@@ -139,38 +140,38 @@ TEST_F(NetworkTest, CloseNotifiesPeerWithPeerClosed) {
 }
 
 TEST_F(NetworkTest, AbortNotifiesPeerWithPeerCrashed) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   sim_.run();
-  net_.abort(*conn, "b");
+  net_.abort(*conn, idb_);
   sim_.run();
   ASSERT_EQ(a_.closed.size(), 1u);
   EXPECT_EQ(a_.closed[0].reason, CloseReason::PeerCrashed);
 }
 
 TEST_F(NetworkTest, SendOnClosedConnectionFails) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   sim_.run();
-  net_.close(*conn, "a");
-  EXPECT_FALSE(net_.send_on(*conn, "a", Bytes{1}));
+  net_.close(*conn, ida_);
+  EXPECT_FALSE(net_.send_on(*conn, ida_, Bytes{1}));
 }
 
 TEST_F(NetworkTest, MessageInFlightWhenConnectionDiesIsDropped) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   sim_.run();
-  net_.send_on(*conn, "a", Bytes{1});
-  net_.close(*conn, "a");  // closes before the 1-unit delivery latency
+  net_.send_on(*conn, ida_, Bytes{1});
+  net_.close(*conn, ida_);  // closes before the 1-unit delivery latency
   sim_.run();
   EXPECT_TRUE(b_.messages.empty());
 }
 
 TEST_F(NetworkTest, DetachClosesAllConnectionsWithReason) {
   RecordingHandler c{net_};
-  net_.attach("c", c);
-  auto c1 = net_.connect("a", "b");
-  auto c2 = net_.connect("c", "b");
+  const HostId idc = net_.attach("c", c);
+  auto c1 = net_.connect(ida_, idb_);
+  auto c2 = net_.connect(idc, idb_);
   sim_.run();
   ASSERT_TRUE(c1 && c2);
-  net_.detach("b", CloseReason::PeerCrashed);
+  net_.detach(idb_, CloseReason::PeerCrashed);
   sim_.run();
   ASSERT_EQ(a_.closed.size(), 1u);
   ASSERT_EQ(c.closed.size(), 1u);
@@ -184,14 +185,14 @@ TEST_F(NetworkTest, AttachTwiceViolatesContract) {
 }
 
 TEST_F(NetworkTest, DetachUnknownIsNoop) {
-  net_.detach("ghost");  // must not throw
+  net_.detach(net_.id_of("ghost"));  // must not throw
 }
 
 TEST_F(NetworkTest, ReattachAfterDetach) {
-  net_.detach("b");
+  net_.detach(idb_);
   RecordingHandler b2{net_};
   net_.attach("b", b2);
-  net_.send("a", "b", Bytes{5});
+  net_.send(ida_, idb_, Bytes{5});
   sim_.run();
   EXPECT_EQ(b2.messages.size(), 1u);
 }
@@ -200,11 +201,12 @@ TEST(NetworkDropTest, DropProbabilityOneDropsEverything) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.drop_probability = 1.0;
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  for (int i = 0; i < 50; ++i) net.send("a", "b", Bytes{1});
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  for (int i = 0; i < 50; ++i) net.send(ida, idb, Bytes{1});
   sim.run();
   EXPECT_TRUE(b.messages.empty());
 }
@@ -213,14 +215,15 @@ TEST(NetworkDropTest, ConnectionsAreReliableDespiteDrops) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.drop_probability = 1.0;  // drops apply to datagrams only
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  auto conn = net.connect("a", "b");
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  auto conn = net.connect(ida, idb);
   sim.run();
   ASSERT_TRUE(conn.has_value());
-  net.send_on(*conn, "a", Bytes{1});
+  net.send_on(*conn, ida, Bytes{1});
   sim.run();
   EXPECT_EQ(b.messages.size(), 1u);
 }
@@ -229,10 +232,10 @@ TEST_F(NetworkTest, DetachLocalDetachReasonReachesPeer) {
   // The reboot/teardown path (osl::Machine) detaches with an explicit
   // reason; the surviving peer must see exactly that reason so it can
   // distinguish an orderly restart from a crash side channel.
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   sim_.run();
   ASSERT_TRUE(conn.has_value());
-  net_.detach("b", CloseReason::LocalDetach);
+  net_.detach(idb_, CloseReason::LocalDetach);
   sim_.run();
   ASSERT_EQ(a_.closed.size(), 1u);
   EXPECT_EQ(a_.closed[0].reason, CloseReason::LocalDetach);
@@ -242,10 +245,10 @@ TEST_F(NetworkTest, DetachLocalDetachReasonReachesPeer) {
 }
 
 TEST_F(NetworkTest, DetachDefaultReasonIsPeerClosed) {
-  auto conn = net_.connect("a", "b");
+  auto conn = net_.connect(ida_, idb_);
   sim_.run();
   ASSERT_TRUE(conn.has_value());
-  net_.detach("b");
+  net_.detach(idb_);
   sim_.run();
   ASSERT_EQ(a_.closed.size(), 1u);
   EXPECT_EQ(a_.closed[0].reason, CloseReason::PeerClosed);
@@ -288,7 +291,7 @@ TEST_F(NetworkTest, SendBatchToDetachedHostIsDropped) {
   const HostId a = net_.id_of("a");
   const HostId b = net_.id_of("b");
   net_.send_batch(a, b, make_frames({{7}, {8}}), 2);
-  net_.detach("b");
+  net_.detach(idb_);
   sim_.run();
   EXPECT_TRUE(b_.messages.empty());
   EXPECT_EQ(net_.delivered_count(), 0u);
@@ -298,7 +301,8 @@ TEST(NetworkBatchDropTest, DropCoinsApplyPerFrame) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.drop_probability = 1.0;
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   const HostId ida = net.attach("a", a);
   const HostId idb = net.attach("b", b);
@@ -312,11 +316,12 @@ TEST(NetworkDupTest, DuplicateProbabilityOneDeliversDatagramTwice) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.duplicate_probability = 1.0;
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  net.send("a", "b", Bytes{7});
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  net.send(ida, idb, Bytes{7});
   sim.run();
   ASSERT_EQ(b.messages.size(), 2u);
   EXPECT_EQ(b.messages[0].payload, (Bytes{7}));
@@ -327,14 +332,15 @@ TEST(NetworkDupTest, ConnectionsNeverDuplicate) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.duplicate_probability = 1.0;  // duplication applies to datagrams only
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  auto conn = net.connect("a", "b");
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  auto conn = net.connect(ida, idb);
   sim.run();
   ASSERT_TRUE(conn.has_value());
-  net.send_on(*conn, "a", Bytes{1});
+  net.send_on(*conn, ida, Bytes{1});
   sim.run();
   EXPECT_EQ(b.messages.size(), 1u);
 }
@@ -343,14 +349,15 @@ TEST(NetworkPartitionTest, ActiveWindowBlocksBothDirections) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{0.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net}, c{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  net.attach("c", c);
-  net.send("a", "b", Bytes{1});  // crosses the island boundary: lost
-  net.send("b", "a", Bytes{2});  // lost
-  net.send("b", "c", Bytes{3});  // both outside the island: delivered
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  const HostId idc = net.attach("c", c);
+  net.send(ida, idb, Bytes{1});  // crosses the island boundary: lost
+  net.send(idb, ida, Bytes{2});  // lost
+  net.send(idb, idc, Bytes{3});  // both outside the island: delivered
   sim.run();
   EXPECT_TRUE(a.messages.empty());
   EXPECT_TRUE(b.messages.empty());
@@ -361,14 +368,15 @@ TEST(NetworkPartitionTest, TrafficFlowsAfterWindowEnds) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{0.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
   // Partition loss is evaluated at SEND time, so heal the window first.
   sim.schedule_at(10.0, [] {});
   sim.run();
-  net.send("a", "b", Bytes{1});
+  net.send(ida, idb, Bytes{1});
   sim.run();
   EXPECT_EQ(b.messages.size(), 1u);
 }
@@ -380,20 +388,21 @@ TEST(NetworkPartitionTest, ConnectionMessageSentDuringWindowIsLost) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{5.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  auto conn = net.connect("a", "b");  // established before the window
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  auto conn = net.connect(ida, idb);  // established before the window
   sim.run();
   ASSERT_TRUE(conn.has_value());
   sim.schedule_at(6.0, [] {});
   sim.run();
-  EXPECT_TRUE(net.send_on(*conn, "a", Bytes{1}));  // inside the window: lost
+  EXPECT_TRUE(net.send_on(*conn, ida, Bytes{1}));  // inside the window: lost
   sim.schedule_at(10.0, [] {});
   sim.run();
   EXPECT_TRUE(b.messages.empty());
-  EXPECT_TRUE(net.send_on(*conn, "a", Bytes{2}));  // window over: delivered
+  EXPECT_TRUE(net.send_on(*conn, ida, Bytes{2}));  // window over: delivered
   sim.run();
   ASSERT_EQ(b.messages.size(), 1u);
   EXPECT_EQ(b.messages[0].payload, (Bytes{2}));
@@ -403,42 +412,52 @@ TEST(NetworkPartitionTest, ConnectRefusedAcrossActivePartition) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{0.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  EXPECT_FALSE(net.connect("a", "b").has_value());
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  EXPECT_FALSE(net.connect(ida, idb).has_value());
   sim.schedule_at(10.0, [] {});
   sim.run();
-  EXPECT_TRUE(net.connect("a", "b").has_value());
+  EXPECT_TRUE(net.connect(ida, idb).has_value());
 }
 
 TEST(NetworkScenarioTest, PlanConstructedNetworkHonorsLatencySpec) {
   sim::Simulator sim;
   ScenarioPlan plan;
   plan.latency = LatencySpec::uniform(2.0, 4.0);
-  Network net(sim, plan, /*rng_seed=*/5);
+  Network net(sim, NetworkConfig::from_plan(plan, /*rng_seed=*/5));
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  for (int i = 0; i < 20; ++i) net.send("a", "b", Bytes{1});
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  for (int i = 0; i < 20; ++i) net.send(ida, idb, Bytes{1});
   sim.run_until(1.99);
   EXPECT_TRUE(b.messages.empty());
   sim.run_until(4.01);
   EXPECT_EQ(b.messages.size(), 20u);
 }
 
-TEST(NetworkLatencyTest, UniformLatencyWithinBounds) {
+TEST(NetworkLatencyTest, UniformSpecWithinBounds) {
   sim::Simulator sim;
-  Network net(sim, std::make_unique<UniformLatency>(2.0, 4.0));
+  Network net(sim, {.latency = LatencySpec::uniform(2.0, 4.0)});
   RecordingHandler a{net}, b{net};
-  net.attach("a", a);
-  net.attach("b", b);
-  for (int i = 0; i < 20; ++i) net.send("a", "b", Bytes{1});
+  const HostId ida = net.attach("a", a);
+  const HostId idb = net.attach("b", b);
+  for (int i = 0; i < 20; ++i) net.send(ida, idb, Bytes{1});
   sim.run_until(1.99);
   EXPECT_TRUE(b.messages.empty());
   sim.run_until(4.01);
   EXPECT_EQ(b.messages.size(), 20u);
+}
+
+TEST(NetworkLatencyTest, InvalidLatencyRejectedAtConstructionAndReset) {
+  sim::Simulator sim;
+  EXPECT_THROW(Network(sim, {.latency = LatencySpec::uniform(2.0, 1.0)}),
+               PlanValidationError);
+  Network net(sim, {.latency = LatencySpec::fixed(1.0)});
+  EXPECT_THROW(net.reset({.latency = LatencySpec::fixed(-1.0)}),
+               PlanValidationError);
 }
 
 }  // namespace

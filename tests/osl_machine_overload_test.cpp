@@ -59,12 +59,12 @@ class NullHandler : public net::Handler {
 class MachineOverloadTest : public ::testing::Test {
  protected:
   MachineOverloadTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(1.0)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(1.0)}),
         machine_(net_, MachineConfig{"target", 16}),
         app_(sim_) {
     machine_.set_application(&app_);
     machine_.boot(5);
-    net_.attach("sender", sender_);
+    sender_id_ = net_.attach("sender", sender_);
   }
 
   net::ServiceModel model(net::OverloadPolicy policy,
@@ -81,7 +81,7 @@ class MachineOverloadTest : public ::testing::Test {
 
   void send_requests(int n) {
     for (int i = 0; i < n; ++i) {
-      net_.send("sender", "target",
+      net_.send(sender_id_, machine_.id(),
                 request_wire("GET k" + std::to_string(i),
                              static_cast<std::uint64_t>(i) + 1));
     }
@@ -92,6 +92,7 @@ class MachineOverloadTest : public ::testing::Test {
   Machine machine_;
   ServiceApp app_;
   NullHandler sender_;
+  net::HostId sender_id_ = net::kInvalidHost;
 };
 
 TEST_F(MachineOverloadTest, DisabledModelDispatchesSynchronously) {
@@ -181,7 +182,7 @@ TEST_F(MachineOverloadTest, DegradeUnsignedMarksDispatchesAboveWatermark) {
 TEST_F(MachineOverloadTest, ControlPlaneBypassesQueueByDefault) {
   machine_.configure_service(model(net::OverloadPolicy::DropTail, 8), 1);
   send_requests(2);
-  net_.send("sender", "target", heartbeat_wire());
+  net_.send(sender_id_, machine_.id(), heartbeat_wire());
   sim_.run_until(1.0);  // delivery instant
   // The heartbeat was dispatched synchronously at delivery; both requests
   // are still queued/in service.
@@ -195,7 +196,7 @@ TEST_F(MachineOverloadTest, ControlPlaneQueuesWhenConfigured) {
   net::ServiceModel m = model(net::OverloadPolicy::DropTail, 8);
   m.queue_control = true;
   machine_.configure_service(m, 1);
-  net_.send("sender", "target", heartbeat_wire());
+  net_.send(sender_id_, machine_.id(), heartbeat_wire());
   sim_.run_until(1.0);
   EXPECT_EQ(app_.payloads.size(), 0u);  // queued, not yet served
   sim_.run_until(10.0);
@@ -205,7 +206,8 @@ TEST_F(MachineOverloadTest, ControlPlaneQueuesWhenConfigured) {
 
 TEST_F(MachineOverloadTest, ProbesAbsorbedBeforeQueue) {
   machine_.configure_service(model(net::OverloadPolicy::DropTail, 8), 1);
-  net_.send("sender", "target", encode_probe(4));  // wrong key: child crash
+  // Wrong key: child crash.
+  net_.send(sender_id_, machine_.id(), encode_probe(4));
   sim_.run_until(5.0);
   EXPECT_EQ(machine_.child_crashes(), 1u);
   EXPECT_EQ(machine_.overload().enqueued, 0u);

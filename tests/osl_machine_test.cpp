@@ -46,10 +46,10 @@ class AttackerHandler : public net::Handler {
 class MachineTest : public ::testing::Test {
  protected:
   MachineTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(1.0)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(1.0)}),
         machine_(net_, MachineConfig{"target", 16}) {
     machine_.set_application(&app_);
-    net_.attach("attacker", attacker_);
+    attacker_id_ = net_.attach("attacker", attacker_);
   }
 
   sim::Simulator sim_;
@@ -57,6 +57,7 @@ class MachineTest : public ::testing::Test {
   Machine machine_;
   RecordingApp app_;
   AttackerHandler attacker_;
+  net::HostId attacker_id_ = net::kInvalidHost;
 };
 
 TEST(ProbeCodecTest, RoundTrip) {
@@ -84,7 +85,7 @@ TEST(ProbeCodecTest, OwnedAck) {
 
 TEST_F(MachineTest, BootAttachesToNetwork) {
   machine_.boot(3);
-  EXPECT_TRUE(net_.attached("target"));
+  EXPECT_TRUE(net_.attached(machine_.id()));
   EXPECT_EQ(machine_.key(), 3u);
   EXPECT_FALSE(machine_.compromised());
 }
@@ -100,10 +101,10 @@ TEST_F(MachineTest, DoubleBootViolatesContract) {
 
 TEST_F(MachineTest, WrongProbeOnConnectionCrashesChild) {
   machine_.boot(5);
-  auto conn = net_.connect("attacker", "target");
+  auto conn = net_.connect(attacker_id_, machine_.id());
   sim_.run();
   ASSERT_TRUE(conn.has_value());
-  net_.send_on(*conn, "attacker", encode_probe(4));  // wrong key
+  net_.send_on(*conn, attacker_id_, encode_probe(4));  // wrong key
   sim_.run();
   EXPECT_EQ(machine_.child_crashes(), 1u);
   EXPECT_FALSE(machine_.compromised());
@@ -119,9 +120,9 @@ TEST_F(MachineTest, CorrectProbeCompromises) {
     fired = true;
     EXPECT_EQ(&m, &machine_);
   });
-  auto conn = net_.connect("attacker", "target");
+  auto conn = net_.connect(attacker_id_, machine_.id());
   sim_.run();
-  net_.send_on(*conn, "attacker", encode_probe(5));  // correct key
+  net_.send_on(*conn, attacker_id_, encode_probe(5));  // correct key
   sim_.run();
   EXPECT_TRUE(machine_.compromised());
   EXPECT_TRUE(fired);
@@ -132,7 +133,7 @@ TEST_F(MachineTest, CorrectProbeCompromises) {
 
 TEST_F(MachineTest, DatagramProbeGivesNoObservableCrash) {
   machine_.boot(5);
-  net_.send("attacker", "target", encode_probe(4));
+  net_.send(attacker_id_, machine_.id(), encode_probe(4));
   sim_.run();
   EXPECT_EQ(machine_.child_crashes(), 1u);
   EXPECT_EQ(attacker_.closures, 0);
@@ -141,7 +142,7 @@ TEST_F(MachineTest, DatagramProbeGivesNoObservableCrash) {
 
 TEST_F(MachineTest, DatagramProbeWithCorrectKeyAcksBack) {
   machine_.boot(5);
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   EXPECT_TRUE(machine_.compromised());
   EXPECT_EQ(attacker_.owned_acks, 1);
@@ -149,15 +150,15 @@ TEST_F(MachineTest, DatagramProbeWithCorrectKeyAcksBack) {
 
 TEST_F(MachineTest, ProbesNeverReachApplication) {
   machine_.boot(5);
-  net_.send("attacker", "target", encode_probe(4));
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(4));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   EXPECT_TRUE(app_.payloads.empty());
 }
 
 TEST_F(MachineTest, NonProbeTrafficReachesApplication) {
   machine_.boot(5);
-  net_.send("attacker", "target", bytes_of("legit request"));
+  net_.send(attacker_id_, machine_.id(), bytes_of("legit request"));
   sim_.run();
   ASSERT_EQ(app_.payloads.size(), 1u);
   EXPECT_EQ(string_of(app_.payloads[0]), "legit request");
@@ -168,20 +169,20 @@ TEST_F(MachineTest, OtherConnectionsSurviveChildCrash) {
   // daemon model): a second client's connection stays open.
   machine_.boot(5);
   AttackerHandler other;
-  net_.attach("client2", other);
-  auto c1 = net_.connect("attacker", "target");
-  auto c2 = net_.connect("client2", "target");
+  const net::HostId client2 = net_.attach("client2", other);
+  auto c1 = net_.connect(attacker_id_, machine_.id());
+  auto c2 = net_.connect(client2, machine_.id());
   sim_.run();
-  net_.send_on(*c1, "attacker", encode_probe(4));
+  net_.send_on(*c1, attacker_id_, encode_probe(4));
   sim_.run();
   EXPECT_EQ(attacker_.crashes_observed, 1);
   EXPECT_EQ(other.closures, 0);
-  EXPECT_TRUE(net_.send_on(*c2, "client2", bytes_of("still here")));
+  EXPECT_TRUE(net_.send_on(*c2, client2, bytes_of("still here")));
 }
 
 TEST_F(MachineTest, RerandomizeCleansesCompromise) {
   machine_.boot(5);
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   ASSERT_TRUE(machine_.compromised());
   machine_.rerandomize(9);
@@ -189,21 +190,21 @@ TEST_F(MachineTest, RerandomizeCleansesCompromise) {
   EXPECT_EQ(machine_.key(), 9u);
   EXPECT_EQ(app_.reboots, 1);
   // Old key no longer works.
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   EXPECT_FALSE(machine_.compromised());
 }
 
 TEST_F(MachineTest, RecoverKeepsKeySoAttackerRecompromises) {
   machine_.boot(5);
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   ASSERT_TRUE(machine_.compromised());
   machine_.recover();
   EXPECT_FALSE(machine_.compromised());
   EXPECT_EQ(machine_.key(), 5u);
   // The attacker still knows the key: instant re-compromise.
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   EXPECT_TRUE(machine_.compromised());
   EXPECT_EQ(machine_.times_compromised(), 2u);
@@ -211,13 +212,13 @@ TEST_F(MachineTest, RecoverKeepsKeySoAttackerRecompromises) {
 
 TEST_F(MachineTest, RebootDropsConnections) {
   machine_.boot(5);
-  auto conn = net_.connect("attacker", "target");
+  auto conn = net_.connect(attacker_id_, machine_.id());
   sim_.run();
   ASSERT_TRUE(conn.has_value());
   machine_.rerandomize(1);
   sim_.run();
   EXPECT_EQ(attacker_.closures, 1);
-  EXPECT_FALSE(net_.send_on(*conn, "attacker", Bytes{1}));
+  EXPECT_FALSE(net_.send_on(*conn, attacker_id_, Bytes{1}));
 }
 
 TEST_F(MachineTest, AttackerCapabilitiesRequireCompromise) {
@@ -231,7 +232,7 @@ TEST_F(MachineTest, CompromisedMachineActsWithItsIdentity) {
   AttackerHandler server;
   net_.attach("server", server);
   machine_.boot(5);
-  net_.send("attacker", "target", encode_probe(5));
+  net_.send(attacker_id_, machine_.id(), encode_probe(5));
   sim_.run();
   ASSERT_TRUE(machine_.compromised());
   auto conn = machine_.attacker_connect(net_.id_of("server"));
@@ -243,7 +244,7 @@ TEST_F(MachineTest, CompromisedMachineActsWithItsIdentity) {
 TEST_F(MachineTest, ShutdownDetaches) {
   machine_.boot(5);
   machine_.shutdown();
-  EXPECT_FALSE(net_.attached("target"));
+  EXPECT_FALSE(net_.attached(machine_.id()));
 }
 
 }  // namespace

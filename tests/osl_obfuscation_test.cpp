@@ -16,7 +16,7 @@ class ObfuscationTest : public ::testing::Test {
   static constexpr std::uint64_t kChi = 1 << 10;
 
   ObfuscationTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.1)) {
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.1)}) {
     for (int i = 0; i < 3; ++i) {
       proxies_.push_back(std::make_unique<Machine>(
           net_, MachineConfig{"proxy-" + std::to_string(i), kChi}));
@@ -110,8 +110,8 @@ TEST_F(ObfuscationTest, StepBoundaryCleansesCompromise) {
    public:
     void on_message(const net::Envelope&) override {}
   } attacker;
-  net_.attach("attacker", attacker);
-  net_.send("attacker", proxies_[0]->address(), encode_probe(proxies_[0]->key()));
+  const net::HostId attacker_id = net_.attach("attacker", attacker);
+  net_.send(attacker_id, proxies_[0]->id(), encode_probe(proxies_[0]->key()));
   sim_.run_until(5.0);
   ASSERT_TRUE(proxies_[0]->compromised());
 

@@ -23,38 +23,41 @@ using replication::RequestId;
 class ClientEndpoint : public net::Handler {
  public:
   ClientEndpoint(net::Network& net, net::Address addr)
-      : net_(net), addr_(std::move(addr)) {
-    net_.attach(addr_, *this);
-  }
-  ~ClientEndpoint() override { net_.detach(addr_); }
+      : net_(net), addr_(std::move(addr)), id_(net_.attach(addr_, *this)) {}
+  ~ClientEndpoint() override { net_.detach(id_); }
 
   void on_message(const net::Envelope& env) override {
     auto msg = MessageView::decode(env.payload);
     if (msg) responses.push_back(msg->materialize());
+    if (arrivals != nullptr) arrivals->push_back(id_);
   }
 
   void send_request(const RequestId& rid, const std::string& body,
-                    const net::Address& proxy) {
+                    net::HostId proxy) {
     Message msg;
     msg.type = MsgType::Request;
     msg.request_id = rid;
     msg.requester = addr_;
     msg.payload = bytes_of(body);
-    net_.send(addr_, proxy, msg.encode());
+    net_.send(id_, proxy, msg.encode());
   }
 
   std::vector<Message> responses;
+  /// When set, every delivery to this endpoint appends its id here.
+  std::vector<net::HostId>* arrivals = nullptr;
   const net::Address& address() const { return addr_; }
+  net::HostId id() const { return id_; }
 
  private:
   net::Network& net_;
   net::Address addr_;
+  net::HostId id_;
 };
 
 // Full slice: one proxy in front of a 3-replica PB tier.
 class ProxyTest : public ::testing::Test {
  protected:
-  ProxyTest() : net_(sim_, std::make_unique<net::FixedLatency>(0.5)) {
+  ProxyTest() : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}) {
     for (int i = 0; i < 3; ++i) {
       server_addrs_.push_back("server-" + std::to_string(i));
     }
@@ -119,10 +122,10 @@ class SilentServer : public net::Handler {
 class ProxyOverloadTest : public ::testing::Test {
  protected:
   ProxyOverloadTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.5)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         server_key_(registry_.enroll("server-0")),
         client_(net_, "client") {
-    net_.attach("server-0", server_);
+    server_id_ = net_.attach("server-0", server_);
     ProxyConfig cfg;
     cfg.address = "proxy-0";
     cfg.servers = {"server-0"};
@@ -150,7 +153,7 @@ class ProxyOverloadTest : public ::testing::Test {
     machine_->boot(20);
     proxy_->start();
     for (std::uint64_t seq = 1; seq <= requests; ++seq) {
-      client_.send_request({"client", seq}, "GET a", "proxy-0");
+      client_.send_request({"client", seq}, "GET a", machine_->id());
     }
     sim_.run_until(sim_.now() + 30.0);
     ASSERT_EQ(proxy_->stats().requests_forwarded, requests);
@@ -166,7 +169,7 @@ class ProxyOverloadTest : public ::testing::Test {
     m.payload = bytes_of("OK");
     replication::sign_message(m, server_key_);
     if (corrupt) m.signature->tag[0] ^= 0x01;
-    net_.send("server-0", "proxy-0", m.encode());
+    net_.send(server_id_, machine_->id(), m.encode());
   }
 
   sim::Simulator sim_;
@@ -177,6 +180,7 @@ class ProxyOverloadTest : public ::testing::Test {
   ClientEndpoint client_;
   std::unique_ptr<osl::Machine> machine_;
   std::unique_ptr<ProxyNode> proxy_;
+  net::HostId server_id_ = net::kInvalidHost;
 };
 
 TEST(ProbeLogTest, ScoreAndWindowExpiry) {
@@ -220,7 +224,7 @@ TEST(ProbeLogTest, UnknownSourceScoresZero) {
 TEST_F(ProxyTest, ForwardsAndOverSignsResponses) {
   boot_and_start();
   ClientEndpoint client(net_, "client");
-  client.send_request({"client", 1}, "PUT a 1", "proxy-0");
+  client.send_request({"client", 1}, "PUT a 1", proxy_machine_->id());
   sim_.run_until(sim_.now() + 30.0);
 
   ASSERT_FALSE(client.responses.empty());
@@ -240,18 +244,38 @@ TEST_F(ProxyTest, ForwardsAndOverSignsResponses) {
 TEST_F(ProxyTest, OnlyOneResponsePerClientPerRequest) {
   boot_and_start();
   ClientEndpoint client(net_, "client");
-  client.send_request({"client", 1}, "PUT a 1", "proxy-0");
+  client.send_request({"client", 1}, "PUT a 1", proxy_machine_->id());
   sim_.run_until(sim_.now() + 40.0);
   // Three servers answered the proxy, but the client hears exactly once.
   EXPECT_EQ(client.responses.size(), 1u);
   EXPECT_EQ(proxy_->stats().responses_delivered, 1u);
 }
 
+TEST_F(ProxyTest, SharedRequestIdAnsweredOncePerHostInHostIdOrder) {
+  boot_and_start();
+  // Two hosts present the same request id. "late" is attached first, so it
+  // holds the smaller HostId although its copy reaches the proxy second.
+  ClientEndpoint late(net_, "late");
+  ClientEndpoint early(net_, "early");
+  ASSERT_LT(late.id(), early.id());
+  std::vector<net::HostId> arrivals;
+  late.arrivals = &arrivals;
+  early.arrivals = &arrivals;
+  early.send_request({"shared", 1}, "PUT a 1", proxy_machine_->id());
+  late.send_request({"shared", 1}, "PUT a 1", proxy_machine_->id());
+  sim_.run_until(sim_.now() + 40.0);
+  // One over-signed response per host, sent in ascending HostId order.
+  EXPECT_EQ(late.responses.size(), 1u);
+  EXPECT_EQ(early.responses.size(), 1u);
+  EXPECT_EQ(arrivals, (std::vector<net::HostId>{late.id(), early.id()}));
+  EXPECT_EQ(proxy_->stats().responses_delivered, 2u);
+}
+
 TEST_F(ProxyTest, MalformedRequestsAreLoggedNotForwarded) {
   boot_and_start();
   ClientEndpoint attacker(net_, "attacker");
   std::uint64_t forwarded_before = proxy_->stats().requests_forwarded;
-  net_.send("attacker", "proxy-0", bytes_of("garbage-bytes"));
+  net_.send(attacker.id(), proxy_machine_->id(), bytes_of("garbage-bytes"));
   sim_.run_until(sim_.now() + 5.0);
   EXPECT_EQ(proxy_->stats().malformed_requests, 1u);
   EXPECT_EQ(proxy_->stats().requests_forwarded, forwarded_before);
@@ -266,7 +290,7 @@ TEST_F(ProxyTest, EmbeddedProbeCrashesServerChildAndProxyObserves) {
   msg.request_id = RequestId{"attacker", 1};
   msg.requester = "attacker";
   msg.payload = osl::encode_probe(999);  // wrong key (server key is 10)
-  net_.send("attacker", "proxy-0", msg.encode());
+  net_.send(attacker.id(), proxy_machine_->id(), msg.encode());
   sim_.run_until(sim_.now() + 10.0);
 
   // Every server child serving the forwarded copies crashed...
@@ -289,13 +313,13 @@ TEST_F(ProxyTest, RepeatedProbesGetSourceBlacklisted) {
     msg.request_id = RequestId{"attacker", i};
     msg.requester = "attacker";
     msg.payload = osl::encode_probe(500 + i);
-    net_.send("attacker", "proxy-0", msg.encode());
+    net_.send(attacker.id(), proxy_machine_->id(), msg.encode());
     sim_.run_until(sim_.now() + 10.0);
   }
   EXPECT_TRUE(proxy_->blacklisted("attacker"));
   // Further requests (even well-formed ones) are dropped.
   std::uint64_t forwarded = proxy_->stats().requests_forwarded;
-  attacker.send_request({"attacker", 99}, "GET a", "proxy-0");
+  attacker.send_request({"attacker", 99}, "GET a", proxy_machine_->id());
   sim_.run_until(sim_.now() + 10.0);
   EXPECT_EQ(proxy_->stats().requests_forwarded, forwarded);
   EXPECT_GE(proxy_->stats().requests_from_blacklisted, 1u);
@@ -311,9 +335,9 @@ TEST_F(ProxyTest, LegitimateClientNotBlacklistedAlongsideAttacker) {
     msg.request_id = RequestId{"attacker", i};
     msg.requester = "attacker";
     msg.payload = osl::encode_probe(600 + i);
-    net_.send("attacker", "proxy-0", msg.encode());
+    net_.send(attacker.id(), proxy_machine_->id(), msg.encode());
     sim_.run_until(sim_.now() + 5.0);
-    honest.send_request({"honest", i}, "PUT k v", "proxy-0");
+    honest.send_request({"honest", i}, "PUT k v", proxy_machine_->id());
     sim_.run_until(sim_.now() + 5.0);
   }
   EXPECT_TRUE(proxy_->blacklisted("attacker"));
@@ -326,7 +350,7 @@ TEST_F(ProxyTest, ReconnectsAfterServerReboot) {
   server_machines_[0]->rerandomize(30);
   sim_.run_until(sim_.now() + 10.0);  // reconnect_delay passes
   ClientEndpoint client(net_, "client");
-  client.send_request({"client", 1}, "PUT a 1", "proxy-0");
+  client.send_request({"client", 1}, "PUT a 1", proxy_machine_->id());
   sim_.run_until(sim_.now() + 30.0);
   EXPECT_FALSE(client.responses.empty());
 }
@@ -339,7 +363,7 @@ TEST_F(ProxyTest, UnsolicitedServerResponseIgnored) {
   fake.type = MsgType::Response;
   fake.request_id = RequestId{"nobody", 1};
   fake.payload = bytes_of("bogus");
-  net_.send(server_addrs_[0], "proxy-0", fake.encode());
+  net_.send(server_machines_[0]->id(), proxy_machine_->id(), fake.encode());
   sim_.run_until(sim_.now() + 5.0);
   EXPECT_EQ(proxy_->stats().responses_delivered, 0u);
 }

@@ -167,16 +167,6 @@ TEST(RequestIdTest, OrderingAndFormat) {
   EXPECT_EQ(a.to_string(), "alice#1");
 }
 
-TEST(RequestIdTest, TransparentLessMatchesRequestIdOrder) {
-  RequestIdLess less;
-  RequestId a{"alice", 1}, b{"alice", 2}, c{"bob", 0};
-  EXPECT_TRUE(less(a, b));
-  EXPECT_TRUE(less(a, RequestKeyRef{"alice", 2}));
-  EXPECT_TRUE(less(RequestKeyRef{"alice", 1}, c));
-  EXPECT_FALSE(less(RequestKeyRef{"bob", 0}, c));
-  EXPECT_FALSE(less(c, RequestKeyRef{"bob", 0}));
-}
-
 // --- MessageView ------------------------------------------------------------
 
 TEST(MessageViewTest, PeekReadsFixedHeader) {

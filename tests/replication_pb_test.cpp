@@ -16,10 +16,8 @@ namespace {
 class TestClient : public net::Handler {
  public:
   explicit TestClient(net::Network& net, const net::Address& addr)
-      : net_(net), addr_(addr) {
-    net_.attach(addr_, *this);
-  }
-  ~TestClient() override { net_.detach(addr_); }
+      : net_(net), addr_(addr), id_(net_.attach(addr_, *this)) {}
+  ~TestClient() override { net_.detach(id_); }
 
   void on_message(const net::Envelope& env) override {
     auto msg = MessageView::decode(env.payload);
@@ -35,7 +33,7 @@ class TestClient : public net::Handler {
     msg.request_id = rid;
     msg.requester = addr_;
     msg.payload = bytes_of(body);
-    for (const auto& s : servers) net_.send(addr_, s, msg.encode());
+    for (const auto& s : servers) net_.send(id_, net_.id_of(s), msg.encode());
   }
 
   /// Distinct sender indices that answered `rid` with `body`.
@@ -55,6 +53,7 @@ class TestClient : public net::Handler {
  private:
   net::Network& net_;
   net::Address addr_;
+  net::HostId id_;
 };
 
 class PbTest : public ::testing::Test {
@@ -62,7 +61,7 @@ class PbTest : public ::testing::Test {
   static constexpr int kN = 3;
 
   PbTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.5)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         client_(net_, "client") {
     for (int i = 0; i < kN; ++i) {
       addrs_.push_back("server-" + std::to_string(i));

@@ -16,10 +16,8 @@ namespace {
 class TestClient : public net::Handler {
  public:
   TestClient(net::Network& net, net::Address addr)
-      : net_(net), addr_(std::move(addr)) {
-    net_.attach(addr_, *this);
-  }
-  ~TestClient() override { net_.detach(addr_); }
+      : net_(net), addr_(std::move(addr)), id_(net_.attach(addr_, *this)) {}
+  ~TestClient() override { net_.detach(id_); }
 
   void on_message(const net::Envelope& env) override {
     auto msg = MessageView::decode(env.payload);
@@ -35,7 +33,7 @@ class TestClient : public net::Handler {
     msg.request_id = rid;
     msg.requester = addr_;
     msg.payload = bytes_of(body);
-    for (const auto& s : servers) net_.send(addr_, s, msg.encode());
+    for (const auto& s : servers) net_.send(id_, net_.id_of(s), msg.encode());
   }
 
   std::set<std::uint32_t> responders(const RequestId& rid,
@@ -54,6 +52,7 @@ class TestClient : public net::Handler {
  private:
   net::Network& net_;
   net::Address addr_;
+  net::HostId id_;
 };
 
 class SmrTest : public ::testing::Test {
@@ -62,7 +61,7 @@ class SmrTest : public ::testing::Test {
   static constexpr std::uint32_t kN = 3 * kF + 1;
 
   SmrTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.5)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         client_(net_, "client") {
     for (std::uint32_t i = 0; i < kN; ++i) {
       addrs_.push_back("replica-" + std::to_string(i));
