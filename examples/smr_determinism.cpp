@@ -36,7 +36,7 @@ class FalselyDeterministicTokenService final
 
   Bytes execute(BytesView request) override { return inner_.execute(request); }
   Bytes snapshot() const override { return inner_.snapshot(); }
-  void restore(BytesView snapshot) override { inner_.restore(snapshot); }
+  bool restore(BytesView snapshot) override { return inner_.restore(snapshot); }
 
  private:
   replication::SessionTokenService inner_;

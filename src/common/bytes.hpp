@@ -60,6 +60,11 @@ Bytes from_hex(std::string_view hex);
 /// Copy a string's characters into a byte buffer (no encoding change).
 Bytes bytes_of(std::string_view s);
 
+/// Borrow a string's characters as bytes (no copy; lives as long as `s`).
+inline BytesView bytes_view(std::string_view s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
 /// Interpret a byte buffer as a string (no encoding change).
 std::string string_of(BytesView data);
 

@@ -10,7 +10,7 @@ namespace fortress::crypto {
 Signature SigningKey::sign(BytesView message) const {
   Signature sig;
   sig.signer = id_;
-  sig.tag = mac_.mac(message);
+  sig.tag = sign_tag(message);
   return sig;
 }
 
@@ -37,7 +37,7 @@ std::size_t KeyRegistry::find_slot(std::string_view name) const {
 
 Digest KeyRegistry::secret_for(const std::string& name) const {
   Bytes label = bytes_of("fortress-principal:");
-  append(label, bytes_of(name));
+  append(label, bytes_view(name));
   return master_key_.mac(BytesView(label.data(), label.size()));
 }
 

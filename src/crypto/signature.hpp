@@ -58,6 +58,10 @@ class SigningKey {
   /// Sign `message` as this principal.
   Signature sign(BytesView message) const;
 
+  /// Just the tag sign() would produce (the signer is id()); allocates
+  /// nothing.
+  Digest sign_tag(BytesView message) const { return mac_.mac(message); }
+
  private:
   friend class KeyRegistry;
   SigningKey(PrincipalId id, HmacKey mac) : id_(std::move(id)), mac_(mac) {}

@@ -10,43 +10,58 @@ namespace {
 
 constexpr std::uint32_t kWireMagic = 0x46544d47;  // "FTMG"
 
-void append_string(Bytes& out, const std::string& s) {
-  append_u64_be(out, s.size());
-  append(out, bytes_of(s));
-}
-
-void append_bytes_field(Bytes& out, const Bytes& b) {
+// The one field encoder: u64 length prefix, then the bytes, straight from
+// the borrowed view.
+void append_field(Bytes& out, BytesView b) {
   append_u64_be(out, b.size());
   append(out, b);
 }
 
-void append_signature(Bytes& out, const std::optional<crypto::Signature>& sig) {
-  out.push_back(sig.has_value() ? 1 : 0);
-  if (!sig) return;
-  append_string(out, sig->signer.name);
-  append(out, BytesView(sig->tag.data(), sig->tag.size()));
+void append_field(Bytes& out, std::string_view s) {
+  append_field(out, bytes_view(s));
 }
 
-void encode_core_into(Bytes& out, const Message& m) {
+void append_signature(Bytes& out, std::string_view signer,
+                      const crypto::Digest& tag) {
+  out.push_back(1);
+  append_field(out, signer);
+  append(out, BytesView(tag.data(), tag.size()));
+}
+
+void append_signature(Bytes& out, const std::optional<crypto::Signature>& sig) {
+  if (!sig) {
+    out.push_back(0);
+    return;
+  }
+  append_signature(out, sig->signer.name, sig->tag);
+}
+
+void append_core(Bytes& out, const MessageCore& m) {
   append_u32_be(out, kWireMagic);
   append_u32_be(out, static_cast<std::uint32_t>(m.type));
   append_u64_be(out, m.view);
   append_u64_be(out, m.seq);
   append_u32_be(out, m.sender_index);
-  append_string(out, m.request_id.client);
-  append_u64_be(out, m.request_id.seq);
-  append_string(out, m.requester);
-  append_bytes_field(out, m.payload);
-  append_bytes_field(out, m.aux);
-}
-
-Bytes encode_core(const Message& m) {
-  Bytes out;
-  encode_core_into(out, m);
-  return out;
+  append_field(out, m.client);
+  append_u64_be(out, m.client_seq);
+  append_field(out, m.requester);
+  append_field(out, m.payload);
+  append_field(out, m.aux);
 }
 
 }  // namespace
+
+void MessageCore::encode_into(Bytes& out) const {
+  out.clear();
+  append_core(out, *this);
+  out.push_back(0);  // no signature
+  out.push_back(0);  // no over-signature
+}
+
+MessageCore Message::core() const {
+  return {type,           view,      seq,     sender_index, request_id.client,
+          request_id.seq, requester, payload, aux};
+}
 
 Bytes Message::signing_bytes() const {
   // Signatures cover the semantic content, not routing metadata:
@@ -56,12 +71,14 @@ Bytes Message::signing_bytes() const {
   //    an endorsement stapled on, so the type is normalized — the server's
   //    signature survives the proxy relabeling. All other type pairs remain
   //    distinct, so protocol messages cannot be re-purposed across planes.
-  Message canonical = *this;
-  canonical.requester.clear();
+  MessageCore canonical = core();
+  canonical.requester = {};
   if (canonical.type == MsgType::ProxyResponse) {
     canonical.type = MsgType::Response;
   }
-  return encode_core(canonical);
+  Bytes out;
+  append_core(out, canonical);
+  return out;
 }
 
 Bytes Message::over_signing_bytes() const {
@@ -79,7 +96,7 @@ Bytes Message::encode() const {
 
 void Message::encode_into(Bytes& out) const {
   out.clear();
-  encode_core_into(out, *this);
+  append_core(out, core());
   append_signature(out, signature);
   append_signature(out, over_signature);
 }
@@ -220,9 +237,7 @@ void MessageView::encode_readdressed_into(Bytes& out,
                                           std::string_view requester) const {
   out.clear();
   append(out, data_.subspan(0, requester_len_off_));
-  append_u64_be(out, requester.size());
-  append(out, BytesView(reinterpret_cast<const std::uint8_t*>(requester.data()),
-                        requester.size()));
+  append_field(out, requester);
   append(out, data_.subspan(requester_off_ + requester_len_));
 }
 
@@ -234,9 +249,7 @@ void MessageView::encode_proxy_response_into(
   append(out, data_.subspan(0, 4));
   append_u32_be(out, static_cast<std::uint32_t>(MsgType::ProxyResponse));
   append(out, data_.subspan(8, requester_len_off_ - 8));
-  append_u64_be(out, requester.size());
-  append(out, BytesView(reinterpret_cast<const std::uint8_t*>(requester.data()),
-                        requester.size()));
+  append_field(out, requester);
   // payload, aux and the inner signature, verbatim; then the fresh
   // over-signature in place of whatever followed.
   const std::size_t requester_end = requester_off_ + requester_len_;
@@ -304,40 +317,31 @@ bool verify_over_signature(const MessageView& m,
                              m.over_signature()->tag);
 }
 
-SignedResponseTemplate::SignedResponseTemplate(const Message& core,
-                                               const crypto::SigningKey& key) {
-  Message canonical = core;
-  canonical.requester.clear();
-  canonical.signature.reset();
-  canonical.over_signature.reset();
-
-  // The signature covers the requester-blanked, type-normalized core —
-  // identical for every recipient (this is what makes the template sound).
-  Message signing = canonical;
-  if (signing.type == MsgType::ProxyResponse) signing.type = MsgType::Response;
-  const crypto::Signature sig = key.sign(encode_core(signing));
-
-  // Split the blank-requester core at the requester length field; emits
-  // splice each address between the halves.
-  const Bytes blank = encode_core(canonical);
-  const std::size_t split = 28 + 8 + canonical.request_id.client.size() + 8;
-  prefix_.assign(blank.begin(), blank.begin() + static_cast<std::ptrdiff_t>(split));
-  suffix_.assign(blank.begin() + static_cast<std::ptrdiff_t>(split + 8),
-                 blank.end());
-  append_signature(suffix_, sig);
-  suffix_.push_back(0);  // no over-signature
+void SignedResponseTemplate::rebuild(std::uint64_t view, std::uint64_t seq,
+                                     std::uint32_t sender_index,
+                                     const RequestId& rid, BytesView payload,
+                                     const crypto::SigningKey& key) {
+  // The signature covers the requester-blanked Response core — identical
+  // for every recipient (this is what makes the template sound) — and that
+  // core is also the template's wire prefix.
+  wire_.clear();
+  append_core(wire_, MessageCore{MsgType::Response, view, seq, sender_index,
+                                 rid.client, rid.seq, {}, payload, {}});
+  const crypto::Digest tag = key.sign_tag(wire_);
+  append_signature(wire_, key.id().name, tag);
+  wire_.push_back(0);  // no over-signature
+  split_ = 28 + 8 + rid.client.size() + 8;
 }
 
 void SignedResponseTemplate::emit_into(Bytes& out,
                                        std::string_view requester) const {
+  FORTRESS_EXPECTS(!wire_.empty());
+  const BytesView wire(wire_);
   out.clear();
-  out.reserve(prefix_.size() + 8 + requester.size() + suffix_.size());
-  append(out, prefix_);
-  append_u64_be(out, requester.size());
-  append(out,
-         BytesView(reinterpret_cast<const std::uint8_t*>(requester.data()),
-                   requester.size()));
-  append(out, suffix_);
+  out.reserve(wire.size() + requester.size());
+  append(out, wire.first(split_));
+  append_field(out, requester);
+  append(out, wire.subspan(split_ + 8));
 }
 
 }  // namespace fortress::replication

@@ -7,8 +7,12 @@
 // (signing_bytes()).
 //
 // One path out, one path in:
-//  * Message is the send-side record: handlers build one, sign it and
-//    encode it (encode_into writes into a pooled network buffer).
+//  * MessageCore is the one encoder input: every field borrowed, every
+//    string and bytes field written straight from its view. Message (the
+//    owning send-side record that handlers build and sign) encodes through
+//    it, and unsigned traffic that never needs an owning record (PB
+//    heartbeats, view changes and state updates) fills one directly, so
+//    the steady-state send path allocates nothing.
 //  * MessageView::decode is the only decoder. It validates the full
 //    structure but keeps string/bytes fields as views borrowed from the
 //    input span, and it is the only thing the verifiers accept. A view
@@ -67,6 +71,25 @@ struct RequestId {
   std::string to_string() const { return client + "#" + std::to_string(seq); }
 };
 
+/// Borrowed form of a message's unsigned fields: what the encoder reads.
+/// Views must outlive the encode call only.
+struct MessageCore {
+  MsgType type = MsgType::Request;
+  std::uint64_t view = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t sender_index = 0;
+  std::string_view client{};     ///< request_id.client
+  std::uint64_t client_seq = 0;  ///< request_id.seq
+  std::string_view requester{};
+  BytesView payload{};
+  BytesView aux{};
+
+  /// Encode as an unsigned wire message (both signature fields absent)
+  /// into `out`, replacing its contents. Bit-identical to the Message with
+  /// these fields and no signatures.
+  void encode_into(Bytes& out) const;
+};
+
 /// The universal protocol record.
 struct Message {
   MsgType type = MsgType::Request;
@@ -79,6 +102,9 @@ struct Message {
   Bytes aux;                   ///< snapshot / digest / directory blob
   std::optional<crypto::Signature> signature;        ///< server signature
   std::optional<crypto::Signature> over_signature;   ///< proxy over-signature
+
+  /// This record's unsigned fields, borrowed.
+  MessageCore core() const;
 
   /// Full wire encoding (including signatures).
   Bytes encode() const;
@@ -236,23 +262,31 @@ bool verify_over_signature(const MessageView& m,
 /// recipient's address into precomputed wire bytes. Because signatures
 /// cover the requester-blanked form (see Message::signing_bytes), every
 /// copy of a response fanned out to N requesters carries the SAME tag —
-/// the template hoists that invariant: emit_into(out, r) is bit-identical
-/// to { Message m = core; m.requester = r; sign_message(m, key);
-/// m.encode_into(out); } at one signature and zero re-encodes for all N.
-/// Used by SmrReplica::respond() / PbReplica::send_response fan-out.
+/// the template hoists that invariant: after rebuild(view, seq, sender,
+/// rid, payload, key), emit_into(out, r) is bit-identical to the Response
+/// Message with those fields and requester r, signed by sign_message and
+/// encoded — at one signature and zero re-encodes for all N.
+///
+/// Each replica keeps one and rebuilds it in place per fan-out
+/// (SmrReplica / PbReplica::respond_many): the wire buffer's capacity is
+/// reused, so a steady-state rebuild allocates nothing.
 class SignedResponseTemplate {
  public:
-  /// Capture `core`'s fields (its requester/signature/over_signature are
-  /// ignored) and sign as `key`.
-  SignedResponseTemplate(const Message& core, const crypto::SigningKey& key);
+  /// Re-encode the requester-blanked Response and sign it as `key`,
+  /// replacing whatever the template held.
+  void rebuild(std::uint64_t view, std::uint64_t seq,
+               std::uint32_t sender_index, const RequestId& rid,
+               BytesView payload, const crypto::SigningKey& key);
 
   /// Emit the signed wire encoding addressed to `requester` into `out`
-  /// (replacing its contents).
+  /// (replacing its contents). Precondition: rebuild() was called.
   void emit_into(Bytes& out, std::string_view requester) const;
 
  private:
-  Bytes prefix_;  ///< core encoding up to the requester length field
-  Bytes suffix_;  ///< core after the requester field + signature fields
+  /// The blank-requester encoding + signature + absent over-signature.
+  Bytes wire_;
+  /// Offset of the (zero) requester length field: emits splice there.
+  std::size_t split_ = 0;
 };
 
 }  // namespace fortress::replication

@@ -36,7 +36,7 @@ PbReplica::PbReplica(sim::Simulator& sim, net::Network& network,
 void PbReplica::reset() {
   stop();
   // key_ survives: the pooled stack keeps its PKI (see LiveSystem::reset).
-  service_->restore(pristine_state_);
+  FORTRESS_CHECK(service_->restore(pristine_state_));
   view_ = 0;
   applied_seq_ = 0;
   executed_count_ = 0;
@@ -61,7 +61,7 @@ void PbReplica::stop() {
   failover_timer_.stop();
 }
 
-void PbReplica::broadcast(const Message& msg) {
+void PbReplica::broadcast(const MessageCore& msg) {
   // Encode once into a pooled buffer; each recipient gets a pooled copy.
   Bytes wire = network_.acquire_buffer();
   msg.encode_into(wire);
@@ -70,12 +70,6 @@ void PbReplica::broadcast(const Message& msg) {
     network_.send_copy(id_, replica_ids_[i], wire);
   }
   network_.recycle_buffer(std::move(wire));
-}
-
-void PbReplica::send_to(net::HostId to, const Message& msg) {
-  Bytes wire = network_.acquire_buffer();
-  msg.encode_into(wire);
-  network_.send(id_, to, std::move(wire));
 }
 
 void PbReplica::handle_message(const net::Envelope& env) {
@@ -120,16 +114,18 @@ void PbReplica::handle_request(const net::Envelope& env,
   ++applied_seq_;
   ++executed_count_;
 
-  Message update;
-  update.type = MsgType::StateUpdate;
-  update.view = view_;
-  update.seq = applied_seq_;
-  update.sender_index = config_.index;
-  update.request_id = req.rid;
-  update.requester = network_.address_of(env.from);
-  update.payload = req.response;
-  update.aux = service_->snapshot();
-  broadcast(update);
+  // The update borrows the cached response and rid; only the snapshot is
+  // materialized.
+  const Bytes snapshot = service_->snapshot();
+  broadcast(MessageCore{.type = MsgType::StateUpdate,
+                        .view = view_,
+                        .seq = applied_seq_,
+                        .sender_index = config_.index,
+                        .client = req.rid.client,
+                        .client_seq = req.rid.seq,
+                        .requester = network_.address_of(env.from),
+                        .payload = req.response,
+                        .aux = snapshot});
 
   respond_to_all(req);
 }
@@ -158,7 +154,9 @@ void PbReplica::handle_state_update(const MessageView& msg) {
     }
     return;
   }
-  service_->restore(msg.aux());
+  // The update is unsigned and its snapshot unchecked: one that does not
+  // parse is dropped, leaving the service and applied_seq_ as they were.
+  if (!service_->restore(msg.aux())) return;
   applied_seq_ = msg.seq();
   RequestState& req =
       requests_.find_or_insert(msg.request_client(), msg.request_seq(), hash);
@@ -185,28 +183,20 @@ void PbReplica::respond_many(const RequestState& req,
   // The Response signature covers the requester-blanked core, so every
   // recipient shares one HMAC: sign once, splice the requester into each
   // wire copy (SignedResponseTemplate).
-  Message core;
-  core.type = MsgType::Response;
-  core.view = view_;
-  core.seq = applied_seq_;
-  core.sender_index = config_.index;
-  core.request_id = req.rid;
-  core.payload = req.response;
-  const SignedResponseTemplate tmpl(core, key_);
+  response_.rebuild(view_, applied_seq_, config_.index, req.rid,
+                    req.response, key_);
   for (net::HostId to : recipients) {
     Bytes wire = network_.acquire_buffer();
-    tmpl.emit_into(wire, network_.address_of(to));
+    response_.emit_into(wire, network_.address_of(to));
     network_.send(id_, to, std::move(wire));
   }
 }
 
 void PbReplica::send_heartbeat() {
   if (!is_primary()) return;
-  Message hb;
-  hb.type = MsgType::Heartbeat;
-  hb.view = view_;
-  hb.sender_index = config_.index;
-  broadcast(hb);
+  broadcast(MessageCore{.type = MsgType::Heartbeat,
+                        .view = view_,
+                        .sender_index = config_.index});
 }
 
 void PbReplica::handle_heartbeat(const MessageView& msg) {
@@ -227,11 +217,9 @@ void PbReplica::check_failover() {
   std::uint64_t next = view_ + 1;
   FORTRESS_LOG_INFO("pb") << address() << " suspects primary of view "
                           << view_ << "; moving to view " << next;
-  Message vc;
-  vc.type = MsgType::ViewChange;
-  vc.view = next;
-  vc.sender_index = config_.index;
-  broadcast(vc);
+  broadcast(MessageCore{.type = MsgType::ViewChange,
+                        .view = next,
+                        .sender_index = config_.index});
   adopt_view(next);
 }
 

@@ -86,12 +86,11 @@ class PbReplica final : public osl::Application {
   void send_response(const RequestState& req, net::HostId to);
   void respond_to_all(const RequestState& req);
   /// Sign the cached response ONCE and splice a per-recipient wire copy
-  /// for each recipient (SignedResponseTemplate) — byte-identical to
-  /// signing each copy individually.
+  /// for each recipient (response_) — byte-identical to signing each copy
+  /// individually.
   void respond_many(const RequestState& req,
                     std::span<const net::HostId> recipients);
-  void broadcast(const Message& msg);
-  void send_to(net::HostId to, const Message& msg);
+  void broadcast(const MessageCore& msg);
   void check_failover();
   void send_heartbeat();
   void adopt_view(std::uint64_t view);
@@ -119,6 +118,8 @@ class PbReplica final : public osl::Application {
   /// Completed requests (dedup + re-reply cache) and their requesters,
   /// hashed on (client, seq) and probed with borrowed MessageView keys.
   RequestTable<RequestState> requests_;
+  /// The response fan-out template, rebuilt in place per respond_many.
+  SignedResponseTemplate response_;
 
   sim::PeriodicTimer heartbeat_timer_;
   sim::PeriodicTimer failover_timer_;

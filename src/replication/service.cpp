@@ -1,103 +1,172 @@
 #include "replication/service.hpp"
 
-#include <sstream>
-#include <vector>
+#include <array>
+#include <string>
+#include <string_view>
 
 namespace fortress::replication {
 
 namespace {
 
-std::vector<std::string> tokenize(BytesView request) {
-  std::istringstream in(string_of(request));
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (in >> tok) tokens.push_back(tok);
-  return tokens;
+/// The whitespace-separated words of a text command, borrowed from the
+/// request: the split `std::istringstream >>` makes (C-locale isspace).
+/// Commands read at most three words; `count` is the total.
+struct Words {
+  std::array<std::string_view, 3> at;
+  std::size_t count = 0;
+};
+
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+Words split_words(BytesView request) {
+  const std::string_view text(reinterpret_cast<const char*>(request.data()),
+                              request.size());
+  Words words;
+  std::size_t i = 0;
+  while (true) {
+    while (i < text.size() && is_space(text[i])) ++i;
+    if (i == text.size()) return words;
+    const std::size_t start = i;
+    while (i < text.size() && !is_space(text[i])) ++i;
+    if (words.count < words.at.size()) {
+      words.at[words.count] = text.substr(start, i - start);
+    }
+    ++words.count;
+  }
 }
 
-Bytes reply(const std::string& s) { return bytes_of(s); }
+/// A response body `head` + `tail`, in one exactly-sized buffer.
+Bytes reply(std::string_view head, std::string_view tail = {}) {
+  Bytes out;
+  out.reserve(head.size() + tail.size());
+  append(out, bytes_view(head));
+  append(out, bytes_view(tail));
+  return out;
+}
 
 // Snapshot format shared by the map-based services:
 // u64 count, then per entry: u64 klen, key bytes, u64 vlen, value bytes.
-Bytes serialize_map(const std::map<std::string, std::string>& m) {
+Bytes serialize_map(const StringMap& m) {
+  std::size_t size = 8;
+  for (const auto& [k, v] : m) size += 16 + k.size() + v.size();
   Bytes out;
+  out.reserve(size);
   append_u64_be(out, m.size());
   for (const auto& [k, v] : m) {
     append_u64_be(out, k.size());
-    append(out, bytes_of(k));
+    append(out, bytes_view(k));
     append_u64_be(out, v.size());
-    append(out, bytes_of(v));
+    append(out, bytes_view(v));
   }
   return out;
 }
 
-std::map<std::string, std::string> deserialize_map(BytesView data) {
-  std::map<std::string, std::string> m;
-  std::size_t off = 0;
-  std::uint64_t count = read_u64_be(data, off);
-  off += 8;
+/// Walk a map snapshot, calling visit(key, value) per entry in record
+/// order with views into `data`; false as soon as the record runs short.
+/// Bytes after the last entry are ignored.
+template <typename Visit>
+bool walk_map(BytesView data, Visit&& visit) {
+  if (data.size() < 8) return false;
+  const std::uint64_t count = detail::load_be64(data.data());
+  std::size_t off = 8;
+  auto field = [&](std::string_view& out) {
+    if (data.size() - off < 8) return false;
+    const std::uint64_t len = detail::load_be64(data.data() + off);
+    off += 8;
+    if (len > data.size() - off) return false;
+    out = std::string_view(reinterpret_cast<const char*>(data.data()) + off,
+                           static_cast<std::size_t>(len));
+    off += out.size();
+    return true;
+  };
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t klen = read_u64_be(data, off);
-    off += 8;
-    if (klen > data.size() - off) throw std::out_of_range("bad snapshot");
-    std::string k(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + klen));
-    off += klen;
-    std::uint64_t vlen = read_u64_be(data, off);
-    off += 8;
-    if (vlen > data.size() - off) throw std::out_of_range("bad snapshot");
-    std::string v(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + vlen));
-    off += vlen;
-    m.emplace(std::move(k), std::move(v));
+    std::string_view key, value;
+    if (!field(key) || !field(value)) return false;
+    visit(key, value);
   }
-  return m;
+  return true;
+}
+
+/// Replace `m` with the snapshot's entries — the first occurrence of a
+/// duplicate key wins — or return false and leave `m` untouched when the
+/// record is malformed. The refill is one ordered merge into the existing
+/// tree: a key already present keeps its node and string capacity, so a
+/// backup applying update after update over a stable key set allocates
+/// nothing. (Nodes before `it` are the entries placed so far; nodes from
+/// `it` on are old ones not yet matched, erased as the walk passes them.
+/// Out-of-order or repeated keys stay correct, merely without the reuse.)
+bool restore_map(StringMap& m, BytesView data) {
+  if (!walk_map(data, [](std::string_view, std::string_view) {})) {
+    return false;
+  }
+  auto it = m.begin();
+  walk_map(data, [&](std::string_view key, std::string_view value) {
+    while (it != m.end() && std::string_view(it->first) < key) {
+      it = m.erase(it);
+    }
+    if (it != m.end() && std::string_view(it->first) == key) {
+      it->second.assign(value);
+      ++it;
+    } else {
+      m.emplace_hint(it, key, value);  // no-op for a repeated key
+    }
+  });
+  m.erase(it, m.end());
+  return true;
 }
 
 }  // namespace
 
 Bytes KvService::execute(BytesView request) {
-  auto tokens = tokenize(request);
-  if (tokens.empty()) return reply("ERR empty");
-  const std::string& cmd = tokens[0];
-  if (cmd == "PUT" && tokens.size() >= 3) {
-    data_[tokens[1]] = tokens[2];
+  const Words w = split_words(request);
+  if (w.count == 0) return reply("ERR empty");
+  const std::string_view cmd = w.at[0];
+  if (cmd == "PUT" && w.count >= 3) {
+    auto it = data_.find(w.at[1]);
+    if (it == data_.end()) {
+      data_.emplace(w.at[1], w.at[2]);
+    } else {
+      it->second.assign(w.at[2]);
+    }
     return reply("OK");
   }
-  if (cmd == "GET" && tokens.size() >= 2) {
-    auto it = data_.find(tokens[1]);
+  if (cmd == "GET" && w.count >= 2) {
+    auto it = data_.find(w.at[1]);
     if (it == data_.end()) return reply("NOTFOUND");
-    return reply("VALUE " + it->second);
+    return reply("VALUE ", it->second);
   }
-  if (cmd == "DEL" && tokens.size() >= 2) {
-    return reply(data_.erase(tokens[1]) > 0 ? "OK" : "NOTFOUND");
+  if (cmd == "DEL" && w.count >= 2) {
+    auto it = data_.find(w.at[1]);
+    if (it == data_.end()) return reply("NOTFOUND");
+    data_.erase(it);
+    return reply("OK");
   }
   if (cmd == "SIZE") {
-    return reply("SIZE " + std::to_string(data_.size()));
+    return reply("SIZE ", std::to_string(data_.size()));
   }
   return reply("ERR bad-command");
 }
 
 Bytes KvService::snapshot() const { return serialize_map(data_); }
 
-void KvService::restore(BytesView snapshot) {
-  data_ = deserialize_map(snapshot);
+bool KvService::restore(BytesView snapshot) {
+  return restore_map(data_, snapshot);
 }
 
 Bytes CounterService::execute(BytesView request) {
-  auto tokens = tokenize(request);
-  if (tokens.empty()) return reply("ERR empty");
-  const std::string& cmd = tokens[0];
+  const Words w = split_words(request);
+  if (w.count == 0) return reply("ERR empty");
+  const std::string_view cmd = w.at[0];
   if (cmd == "INC") {
     ++value_;
-    return reply("COUNT " + std::to_string(value_));
+    return reply("COUNT ", std::to_string(value_));
   }
-  if (cmd == "ADD" && tokens.size() >= 2) {
-    value_ += std::stoll(tokens[1]);
-    return reply("COUNT " + std::to_string(value_));
+  if (cmd == "ADD" && w.count >= 2) {
+    value_ += std::stoll(std::string(w.at[1]));
+    return reply("COUNT ", std::to_string(value_));
   }
   if (cmd == "GET") {
-    return reply("COUNT " + std::to_string(value_));
+    return reply("COUNT ", std::to_string(value_));
   }
   return reply("ERR bad-command");
 }
@@ -108,15 +177,17 @@ Bytes CounterService::snapshot() const {
   return out;
 }
 
-void CounterService::restore(BytesView snapshot) {
-  value_ = static_cast<std::int64_t>(read_u64_be(snapshot, 0));
+bool CounterService::restore(BytesView snapshot) {
+  if (snapshot.size() < 8) return false;
+  value_ = static_cast<std::int64_t>(detail::load_be64(snapshot.data()));
+  return true;
 }
 
 Bytes SessionTokenService::execute(BytesView request) {
-  auto tokens = tokenize(request);
-  if (tokens.empty()) return reply("ERR empty");
-  const std::string& cmd = tokens[0];
-  if (cmd == "TOKEN" && tokens.size() >= 2) {
+  const Words w = split_words(request);
+  if (w.count == 0) return reply("ERR empty");
+  const std::string_view cmd = w.at[0];
+  if (cmd == "TOKEN" && w.count >= 2) {
     // Non-deterministic: mints a fresh random token. A backup re-executing
     // this request would mint a DIFFERENT token; only state shipping keeps
     // replicas consistent.
@@ -124,26 +195,27 @@ Bytes SessionTokenService::execute(BytesView request) {
     append_u64_be(raw, rng_.bits());
     append_u64_be(raw, rng_.bits());
     std::string token = to_hex(raw);
-    tokens_[tokens[1]] = token;
-    return reply("TOKEN " + token);
+    Bytes out = reply("TOKEN ", token);
+    tokens_.insert_or_assign(std::string(w.at[1]), std::move(token));
+    return out;
   }
-  if (cmd == "CHECK" && tokens.size() >= 3) {
-    auto it = tokens_.find(tokens[1]);
+  if (cmd == "CHECK" && w.count >= 3) {
+    auto it = tokens_.find(w.at[1]);
     if (it == tokens_.end()) return reply("NOTFOUND");
-    return reply(it->second == tokens[2] ? "VALID" : "INVALID");
+    return reply(it->second == w.at[2] ? "VALID" : "INVALID");
   }
-  if (cmd == "GET" && tokens.size() >= 2) {
-    auto it = tokens_.find(tokens[1]);
+  if (cmd == "GET" && w.count >= 2) {
+    auto it = tokens_.find(w.at[1]);
     if (it == tokens_.end()) return reply("NOTFOUND");
-    return reply("TOKEN " + it->second);
+    return reply("TOKEN ", it->second);
   }
   return reply("ERR bad-command");
 }
 
 Bytes SessionTokenService::snapshot() const { return serialize_map(tokens_); }
 
-void SessionTokenService::restore(BytesView snapshot) {
-  tokens_ = deserialize_map(snapshot);
+bool SessionTokenService::restore(BytesView snapshot) {
+  return restore_map(tokens_, snapshot);
 }
 
 }  // namespace fortress::replication

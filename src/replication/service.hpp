@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +19,9 @@
 #include "common/rng.hpp"
 
 namespace fortress::replication {
+
+/// The map-based services' state: ordered, probed with borrowed keys.
+using StringMap = std::map<std::string, std::string, std::less<>>;
 
 /// A service with opaque state, a request/response interface, and
 /// snapshot/restore for state transfer. No determinism requirement.
@@ -31,8 +35,10 @@ class Service {
   /// Serialize the full service state.
   virtual Bytes snapshot() const = 0;
 
-  /// Replace the state with a previously produced snapshot.
-  virtual void restore(BytesView snapshot) = 0;
+  /// Replace the state with a previously produced snapshot. The snapshot
+  /// is validated whole first: false, with the state untouched, when it
+  /// does not parse (state updates reach backups unsigned).
+  [[nodiscard]] virtual bool restore(BytesView snapshot) = 0;
 };
 
 /// Marker base for services that satisfy the DSM requirement: execute() is a
@@ -48,12 +54,12 @@ class KvService final : public DeterministicService {
  public:
   Bytes execute(BytesView request) override;
   Bytes snapshot() const override;
-  void restore(BytesView snapshot) override;
+  [[nodiscard]] bool restore(BytesView snapshot) override;
 
   std::size_t size() const { return data_.size(); }
 
  private:
-  std::map<std::string, std::string> data_;
+  StringMap data_;
 };
 
 /// A deterministic counter: "INC", "ADD <n>", "GET" -> "COUNT <n>".
@@ -61,7 +67,7 @@ class CounterService final : public DeterministicService {
  public:
   Bytes execute(BytesView request) override;
   Bytes snapshot() const override;
-  void restore(BytesView snapshot) override;
+  [[nodiscard]] bool restore(BytesView snapshot) override;
 
   std::int64_t value() const { return value_; }
 
@@ -80,11 +86,11 @@ class SessionTokenService final : public Service {
 
   Bytes execute(BytesView request) override;
   Bytes snapshot() const override;
-  void restore(BytesView snapshot) override;
+  [[nodiscard]] bool restore(BytesView snapshot) override;
 
  private:
   Rng rng_;
-  std::map<std::string, std::string> tokens_;
+  StringMap tokens_;
 };
 
 }  // namespace fortress::replication

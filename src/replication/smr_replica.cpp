@@ -44,7 +44,7 @@ SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
 void SmrReplica::reset() {
   stop();
   // key_ survives: the pooled stack keeps its PKI (see LiveSystem::reset).
-  service_->restore(pristine_state_);
+  FORTRESS_CHECK(service_->restore(pristine_state_));
   view_ = 0;
   next_seq_ = 0;
   executed_seq_ = 0;
@@ -75,8 +75,12 @@ void SmrReplica::stop() {
 }
 
 crypto::Digest SmrReplica::digest_of(const RequestId& rid, BytesView request) {
+  // Streams rid.to_string() ("client#seq") without building it.
+  const std::string seq = std::to_string(rid.seq);
   crypto::Sha256 h;
-  h.update(bytes_of(rid.to_string()));
+  h.update(bytes_view(rid.client));
+  h.update(bytes_view("#"));
+  h.update(bytes_view(seq));
   h.update(request);
   return h.finish();
 }
@@ -295,17 +299,11 @@ void SmrReplica::respond_many(const RequestState& req,
   // The Response signature covers the requester-blanked core, so every
   // recipient shares one HMAC: sign once, splice the requester into each
   // wire copy (SignedResponseTemplate).
-  Message core;
-  core.type = MsgType::Response;
-  core.view = view_;
-  core.seq = executed_seq_;
-  core.sender_index = config_.index;
-  core.request_id = req.rid;
-  core.payload = req.response;
-  const SignedResponseTemplate tmpl(core, key_);
+  response_.rebuild(view_, executed_seq_, config_.index, req.rid,
+                    req.response, key_);
   for (net::HostId to : recipients) {
     Bytes wire = network_.acquire_buffer();
-    tmpl.emit_into(wire, network_.address_of(to));
+    response_.emit_into(wire, network_.address_of(to));
     network_.send(id_, to, std::move(wire));
   }
 }
@@ -421,7 +419,11 @@ void SmrReplica::handle_state_reply(const MessageView& msg) {
   // f+1 identical offers guarantee at least one comes from a correct
   // replica (n = 3f+1, at most f faulty).
   if (offer.senders.size() >= config_.f + 1) {
-    service_->restore(offer.snapshot);
+    // A record that does not parse is dropped; the rejoin keeps waiting.
+    if (!service_->restore(offer.snapshot)) {
+      state_offers_.erase(key);
+      return;
+    }
     executed_seq_ = msg.seq();
     next_seq_ = std::max(next_seq_, executed_seq_);
     stale_ = false;

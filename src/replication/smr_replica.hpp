@@ -118,8 +118,8 @@ class SmrReplica final : public osl::Application {
   void try_execute();
   void respond(const RequestState& req, net::HostId to);
   /// Sign the executed response ONCE and splice a per-recipient wire copy
-  /// for each requester (SignedResponseTemplate) — the fan-out path behind
-  /// respond(); byte-identical to signing each copy individually.
+  /// for each requester (response_) — the fan-out path behind respond();
+  /// byte-identical to signing each copy individually.
   void respond_many(const RequestState& req,
                     std::span<const net::HostId> recipients);
   void check_progress();
@@ -161,6 +161,8 @@ class SmrReplica final : public osl::Application {
   /// MessageView keys — no allocation, no rb-tree string walks.
   RequestTable<RequestState> requests_;
   std::size_t pending_count_ = 0;  ///< records with pending == true
+  /// The response fan-out template, rebuilt in place per respond_many.
+  SignedResponseTemplate response_;
 
   /// View-change votes: view -> voter indices.
   std::map<std::uint64_t, std::set<std::uint32_t>> view_votes_;

@@ -373,8 +373,11 @@ void Simulator::reset(SchedulerKind kind) {
 void PeriodicTimer::arm(Time delay) {
   pending_ = sim_.schedule_after(delay, [this] {
     if (!running_) return;
+    const EventId firing = pending_;
     fn_();
-    if (running_) arm(period_);
+    // A callback that restarted the timer (stop, start) has armed the next
+    // fire itself; re-arming here too would fire twice per period.
+    if (running_ && pending_ == firing) arm(period_);
   });
 }
 

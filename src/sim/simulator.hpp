@@ -349,6 +349,8 @@ class Simulator {
 };
 
 /// Periodic timer helper: reschedules itself every `period` until stopped.
+/// The callback may stop it, or restart it (stop, set_period, start): the
+/// restart's schedule then replaces the old one.
 /// Lifetime: the timer object must outlive the simulation or be stopped.
 class PeriodicTimer {
  public:

@@ -425,51 +425,109 @@ TEST(MessageViewTest, RandomizedRoundTripIsBitIdentical) {
   }
 }
 
+// The reference a template must reproduce: the Response Message with these
+// fields, signed by sign_message and encoded.
+Bytes reference_response(std::uint64_t view, std::uint64_t seq,
+                         std::uint32_t sender, const RequestId& rid,
+                         const Bytes& payload, const std::string& requester,
+                         const crypto::SigningKey& key) {
+  Message m;
+  m.type = MsgType::Response;
+  m.view = view;
+  m.seq = seq;
+  m.sender_index = sender;
+  m.request_id = rid;
+  m.requester = requester;
+  m.payload = payload;
+  sign_message(m, key);
+  return m.encode();
+}
+
 TEST(SignedResponseTemplateTest, EmitMatchesSignEachCopy) {
   crypto::KeyRegistry registry(7);
   crypto::SigningKey server = registry.enroll("server-0");
+  const RequestId rid{"client-7", 19};
+  const Bytes payload = bytes_of("response body");
+  SignedResponseTemplate tmpl;
+  tmpl.rebuild(3, 42, 2, rid, payload, server);
 
-  for (MsgType type : {MsgType::Response, MsgType::ProxyResponse}) {
-    Message core = sample();
-    core.type = type;
-    core.requester = "ignored-by-the-template";
-    const SignedResponseTemplate tmpl(core, server);
+  for (const std::string& requester :
+       {std::string("client-a"), std::string("a-much-longer-requester-name"),
+        std::string()}) {
+    Bytes spliced;
+    tmpl.emit_into(spliced, requester);
+    EXPECT_EQ(spliced,
+              reference_response(3, 42, 2, rid, payload, requester, server))
+        << "requester '" << requester << "'";
 
-    for (const std::string& requester :
-         {std::string("client-a"), std::string("a-much-longer-requester-name"),
-          std::string()}) {
-      Bytes spliced;
-      tmpl.emit_into(spliced, requester);
-
-      Message reference = core;
-      reference.requester = requester;
-      reference.signature.reset();
-      reference.over_signature.reset();
-      sign_message(reference, server);
-      EXPECT_EQ(spliced, reference.encode())
-          << "type " << static_cast<int>(type) << " requester '" << requester
-          << "'";
-
-      auto view = MessageView::decode(spliced);
-      ASSERT_TRUE(view.has_value());
-      EXPECT_TRUE(verify_message(*view, registry));
-    }
+    auto view = MessageView::decode(spliced);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_TRUE(verify_message(*view, registry));
   }
 }
 
 TEST(SignedResponseTemplateTest, EmitReplacesBufferContents) {
   crypto::KeyRegistry registry(7);
   crypto::SigningKey server = registry.enroll("server-0");
-  Message core = sample();
-  core.type = MsgType::Response;
-  const SignedResponseTemplate tmpl(core, server);
+  const RequestId rid{"client-7", 19};
+  const Bytes payload = bytes_of("response body");
+  SignedResponseTemplate tmpl;
+  tmpl.rebuild(3, 42, 2, rid, payload, server);
 
   Bytes out = bytes_of("stale pooled-buffer contents");
   tmpl.emit_into(out, "client-b");
-  Message reference = core;
-  reference.requester = "client-b";
-  sign_message(reference, server);
-  EXPECT_EQ(out, reference.encode());
+  EXPECT_EQ(out, reference_response(3, 42, 2, rid, payload, "client-b", server));
+}
+
+TEST(SignedResponseTemplateTest, RebuildNeverLeaksStaleBytes) {
+  // One template reused across responses whose client id and payload first
+  // shrink and then grow past their earlier sizes: every emit must equal a
+  // freshly signed Message, so nothing of an earlier response survives.
+  crypto::KeyRegistry registry(7);
+  crypto::SigningKey server = registry.enroll("server-1");
+  struct Case {
+    RequestId rid;
+    std::string payload;
+  };
+  const std::vector<Case> cases = {
+      {{"a-fairly-long-client-name-0042", 7}, "VALUE a-fairly-long-value"},
+      {{"c1", 8}, "OK"},
+      {{"", 0}, ""},
+      {{"client-with-an-even-longer-name-than-the-first", 9},
+       "VALUE a-value-longer-than-every-earlier-payload-by-far"},
+  };
+  SignedResponseTemplate tmpl;
+  Bytes out;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Bytes payload = bytes_of(cases[i].payload);
+    tmpl.rebuild(i, 100 + i, 1, cases[i].rid, payload, server);
+    for (const std::string& requester :
+         {std::string("proxy-0"), std::string("a-longer-requester-address")}) {
+      tmpl.emit_into(out, requester);
+      EXPECT_EQ(out, reference_response(i, 100 + i, 1, cases[i].rid, payload,
+                                        requester, server))
+          << "case " << i << " requester '" << requester << "'";
+      auto view = MessageView::decode(out);
+      ASSERT_TRUE(view.has_value());
+      EXPECT_TRUE(verify_message(*view, registry));
+    }
+  }
+}
+
+TEST(SignedResponseTemplateTest, EmitBeforeRebuildViolatesContract) {
+  SignedResponseTemplate tmpl;
+  Bytes out;
+  EXPECT_THROW(tmpl.emit_into(out, "client"), ContractViolation);
+}
+
+TEST(MessageCoreTest, EncodeMatchesUnsignedMessage) {
+  // The borrowed-field encoder is the owning record's encoder: a Message
+  // without signatures and its core() encode to the same bytes.
+  for (Message m : {sample(), Message{}}) {
+    Bytes out = bytes_of("stale");
+    m.core().encode_into(out);
+    EXPECT_EQ(out, m.encode());
+  }
 }
 
 TEST(MessageViewTest, OverSignatureRejectsUnknownSigners) {

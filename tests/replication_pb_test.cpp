@@ -36,6 +36,11 @@ class TestClient : public net::Handler {
     for (const auto& s : servers) net_.send(id_, net_.id_of(s), msg.encode());
   }
 
+  /// Send `msg` as-is to `server` (forged or malformed protocol traffic).
+  void send_raw(const Message& msg, const net::Address& server) {
+    net_.send(id_, net_.id_of(server), msg.encode());
+  }
+
   /// Distinct sender indices that answered `rid` with `body`.
   std::set<std::uint32_t> responders(const RequestId& rid,
                                      const std::string& body) const {
@@ -241,6 +246,38 @@ TEST_F(PbTest, RebootedBackupRejoinsQuietly) {
   client_.send_request({"client", 2}, "GET a", addrs_);
   sim_.run_until(70.0);
   EXPECT_EQ(client_.responders({"client", 2}, "VALUE 1").size(), 3u);
+}
+
+TEST_F(PbTest, MalformedStateUpdateIsDroppedNotThrown) {
+  // StateUpdates are unsigned, so a backup must survive one whose snapshot
+  // does not parse: it keeps its state and applied_seq, and the next valid
+  // update still applies.
+  boot_and_start();
+  client_.send_request({"client", 1}, "PUT a 1", addrs_);
+  sim_.run_until(30.0);
+  ASSERT_EQ(replicas_[1]->applied_seq(), 1u);
+  const Bytes state_before = replicas_[1]->service().snapshot();
+
+  Message bad;
+  bad.type = MsgType::StateUpdate;
+  bad.view = 0;
+  bad.seq = 2;
+  bad.sender_index = 0;  // claims to come from the primary
+  bad.request_id = {"forger", 1};
+  bad.payload = bytes_of("OK");
+  bad.aux = state_before;
+  bad.aux.resize(bad.aux.size() - 3);  // truncated snapshot
+  client_.send_raw(bad, addrs_[1]);
+  ASSERT_NO_THROW(sim_.run_until(40.0));
+  EXPECT_EQ(replicas_[1]->applied_seq(), 1u);
+  EXPECT_EQ(replicas_[1]->service().snapshot(), state_before);
+
+  client_.send_request({"client", 2}, "PUT b 2", addrs_);
+  sim_.run_until(70.0);
+  EXPECT_EQ(replicas_[1]->applied_seq(), 2u);
+  EXPECT_EQ(replicas_[1]->service().snapshot(),
+            replicas_[0]->service().snapshot());
+  EXPECT_EQ(client_.responders({"client", 2}, "OK").size(), 3u);
 }
 
 }  // namespace

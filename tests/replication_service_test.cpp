@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/bytes.hpp"
 
 namespace fortress::replication {
@@ -34,12 +37,22 @@ TEST(KvServiceTest, SizeAndErrors) {
   EXPECT_EQ(run(kv, "PUT onlykey"), "ERR bad-command");
 }
 
+TEST(KvServiceTest, SplitsCommandsOnAnyWhitespace) {
+  KvService kv;
+  EXPECT_EQ(run(kv, "  PUT\tk \n v\r\n"), "OK");
+  EXPECT_EQ(run(kv, "GET\vk\f"), "VALUE v");
+  EXPECT_EQ(run(kv, "PUT k w extra words"), "OK");
+  EXPECT_EQ(run(kv, "GET k"), "VALUE w");
+  EXPECT_EQ(run(kv, " \t "), "ERR empty");
+  EXPECT_EQ(run(kv, "put k v"), "ERR bad-command");
+}
+
 TEST(KvServiceTest, SnapshotRestoreRoundTrip) {
   KvService a;
   run(a, "PUT k1 v1");
   run(a, "PUT k2 v2");
   KvService b;
-  b.restore(a.snapshot());
+  EXPECT_TRUE(b.restore(a.snapshot()));
   EXPECT_EQ(run(b, "GET k1"), "VALUE v1");
   EXPECT_EQ(run(b, "GET k2"), "VALUE v2");
   EXPECT_EQ(b.size(), 2u);
@@ -51,7 +64,7 @@ TEST(KvServiceTest, RestoreReplacesState) {
   Bytes snap = a.snapshot();
   KvService b;
   run(b, "PUT stale 9");
-  b.restore(snap);
+  EXPECT_TRUE(b.restore(snap));
   EXPECT_EQ(run(b, "GET stale"), "NOTFOUND");
   EXPECT_EQ(run(b, "GET fresh"), "VALUE 1");
 }
@@ -78,7 +91,7 @@ TEST(CounterServiceTest, SnapshotRoundTrip) {
   CounterService a;
   run(a, "ADD 42");
   CounterService b;
-  b.restore(a.snapshot());
+  EXPECT_TRUE(b.restore(a.snapshot()));
   EXPECT_EQ(b.value(), 42);
 }
 
@@ -108,8 +121,112 @@ TEST(SessionTokenServiceTest, StateShippingResolvesNonDeterminism) {
   SessionTokenService primary(1), backup(2);
   std::string reply = run(primary, "TOKEN alice");
   std::string token = reply.substr(6);
-  backup.restore(primary.snapshot());
+  EXPECT_TRUE(backup.restore(primary.snapshot()));
   EXPECT_EQ(run(backup, "CHECK alice " + token), "VALID");
+}
+
+// A map snapshot built by hand, entries in the given order (so unsorted
+// and repeated keys can be written, which snapshot() never does).
+Bytes map_snapshot(const std::vector<std::pair<std::string, std::string>>& kv) {
+  Bytes out;
+  append_u64_be(out, kv.size());
+  for (const auto& [k, v] : kv) {
+    append_u64_be(out, k.size());
+    append(out, bytes_view(k));
+    append_u64_be(out, v.size());
+    append(out, bytes_view(v));
+  }
+  return out;
+}
+
+// Snapshots a pre-filled map-based service may be restored to: grown,
+// shrunk, emptied, with a repeated key (the first occurrence wins) and out
+// of order.
+std::vector<Bytes> restore_targets() {
+  return {
+      map_snapshot({{"a", "1"},
+                    {"b", "a-value-much-longer-than-the-old-one"},
+                    {"c", "3"},
+                    {"k0", "x"},
+                    {"zz", "new"}}),
+      map_snapshot({{"b", "2"}}),
+      map_snapshot({}),
+      map_snapshot({{"a", "first"}, {"a", "second"}, {"b", "y"}, {"b", "z"}}),
+      map_snapshot({{"zz", "1"}, {"a", "2"}, {"k0", "3"}, {"a", "4"}}),
+  };
+}
+
+template <typename S>
+void prefill(S& svc) {
+  const Bytes start = map_snapshot({{"a", "old-a-with-a-long-value"},
+                                    {"b", "old-b"},
+                                    {"k0", "old-k0"},
+                                    {"k1", "old-k1"}});
+  ASSERT_TRUE(svc.restore(start));
+}
+
+TEST(ServiceRestoreTest, KvRestoreIntoPrefilledEqualsFresh) {
+  for (const Bytes& target : restore_targets()) {
+    KvService reused;
+    prefill(reused);
+    KvService fresh;
+    ASSERT_TRUE(reused.restore(target));
+    ASSERT_TRUE(fresh.restore(target));
+    EXPECT_EQ(reused.snapshot(), fresh.snapshot());
+    EXPECT_EQ(reused.size(), fresh.size());
+    for (const char* key : {"a", "b", "c", "k0", "k1", "zz"}) {
+      EXPECT_EQ(run(reused, std::string("GET ") + key),
+                run(fresh, std::string("GET ") + key));
+    }
+  }
+  // The repeated-key snapshot keeps each key's first value.
+  KvService kv;
+  ASSERT_TRUE(kv.restore(restore_targets()[3]));
+  EXPECT_EQ(run(kv, "GET a"), "VALUE first");
+  EXPECT_EQ(run(kv, "GET b"), "VALUE y");
+  EXPECT_EQ(kv.size(), 2u);
+}
+
+TEST(ServiceRestoreTest, SessionTokenRestoreIntoPrefilledEqualsFresh) {
+  for (const Bytes& target : restore_targets()) {
+    SessionTokenService reused(1);
+    prefill(reused);
+    SessionTokenService fresh(2);
+    ASSERT_TRUE(reused.restore(target));
+    ASSERT_TRUE(fresh.restore(target));
+    EXPECT_EQ(reused.snapshot(), fresh.snapshot());
+    for (const char* key : {"a", "b", "c", "k0", "k1", "zz"}) {
+      EXPECT_EQ(run(reused, std::string("GET ") + key),
+                run(fresh, std::string("GET ") + key));
+    }
+  }
+}
+
+TEST(ServiceRestoreTest, MalformedSnapshotLeavesStateUntouched) {
+  // Every proper prefix of a valid record is malformed (the count promises
+  // entries the bytes do not hold): restore refuses it and changes nothing.
+  const Bytes valid = restore_targets()[0];
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    const BytesView cut(valid.data(), len);
+    KvService kv;
+    prefill(kv);
+    const Bytes kv_before = kv.snapshot();
+    EXPECT_FALSE(kv.restore(cut)) << "length " << len;
+    EXPECT_EQ(kv.snapshot(), kv_before) << "length " << len;
+
+    SessionTokenService tokens(3);
+    prefill(tokens);
+    const Bytes tokens_before = tokens.snapshot();
+    EXPECT_FALSE(tokens.restore(cut)) << "length " << len;
+    EXPECT_EQ(tokens.snapshot(), tokens_before) << "length " << len;
+  }
+  CounterService counter;
+  run(counter, "ADD 5");
+  const Bytes snap = counter.snapshot();
+  for (std::size_t len = 0; len < snap.size(); ++len) {
+    EXPECT_FALSE(counter.restore(BytesView(snap.data(), len)));
+    EXPECT_EQ(counter.value(), 5);
+  }
 }
 
 }  // namespace

@@ -419,6 +419,26 @@ TEST(PeriodicTimerTest, StopFromWithinCallback) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(PeriodicTimerTest, RestartFromWithinCallbackFiresOncePerPeriod) {
+  Simulator sim;
+  std::vector<Time> fires;
+  PeriodicTimer timer(sim, 1.0, [&] {
+    fires.push_back(sim.now());
+    if (fires.size() == 3) {
+      timer.stop();
+      timer.set_period(2.0);
+      timer.start();
+    }
+  });
+  timer.start();
+  sim.run_until(9.5);
+  EXPECT_EQ(fires, (std::vector<Time>{1.0, 2.0, 3.0, 5.0, 7.0, 9.0}));
+  // One stop() silences it: no second chain was left behind.
+  timer.stop();
+  sim.run_until(20.0);
+  EXPECT_EQ(fires.size(), 6u);
+}
+
 TEST(PeriodicTimerTest, ZeroPeriodViolatesContract) {
   Simulator sim;
   EXPECT_THROW(PeriodicTimer(sim, 0.0, [] {}), ContractViolation);
