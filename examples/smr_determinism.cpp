@@ -34,8 +34,10 @@ class FalselyDeterministicTokenService final
   explicit FalselyDeterministicTokenService(std::uint64_t seed)
       : inner_(seed) {}
 
-  Bytes execute(BytesView request) override { return inner_.execute(request); }
-  Bytes snapshot() const override { return inner_.snapshot(); }
+  void execute(BytesView request, Bytes& out) override {
+    inner_.execute(request, out);
+  }
+  void snapshot(Bytes& out) const override { inner_.snapshot(out); }
   bool restore(BytesView snapshot) override { return inner_.restore(snapshot); }
 
  private:

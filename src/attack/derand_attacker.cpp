@@ -243,11 +243,12 @@ void DerandAttacker::tick_indirect() {
   const net::Address& identity = identities_[identity_ix];
 
   // A well-formed service request whose payload carries the exploit.
-  replication::Message msg;
-  msg.type = replication::MsgType::Request;
-  msg.request_id = replication::RequestId{identity, ++request_seq_};
-  msg.requester = identity;
-  msg.payload = osl::encode_probe(guess);
+  osl::encode_probe_into(probe_scratch_, guess);
+  const replication::MessageCore msg{.type = replication::MsgType::Request,
+                                     .client = identity,
+                                     .client_seq = ++request_seq_,
+                                     .requester = identity,
+                                     .payload = probe_scratch_};
 
   const net::HostId proxy =
       indirect_proxies_[indirect_rotate_ % indirect_proxies_.size()];

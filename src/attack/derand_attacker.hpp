@@ -153,6 +153,8 @@ class DerandAttacker final : public net::Handler {
   std::uint64_t indirect_next_ = 0;
   std::size_t indirect_rotate_ = 0;
   std::uint64_t request_seq_ = 0;
+  /// The current indirect probe's exploit bytes (capacity reused).
+  Bytes probe_scratch_;
   std::unique_ptr<sim::PeriodicTimer> indirect_timer_;
   bool running_ = false;
 };

@@ -48,6 +48,15 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
   std::memcpy(&v, p, 4);
   return host_to_be32(v);
 }
+/// Unchecked big-endian stores, the loads' mirror.
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+  v = host_to_be64(v);
+  std::memcpy(p, &v, 8);
+}
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+  v = host_to_be32(v);
+  std::memcpy(p, &v, 4);
+}
 }  // namespace detail
 
 /// Encode a buffer as lowercase hex ("deadbeef").

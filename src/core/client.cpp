@@ -4,10 +4,8 @@
 
 namespace fortress::core {
 
-using replication::Message;
 using replication::MessageView;
 using replication::MsgType;
-using replication::RequestId;
 
 Client::Client(sim::Simulator& sim, net::Network& network,
                const crypto::KeyRegistry& registry, Directory directory,
@@ -54,13 +52,15 @@ std::uint64_t Client::submit(Bytes request, ResponseCallback on_response,
 void Client::broadcast_request(std::uint64_t seq) {
   auto it = outstanding_.find(seq);
   if (it == outstanding_.end()) return;
-  Message msg;
-  msg.type = MsgType::Request;
-  msg.request_id = RequestId{config_.address, seq};
-  msg.requester = config_.address;
-  msg.payload = it->second.request;
+  // Encoded from borrowed fields: no Message copy of the request body or
+  // the client's address per (re)send.
   Bytes wire = network_.acquire_buffer();
-  msg.encode_into(wire);
+  replication::MessageCore{.type = MsgType::Request,
+                           .client = config_.address,
+                           .client_seq = seq,
+                           .requester = config_.address,
+                           .payload = it->second.request}
+      .encode_into(wire);
   for (net::HostId target : target_ids_) {
     network_.send_copy(id_, target, wire);
   }

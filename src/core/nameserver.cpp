@@ -4,7 +4,6 @@
 
 namespace fortress::core {
 
-using replication::Message;
 using replication::MessageView;
 using replication::MsgType;
 
@@ -12,7 +11,8 @@ NameServer::NameServer(net::Network& network, crypto::KeyRegistry& registry,
                        Directory directory)
     : network_(network),
       key_(registry.enroll(kNameServerAddress)),
-      directory_(std::move(directory)) {
+      directory_(std::move(directory)),
+      directory_wire_(directory_.encode()) {
   id_ = network_.attach(kNameServerAddress, *this);
 }
 
@@ -25,13 +25,11 @@ void NameServer::on_message(const net::Envelope& env) {
   // the borrowed view and drop everything else allocation-free.
   auto msg = MessageView::decode(env.payload);
   if (!msg || msg->type() != MsgType::NsLookup) return;
-  Message reply;
-  reply.type = MsgType::NsReply;
-  reply.requester = network_.address_of(env.from);
-  reply.aux = directory_.encode();
-  replication::sign_message(reply, key_);
   Bytes wire = network_.acquire_buffer();
-  reply.encode_into(wire);
+  replication::MessageCore{.type = MsgType::NsReply,
+                           .requester = network_.address_of(env.from),
+                           .aux = directory_wire_}
+      .encode_signed_into(wire, key_);
   network_.send(id_, env.from, std::move(wire));
 }
 

@@ -36,6 +36,8 @@ class NameServer final : public net::Handler {
   net::Network& network_;
   crypto::SigningKey key_;
   Directory directory_;
+  /// directory_.encode(), made once: the directory never changes.
+  Bytes directory_wire_;
   net::HostId id_ = net::kInvalidHost;
 };
 

@@ -1,18 +1,23 @@
 // hmac.hpp — HMAC-SHA256 (RFC 2104 / FIPS 198-1).
 #pragma once
 
+#include <array>
+#include <cstdint>
+
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
 
 namespace fortress::crypto {
 
-/// A precomputed HMAC-SHA256 key schedule: the SHA-256 midstates left after
-/// absorbing the key's ipad/opad blocks. Constructing one costs the same
-/// two compressions a one-shot HMAC spends on the pads; every subsequent
-/// mac() call then pays only the two message/digest tails — about half the
-/// work for the short messages the protocol signs. Used wherever one key
-/// authenticates many messages (SigningKey, KeyRegistry::verify) and for
-/// the registry's per-trial principal derivation. Copyable value type.
+/// A precomputed HMAC-SHA256 key schedule (RFC 2104's two midstates): the
+/// SHA-256 working variables left after compressing the key's ipad and
+/// opad blocks. Constructing one costs the two compressions a one-shot
+/// HMAC spends on the pads; every mac() then pays only for the message:
+/// its whole blocks compressed straight from the caller's buffer, one
+/// padded tail, and the outer hash as one preformatted block. Used wherever
+/// one key authenticates many messages (SigningKey, KeyRegistry::verify)
+/// and for the registry's per-trial principal derivation. Copyable value
+/// type.
 class HmacKey {
  public:
   /// Empty schedule (no pads absorbed — mac() on it is NOT the HMAC of
@@ -25,8 +30,8 @@ class HmacKey {
   Digest mac(BytesView message) const;
 
  private:
-  Sha256 inner_mid_;
-  Sha256 outer_mid_;
+  std::array<std::uint32_t, 8> inner_mid_ = Sha256::kInitialState;
+  std::array<std::uint32_t, 8> outer_mid_ = Sha256::kInitialState;
 };
 
 /// Compute HMAC-SHA256(key, message).

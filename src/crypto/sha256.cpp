@@ -8,8 +8,7 @@
 namespace fortress::crypto {
 
 void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  state_ = kInitialState;
   buffer_len_ = 0;
   total_len_ = 0;
   finished_ = false;
@@ -43,28 +42,29 @@ void Sha256::update(BytesView data) {
 Digest Sha256::finish() {
   FORTRESS_EXPECTS(!finished_);
   finished_ = true;
-
-  // Build the padded tail locally: buffered bytes, 0x80, zeros, 64-bit
-  // big-endian bit length. One or two blocks, one compress call.
-  std::uint8_t tail[kBlockSize * 2] = {};
-  std::memcpy(tail, buffer_.data(), buffer_len_);
-  tail[buffer_len_] = 0x80;
-  const std::size_t tail_blocks = (buffer_len_ < 56) ? 1 : 2;
-  const std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t* len_at = tail + tail_blocks * kBlockSize - 8;
-  for (int i = 0; i < 8; ++i) {
-    len_at[i] = static_cast<std::uint8_t>((bit_len >> (56 - i * 8)) & 0xff);
-  }
-  kernel::compress_blocks(state_.data(), tail, tail_blocks);
+  compress_tail(state_.data(), BytesView(buffer_.data(), buffer_len_),
+                total_len_);
   buffer_len_ = 0;
+  return digest_of_state(state_.data());
+}
 
+void compress_tail(std::uint32_t state[8], BytesView tail,
+                   std::uint64_t total_len) {
+  FORTRESS_EXPECTS(tail.size() < Sha256::kBlockSize);
+  // Buffered bytes, 0x80, zeros, 64-bit big-endian bit length: one or two
+  // blocks, one compress call.
+  constexpr std::size_t kBlock = Sha256::kBlockSize;
+  std::uint8_t block[kBlock * 2] = {};
+  if (!tail.empty()) std::memcpy(block, tail.data(), tail.size());
+  block[tail.size()] = 0x80;
+  const std::size_t blocks = (tail.size() < kBlock - 8) ? 1 : 2;
+  detail::store_be64(block + blocks * kBlock - 8, total_len * 8);
+  kernel::compress_blocks(state, block, blocks);
+}
+
+Digest digest_of_state(const std::uint32_t state[8]) {
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>((state_[i] >> 24) & 0xff);
-    out[i * 4 + 1] = static_cast<std::uint8_t>((state_[i] >> 16) & 0xff);
-    out[i * 4 + 2] = static_cast<std::uint8_t>((state_[i] >> 8) & 0xff);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i] & 0xff);
-  }
+  for (int i = 0; i < 8; ++i) detail::store_be32(out.data() + i * 4, state[i]);
   return out;
 }
 
@@ -73,7 +73,5 @@ Digest Sha256::hash(BytesView data) {
   h.update(data);
   return h.finish();
 }
-
-Bytes digest_bytes(const Digest& d) { return Bytes(d.begin(), d.end()); }
 
 }  // namespace fortress::crypto

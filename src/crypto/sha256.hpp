@@ -28,6 +28,11 @@ class Sha256 {
  public:
   static constexpr std::size_t kBlockSize = 64;
   static constexpr std::size_t kDigestSize = 32;
+  /// The eight working variables a fresh context starts from (FIPS 180-4
+  /// §5.3.3).
+  static constexpr std::array<std::uint32_t, 8> kInitialState = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
   Sha256() { reset(); }
 
@@ -52,7 +57,14 @@ class Sha256 {
   bool finished_ = false;
 };
 
-/// Digest as a Bytes buffer (for wire encoding).
-Bytes digest_bytes(const Digest& d);
+/// Pad the last `tail.size()` (< kBlockSize) bytes of a `total_len`-byte
+/// message and compress them into `state`: 0x80, zeros, then the 64-bit
+/// big-endian bit length — one block, or two when the tail leaves fewer
+/// than 8 bytes for the length.
+void compress_tail(std::uint32_t state[8], BytesView tail,
+                   std::uint64_t total_len);
+
+/// The digest `state` spells: its words stored big-endian.
+Digest digest_of_state(const std::uint32_t state[8]);
 
 }  // namespace fortress::crypto

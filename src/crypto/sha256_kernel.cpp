@@ -1,5 +1,6 @@
 #include "crypto/sha256_kernel.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -51,6 +52,33 @@ ShaTier& active_tier_slot() {
   return tier;
 }
 
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+CompressFn kernel_for(ShaTier tier) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (tier == ShaTier::ShaNi) return &compress_blocks_shani;
+#endif
+  (void)tier;
+  return &compress_blocks_scalar;
+}
+
+void compress_first_call(std::uint32_t state[8], const std::uint8_t* data,
+                         std::size_t nblocks);
+
+/// The active tier's kernel. It starts as a resolver that selects the
+/// startup tier on the first compression and installs that tier's kernel,
+/// so later calls are one relaxed load and one indirect call — no guard of
+/// a function-local static per block batch. Constant-initialized, so it is
+/// valid before any dynamic initializer runs.
+std::atomic<CompressFn> g_compress{&compress_first_call};
+
+void compress_first_call(std::uint32_t state[8], const std::uint8_t* data,
+                         std::size_t nblocks) {
+  const CompressFn fn = kernel_for(active_tier_slot());
+  g_compress.store(fn, std::memory_order_relaxed);
+  fn(state, data, nblocks);
+}
+
 }  // namespace
 
 const char* tier_name(ShaTier tier) {
@@ -83,6 +111,7 @@ ShaTier active_tier() { return active_tier_slot(); }
 bool force_tier(ShaTier tier) {
   if (!tier_available(tier)) return false;
   active_tier_slot() = tier;
+  g_compress.store(kernel_for(tier), std::memory_order_relaxed);
   return true;
 }
 
@@ -146,16 +175,7 @@ void compress_blocks_scalar(std::uint32_t state[8], const std::uint8_t* data,
 void compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
                      std::size_t nblocks) {
   if (nblocks == 0) return;
-  switch (active_tier_slot()) {
-#if defined(__x86_64__) || defined(__i386__)
-    case ShaTier::ShaNi:
-      compress_blocks_shani(state, data, nblocks);
-      return;
-#endif
-    default:
-      compress_blocks_scalar(state, data, nblocks);
-      return;
-  }
+  g_compress.load(std::memory_order_relaxed)(state, data, nblocks);
 }
 
 }  // namespace fortress::crypto::kernel

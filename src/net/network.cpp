@@ -109,12 +109,10 @@ void Network::detach(HostId id, CloseReason reason) {
   // Close every connection with this endpoint; notify the surviving peer in
   // connection-creation order (the order the old id-ordered map walk
   // produced, which the RNG draw sequence of the notifications depends on).
-  struct Match {
-    std::uint64_t seq;
-    ConnectionId id;
-    HostId peer;
-  };
-  std::vector<Match> to_notify;
+  // The member scratch list is safe to reuse: nothing below re-enters
+  // detach (notify_closed only schedules the notification).
+  std::vector<ClosingConn>& to_notify = closing_scratch_;
+  to_notify.clear();
   for (std::uint32_t slot = 0; slot < conns_.size(); ++slot) {
     ConnSlot& c = conns_[slot];
     if (!c.open || (c.a != id && c.b != id)) continue;
@@ -122,8 +120,10 @@ void Network::detach(HostId id, CloseReason reason) {
         {c.opened_seq, make_conn_id(slot, c.gen), c.a == id ? c.b : c.a});
   }
   std::sort(to_notify.begin(), to_notify.end(),
-            [](const Match& x, const Match& y) { return x.seq < y.seq; });
-  for (const Match& m : to_notify) {
+            [](const ClosingConn& x, const ClosingConn& y) {
+              return x.seq < y.seq;
+            });
+  for (const ClosingConn& m : to_notify) {
     release_conn(m.id);
     notify_closed(m.peer, m.id, id, reason);
   }

@@ -307,6 +307,13 @@ class Network {
   std::uint64_t conn_seq_ = 0;
   /// Recycled payload buffers (see acquire_buffer).
   std::vector<Bytes> pool_;
+  /// detach()'s list of connections to close, reused across calls.
+  struct ClosingConn {
+    std::uint64_t seq;
+    ConnectionId id;
+    HostId peer;
+  };
+  std::vector<ClosingConn> closing_scratch_;
   std::uint64_t delivered_ = 0;
   /// Per-window island membership as HostId bitsets, one per
   /// config_.partitions entry, built lazily from the interner (lazily

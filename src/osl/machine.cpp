@@ -286,8 +286,8 @@ void Machine::clear_service_queue() {
     ++overload_stats_.dropped_on_reboot;
   }
   overload_stats_.dropped_on_reboot += service_queue_.size();
-  for (QueuedMessage& qm : service_queue_) {
-    network_.recycle_buffer(std::move(qm.payload));
+  for (std::size_t i = 0; i < service_queue_.size(); ++i) {
+    network_.recycle_buffer(std::move(service_queue_.at(i).payload));
   }
   service_queue_.clear();
 }

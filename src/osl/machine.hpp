@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
@@ -203,6 +202,48 @@ class Machine final : public net::Handler {
     bool degraded = false;
   };
 
+  /// FIFO of queued messages on a power-of-two ring that keeps its
+  /// capacity: once a machine has seen its deepest queue, admitting and
+  /// serving messages allocates nothing (a std::deque frees and refetches
+  /// its blocks as the queue drains and refills).
+  class ServiceRing {
+   public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// The i-th message from the front.
+    QueuedMessage& at(std::size_t i) {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    QueuedMessage& front() { return at(0); }
+    QueuedMessage& back() { return at(size_ - 1); }
+    void push_back(QueuedMessage&& qm) {
+      if (size_ == slots_.size()) grow();
+      at(size_) = std::move(qm);
+      ++size_;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+    void pop_back() { --size_; }
+    void clear() {
+      head_ = 0;
+      size_ = 0;
+    }
+
+   private:
+    void grow() {
+      std::vector<QueuedMessage> bigger(slots_.empty() ? 8 : slots_.size() * 2);
+      for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move(at(i));
+      slots_.swap(bigger);
+      head_ = 0;
+    }
+
+    std::vector<QueuedMessage> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   void reboot_common();
   void handle_probe(const net::Envelope& env, RandKey guess);
   static ServiceClass classify_service(BytesView payload);
@@ -232,7 +273,7 @@ class Machine final : public net::Handler {
   // --- bounded service queue (inert while service_.enabled is false) ------
   net::ServiceModel service_;
   Rng service_rng_{0};
-  std::deque<QueuedMessage> service_queue_;
+  ServiceRing service_queue_;
   QueuedMessage in_service_msg_;
   bool in_service_ = false;
   sim::EventId service_event_ = 0;

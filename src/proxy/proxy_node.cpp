@@ -112,7 +112,7 @@ void ProxyNode::handle_client_request(const net::Envelope& env,
   PendingRequest& pending = pending_.find_or_insert(
       msg.request_client(), msg.request_seq(),
       replication::request_key_hash(msg.request_client(), msg.request_seq()));
-  replication::insert_sorted_unique(pending.clients, env.from);
+  pending_.insert(pending.clients, env.from);
 
   // Re-forward on duplicates too (the earlier copy may have died with a
   // crashed child); servers dedup by request id.
@@ -175,20 +175,20 @@ void ProxyNode::handle_server_response(const net::Envelope& env,
   // responses"). The over-signature covers the signed core + inner
   // signature — the requester is blanked in the signed form — so one
   // signature serves every client; each delivery is a wire splice.
-  std::optional<crypto::Signature> over;
-  for (net::HostId client : pending->clients) {
-    if (std::binary_search(pending->answered.begin(), pending->answered.end(),
-                           client)) {
-      continue;
-    }
+  // Indexed walk: recording an answer may move the id arena under a span.
+  std::optional<crypto::Digest> over;
+  for (std::uint32_t i = 0; i < pending->clients.len; ++i) {
+    const net::HostId client = pending_.ids(pending->clients)[i];
+    if (pending_.contains(pending->answered, client)) continue;
     if (!over) {
       msg.over_signing_bytes_into(sign_scratch_);
-      over = key_.sign(sign_scratch_);
+      over = key_.sign_tag(sign_scratch_);
     }
     Bytes wire = network_.acquire_buffer();
-    msg.encode_proxy_response_into(wire, network_.address_of(client), *over);
+    msg.encode_proxy_response_into(wire, network_.address_of(client),
+                                   key_.id().name, *over);
     network_.send(self_id_, client, std::move(wire));
-    replication::insert_sorted_unique(pending->answered, client);
+    pending_.insert(pending->answered, client);
     ++stats_.responses_delivered;
   }
 }

@@ -133,13 +133,11 @@ class ProxyNode final : public osl::Application {
   ProxyStats stats_;
   ProbeLog log_;
 
-  /// Per-request fan-in state. Both id lists are sorted ascending (kept by
-  /// insert_sorted_unique), so responses go out in HostId order.
-  struct PendingRequest {
-    replication::RequestId rid;
-    std::uint64_t hash = 0;
-    std::vector<net::HostId> clients;   ///< who asked
-    std::vector<net::HostId> answered;  ///< who already got a response
+  /// Per-request fan-in state. Both id sets are ascending (see
+  /// RequestTable::insert), so responses go out in HostId order.
+  struct PendingRequest : replication::RequestKey {
+    replication::IdSetRef clients;   ///< who asked
+    replication::IdSetRef answered;  ///< who already got a response
   };
   /// Probed with the borrowed (client, seq) key of a MessageView — the
   /// per-message lookup allocates nothing.

@@ -58,6 +58,28 @@ void MessageCore::encode_into(Bytes& out) const {
   out.push_back(0);  // no over-signature
 }
 
+void MessageCore::encode_signed_into(Bytes& out,
+                                     const crypto::SigningKey& key) const {
+  // The signature covers the canonical core (see Message::signing_bytes):
+  // the requester blanked and ProxyResponse normalized to Response. When
+  // neither rewrite applies — all ordering traffic — the signed bytes ARE
+  // the wire prefix, so the core is encoded once.
+  MessageCore canonical = *this;
+  canonical.requester = {};
+  if (canonical.type == MsgType::ProxyResponse) {
+    canonical.type = MsgType::Response;
+  }
+  out.clear();
+  append_core(out, canonical);
+  const crypto::Digest tag = key.sign_tag(out);
+  if (!requester.empty() || type != canonical.type) {
+    out.clear();
+    append_core(out, *this);
+  }
+  append_signature(out, key.id().name, tag);
+  out.push_back(0);  // no over-signature
+}
+
 MessageCore Message::core() const {
   return {type,           view,      seq,     sender_index, request_id.client,
           request_id.seq, requester, payload, aux};
@@ -242,8 +264,8 @@ void MessageView::encode_readdressed_into(Bytes& out,
 }
 
 void MessageView::encode_proxy_response_into(
-    Bytes& out, std::string_view requester,
-    const crypto::Signature& over) const {
+    Bytes& out, std::string_view requester, std::string_view over_signer,
+    const crypto::Digest& over_tag) const {
   FORTRESS_EXPECTS(signature_.has_value());
   out.clear();
   append(out, data_.subspan(0, 4));
@@ -254,7 +276,7 @@ void MessageView::encode_proxy_response_into(
   // over-signature in place of whatever followed.
   const std::size_t requester_end = requester_off_ + requester_len_;
   append(out, data_.subspan(requester_end, over_off_ - requester_end));
-  append_signature(out, over);
+  append_signature(out, over_signer, over_tag);
 }
 
 void sign_message(Message& msg, const crypto::SigningKey& key) {
@@ -298,14 +320,15 @@ bool verify_from_indexed_peer(const MessageView& m,
                               std::span<const crypto::HmacKey* const> schedules,
                               std::span<const std::string> names,
                               const crypto::KeyRegistry& registry) {
-  if (m.signature() && m.sender_index() < schedules.size()) {
-    const crypto::HmacKey* schedule = schedules[m.sender_index()];
-    if (schedule != nullptr &&
-        m.signature()->signer == names[m.sender_index()]) {
-      return verify_message(m, *schedule);
-    }
+  const std::uint32_t index = m.sender_index();
+  if (!m.signature() || index >= names.size() ||
+      m.signature()->signer != names[index]) {
+    return false;
   }
-  return verify_message(m, registry);
+  const crypto::HmacKey* schedule =
+      index < schedules.size() ? schedules[index] : nullptr;
+  return schedule != nullptr ? verify_message(m, *schedule)
+                             : verify_message(m, registry);
 }
 
 bool verify_over_signature(const MessageView& m,
@@ -319,18 +342,20 @@ bool verify_over_signature(const MessageView& m,
 
 void SignedResponseTemplate::rebuild(std::uint64_t view, std::uint64_t seq,
                                      std::uint32_t sender_index,
-                                     const RequestId& rid, BytesView payload,
+                                     std::string_view client,
+                                     std::uint64_t client_seq,
+                                     BytesView payload,
                                      const crypto::SigningKey& key) {
   // The signature covers the requester-blanked Response core — identical
   // for every recipient (this is what makes the template sound) — and that
   // core is also the template's wire prefix.
   wire_.clear();
   append_core(wire_, MessageCore{MsgType::Response, view, seq, sender_index,
-                                 rid.client, rid.seq, {}, payload, {}});
+                                 client, client_seq, {}, payload, {}});
   const crypto::Digest tag = key.sign_tag(wire_);
   append_signature(wire_, key.id().name, tag);
   wire_.push_back(0);  // no over-signature
-  split_ = 28 + 8 + rid.client.size() + 8;
+  split_ = 28 + 8 + client.size() + 8;
 }
 
 void SignedResponseTemplate::emit_into(Bytes& out,

@@ -8,11 +8,12 @@
 //
 // One path out, one path in:
 //  * MessageCore is the one encoder input: every field borrowed, every
-//    string and bytes field written straight from its view. Message (the
-//    owning send-side record that handlers build and sign) encodes through
-//    it, and unsigned traffic that never needs an owning record (PB
-//    heartbeats, view changes and state updates) fills one directly, so
-//    the steady-state send path allocates nothing.
+//    string and bytes field written straight from its view. Every protocol
+//    sender fills one over its own state — encode_into for unsigned
+//    traffic, encode_signed_into for server-signed messages — so the
+//    steady-state send path allocates nothing. Message, the owning record
+//    (materialize()'s result, and what tests build and sign with
+//    sign_message), encodes through it too.
 //  * MessageView::decode is the only decoder. It validates the full
 //    structure but keeps string/bytes fields as views borrowed from the
 //    input span, and it is the only thing the verifiers accept. A view
@@ -88,6 +89,13 @@ struct MessageCore {
   /// into `out`, replacing its contents. Bit-identical to the Message with
   /// these fields and no signatures.
   void encode_into(Bytes& out) const;
+
+  /// Encode as a server-signed wire message into `out`, replacing its
+  /// contents: bit-identical to the Message with these fields after
+  /// sign_message(msg, key) and encode_into. The signer's name is borrowed
+  /// from `key` and the tag comes from SigningKey::sign_tag, so nothing is
+  /// allocated beyond `out`'s growth.
+  void encode_signed_into(Bytes& out, const crypto::SigningKey& key) const;
 };
 
 /// The universal protocol record.
@@ -197,11 +205,13 @@ class MessageView {
 
   /// The proxy-response rewrite: this view (a server Response whose inner
   /// signature verified) re-encoded as a ProxyResponse addressed to
-  /// `requester` with `over` stapled on as the over-signature. Any
-  /// over-signature already on the wire is dropped, as the materializing
-  /// path did.
+  /// `requester` with the over-signature (`over_signer`, `over_tag`)
+  /// stapled on. Any over-signature already on the wire is dropped, as the
+  /// materializing path did. The signer is borrowed (the proxy's own key
+  /// name), so nothing is copied per answered request.
   void encode_proxy_response_into(Bytes& out, std::string_view requester,
-                                  const crypto::Signature& over) const;
+                                  std::string_view over_signer,
+                                  const crypto::Digest& over_tag) const;
 
  private:
   BytesView data_;
@@ -241,14 +251,15 @@ bool verify_message(const MessageView& m, const crypto::KeyRegistry& registry);
 /// schedule belongs to (e.g. by the message's sender_index).
 bool verify_message(const MessageView& m, const crypto::HmacKey& schedule);
 
-/// THE amortized indexed-peer verify, shared by every per-message verifier
-/// (proxy checking server responses, SMR replica checking ordering
-/// traffic): when m.sender_index() addresses a cached schedule AND the
-/// claimed signer is exactly names[sender_index], verify against that
-/// schedule; anything unusual (missing signature, out-of-range index,
-/// unresolved schedule, index/signer mismatch) falls back to the
-/// registry's by-name lookup, preserving its acceptance semantics exactly.
-/// `schedules` is index-aligned with `names` (entries may be nullptr).
+/// THE indexed-peer verify, shared by every per-message verifier (proxy
+/// checking server responses, SMR replica checking ordering traffic): the
+/// message is accepted only when its signer is exactly
+/// names[m.sender_index()] and the signature verifies under that
+/// principal's key — so a peer cannot speak (or vote) under an index that
+/// is not its own. A missing signature, an out-of-range index or a
+/// signer/index mismatch never verifies. The cached schedule is used when
+/// resolved; an unresolved (nullptr) entry falls back to the registry's
+/// lookup of the same name. `schedules` is index-aligned with `names`.
 bool verify_from_indexed_peer(const MessageView& m,
                               std::span<const crypto::HmacKey* const> schedules,
                               std::span<const std::string> names,
@@ -263,9 +274,10 @@ bool verify_over_signature(const MessageView& m,
 /// cover the requester-blanked form (see Message::signing_bytes), every
 /// copy of a response fanned out to N requesters carries the SAME tag —
 /// the template hoists that invariant: after rebuild(view, seq, sender,
-/// rid, payload, key), emit_into(out, r) is bit-identical to the Response
-/// Message with those fields and requester r, signed by sign_message and
-/// encoded — at one signature and zero re-encodes for all N.
+/// client, client_seq, payload, key), emit_into(out, r) is bit-identical to
+/// the Response Message with those fields and requester r, signed by
+/// sign_message and encoded — at one signature and zero re-encodes for all
+/// N.
 ///
 /// Each replica keeps one and rebuilds it in place per fan-out
 /// (SmrReplica / PbReplica::respond_many): the wire buffer's capacity is
@@ -275,8 +287,9 @@ class SignedResponseTemplate {
   /// Re-encode the requester-blanked Response and sign it as `key`,
   /// replacing whatever the template held.
   void rebuild(std::uint64_t view, std::uint64_t seq,
-               std::uint32_t sender_index, const RequestId& rid,
-               BytesView payload, const crypto::SigningKey& key);
+               std::uint32_t sender_index, std::string_view client,
+               std::uint64_t client_seq, BytesView payload,
+               const crypto::SigningKey& key);
 
   /// Emit the signed wire encoding addressed to `requester` into `out`
   /// (replacing its contents). Precondition: rebuild() was called.

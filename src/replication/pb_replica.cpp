@@ -25,7 +25,7 @@ PbReplica::PbReplica(sim::Simulator& sim, net::Network& network,
   FORTRESS_EXPECTS(config_.index < config_.replicas.size());
   FORTRESS_EXPECTS(config_.heartbeat_interval > 0);
   FORTRESS_EXPECTS(config_.failover_timeout > config_.heartbeat_interval);
-  pristine_state_ = service_->snapshot();
+  service_->snapshot(pristine_state_);
   replica_ids_.reserve(config_.replicas.size());
   for (const net::Address& addr : config_.replicas) {
     replica_ids_.push_back(network_.intern(addr));
@@ -100,7 +100,7 @@ void PbReplica::handle_request(const net::Envelope& env,
       request_key_hash(msg.request_client(), msg.request_seq());
   RequestState& req =
       requests_.find_or_insert(msg.request_client(), msg.request_seq(), hash);
-  insert_sorted_unique(req.requesters, env.from);
+  requests_.insert(req.requesters, env.from);
 
   if (req.has_response) {
     send_response(req, env.from);  // duplicate: re-reply from cache
@@ -109,23 +109,24 @@ void PbReplica::handle_request(const net::Envelope& env,
   if (!is_primary()) return;  // backups wait for the state update
 
   // Execute (the service may be non-deterministic; only the primary runs it).
-  req.response = service_->execute(msg.payload());
+  service_->execute(msg.payload(), execute_scratch_);
+  requests_.assign(req.response, execute_scratch_);
   req.has_response = true;
   ++applied_seq_;
   ++executed_count_;
 
-  // The update borrows the cached response and rid; only the snapshot is
-  // materialized.
-  const Bytes snapshot = service_->snapshot();
+  // The update borrows the cached response and rid; the snapshot is
+  // written into a reused buffer.
+  service_->snapshot(snapshot_scratch_);
   broadcast(MessageCore{.type = MsgType::StateUpdate,
                         .view = view_,
                         .seq = applied_seq_,
                         .sender_index = config_.index,
-                        .client = req.rid.client,
-                        .client_seq = req.rid.seq,
+                        .client = requests_.client(req),
+                        .client_seq = req.seq,
                         .requester = network_.address_of(env.from),
-                        .payload = req.response,
-                        .aux = snapshot});
+                        .payload = requests_.bytes(req.response),
+                        .aux = snapshot_scratch_});
 
   respond_to_all(req);
 }
@@ -161,9 +162,9 @@ void PbReplica::handle_state_update(const MessageView& msg) {
   RequestState& req =
       requests_.find_or_insert(msg.request_client(), msg.request_seq(), hash);
   req.has_response = true;
-  req.response.assign(msg.payload().begin(), msg.payload().end());
+  requests_.assign(req.response, msg.payload());
   if (requester != net::kInvalidHost) {
-    insert_sorted_unique(req.requesters, requester);
+    requests_.insert(req.requesters, requester);
   }
   respond_to_all(req);
 }
@@ -173,7 +174,7 @@ void PbReplica::send_response(const RequestState& req, net::HostId to) {
 }
 
 void PbReplica::respond_to_all(const RequestState& req) {
-  respond_many(req, req.requesters);
+  respond_many(req, requests_.ids(req.requesters));
 }
 
 void PbReplica::respond_many(const RequestState& req,
@@ -183,8 +184,8 @@ void PbReplica::respond_many(const RequestState& req,
   // The Response signature covers the requester-blanked core, so every
   // recipient shares one HMAC: sign once, splice the requester into each
   // wire copy (SignedResponseTemplate).
-  response_.rebuild(view_, applied_seq_, config_.index, req.rid,
-                    req.response, key_);
+  response_.rebuild(view_, applied_seq_, config_.index, requests_.client(req),
+                    req.seq, requests_.bytes(req.response), key_);
   for (net::HostId to : recipients) {
     Bytes wire = network_.acquire_buffer();
     response_.emit_into(wire, network_.address_of(to));

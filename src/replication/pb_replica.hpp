@@ -70,13 +70,11 @@ class PbReplica final : public osl::Application {
  private:
   /// Per-request record: the old responses_/requesters_ map pair folded
   /// into one flat hashed table (see request_table.hpp).
-  struct RequestState {
-    RequestId rid;
-    std::uint64_t hash = 0;
+  struct RequestState : RequestKey {
     bool has_response = false;
-    Bytes response;
+    ByteRef response;
     /// Who asked, ascending (the old std::set iteration order).
-    std::vector<net::HostId> requesters;
+    IdSetRef requesters;
   };
 
   void handle_request(const net::Envelope& env, const MessageView& msg);
@@ -120,6 +118,9 @@ class PbReplica final : public osl::Application {
   RequestTable<RequestState> requests_;
   /// The response fan-out template, rebuilt in place per respond_many.
   SignedResponseTemplate response_;
+  /// Reused buffers for the primary's execute() and snapshot() output.
+  Bytes execute_scratch_;
+  Bytes snapshot_scratch_;
 
   sim::PeriodicTimer heartbeat_timer_;
   sim::PeriodicTimer failover_timer_;

@@ -35,21 +35,20 @@ Words split_words(BytesView request) {
   }
 }
 
-/// A response body `head` + `tail`, in one exactly-sized buffer.
-Bytes reply(std::string_view head, std::string_view tail = {}) {
-  Bytes out;
+/// Write the response body `head` + `tail` into `out`, replacing it.
+void reply(Bytes& out, std::string_view head, std::string_view tail = {}) {
+  out.clear();
   out.reserve(head.size() + tail.size());
   append(out, bytes_view(head));
   append(out, bytes_view(tail));
-  return out;
 }
 
 // Snapshot format shared by the map-based services:
 // u64 count, then per entry: u64 klen, key bytes, u64 vlen, value bytes.
-Bytes serialize_map(const StringMap& m) {
+void serialize_map(const StringMap& m, Bytes& out) {
   std::size_t size = 8;
   for (const auto& [k, v] : m) size += 16 + k.size() + v.size();
-  Bytes out;
+  out.clear();
   out.reserve(size);
   append_u64_be(out, m.size());
   for (const auto& [k, v] : m) {
@@ -58,7 +57,6 @@ Bytes serialize_map(const StringMap& m) {
     append_u64_be(out, v.size());
     append(out, bytes_view(v));
   }
-  return out;
 }
 
 /// Walk a map snapshot, calling visit(key, value) per entry in record
@@ -117,9 +115,9 @@ bool restore_map(StringMap& m, BytesView data) {
 
 }  // namespace
 
-Bytes KvService::execute(BytesView request) {
+void KvService::execute(BytesView request, Bytes& out) {
   const Words w = split_words(request);
-  if (w.count == 0) return reply("ERR empty");
+  if (w.count == 0) return reply(out, "ERR empty");
   const std::string_view cmd = w.at[0];
   if (cmd == "PUT" && w.count >= 3) {
     auto it = data_.find(w.at[1]);
@@ -128,53 +126,52 @@ Bytes KvService::execute(BytesView request) {
     } else {
       it->second.assign(w.at[2]);
     }
-    return reply("OK");
+    return reply(out, "OK");
   }
   if (cmd == "GET" && w.count >= 2) {
     auto it = data_.find(w.at[1]);
-    if (it == data_.end()) return reply("NOTFOUND");
-    return reply("VALUE ", it->second);
+    if (it == data_.end()) return reply(out, "NOTFOUND");
+    return reply(out, "VALUE ", it->second);
   }
   if (cmd == "DEL" && w.count >= 2) {
     auto it = data_.find(w.at[1]);
-    if (it == data_.end()) return reply("NOTFOUND");
+    if (it == data_.end()) return reply(out, "NOTFOUND");
     data_.erase(it);
-    return reply("OK");
+    return reply(out, "OK");
   }
   if (cmd == "SIZE") {
-    return reply("SIZE ", std::to_string(data_.size()));
+    return reply(out, "SIZE ", std::to_string(data_.size()));
   }
-  return reply("ERR bad-command");
+  return reply(out, "ERR bad-command");
 }
 
-Bytes KvService::snapshot() const { return serialize_map(data_); }
+void KvService::snapshot(Bytes& out) const { serialize_map(data_, out); }
 
 bool KvService::restore(BytesView snapshot) {
   return restore_map(data_, snapshot);
 }
 
-Bytes CounterService::execute(BytesView request) {
+void CounterService::execute(BytesView request, Bytes& out) {
   const Words w = split_words(request);
-  if (w.count == 0) return reply("ERR empty");
+  if (w.count == 0) return reply(out, "ERR empty");
   const std::string_view cmd = w.at[0];
   if (cmd == "INC") {
     ++value_;
-    return reply("COUNT ", std::to_string(value_));
+    return reply(out, "COUNT ", std::to_string(value_));
   }
   if (cmd == "ADD" && w.count >= 2) {
     value_ += std::stoll(std::string(w.at[1]));
-    return reply("COUNT ", std::to_string(value_));
+    return reply(out, "COUNT ", std::to_string(value_));
   }
   if (cmd == "GET") {
-    return reply("COUNT ", std::to_string(value_));
+    return reply(out, "COUNT ", std::to_string(value_));
   }
-  return reply("ERR bad-command");
+  return reply(out, "ERR bad-command");
 }
 
-Bytes CounterService::snapshot() const {
-  Bytes out;
+void CounterService::snapshot(Bytes& out) const {
+  out.clear();
   append_u64_be(out, static_cast<std::uint64_t>(value_));
-  return out;
 }
 
 bool CounterService::restore(BytesView snapshot) {
@@ -183,9 +180,9 @@ bool CounterService::restore(BytesView snapshot) {
   return true;
 }
 
-Bytes SessionTokenService::execute(BytesView request) {
+void SessionTokenService::execute(BytesView request, Bytes& out) {
   const Words w = split_words(request);
-  if (w.count == 0) return reply("ERR empty");
+  if (w.count == 0) return reply(out, "ERR empty");
   const std::string_view cmd = w.at[0];
   if (cmd == "TOKEN" && w.count >= 2) {
     // Non-deterministic: mints a fresh random token. A backup re-executing
@@ -195,24 +192,26 @@ Bytes SessionTokenService::execute(BytesView request) {
     append_u64_be(raw, rng_.bits());
     append_u64_be(raw, rng_.bits());
     std::string token = to_hex(raw);
-    Bytes out = reply("TOKEN ", token);
+    reply(out, "TOKEN ", token);
     tokens_.insert_or_assign(std::string(w.at[1]), std::move(token));
-    return out;
+    return;
   }
   if (cmd == "CHECK" && w.count >= 3) {
     auto it = tokens_.find(w.at[1]);
-    if (it == tokens_.end()) return reply("NOTFOUND");
-    return reply(it->second == w.at[2] ? "VALID" : "INVALID");
+    if (it == tokens_.end()) return reply(out, "NOTFOUND");
+    return reply(out, it->second == w.at[2] ? "VALID" : "INVALID");
   }
   if (cmd == "GET" && w.count >= 2) {
     auto it = tokens_.find(w.at[1]);
-    if (it == tokens_.end()) return reply("NOTFOUND");
-    return reply("TOKEN ", it->second);
+    if (it == tokens_.end()) return reply(out, "NOTFOUND");
+    return reply(out, "TOKEN ", it->second);
   }
-  return reply("ERR bad-command");
+  return reply(out, "ERR bad-command");
 }
 
-Bytes SessionTokenService::snapshot() const { return serialize_map(tokens_); }
+void SessionTokenService::snapshot(Bytes& out) const {
+  serialize_map(tokens_, out);
+}
 
 bool SessionTokenService::restore(BytesView snapshot) {
   return restore_map(tokens_, snapshot);

@@ -29,11 +29,13 @@ class Service {
  public:
   virtual ~Service() = default;
 
-  /// Process one request, possibly mutating state, returning the response.
-  virtual Bytes execute(BytesView request) = 0;
+  /// Process one request, possibly mutating state, and write the response
+  /// into `out`, replacing its contents. The caller owns `out`, so a
+  /// replica that reuses one buffer pays no allocation per request.
+  virtual void execute(BytesView request, Bytes& out) = 0;
 
-  /// Serialize the full service state.
-  virtual Bytes snapshot() const = 0;
+  /// Serialize the full service state into `out`, replacing its contents.
+  virtual void snapshot(Bytes& out) const = 0;
 
   /// Replace the state with a previously produced snapshot. The snapshot
   /// is validated whole first: false, with the state untouched, when it
@@ -52,8 +54,8 @@ class DeterministicService : public Service {};
 /// Responses: "OK", "VALUE <v>", "NOTFOUND", "SIZE <n>", "ERR <why>".
 class KvService final : public DeterministicService {
  public:
-  Bytes execute(BytesView request) override;
-  Bytes snapshot() const override;
+  void execute(BytesView request, Bytes& out) override;
+  void snapshot(Bytes& out) const override;
   [[nodiscard]] bool restore(BytesView snapshot) override;
 
   std::size_t size() const { return data_.size(); }
@@ -65,8 +67,8 @@ class KvService final : public DeterministicService {
 /// A deterministic counter: "INC", "ADD <n>", "GET" -> "COUNT <n>".
 class CounterService final : public DeterministicService {
  public:
-  Bytes execute(BytesView request) override;
-  Bytes snapshot() const override;
+  void execute(BytesView request, Bytes& out) override;
+  void snapshot(Bytes& out) const override;
   [[nodiscard]] bool restore(BytesView snapshot) override;
 
   std::int64_t value() const { return value_; }
@@ -84,8 +86,8 @@ class SessionTokenService final : public Service {
  public:
   explicit SessionTokenService(std::uint64_t seed) : rng_(seed) {}
 
-  Bytes execute(BytesView request) override;
-  Bytes snapshot() const override;
+  void execute(BytesView request, Bytes& out) override;
+  void snapshot(Bytes& out) const override;
   [[nodiscard]] bool restore(BytesView snapshot) override;
 
  private:

@@ -1,11 +1,35 @@
 #include "replication/smr_replica.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace fortress::replication {
+
+namespace {
+
+/// The bit a replica index sets in an ack/vote mask.
+std::uint64_t peer_bit(std::uint32_t index) {
+  FORTRESS_EXPECTS(index < 64);
+  return std::uint64_t{1} << index;
+}
+
+std::uint32_t votes(std::uint64_t mask) {
+  return static_cast<std::uint32_t>(std::popcount(mask));
+}
+
+/// The first slot at or after `seq` in the ascending ordering log.
+template <typename Slots>
+auto slot_lower_bound(Slots& slots, std::uint64_t seq) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), seq,
+      [](const auto& slot, std::uint64_t s) { return slot.seq < s; });
+}
+
+}  // namespace
 
 SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
                        crypto::KeyRegistry& registry,
@@ -20,11 +44,10 @@ SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
       heartbeat_timer_(sim, config_.heartbeat_interval,
                        [this] {
                          if (is_leader() && !stale_) {
-                           Message hb;
-                           hb.type = MsgType::Heartbeat;
-                           hb.view = view_;
-                           hb.sender_index = config_.index;
-                           broadcast(hb);
+                           broadcast({.type = MsgType::Heartbeat,
+                                      .view = view_,
+                                      .sender_index = config_.index},
+                                     false);
                          }
                        }),
       progress_timer_(sim, config_.progress_timeout / 4.0,
@@ -33,7 +56,9 @@ SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
   FORTRESS_EXPECTS(config_.f >= 1);
   FORTRESS_EXPECTS(config_.replicas.size() == 3 * config_.f + 1);
   FORTRESS_EXPECTS(config_.index < config_.replicas.size());
-  pristine_state_ = service_->snapshot();
+  // Acks and votes are kept as one bit per replica index.
+  FORTRESS_EXPECTS(config_.replicas.size() <= 64);
+  service_->snapshot(pristine_state_);
   replica_ids_.reserve(config_.replicas.size());
   for (const net::Address& addr : config_.replicas) {
     replica_ids_.push_back(network_.intern(addr));
@@ -50,6 +75,7 @@ void SmrReplica::reset() {
   executed_seq_ = 0;
   stale_ = false;
   slots_.clear();
+  slot_bytes_.clear();
   requests_.clear();
   pending_count_ = 0;
   view_votes_.clear();
@@ -74,21 +100,28 @@ void SmrReplica::stop() {
   progress_timer_.stop();
 }
 
-crypto::Digest SmrReplica::digest_of(const RequestId& rid, BytesView request) {
-  // Streams rid.to_string() ("client#seq") without building it.
-  const std::string seq = std::to_string(rid.seq);
+crypto::Digest SmrReplica::digest_of(std::string_view client,
+                                     std::uint64_t seq, BytesView request) {
+  // Streams RequestId::to_string() ("client#seq") without building it.
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof digits, seq).ptr;
   crypto::Sha256 h;
-  h.update(bytes_view(rid.client));
+  h.update(bytes_view(client));
   h.update(bytes_view("#"));
-  h.update(bytes_view(seq));
+  h.update(BytesView(reinterpret_cast<const std::uint8_t*>(digits),
+                     static_cast<std::size_t>(end - digits)));
   h.update(request);
   return h.finish();
 }
 
-void SmrReplica::broadcast(const Message& msg) {
+void SmrReplica::broadcast(const MessageCore& msg, bool sign) {
   // Encode once into a pooled buffer; each recipient gets a pooled copy.
   Bytes wire = network_.acquire_buffer();
-  msg.encode_into(wire);
+  if (sign) {
+    msg.encode_signed_into(wire, key_);
+  } else {
+    msg.encode_into(wire);
+  }
   for (std::uint32_t i = 0; i < replica_ids_.size(); ++i) {
     if (i == config_.index) continue;
     network_.send_copy(id_, replica_ids_[i], wire);
@@ -96,10 +129,21 @@ void SmrReplica::broadcast(const Message& msg) {
   network_.recycle_buffer(std::move(wire));
 }
 
-void SmrReplica::send_to(net::HostId to, const Message& msg) {
-  Bytes wire = network_.acquire_buffer();
-  msg.encode_into(wire);
-  network_.send(id_, to, std::move(wire));
+SmrReplica::Slot* SmrReplica::find_slot(std::uint64_t seq) {
+  auto it = slot_lower_bound(slots_, seq);
+  return it != slots_.end() && it->seq == seq ? &*it : nullptr;
+}
+
+SmrReplica::Slot& SmrReplica::slot_for(std::uint64_t seq) {
+  Slot blank;
+  blank.seq = seq;
+  // Slots nearly always arrive in order: the append is the common case.
+  if (slots_.empty() || slots_.back().seq < seq) {
+    return slots_.emplace_back(blank);
+  }
+  auto it = slot_lower_bound(slots_, seq);
+  if (it != slots_.end() && it->seq == seq) return *it;
+  return *slots_.insert(it, blank);
 }
 
 void SmrReplica::resolve_peer_schedules() const {
@@ -115,7 +159,8 @@ void SmrReplica::resolve_peer_schedules() const {
 
 bool SmrReplica::verify_from_peer(const MessageView& msg) const {
   // Ordering traffic is signed by the replica the message's sender_index
-  // names, so verification goes through the shared direct-indexed helper.
+  // names — and only by it: acks, votes and state offers are counted per
+  // index, so a peer signing under another's index must not verify.
   resolve_peer_schedules();
   return verify_from_indexed_peer(msg, peer_schedules_, config_.replicas,
                                   registry_);
@@ -166,44 +211,40 @@ void SmrReplica::handle_request(const net::Envelope& env,
   RequestState& req =
       requests_.find_or_insert(msg.request_client(), msg.request_seq(), hash);
   // Ascending insert keeps the old std::set<HostId> iteration order.
-  insert_sorted_unique(req.requesters, env.from);
+  requests_.insert(req.requesters, env.from);
   if (req.has_response) {
     respond(req, env.from);
     return;
   }
   if (stale_) return;
   if (is_leader()) {
-    if (!req.proposed) propose(req.rid, msg.payload());
+    if (!req.proposed) propose(req, msg.payload());
   } else {
     if (!req.pending) ++pending_count_;
     req.pending = true;  // kept for re-proposal after view change
-    req.pending_request.assign(msg.payload().begin(), msg.payload().end());
+    requests_.assign(req.pending_request, msg.payload());
   }
 }
 
-void SmrReplica::propose(const RequestId& rid, BytesView request) {
+void SmrReplica::propose(RequestState& req, BytesView request) {
   std::uint64_t seq = std::max(next_seq_, executed_seq_) + 1;
   next_seq_ = seq;
+  req.proposed = true;
 
-  // Copy the identity/payload into the proposal FIRST: marking the record
-  // proposed may grow the table and invalidate whatever `rid`/`request`
-  // borrow from.
-  Message pp;
-  pp.type = MsgType::PrePrepare;
-  pp.view = view_;
-  pp.seq = seq;
-  pp.sender_index = config_.index;
-  pp.request_id = rid;
-  pp.payload.assign(request.begin(), request.end());
-
-  const std::uint64_t hash = request_key_hash(rid.client, rid.seq);
-  requests_.find_or_insert(rid.client, rid.seq, hash).proposed = true;
-
-  sign_message(pp, key_);
-  broadcast(pp);
+  // The proposal borrows the record's key and `request`; both stay valid
+  // until apply_pre_prepare executes (which may grow the table).
+  const std::string_view client = requests_.client(req);
+  const std::uint64_t rid_seq = req.seq;
+  broadcast({.type = MsgType::PrePrepare,
+             .view = view_,
+             .seq = seq,
+             .sender_index = config_.index,
+             .client = client,
+             .client_seq = rid_seq,
+             .payload = request},
+            true);
   // Process our own pre-prepare locally.
-  apply_pre_prepare(pp.view, pp.seq, pp.sender_index, pp.request_id.client,
-                    pp.request_id.seq, pp.payload);
+  apply_pre_prepare(view_, seq, config_.index, client, rid_seq, request);
 }
 
 void SmrReplica::handle_pre_prepare(const MessageView& msg) {
@@ -217,41 +258,40 @@ void SmrReplica::apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
                                    std::uint64_t rid_seq, BytesView request) {
   if (view != view_ || stale_) return;
   if (sender != view_ % config_.replicas.size()) return;
-  Slot& slot = slots_[seq];
+  Slot& slot = slot_for(seq);
   if (slot.pre_prepared) return;  // already have a proposal for this slot
   slot.pre_prepared = true;
-  slot.rid.client.assign(client);
-  slot.rid.seq = rid_seq;
-  slot.request.assign(request.begin(), request.end());
-  slot.digest = digest_of(slot.rid, request);
+  slot_bytes_.assign(slot.client, client);
+  slot.rid_seq = rid_seq;
+  slot_bytes_.assign(slot.request, request);
+  slot.digest = digest_of(client, rid_seq, request);
   // The old pending_.erase(rid): the buffered copy is superseded.
   const std::uint64_t hash = request_key_hash(client, rid_seq);
   if (RequestState* req = requests_.find(client, rid_seq, hash)) {
     if (req->pending) {
       req->pending = false;
-      req->pending_request.clear();
+      req->pending_request = {};
       --pending_count_;
     }
   }
 
-  Message ack;
-  ack.type = MsgType::PrepareAck;
-  ack.view = view_;
-  ack.seq = seq;
-  ack.sender_index = config_.index;
-  ack.request_id = slot.rid;
-  ack.aux = crypto::digest_bytes(slot.digest);
-  sign_message(ack, key_);
-  broadcast(ack);
+  broadcast({.type = MsgType::PrepareAck,
+             .view = view_,
+             .seq = seq,
+             .sender_index = config_.index,
+             .client = client,
+             .client_seq = rid_seq,
+             .aux = BytesView(slot.digest.data(), slot.digest.size())},
+            true);
   // Count our own endorsement.
-  slot.acks.insert(config_.index);
-  if (slot.acks.size() >= quorum()) slot.committed = true;
+  slot.acks |= peer_bit(config_.index);
+  if (votes(slot.acks) >= quorum()) slot.committed = true;
   try_execute();
 }
 
 void SmrReplica::handle_prepare_ack(const MessageView& msg) {
   if (msg.view() != view_ || stale_) return;
-  Slot& slot = slots_[msg.seq()];
+  Slot& slot = slot_for(msg.seq());
   // Acks may arrive before the pre-prepare; buffer them against the digest.
   if (slot.pre_prepared) {
     const BytesView aux = msg.aux();
@@ -260,8 +300,8 @@ void SmrReplica::handle_prepare_ack(const MessageView& msg) {
       return;  // endorsement of a different proposal; drop
     }
   }
-  slot.acks.insert(msg.sender_index());
-  if (slot.pre_prepared && slot.acks.size() >= quorum()) {
+  slot.acks |= peer_bit(msg.sender_index());
+  if (slot.pre_prepared && votes(slot.acks) >= quorum()) {
     slot.committed = true;
     try_execute();
   }
@@ -269,22 +309,18 @@ void SmrReplica::handle_prepare_ack(const MessageView& msg) {
 
 void SmrReplica::try_execute() {
   while (true) {
-    auto it = slots_.find(executed_seq_ + 1);
-    if (it == slots_.end() || !it->second.committed || it->second.executed) {
-      break;
-    }
-    Slot& slot = it->second;
-    Bytes response = service_->execute(slot.request);
-    slot.executed = true;
+    Slot* slot = find_slot(executed_seq_ + 1);
+    if (slot == nullptr || !slot->committed || slot->executed) break;
+    service_->execute(slot_bytes_.view(slot->request), execute_scratch_);
+    slot->executed = true;
     ++executed_seq_;
     last_progress_ = sim_.now();
-    const std::uint64_t hash =
-        request_key_hash(slot.rid.client, slot.rid.seq);
-    RequestState& req =
-        requests_.find_or_insert(slot.rid.client, slot.rid.seq, hash);
+    const std::string_view client = slot_bytes_.chars(slot->client);
+    const std::uint64_t hash = request_key_hash(client, slot->rid_seq);
+    RequestState& req = requests_.find_or_insert(client, slot->rid_seq, hash);
     req.has_response = true;
-    req.response = std::move(response);
-    respond_many(req, req.requesters);
+    requests_.assign(req.response, execute_scratch_);
+    respond_many(req, requests_.ids(req.requesters));
   }
 }
 
@@ -299,8 +335,9 @@ void SmrReplica::respond_many(const RequestState& req,
   // The Response signature covers the requester-blanked core, so every
   // recipient shares one HMAC: sign once, splice the requester into each
   // wire copy (SignedResponseTemplate).
-  response_.rebuild(view_, executed_seq_, config_.index, req.rid,
-                    req.response, key_);
+  response_.rebuild(view_, executed_seq_, config_.index,
+                    requests_.client(req), req.seq,
+                    requests_.bytes(req.response), key_);
   for (net::HostId to : recipients) {
     Bytes wire = network_.acquire_buffer();
     response_.emit_into(wire, network_.address_of(to));
@@ -314,10 +351,10 @@ void SmrReplica::check_progress() {
     return;
   }
   // Only suspect the leader when there is work it should be doing.
-  bool work_pending = pending_count_ > 0;
-  for (const auto& [seq, slot] : slots_) {
-    if (!slot.executed) work_pending = true;
-  }
+  const bool work_pending =
+      pending_count_ > 0 ||
+      std::any_of(slots_.begin(), slots_.end(),
+                  [](const Slot& slot) { return !slot.executed; });
   if (!work_pending) {
     last_progress_ = sim_.now();
     return;
@@ -326,21 +363,19 @@ void SmrReplica::check_progress() {
   if (is_leader()) return;  // the leader cannot vote itself out
 
   std::uint64_t next = view_ + 1;
-  Message vc;
-  vc.type = MsgType::ViewChange;
-  vc.view = next;
-  vc.sender_index = config_.index;
-  sign_message(vc, key_);
-  broadcast(vc);
-  view_votes_[next].insert(config_.index);
+  broadcast({.type = MsgType::ViewChange,
+             .view = next,
+             .sender_index = config_.index},
+            true);
+  view_votes_[next] |= peer_bit(config_.index);
   last_progress_ = sim_.now();  // give the vote time to gather
-  if (view_votes_[next].size() >= quorum()) adopt_view(next);
+  if (votes(view_votes_[next]) >= quorum()) adopt_view(next);
 }
 
 void SmrReplica::handle_view_change(const MessageView& msg) {
   if (msg.view() <= view_) return;
-  view_votes_[msg.view()].insert(msg.sender_index());
-  if (view_votes_[msg.view()].size() >= quorum()) {
+  view_votes_[msg.view()] |= peer_bit(msg.sender_index());
+  if (votes(view_votes_[msg.view()]) >= quorum()) {
     adopt_view(msg.view());
   }
 }
@@ -351,74 +386,76 @@ void SmrReplica::adopt_view(std::uint64_t view) {
   last_progress_ = sim_.now();
   // Un-executed slots from the old view are abandoned; their requests fall
   // back into the pending buffer for re-proposal.
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    if (!it->second.executed) {
-      const Slot& slot = it->second;
-      const std::uint64_t hash =
-          request_key_hash(slot.rid.client, slot.rid.seq);
-      RequestState& req =
-          requests_.find_or_insert(slot.rid.client, slot.rid.seq, hash);
-      if (!req.pending) ++pending_count_;
-      req.pending = true;
-      req.pending_request = slot.request;
-      req.proposed = false;
-      it = slots_.erase(it);
-    } else {
-      ++it;
-    }
+  for (const Slot& slot : slots_) {
+    if (slot.executed) continue;
+    const std::string_view client = slot_bytes_.chars(slot.client);
+    const std::uint64_t hash = request_key_hash(client, slot.rid_seq);
+    RequestState& req = requests_.find_or_insert(client, slot.rid_seq, hash);
+    if (!req.pending) ++pending_count_;
+    req.pending = true;
+    requests_.assign(req.pending_request, slot_bytes_.view(slot.request));
+    req.proposed = false;
   }
+  std::erase_if(slots_, [](const Slot& slot) { return !slot.executed; });
   next_seq_ = executed_seq_;
   if (is_leader() && !stale_) {
     FORTRESS_LOG_INFO("smr") << address() << " leads view " << view_;
     // Re-propose everything outstanding, in the rid order the old
-    // std::map snapshot iterated in.
-    std::vector<std::pair<RequestId, Bytes>> pend;
-    for (const RequestState& e : requests_.entries()) {
-      if (e.pending) pend.emplace_back(e.rid, e.pending_request);
+    // std::map snapshot iterated in. Records are addressed by position:
+    // each proposal may grow the table.
+    repropose_.clear();
+    for (std::uint32_t i = 0; i < requests_.size(); ++i) {
+      if (requests_.entries()[i].pending) repropose_.push_back(i);
     }
-    std::sort(pend.begin(), pend.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [rid, request] : pend) {
-      const std::uint64_t hash = request_key_hash(rid.client, rid.seq);
-      const RequestState* req = requests_.find(rid.client, rid.seq, hash);
-      if (req == nullptr || !req->has_response) propose(rid, request);
+    std::sort(repropose_.begin(), repropose_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                const RequestState& x = requests_.entries()[a];
+                const RequestState& y = requests_.entries()[b];
+                const std::string_view cx = requests_.client(x);
+                const std::string_view cy = requests_.client(y);
+                return cx != cy ? cx < cy : x.seq < y.seq;
+              });
+    for (const std::uint32_t i : repropose_) {
+      RequestState& req = requests_.entries()[i];
+      if (!req.has_response) {
+        propose(req, requests_.bytes(req.pending_request));
+      }
     }
   }
 }
 
 void SmrReplica::request_state() {
-  Message req;
-  req.type = MsgType::StateRequest;
-  req.view = view_;
-  req.sender_index = config_.index;
-  broadcast(req);
+  broadcast({.type = MsgType::StateRequest,
+             .view = view_,
+             .sender_index = config_.index},
+            false);
 }
 
 void SmrReplica::handle_state_request(const MessageView& msg) {
   if (stale_) return;  // cannot vouch for state we are still fetching
   if (msg.sender_index() >= replica_ids_.size()) return;  // hostile index
-  Message reply;
-  reply.type = MsgType::StateReply;
-  reply.view = view_;
-  reply.seq = executed_seq_;
-  reply.sender_index = config_.index;
-  reply.aux = service_->snapshot();
-  sign_message(reply, key_);
-  send_to(replica_ids_[msg.sender_index()], reply);
+  service_->snapshot(snapshot_scratch_);
+  Bytes wire = network_.acquire_buffer();
+  MessageCore{.type = MsgType::StateReply,
+              .view = view_,
+              .seq = executed_seq_,
+              .sender_index = config_.index,
+              .aux = snapshot_scratch_}
+      .encode_signed_into(wire, key_);
+  network_.send(id_, replica_ids_[msg.sender_index()], std::move(wire));
 }
 
 void SmrReplica::handle_state_reply(const MessageView& msg) {
   if (!stale_) return;
   if (!verify_from_peer(msg)) return;
   if (msg.seq() < executed_seq_) return;  // older than what we already have
-  crypto::Digest d = crypto::Sha256::hash(msg.aux());
-  auto key = std::make_pair(msg.seq(), to_hex(BytesView(d.data(), d.size())));
+  const auto key = std::make_pair(msg.seq(), crypto::Sha256::hash(msg.aux()));
   StateOffer& offer = state_offers_[key];
-  offer.senders.insert(msg.sender_index());
+  offer.senders |= peer_bit(msg.sender_index());
   offer.snapshot.assign(msg.aux().begin(), msg.aux().end());
   // f+1 identical offers guarantee at least one comes from a correct
   // replica (n = 3f+1, at most f faulty).
-  if (offer.senders.size() >= config_.f + 1) {
+  if (votes(offer.senders) >= config_.f + 1) {
     // A record that does not parse is dropped; the rejoin keeps waiting.
     if (!service_->restore(offer.snapshot)) {
       state_offers_.erase(key);
@@ -439,6 +476,7 @@ void SmrReplica::handle_reboot() {
   // untrusted and rejoin via state transfer (Roeder-Schneider §2.3).
   stale_ = true;
   slots_.clear();
+  slot_bytes_.clear();
   // The old proposed_.clear(): buffered/pending and answered state is
   // durable, the view's proposal bookkeeping is not.
   for (RequestState& req : requests_.entries()) req.proposed = false;

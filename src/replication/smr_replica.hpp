@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -77,11 +76,15 @@ class SmrReplica final : public osl::Application {
   void handle_reboot() override;
 
  private:
+  /// One ordering slot. Trivially copyable: its rid and request bytes live
+  /// in slot_bytes_.
   struct Slot {
-    RequestId rid;
-    Bytes request;
+    std::uint64_t seq = 0;
+    ByteRef client;  ///< the proposal's request_id.client
+    std::uint64_t rid_seq = 0;
+    ByteRef request;
     crypto::Digest digest{};
-    std::set<std::uint32_t> acks;
+    std::uint64_t acks = 0;  ///< bit i: replica i endorsed the proposal
     bool pre_prepared = false;
     bool committed = false;
     bool executed = false;
@@ -91,16 +94,14 @@ class SmrReplica final : public osl::Application {
   /// old proposed_/responses_/requesters_/pending_ map quartet. Flags flip
   /// where the maps erased; records themselves are never removed within a
   /// trial.
-  struct RequestState {
-    RequestId rid;
-    std::uint64_t hash = 0;
+  struct RequestState : RequestKey {
     bool proposed = false;      ///< leader assigned it a slot this view
     bool has_response = false;  ///< executed; `response` is the reply cache
     bool pending = false;       ///< buffered for (re-)proposal
-    Bytes response;
-    Bytes pending_request;
+    ByteRef response;
+    ByteRef pending_request;
     /// Who asked, ascending (the old std::set iteration order).
-    std::vector<net::HostId> requesters;
+    IdSetRef requesters;
   };
 
   void handle_request(const net::Envelope& env, const MessageView& msg);
@@ -114,7 +115,9 @@ class SmrReplica final : public osl::Application {
   void apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
                          std::uint32_t sender, std::string_view client,
                          std::uint64_t rid_seq, BytesView request);
-  void propose(const RequestId& rid, BytesView request);
+  /// Assign `req` the next slot and broadcast its signed PrePrepare.
+  /// `request` may borrow from requests_.
+  void propose(RequestState& req, BytesView request);
   void try_execute();
   void respond(const RequestState& req, net::HostId to);
   /// Sign the executed response ONCE and splice a per-recipient wire copy
@@ -124,17 +127,23 @@ class SmrReplica final : public osl::Application {
                     std::span<const net::HostId> recipients);
   void check_progress();
   void adopt_view(std::uint64_t view);
-  void broadcast(const Message& msg);
-  void send_to(net::HostId to, const Message& msg);
+  /// Encode once (signed with key_ when `sign`) and send a copy to every
+  /// peer.
+  void broadcast(const MessageCore& msg, bool sign);
   void request_state();
-  /// Verify a peer-signed ordering message; uses the direct-indexed
-  /// schedule for the claimed sender_index when the signer matches,
-  /// falling back to the registry's by-name lookup otherwise.
+  /// The slot for `seq`, or nullptr.
+  Slot* find_slot(std::uint64_t seq);
+  /// The slot for `seq`, inserted blank on first sight (the old map's
+  /// operator[]). Invalidates other Slot references.
+  Slot& slot_for(std::uint64_t seq);
+  /// Verify a peer-signed ordering message: the signer must be the replica
+  /// its sender_index names (verify_from_indexed_peer).
   bool verify_from_peer(const MessageView& msg) const;
   /// Fill peer_schedules_ on first use (every peer of the tier is enrolled
   /// by the time traffic flows; the arena keeps its PKI across trials).
   void resolve_peer_schedules() const;
-  static crypto::Digest digest_of(const RequestId& rid, BytesView request);
+  static crypto::Digest digest_of(std::string_view client, std::uint64_t seq,
+                                  BytesView request);
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -156,22 +165,30 @@ class SmrReplica final : public osl::Application {
   std::uint64_t executed_seq_ = 0;  ///< highest executed slot
   bool stale_ = false;              ///< awaiting state transfer after reboot
 
-  std::map<std::uint64_t, Slot> slots_;  ///< by sequence number
+  /// Ordering slots, ascending by seq (the old std::map's order); their
+  /// variable-length fields live in slot_bytes_.
+  std::vector<Slot> slots_;
+  ByteArena slot_bytes_;
   /// Per-request state, hashed on (client, seq) and probed with borrowed
   /// MessageView keys — no allocation, no rb-tree string walks.
   RequestTable<RequestState> requests_;
   std::size_t pending_count_ = 0;  ///< records with pending == true
   /// The response fan-out template, rebuilt in place per respond_many.
   SignedResponseTemplate response_;
+  /// Reused buffers: execute()/snapshot() output and the re-proposal order.
+  Bytes execute_scratch_;
+  Bytes snapshot_scratch_;
+  std::vector<std::uint32_t> repropose_;
 
-  /// View-change votes: view -> voter indices.
-  std::map<std::uint64_t, std::set<std::uint32_t>> view_votes_;
-  /// State-transfer replies: (seq, snapshot digest) -> senders; snapshot kept.
+  /// View-change votes: view -> voter bitmask.
+  std::map<std::uint64_t, std::uint64_t> view_votes_;
+  /// State-transfer replies: (seq, snapshot digest) -> sender bitmask;
+  /// snapshot kept.
   struct StateOffer {
-    std::set<std::uint32_t> senders;
+    std::uint64_t senders = 0;
     Bytes snapshot;
   };
-  std::map<std::pair<std::uint64_t, std::string>, StateOffer> state_offers_;
+  std::map<std::pair<std::uint64_t, crypto::Digest>, StateOffer> state_offers_;
 
   sim::Time last_progress_ = 0.0;
   sim::PeriodicTimer heartbeat_timer_;

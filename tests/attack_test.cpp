@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/live_system.hpp"
+#include "osl/probe.hpp"
+#include "replication/message.hpp"
 #include "replication/service.hpp"
 
 namespace fortress::attack {
@@ -133,6 +136,54 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
   // Per-step success ~ 8/1024; 40 steps: P(fail) ~ 27%. Seeded: expect
   // survival (verified for this seed).
   EXPECT_FALSE(po_system.failed());
+}
+
+/// Records every payload delivered to one address.
+class CapturingHost : public net::Handler {
+ public:
+  CapturingHost(net::Network& net, const net::Address& addr)
+      : net_(net), id_(net.attach(addr, *this)) {}
+  ~CapturingHost() override { net_.detach(id_); }
+  void on_message(const net::Envelope& env) override {
+    payloads.emplace_back(env.payload.begin(), env.payload.end());
+  }
+  std::vector<Bytes> payloads;
+
+ private:
+  net::Network& net_;
+  net::HostId id_;
+};
+
+TEST(AttackTest, IndirectProbeWireMatchesMessageEncoder) {
+  // tick_indirect encodes through MessageCore: each crafted request must be
+  // byte-identical to the Message the attacker used to build — a Request
+  // from the presented identity, answered to it, carrying the probe.
+  sim::Simulator sim;
+  net::Network net(sim, {.latency = net::LatencySpec::fixed(0.5)});
+  CapturingHost proxy(net, "proxy-0");
+  DerandAttacker attacker(sim, net, attacker_config(64, 1.0, 8.0));
+  attacker.set_indirect_channel({"proxy-0"});
+  attacker.start();
+  sim.run_until(250.0);
+  attacker.stop();
+
+  ASSERT_GE(proxy.payloads.size(), 16u);
+  std::uint64_t last_seq = 0;
+  for (const Bytes& wire : proxy.payloads) {
+    auto view = replication::MessageView::decode(wire);
+    ASSERT_TRUE(view.has_value());
+    const auto guess = osl::decode_probe(view->payload());
+    ASSERT_TRUE(guess.has_value());
+    replication::Message msg;
+    msg.type = replication::MsgType::Request;
+    msg.request_id = replication::RequestId{
+        std::string(view->request_client()), view->request_seq()};
+    msg.requester = msg.request_id.client;
+    msg.payload = osl::encode_probe(*guess);
+    EXPECT_EQ(wire, msg.encode());
+    EXPECT_GT(view->request_seq(), last_seq);  // fresh request ids
+    last_seq = view->request_seq();
+  }
 }
 
 TEST(AttackTest, IndirectProbesCrashServersWithoutAttackerFeedback) {

@@ -90,20 +90,55 @@ TEST(HmacTest, EmptyKeyAndMessage) {
             "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
 }
 
+/// RFC 2104 spelled out on the streaming hash, with no midstate or
+/// preformatted block: H((K ^ opad) || H((K ^ ipad) || m)), K the key
+/// zero-padded to one block (pre-hashed when longer than a block).
+Digest reference_hmac(BytesView key, BytesView msg) {
+  Bytes k(Sha256::kBlockSize, 0);
+  if (key.size() > Sha256::kBlockSize) {
+    const Digest kd = Sha256::hash(key);
+    std::copy(kd.begin(), kd.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  Bytes ipad(k), opad(k);
+  for (auto& b : ipad) b ^= 0x36;
+  for (auto& b : opad) b ^= 0x5c;
+  Sha256 inner;
+  inner.update(ipad);
+  inner.update(msg);
+  const Digest inner_digest = inner.finish();
+  Sha256 outer;
+  outer.update(opad);
+  outer.update(BytesView(inner_digest.data(), inner_digest.size()));
+  return outer.finish();
+}
+
 TEST(HmacKeyTest, MatchesOneShotHmacAcrossLengths) {
-  // The precomputed-midstate schedule must be bit-identical to the one-shot
-  // HMAC for every (key length, message length) shape: short/long keys
-  // (long keys get pre-hashed), empty through multi-block messages, and a
-  // reused schedule must not accumulate state between mac() calls.
+  // The midstate schedule must equal the streaming-hash construction for
+  // every (key length, message length) shape: short/long keys (long keys
+  // get pre-hashed), and every message length from empty to past three
+  // blocks — which walks every tail branch (0..54 bytes pad into one
+  // block, 55 exactly fills it, 56..63 spill the length into a second
+  // block, 64 leaves no tail). A reused schedule must not accumulate state
+  // between mac() calls.
   const std::size_t key_lens[] = {0, 1, 31, 64, 65, 200};
-  const std::size_t msg_lens[] = {0, 1, 55, 56, 64, 100, 300};
   for (std::size_t kl : key_lens) {
-    Bytes key(kl, static_cast<std::uint8_t>(0xa5));
+    Bytes key(kl);
+    for (std::size_t i = 0; i < kl; ++i) {
+      key[i] = static_cast<std::uint8_t>(0xa5 ^ (i * 7));
+    }
     HmacKey schedule((BytesView(key)));
-    for (std::size_t ml : msg_lens) {
-      Bytes msg(ml, static_cast<std::uint8_t>(0x3c));
-      EXPECT_EQ(schedule.mac(msg), hmac_sha256(key, msg))
-          << "key len " << kl << " msg len " << ml;
+    for (std::size_t ml = 0; ml <= 200; ++ml) {
+      Bytes msg(ml);
+      for (std::size_t i = 0; i < ml; ++i) {
+        msg[i] = static_cast<std::uint8_t>(0x3c + i * 13);
+      }
+      const Digest want = reference_hmac(key, msg);
+      EXPECT_EQ(schedule.mac(msg), want) << "key len " << kl << " msg len "
+                                         << ml;
+      EXPECT_EQ(hmac_sha256(key, msg), want) << "key len " << kl
+                                             << " msg len " << ml;
     }
     // Repeat the first message: the schedule is stateless across calls.
     Bytes msg(5, static_cast<std::uint8_t>(0x3c));

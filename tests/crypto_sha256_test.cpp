@@ -99,13 +99,6 @@ TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::hash(bytes_of("")), Sha256::hash(Bytes{0}));
 }
 
-TEST(Sha256Test, DigestBytesCopies) {
-  Digest d = Sha256::hash(bytes_of("abc"));
-  Bytes b = digest_bytes(d);
-  ASSERT_EQ(b.size(), 32u);
-  EXPECT_TRUE(std::equal(b.begin(), b.end(), d.begin()));
-}
-
 // Parameterized length sweep: every message length 0..129 hashes and the
 // streaming interface agrees with the one-shot for each split point.
 class Sha256LengthSweep : public ::testing::TestWithParam<int> {};

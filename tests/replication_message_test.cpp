@@ -342,12 +342,13 @@ TEST(MessageViewTest, ProxyResponseEncodeMatchesMaterializedRewrite) {
   out.requester = "client-3";
   over_sign_message(out, proxy);
 
-  // The splice path: one over-signature computed from the view.
+  // The splice path: one over-signature tag computed from the view, the
+  // signer's name borrowed from the key.
   Bytes over_bytes;
   view->over_signing_bytes_into(over_bytes);
-  crypto::Signature over = proxy.sign(over_bytes);
   Bytes spliced;
-  view->encode_proxy_response_into(spliced, "client-3", over);
+  view->encode_proxy_response_into(spliced, "client-3", proxy.id().name,
+                                   proxy.sign_tag(over_bytes));
   EXPECT_EQ(spliced, out.encode());
 
   auto delivered = MessageView::decode(spliced);
@@ -449,7 +450,7 @@ TEST(SignedResponseTemplateTest, EmitMatchesSignEachCopy) {
   const RequestId rid{"client-7", 19};
   const Bytes payload = bytes_of("response body");
   SignedResponseTemplate tmpl;
-  tmpl.rebuild(3, 42, 2, rid, payload, server);
+  tmpl.rebuild(3, 42, 2, rid.client, rid.seq, payload, server);
 
   for (const std::string& requester :
        {std::string("client-a"), std::string("a-much-longer-requester-name"),
@@ -472,7 +473,7 @@ TEST(SignedResponseTemplateTest, EmitReplacesBufferContents) {
   const RequestId rid{"client-7", 19};
   const Bytes payload = bytes_of("response body");
   SignedResponseTemplate tmpl;
-  tmpl.rebuild(3, 42, 2, rid, payload, server);
+  tmpl.rebuild(3, 42, 2, rid.client, rid.seq, payload, server);
 
   Bytes out = bytes_of("stale pooled-buffer contents");
   tmpl.emit_into(out, "client-b");
@@ -500,7 +501,8 @@ TEST(SignedResponseTemplateTest, RebuildNeverLeaksStaleBytes) {
   Bytes out;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Bytes payload = bytes_of(cases[i].payload);
-    tmpl.rebuild(i, 100 + i, 1, cases[i].rid, payload, server);
+    tmpl.rebuild(i, 100 + i, 1, cases[i].rid.client, cases[i].rid.seq,
+                 payload, server);
     for (const std::string& requester :
          {std::string("proxy-0"), std::string("a-longer-requester-address")}) {
       tmpl.emit_into(out, requester);
@@ -527,6 +529,35 @@ TEST(MessageCoreTest, EncodeMatchesUnsignedMessage) {
     Bytes out = bytes_of("stale");
     m.core().encode_into(out);
     EXPECT_EQ(out, m.encode());
+  }
+}
+
+TEST(MessageCoreTest, EncodeSignedMatchesSignMessage) {
+  // The SMR and name-server send paths sign straight from borrowed fields:
+  // the bytes must equal the owning record signed by sign_message and
+  // encoded — for ordering traffic (empty requester, signed bytes = wire
+  // prefix) and for the types whose signed form differs from the wire (a
+  // requester present, ProxyResponse normalized to Response).
+  crypto::KeyRegistry registry(17);
+  crypto::SigningKey key = registry.enroll("replica-2");
+  for (MsgType type :
+       {MsgType::PrePrepare, MsgType::PrepareAck, MsgType::ViewChange,
+        MsgType::StateReply, MsgType::NsReply, MsgType::Response,
+        MsgType::ProxyResponse}) {
+    for (bool with_requester : {false, true}) {
+      Message m = sample();
+      m.type = type;
+      if (!with_requester) m.requester.clear();
+      Bytes out = bytes_of("stale bytes that are longer than nothing");
+      m.core().encode_signed_into(out, key);
+      sign_message(m, key);
+      EXPECT_EQ(out, m.encode())
+          << "type " << static_cast<int>(type) << " requester "
+          << with_requester;
+      auto view = MessageView::decode(out);
+      ASSERT_TRUE(view.has_value());
+      EXPECT_TRUE(verify_message(*view, registry));
+    }
   }
 }
 

@@ -7,16 +7,17 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 
 namespace fortress::replication {
 namespace {
 
-struct Entry {
-  RequestId rid;
-  std::uint64_t hash = 0;
+struct Entry : RequestKey {
   int value = 0;
+  ByteRef response;
+  IdSetRef requesters;
 };
 
 std::uint64_t h(const std::string& client, std::uint64_t seq) {
@@ -38,7 +39,8 @@ TEST(RequestTableTest, InsertThenFind) {
   Entry* found = table.find("alice", 7, h("alice", 7));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->value, 42);
-  EXPECT_EQ(found->rid, (RequestId{"alice", 7}));
+  EXPECT_EQ(table.client(*found), "alice");
+  EXPECT_EQ(found->seq, 7u);
   EXPECT_EQ(found->hash, h("alice", 7));
 
   // Same client, different seq (and vice versa) are distinct records.
@@ -91,9 +93,9 @@ TEST(RequestTableTest, EntriesAreInsertionOrdered) {
   table.find_or_insert("alpha", 9, h("alpha", 9));
   table.find_or_insert("mu", 4, h("mu", 4));
   ASSERT_EQ(table.entries().size(), 3u);
-  EXPECT_EQ(table.entries()[0].rid.client, "zeta");
-  EXPECT_EQ(table.entries()[1].rid.client, "alpha");
-  EXPECT_EQ(table.entries()[2].rid.client, "mu");
+  EXPECT_EQ(table.client(table.entries()[0]), "zeta");
+  EXPECT_EQ(table.client(table.entries()[1]), "alpha");
+  EXPECT_EQ(table.client(table.entries()[2]), "mu");
 }
 
 TEST(RequestTableTest, ClearForgetsEverything) {
@@ -105,6 +107,84 @@ TEST(RequestTableTest, ClearForgetsEverything) {
   // Reusable after clear.
   table.find_or_insert("b", 2, h("b", 2)).value = 5;
   EXPECT_EQ(table.find("b", 2, h("b", 2))->value, 5);
+}
+
+TEST(RequestTableTest, RecordReusedAfterClearCarriesNoStaleState) {
+  // clear() keeps every buffer, so the next trial's first record lands in
+  // the storage the last trial's first record used: it must start blank.
+  RequestTable<Entry> table;
+  {
+    Entry& e = table.find_or_insert("a-long-client-name", 1,
+                                    h("a-long-client-name", 1));
+    e.value = 9;
+    table.assign(e.response, bytes_of("a stale response body"));
+    for (net::HostId id : {7u, 3u, 11u}) table.insert(e.requesters, id);
+  }
+  table.clear();
+
+  Entry& e = table.find_or_insert("b", 2, h("b", 2));
+  EXPECT_EQ(table.client(e), "b");
+  EXPECT_EQ(e.value, 0);
+  EXPECT_TRUE(table.bytes(e.response).empty());
+  EXPECT_TRUE(table.ids(e.requesters).empty());
+  EXPECT_FALSE(table.contains(e.requesters, 3));
+
+  table.assign(e.response, bytes_of("ok"));
+  table.insert(e.requesters, 5);
+  EXPECT_EQ(string_of(table.bytes(e.response)), "ok");
+  ASSERT_EQ(table.ids(e.requesters).size(), 1u);
+  EXPECT_EQ(table.ids(e.requesters)[0], 5u);
+  EXPECT_EQ(table.find("a-long-client-name", 1, h("a-long-client-name", 1)),
+            nullptr);
+}
+
+TEST(RequestTableTest, KeysSharingTagBitsStillResolve) {
+  // The index compares a slot's hash tag (the top 32 bits) before touching
+  // the record. Keys whose hashes share the tag — identical hashes, and
+  // hashes that differ only below the tag — must still resolve by the full
+  // key, through many growths of the index.
+  RequestTable<Entry> table;
+  constexpr std::uint64_t kTag = 0xabcdef0100000000ull;
+  for (int i = 0; i < 200; ++i) {
+    const std::string client = "c" + std::to_string(i % 7);
+    const auto seq = static_cast<std::uint64_t>(i);
+    const std::uint64_t hash = kTag | static_cast<std::uint64_t>(i % 3);
+    table.find_or_insert(client, seq, hash).value = i;
+  }
+  EXPECT_EQ(table.size(), 200u);
+  for (int i = 0; i < 200; ++i) {
+    const std::string client = "c" + std::to_string(i % 7);
+    const auto seq = static_cast<std::uint64_t>(i);
+    const std::uint64_t hash = kTag | static_cast<std::uint64_t>(i % 3);
+    Entry* e = table.find(client, seq, hash);
+    ASSERT_NE(e, nullptr) << i;
+    EXPECT_EQ(e->value, i);
+    EXPECT_EQ(table.client(*e), client);
+    // Same tag and key, other low bits: a different hash, so a miss.
+    EXPECT_EQ(table.find(client, seq, hash ^ 0x4), nullptr) << i;
+  }
+  EXPECT_EQ(table.find("c0", 1000, kTag), nullptr);
+}
+
+TEST(RequestTableTest, IdSetsStayAscendingAndUniqueAcrossMoves) {
+  // Each record's id set grows by moving to the arena's end; interleaving
+  // two records' inserts exercises moves past each other's storage.
+  RequestTable<Entry> table;
+  table.find_or_insert("x", 1, h("x", 1));
+  table.find_or_insert("y", 1, h("y", 1));
+  const net::HostId ids[] = {9, 2, 7, 2, 5, 11, 1, 9, 4};
+  for (net::HostId id : ids) {
+    table.insert(table.entries()[0].requesters, id);
+    table.insert(table.entries()[1].requesters, id + 100);
+  }
+  const std::vector<net::HostId> want = {1, 2, 4, 5, 7, 9, 11};
+  const auto x = table.ids(table.entries()[0].requesters);
+  EXPECT_EQ(std::vector<net::HostId>(x.begin(), x.end()), want);
+  const auto y = table.ids(table.entries()[1].requesters);
+  ASSERT_EQ(y.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(y[i], want[i] + 100);
+  EXPECT_TRUE(table.contains(table.entries()[0].requesters, 4));
+  EXPECT_FALSE(table.contains(table.entries()[0].requesters, 3));
 }
 
 TEST(RequestTableTest, HashSpreadsRealisticKeys) {

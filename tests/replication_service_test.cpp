@@ -11,8 +11,39 @@ namespace fortress::replication {
 namespace {
 
 Bytes req(const std::string& s) { return bytes_of(s); }
+Bytes execute(Service& svc, BytesView request) {
+  Bytes out;
+  svc.execute(request, out);
+  return out;
+}
+Bytes snapshot(const Service& svc) {
+  Bytes out;
+  svc.snapshot(out);
+  return out;
+}
 std::string run(Service& svc, const std::string& cmd) {
-  return string_of(svc.execute(req(cmd)));
+  return string_of(execute(svc, req(cmd)));
+}
+
+TEST(KvServiceTest, ExecuteAndSnapshotReplaceBufferContents) {
+  // Replicas hand the service one reused buffer per purpose: whatever it
+  // held before (a longer response, an old snapshot) must not leak.
+  KvService kv;
+  Bytes out = bytes_of("a long stale response from an earlier request");
+  kv.execute(req("PUT k v"), out);
+  EXPECT_EQ(string_of(out), "OK");
+  kv.execute(req("GET k"), out);
+  EXPECT_EQ(string_of(out), "VALUE v");
+  Bytes snap = bytes_of("stale");
+  kv.snapshot(snap);
+  KvService fresh;
+  EXPECT_TRUE(fresh.restore(snap));
+  EXPECT_EQ(run(fresh, "GET k"), "VALUE v");
+  CounterService counter;
+  counter.execute(req("ADD 5"), out);
+  EXPECT_EQ(string_of(out), "COUNT 5");
+  counter.snapshot(snap);
+  EXPECT_EQ(snap.size(), 8u);
 }
 
 TEST(KvServiceTest, PutGetDelete) {
@@ -52,7 +83,7 @@ TEST(KvServiceTest, SnapshotRestoreRoundTrip) {
   run(a, "PUT k1 v1");
   run(a, "PUT k2 v2");
   KvService b;
-  EXPECT_TRUE(b.restore(a.snapshot()));
+  EXPECT_TRUE(b.restore(snapshot(a)));
   EXPECT_EQ(run(b, "GET k1"), "VALUE v1");
   EXPECT_EQ(run(b, "GET k2"), "VALUE v2");
   EXPECT_EQ(b.size(), 2u);
@@ -61,7 +92,7 @@ TEST(KvServiceTest, SnapshotRestoreRoundTrip) {
 TEST(KvServiceTest, RestoreReplacesState) {
   KvService a;
   run(a, "PUT fresh 1");
-  Bytes snap = a.snapshot();
+  Bytes snap = snapshot(a);
   KvService b;
   run(b, "PUT stale 9");
   EXPECT_TRUE(b.restore(snap));
@@ -73,9 +104,9 @@ TEST(KvServiceTest, DeterminismAcrossInstances) {
   // The DSM property SMR relies on: same command sequence, same state.
   KvService a, b;
   for (const char* cmd : {"PUT x 1", "PUT y 2", "DEL x", "PUT z 3"}) {
-    EXPECT_EQ(a.execute(req(cmd)), b.execute(req(cmd)));
+    EXPECT_EQ(execute(a, req(cmd)), execute(b, req(cmd)));
   }
-  EXPECT_EQ(a.snapshot(), b.snapshot());
+  EXPECT_EQ(snapshot(a), snapshot(b));
 }
 
 TEST(CounterServiceTest, IncAddGet) {
@@ -91,7 +122,7 @@ TEST(CounterServiceTest, SnapshotRoundTrip) {
   CounterService a;
   run(a, "ADD 42");
   CounterService b;
-  EXPECT_TRUE(b.restore(a.snapshot()));
+  EXPECT_TRUE(b.restore(snapshot(a)));
   EXPECT_EQ(b.value(), 42);
 }
 
@@ -110,8 +141,8 @@ TEST(SessionTokenServiceTest, IsObservablyNonDeterministic) {
   // Two replicas executing the same request produce DIFFERENT results —
   // the §1 problem for SMR, harmless for PB.
   SessionTokenService r1(1), r2(2);
-  Bytes a = r1.execute(req("TOKEN alice"));
-  Bytes b = r2.execute(req("TOKEN alice"));
+  Bytes a = execute(r1, req("TOKEN alice"));
+  Bytes b = execute(r2, req("TOKEN alice"));
   EXPECT_NE(a, b);
 }
 
@@ -121,7 +152,7 @@ TEST(SessionTokenServiceTest, StateShippingResolvesNonDeterminism) {
   SessionTokenService primary(1), backup(2);
   std::string reply = run(primary, "TOKEN alice");
   std::string token = reply.substr(6);
-  EXPECT_TRUE(backup.restore(primary.snapshot()));
+  EXPECT_TRUE(backup.restore(snapshot(primary)));
   EXPECT_EQ(run(backup, "CHECK alice " + token), "VALID");
 }
 
@@ -172,7 +203,7 @@ TEST(ServiceRestoreTest, KvRestoreIntoPrefilledEqualsFresh) {
     KvService fresh;
     ASSERT_TRUE(reused.restore(target));
     ASSERT_TRUE(fresh.restore(target));
-    EXPECT_EQ(reused.snapshot(), fresh.snapshot());
+    EXPECT_EQ(snapshot(reused), snapshot(fresh));
     EXPECT_EQ(reused.size(), fresh.size());
     for (const char* key : {"a", "b", "c", "k0", "k1", "zz"}) {
       EXPECT_EQ(run(reused, std::string("GET ") + key),
@@ -194,7 +225,7 @@ TEST(ServiceRestoreTest, SessionTokenRestoreIntoPrefilledEqualsFresh) {
     SessionTokenService fresh(2);
     ASSERT_TRUE(reused.restore(target));
     ASSERT_TRUE(fresh.restore(target));
-    EXPECT_EQ(reused.snapshot(), fresh.snapshot());
+    EXPECT_EQ(snapshot(reused), snapshot(fresh));
     for (const char* key : {"a", "b", "c", "k0", "k1", "zz"}) {
       EXPECT_EQ(run(reused, std::string("GET ") + key),
                 run(fresh, std::string("GET ") + key));
@@ -210,19 +241,19 @@ TEST(ServiceRestoreTest, MalformedSnapshotLeavesStateUntouched) {
     const BytesView cut(valid.data(), len);
     KvService kv;
     prefill(kv);
-    const Bytes kv_before = kv.snapshot();
+    const Bytes kv_before = snapshot(kv);
     EXPECT_FALSE(kv.restore(cut)) << "length " << len;
-    EXPECT_EQ(kv.snapshot(), kv_before) << "length " << len;
+    EXPECT_EQ(snapshot(kv), kv_before) << "length " << len;
 
     SessionTokenService tokens(3);
     prefill(tokens);
-    const Bytes tokens_before = tokens.snapshot();
+    const Bytes tokens_before = snapshot(tokens);
     EXPECT_FALSE(tokens.restore(cut)) << "length " << len;
-    EXPECT_EQ(tokens.snapshot(), tokens_before) << "length " << len;
+    EXPECT_EQ(snapshot(tokens), tokens_before) << "length " << len;
   }
   CounterService counter;
   run(counter, "ADD 5");
-  const Bytes snap = counter.snapshot();
+  const Bytes snap = snapshot(counter);
   for (std::size_t len = 0; len < snap.size(); ++len) {
     EXPECT_FALSE(counter.restore(BytesView(snap.data(), len)));
     EXPECT_EQ(counter.value(), 5);

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "net/network.hpp"
+#include "crypto/sha256.hpp"
 #include "osl/machine.hpp"
 #include "replication/service.hpp"
 #include "sim/simulator.hpp"
@@ -202,6 +203,119 @@ TEST_F(SmrTest, QuorumLossStallsThenRecovers) {
   sim_.run_until(150.0);
   EXPECT_EQ(client_.responders({"client", 1}, "OK").size(), 0u);
   EXPECT_EQ(replicas_[0]->executed_seq(), 0u);
+}
+
+// --- signer/index binding ---------------------------------------------------
+// Acks, view votes and state offers are counted per sender_index, so a
+// replica must not be able to sign them under an index that is not its
+// own. Each test has replica 1 sign under indices 2, 3 and 99 (all with a
+// valid signature by an enrolled principal), checks nothing is counted,
+// then shows the same message from the real owner of index 2 is.
+
+/// Sign `msg` as replica `signer` and deliver it to replica `to` (sent from
+/// the test client's host, which stays attached whoever is down).
+void send_signed_as(net::Network& net, crypto::KeyRegistry& registry,
+                    const std::vector<net::Address>& addrs,
+                    std::uint32_t signer, Message msg, std::uint32_t to) {
+  const crypto::SigningKey key = registry.enroll(addrs[signer]);
+  sign_message(msg, key);
+  net.send(net.id_of("client"), net.id_of(addrs[to]), msg.encode());
+}
+
+/// The PrepareAck digest: SHA-256 of "client#seq" || request.
+Bytes ack_digest(const std::string& client, std::uint64_t seq,
+                 const std::string& request) {
+  const crypto::Digest d = crypto::Sha256::hash(
+      bytes_of(client + "#" + std::to_string(seq) + request));
+  return Bytes(d.begin(), d.end());
+}
+
+TEST_F(SmrTest, AcksSignedUnderAnotherIndexDoNotCommit) {
+  boot_and_start();
+  // Two replicas down: the leader (0) and replica 1 can only reach 2 of
+  // the 2f+1 = 3 acks.
+  machines_[2]->shutdown();
+  machines_[3]->shutdown();
+  client_.send_request({"client", 1}, "PUT a 1", {addrs_[0], addrs_[1]});
+  sim_.run_until(5.0);
+  ASSERT_EQ(replicas_[0]->executed_seq(), 0u);
+
+  Message ack;
+  ack.type = MsgType::PrepareAck;
+  ack.view = 0;
+  ack.seq = 1;
+  ack.request_id = {"client", 1};
+  ack.aux = ack_digest("client", 1, "PUT a 1");
+  for (std::uint32_t claimed : {2u, 3u, 99u}) {
+    ack.sender_index = claimed;
+    send_signed_as(net_, registry_, addrs_, 1, ack, 0);
+  }
+  sim_.run_until(10.0);
+  EXPECT_EQ(replicas_[0]->executed_seq(), 0u);
+  EXPECT_TRUE(client_.responders({"client", 1}, "OK").empty());
+
+  // Replica 2's own ack is the third endorsement.
+  ack.sender_index = 2;
+  send_signed_as(net_, registry_, addrs_, 2, ack, 0);
+  sim_.run_until(15.0);
+  EXPECT_EQ(replicas_[0]->executed_seq(), 1u);
+}
+
+TEST_F(SmrTest, ViewVotesSignedUnderAnotherIndexDoNotChangeView) {
+  boot_and_start();
+  sim_.run_until(1.0);
+  Message vote;
+  vote.type = MsgType::ViewChange;
+  vote.view = 1;
+  for (std::uint32_t claimed : {1u, 2u, 3u, 99u}) {
+    vote.sender_index = claimed;
+    send_signed_as(net_, registry_, addrs_, 1, vote, 0);
+  }
+  sim_.run_until(5.0);
+  // Only replica 1's own vote counts: 1 of the 3 needed.
+  EXPECT_EQ(replicas_[0]->view(), 0u);
+
+  // Replicas 2 and 3 voting for themselves complete the quorum.
+  for (std::uint32_t voter : {2u, 3u}) {
+    vote.sender_index = voter;
+    send_signed_as(net_, registry_, addrs_, voter, vote, 0);
+  }
+  sim_.run_until(10.0);
+  EXPECT_EQ(replicas_[0]->view(), 1u);
+}
+
+TEST_F(SmrTest, StateOffersSignedUnderAnotherIndexDoNotRestore) {
+  boot_and_start();
+  client_.send_request({"client", 1}, "PUT a 1", addrs_);
+  sim_.run_until(40.0);
+  ASSERT_EQ(replicas_[1]->executed_seq(), 1u);
+  // Only replica 1 is left to answer replica 3's state request: one offer,
+  // below the f+1 = 2 needed.
+  machines_[0]->shutdown();
+  machines_[2]->shutdown();
+  machines_[3]->rerandomize(9);
+  sim_.run_until(45.0);
+  ASSERT_TRUE(replicas_[3]->state_stale());
+
+  Bytes snapshot;
+  replicas_[1]->service().snapshot(snapshot);
+  Message offer;
+  offer.type = MsgType::StateReply;
+  offer.view = replicas_[1]->view();
+  offer.seq = 1;
+  offer.aux = snapshot;
+  for (std::uint32_t claimed : {2u, 3u, 99u}) {
+    offer.sender_index = claimed;
+    send_signed_as(net_, registry_, addrs_, 1, offer, 3);
+  }
+  sim_.run_until(50.0);
+  EXPECT_TRUE(replicas_[3]->state_stale());
+
+  // Replica 2's own offer matches replica 1's: f+1 = 2 senders.
+  offer.sender_index = 2;
+  send_signed_as(net_, registry_, addrs_, 2, offer, 3);
+  sim_.run_until(55.0);
+  EXPECT_FALSE(replicas_[3]->state_stale());
 }
 
 TEST_F(SmrTest, RequiresFourReplicasForFOne) {
