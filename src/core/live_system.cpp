@@ -56,15 +56,10 @@ std::vector<net::Address> tier_addresses(const char* prefix,
   return addrs;
 }
 
-// Shared fault-target resolution: bounds-checked lookup into one tier's
-// machine vector (out-of-range plan indices are ignored, not errors).
-osl::Machine* machine_at(
-    const std::vector<std::unique_ptr<osl::Machine>>& tier, int index) {
-  if (index < 0 || static_cast<std::size_t>(index) >= tier.size()) {
-    return nullptr;
-  }
-  return tier[static_cast<std::size_t>(index)].get();
-}
+// Service-model salts: servers take 1 + i and proxies 0x1000 + i, so the
+// two tiers' per-machine streams never collide.
+constexpr std::uint64_t kServerSalt = 1;
+constexpr std::uint64_t kProxySalt = 0x1000;
 
 }  // namespace
 
@@ -95,12 +90,40 @@ void LiveSystem::reset(const net::ScenarioPlan& plan, std::uint64_t seed) {
   failure_time_.reset();
   on_failure = nullptr;
   nameserver_->reset();
-  reset_components(plan);
+  reset_tier(servers_, plan, kServerSalt);
+  for (auto& r : pb_replicas_) r->reset();
+  for (auto& r : smr_replicas_) r->reset();
+  reset_tier(proxy_machines_, plan, kProxySalt);
+  const proxy::DetectionConfig detection = detection_config(plan);
+  for (auto& p : proxies_) p->reset(plan.proxy_blacklist, detection);
+}
+
+void LiveSystem::start() {
+  scheduler_.boot_all();
+  for (auto& r : pb_replicas_) r->start();
+  for (auto& r : smr_replicas_) r->start();
+  for (auto& p : proxies_) p->start();
+  scheduler_.start();
 }
 
 std::optional<std::uint64_t> LiveSystem::failure_step() const {
   if (!failure_time_) return std::nullopt;
   return static_cast<std::uint64_t>(*failure_time_ / step_duration_);
+}
+
+int LiveSystem::count_compromised(const Tier& tier) {
+  int count = 0;
+  for (const auto& m : tier) {
+    if (m->compromised()) ++count;
+  }
+  return count;
+}
+
+bool LiveSystem::compromise_rule() const {
+  if (count_compromised(servers_) >= server_threshold_) return true;
+  return !proxy_machines_.empty() &&
+         count_compromised(proxy_machines_) ==
+             static_cast<int>(proxy_machines_.size());
 }
 
 void LiveSystem::latch_failure() {
@@ -122,9 +145,24 @@ void LiveSystem::configure_machine_service(osl::Machine& machine,
       service, seed_ ^ 0x5E41CEULL ^ (salt * 0x9E3779B97F4A7C15ULL));
 }
 
-void LiveSystem::reset_tier(
-    const std::vector<std::unique_ptr<osl::Machine>>& tier,
-    const net::ScenarioPlan& plan, std::uint64_t first_salt) {
+template <typename MakeApp>
+void LiveSystem::build_tier(Tier& tier, const std::vector<net::Address>& addrs,
+                            const net::ScenarioPlan& plan,
+                            std::uint64_t first_salt, bool processes_payloads,
+                            MakeApp make_app) {
+  for (std::uint32_t i = 0; i < addrs.size(); ++i) {
+    osl::MachineConfig mc{addrs[i], plan.keyspace};
+    mc.processes_request_payloads = processes_payloads;
+    auto machine = std::make_unique<osl::Machine>(network_, mc);
+    machine->set_application(&make_app(i));
+    watch(*machine);
+    configure_machine_service(*machine, plan.service, first_salt + i);
+    tier.push_back(std::move(machine));
+  }
+}
+
+void LiveSystem::reset_tier(const Tier& tier, const net::ScenarioPlan& plan,
+                            std::uint64_t first_salt) {
   std::uint64_t salt = first_salt;
   for (const auto& m : tier) {
     m->reset(plan.keyspace);
@@ -133,85 +171,77 @@ void LiveSystem::reset_tier(
   }
 }
 
-// --- LiveS1 -----------------------------------------------------------------
+std::vector<net::Address> LiveSystem::build_pb_servers(
+    const char* prefix, const net::ScenarioPlan& plan,
+    const ServiceFactory& factory) {
+  FORTRESS_EXPECTS(plan.n_servers >= 1);
+  FORTRESS_EXPECTS(factory != nullptr);
+  replication::PbConfig pb;
+  pb.replicas = tier_addresses(prefix, "server", plan.n_servers);
+  pb.heartbeat_interval = kPbHeartbeat;
+  pb.failover_timeout = kPbFailoverTimeout;
+  build_tier(servers_, pb.replicas, plan, kServerSalt, true,
+             [&](std::uint32_t i) -> osl::Application& {
+               pb.index = i;
+               return *pb_replicas_.emplace_back(
+                   std::make_unique<replication::PbReplica>(
+                       sim_, network_, registry_, factory(i), pb));
+             });
+  // One shared key for the whole PB tier (§3).
+  std::vector<osl::Machine*> group;
+  for (const auto& m : servers_) group.push_back(m.get());
+  scheduler_.add_shared_group(std::move(group));
+  return std::move(pb.replicas);
+}
+
+void LiveSystem::publish(ReplicationType replication, std::uint32_t f,
+                         const std::vector<net::Address>& server_addrs,
+                         std::vector<net::Address> proxy_addrs) {
+  directory_.replication = replication;
+  directory_.f = f;
+  if (proxy_addrs.empty()) directory_.server_addrs = server_addrs;
+  directory_.proxies = std::move(proxy_addrs);
+  directory_.server_principals = server_addrs;  // principals == addresses
+  nameserver_ = std::make_unique<NameServer>(network_, registry_, directory_);
+}
+
+osl::Machine* LiveSystem::fault_target(net::FaultEvent::Target tier,
+                                       int index) {
+  const Tier& machines =
+      tier == net::FaultEvent::Target::Server ? servers_ : proxy_machines_;
+  if (index < 0 || static_cast<std::size_t>(index) >= machines.size()) {
+    return nullptr;
+  }
+  return machines[static_cast<std::size_t>(index)].get();
+}
+
+std::uint64_t LiveSystem::blacklisted_sources() const {
+  std::uint64_t total = 0;
+  for (const auto& p : proxies_) total += p->blacklist_size();
+  return total;
+}
+
+std::vector<const osl::Machine*> LiveSystem::service_machines() const {
+  std::vector<const osl::Machine*> out;
+  for (const auto& m : servers_) out.push_back(m.get());
+  for (const auto& m : proxy_machines_) out.push_back(m.get());
+  return out;
+}
+
+// --- the three classes -------------------------------------------------------
 
 LiveS1::LiveS1(sim::Simulator& sim, const net::ScenarioPlan& plan,
                std::uint64_t seed, ServiceFactory factory)
     : LiveSystem(sim, plan, seed) {
-  FORTRESS_EXPECTS(plan.n_servers >= 1);
-  FORTRESS_EXPECTS(factory != nullptr);
   const std::vector<net::Address> addrs =
-      tier_addresses(kS1Prefix, "server", plan.n_servers);
-  replication::PbConfig pb;
-  pb.replicas = addrs;
-  pb.heartbeat_interval = kPbHeartbeat;
-  pb.failover_timeout = kPbFailoverTimeout;
-
-  std::vector<osl::Machine*> group;
-  for (int i = 0; i < plan.n_servers; ++i) {
-    auto machine = std::make_unique<osl::Machine>(
-        network_, osl::MachineConfig{addrs[static_cast<std::size_t>(i)],
-                                     plan.keyspace});
-    pb.index = static_cast<std::uint32_t>(i);
-    auto replica = std::make_unique<replication::PbReplica>(
-        sim_, network_, registry_, factory(static_cast<std::uint32_t>(i)),
-        pb);
-    machine->set_application(replica.get());
-    watch(*machine);
-    configure_machine_service(*machine, plan.service,
-                              1 + static_cast<std::uint64_t>(i));
-    group.push_back(machine.get());
-    machines_.push_back(std::move(machine));
-    replicas_.push_back(std::move(replica));
-  }
-  // One shared key for the whole PB tier (§3).
-  scheduler_.add_shared_group(group);
-
-  directory_.replication = ReplicationType::PrimaryBackup;
-  directory_.f = 0;
-  directory_.server_addrs = addrs;
-  directory_.server_principals = addrs;  // principals == addresses
-  nameserver_ = std::make_unique<NameServer>(network_, registry_, directory_);
-}
-
-void LiveS1::start() {
-  scheduler_.boot_all();
-  for (auto& r : replicas_) r->start();
-  scheduler_.start();
-}
-
-bool LiveS1::compromise_rule() const {
-  for (const auto& m : machines_) {
-    if (m->compromised()) return true;
-  }
-  return false;
-}
-
-void LiveS1::reset_components(const net::ScenarioPlan& plan) {
-  reset_tier(machines_, plan, 1);
-  for (auto& r : replicas_) r->reset();
-}
-
-std::vector<const osl::Machine*> LiveS1::service_machines() const {
-  std::vector<const osl::Machine*> out;
-  for (const auto& m : machines_) out.push_back(m.get());
-  return out;
-}
-
-std::vector<osl::Machine*> LiveS1::direct_attack_surface() {
+      build_pb_servers(kS1Prefix, plan, factory);
   // The whole tier shares one key (§3), so there is exactly ONE direct
   // channel (Definition 2): probing more machines with the same enumeration
   // would overcount the model's per-channel rate omega. The primary stands
   // in for the tier.
-  return {machines_.front().get()};
+  attack_surface_ = {servers_.front().get()};
+  publish(ReplicationType::PrimaryBackup, 0, addrs, {});
 }
-
-osl::Machine* LiveS1::fault_target(net::FaultEvent::Target tier, int index) {
-  if (tier != net::FaultEvent::Target::Server) return nullptr;
-  return machine_at(machines_, index);
-}
-
-// --- LiveS0 -----------------------------------------------------------------
 
 LiveS0::LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
                std::uint64_t seed, DeterministicServiceFactory factory)
@@ -224,208 +254,54 @@ LiveS0::LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
   const std::uint32_t f =
       plan.n_servers >= 4 ? static_cast<std::uint32_t>((plan.n_servers + 1) / 3)
                           : 1;
-  const std::uint32_t n = 3 * f + 1;
-  const std::vector<net::Address> addrs =
-      tier_addresses(kS0Prefix, "replica", static_cast<int>(n));
   replication::SmrConfig smr;
   smr.f = f;
-  smr.replicas = addrs;
+  smr.replicas =
+      tier_addresses(kS0Prefix, "replica", static_cast<int>(3 * f + 1));
   smr.heartbeat_interval = kSmrHeartbeat;
   smr.progress_timeout = kSmrProgressTimeout;
-
-  std::vector<osl::Machine*> batch;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto machine = std::make_unique<osl::Machine>(
-        network_, osl::MachineConfig{addrs[i], plan.keyspace});
-    smr.index = i;
-    auto replica = std::make_unique<replication::SmrReplica>(
-        sim_, network_, registry_, factory(i), smr);
-    machine->set_application(replica.get());
-    watch(*machine);
-    configure_machine_service(*machine, plan.service,
-                              1 + static_cast<std::uint64_t>(i));
-    batch.push_back(machine.get());
-    machines_.push_back(std::move(machine));
-    replicas_.push_back(std::move(replica));
-  }
+  build_tier(servers_, smr.replicas, plan, kServerSalt, true,
+             [&](std::uint32_t i) -> osl::Application& {
+               smr.index = i;
+               return *smr_replicas_.emplace_back(
+                   std::make_unique<replication::SmrReplica>(
+                       sim_, network_, registry_, factory(i), smr));
+             });
   // Distinct keys, staggered reboot batches (Roeder-Schneider).
-  scheduler_.add_staggered_batch(batch);
-
-  directory_.replication = ReplicationType::StateMachine;
-  directory_.f = f;
-  directory_.server_addrs = addrs;
-  directory_.server_principals = addrs;
-  nameserver_ = std::make_unique<NameServer>(network_, registry_, directory_);
-}
-
-void LiveS0::start() {
-  scheduler_.boot_all();
-  for (auto& r : replicas_) r->start();
-  scheduler_.start();
-}
-
-int LiveS0::currently_compromised() const {
-  int count = 0;
-  for (const auto& m : machines_) {
-    if (m->compromised()) ++count;
-  }
-  return count;
-}
-
-bool LiveS0::compromise_rule() const {
+  for (const auto& m : servers_) attack_surface_.push_back(m.get());
+  scheduler_.add_staggered_batch(attack_surface_);
   // Definition 1: compromised as soon as more than one node is compromised.
-  return currently_compromised() >= 2;
+  server_threshold_ = 2;
+  publish(ReplicationType::StateMachine, f, smr.replicas, {});
 }
-
-void LiveS0::reset_components(const net::ScenarioPlan& plan) {
-  reset_tier(machines_, plan, 1);
-  for (auto& r : replicas_) r->reset();
-}
-
-std::vector<const osl::Machine*> LiveS0::service_machines() const {
-  std::vector<const osl::Machine*> out;
-  for (const auto& m : machines_) out.push_back(m.get());
-  return out;
-}
-
-std::vector<osl::Machine*> LiveS0::direct_attack_surface() {
-  std::vector<osl::Machine*> out;
-  for (const auto& m : machines_) out.push_back(m.get());
-  return out;
-}
-
-osl::Machine* LiveS0::fault_target(net::FaultEvent::Target tier, int index) {
-  if (tier != net::FaultEvent::Target::Server) return nullptr;
-  return machine_at(machines_, index);
-}
-
-// --- LiveS2 -----------------------------------------------------------------
 
 LiveS2::LiveS2(sim::Simulator& sim, const net::ScenarioPlan& plan,
                std::uint64_t seed, ServiceFactory factory)
-    : LiveSystem(sim, plan, seed),
-      server_addrs_(tier_addresses(kS2Prefix, "server", plan.n_servers)) {
-  FORTRESS_EXPECTS(factory != nullptr);
-  FORTRESS_EXPECTS(plan.n_servers >= 1 && plan.n_proxies >= 1);
-  const std::vector<net::Address> proxy_addrs =
-      tier_addresses(kS2Prefix, "proxy", plan.n_proxies);
-
-  replication::PbConfig pb;
-  pb.replicas = server_addrs_;
-  pb.heartbeat_interval = kPbHeartbeat;
-  pb.failover_timeout = kPbFailoverTimeout;
-
-  std::vector<osl::Machine*> server_group;
-  for (int i = 0; i < plan.n_servers; ++i) {
-    auto machine = std::make_unique<osl::Machine>(
-        network_,
-        osl::MachineConfig{server_addrs_[static_cast<std::size_t>(i)],
-                           plan.keyspace});
-    pb.index = static_cast<std::uint32_t>(i);
-    auto replica = std::make_unique<replication::PbReplica>(
-        sim_, network_, registry_, factory(static_cast<std::uint32_t>(i)),
-        pb);
-    machine->set_application(replica.get());
-    watch(*machine);
-    configure_machine_service(*machine, plan.service,
-                              1 + static_cast<std::uint64_t>(i));
-    server_group.push_back(machine.get());
-    server_machines_.push_back(std::move(machine));
-    replicas_.push_back(std::move(replica));
-  }
-  scheduler_.add_shared_group(server_group);
+    : LiveSystem(sim, plan, seed) {
+  FORTRESS_EXPECTS(plan.n_proxies >= 1);
+  hidden_servers_ = build_pb_servers(kS2Prefix, plan, factory);
 
   proxy::ProxyConfig pxy;
-  pxy.servers = server_addrs_;
+  pxy.servers = hidden_servers_;
   pxy.blacklist_enabled = plan.proxy_blacklist;
   pxy.detection = detection_config(plan);
-  for (int i = 0; i < plan.n_proxies; ++i) {
-    pxy.address = proxy_addrs[static_cast<std::size_t>(i)];
-    osl::MachineConfig mc{pxy.address, plan.keyspace};
-    mc.processes_request_payloads = false;  // proxies do no processing (§3)
-    auto machine = std::make_unique<osl::Machine>(network_, mc);
-    auto node = std::make_unique<proxy::ProxyNode>(sim_, network_, registry_,
-                                                   pxy);
-    machine->set_application(node.get());
-    watch(*machine);
-    configure_machine_service(*machine, plan.service,
-                              0x1000 + static_cast<std::uint64_t>(i));
-    scheduler_.add_machine(*machine);  // individually distinct proxy keys
-    proxy_machines_.push_back(std::move(machine));
-    proxies_.push_back(std::move(node));
-  }
-
-  // Clients learn proxies' addresses and servers' principal names (indices)
-  // — NOT server addresses (§3).
-  directory_.replication = ReplicationType::PrimaryBackup;
-  directory_.f = 0;
-  directory_.proxies = proxy_addrs;
-  directory_.server_principals = server_addrs_;
-  nameserver_ = std::make_unique<NameServer>(network_, registry_, directory_);
-}
-
-void LiveS2::start() {
-  scheduler_.boot_all();
-  for (auto& r : replicas_) r->start();
-  for (auto& p : proxies_) p->start();
-  scheduler_.start();
-}
-
-int LiveS2::currently_compromised_proxies() const {
-  int count = 0;
+  const std::vector<net::Address> proxy_addrs =
+      tier_addresses(kS2Prefix, "proxy", plan.n_proxies);
+  // Proxies do no request processing (§3).
+  build_tier(proxy_machines_, proxy_addrs, plan, kProxySalt, false,
+             [&](std::uint32_t i) -> osl::Application& {
+               pxy.address = proxy_addrs[i];
+               return *proxies_.emplace_back(std::make_unique<proxy::ProxyNode>(
+                   sim_, network_, registry_, pxy));
+             });
+  // Individually distinct proxy keys; the proxies are both the attack
+  // surface and the launch pads against the hidden server tier.
   for (const auto& m : proxy_machines_) {
-    if (m->compromised()) ++count;
+    scheduler_.add_machine(*m);
+    attack_surface_.push_back(m.get());
   }
-  return count;
-}
-
-bool LiveS2::compromise_rule() const {
-  for (const auto& m : server_machines_) {
-    if (m->compromised()) return true;
-  }
-  return currently_compromised_proxies() ==
-         static_cast<int>(proxy_machines_.size());
-}
-
-void LiveS2::reset_components(const net::ScenarioPlan& plan) {
-  reset_tier(server_machines_, plan, 1);
-  for (auto& r : replicas_) r->reset();
-  reset_tier(proxy_machines_, plan, 0x1000);
-  const proxy::DetectionConfig detection = detection_config(plan);
-  for (auto& p : proxies_) p->reset(plan.proxy_blacklist, detection);
-}
-
-std::vector<const osl::Machine*> LiveS2::service_machines() const {
-  std::vector<const osl::Machine*> out;
-  for (const auto& m : server_machines_) out.push_back(m.get());
-  for (const auto& m : proxy_machines_) out.push_back(m.get());
-  return out;
-}
-
-std::vector<osl::Machine*> LiveS2::direct_attack_surface() {
-  std::vector<osl::Machine*> out;
-  for (const auto& m : proxy_machines_) out.push_back(m.get());
-  return out;
-}
-
-std::vector<osl::Machine*> LiveS2::launchpad_machines() {
-  return direct_attack_surface();
-}
-
-std::vector<net::Address> LiveS2::hidden_server_addresses() const {
-  return server_addrs_;
-}
-
-osl::Machine* LiveS2::fault_target(net::FaultEvent::Target tier, int index) {
-  return machine_at(tier == net::FaultEvent::Target::Server ? server_machines_
-                                                            : proxy_machines_,
-                    index);
-}
-
-std::uint64_t LiveS2::blacklisted_sources() const {
-  std::uint64_t total = 0;
-  for (const auto& p : proxies_) total += p->blacklist_size();
-  return total;
+  launchpads_ = attack_surface_;
+  publish(ReplicationType::PrimaryBackup, 0, hidden_servers_, proxy_addrs);
 }
 
 std::unique_ptr<LiveSystem> make_live_system(sim::Simulator& sim,

@@ -280,8 +280,8 @@ bool verify_over_signature(const MessageView& m,
 /// N.
 ///
 /// Each replica keeps one and rebuilds it in place per fan-out
-/// (SmrReplica / PbReplica::respond_many): the wire buffer's capacity is
-/// reused, so a steady-state rebuild allocates nothing.
+/// (ReplicaCore::respond): the wire buffer's capacity is reused, so a
+/// steady-state rebuild allocates nothing.
 class SignedResponseTemplate {
  public:
   /// Re-encode the requester-blanked Response and sign it as `key`,

@@ -1,7 +1,5 @@
 #include "replication/pb_replica.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "common/log.hpp"
 
@@ -10,66 +8,18 @@ namespace fortress::replication {
 PbReplica::PbReplica(sim::Simulator& sim, net::Network& network,
                      crypto::KeyRegistry& registry,
                      std::unique_ptr<Service> service, PbConfig config)
-    : sim_(sim),
-      network_(network),
-      registry_(registry),
-      key_(registry.enroll(config.replicas.at(config.index))),
-      service_(std::move(service)),
-      config_(std::move(config)),
-      heartbeat_timer_(sim, config_.heartbeat_interval,
-                       [this] { send_heartbeat(); }),
-      failover_timer_(sim, config_.failover_timeout / 4.0,
-                      [this] { check_failover(); }) {
-  FORTRESS_EXPECTS(service_ != nullptr);
-  FORTRESS_EXPECTS(!config_.replicas.empty());
-  FORTRESS_EXPECTS(config_.index < config_.replicas.size());
-  FORTRESS_EXPECTS(config_.heartbeat_interval > 0);
-  FORTRESS_EXPECTS(config_.failover_timeout > config_.heartbeat_interval);
-  service_->snapshot(pristine_state_);
-  replica_ids_.reserve(config_.replicas.size());
-  for (const net::Address& addr : config_.replicas) {
-    replica_ids_.push_back(network_.intern(addr));
-  }
-  id_ = replica_ids_[config_.index];
+    : ReplicaCore(sim, network, registry, std::move(service),
+                  std::move(config.replicas), config.index,
+                  config.heartbeat_interval, [this] { send_heartbeat(); },
+                  config.failover_timeout / 4.0, [this] { check_failover(); }),
+      failover_timeout_(config.failover_timeout) {
+  FORTRESS_EXPECTS(config.heartbeat_interval > 0);
+  FORTRESS_EXPECTS(failover_timeout_ > config.heartbeat_interval);
 }
 
 void PbReplica::reset() {
-  stop();
-  // key_ survives: the pooled stack keeps its PKI (see LiveSystem::reset).
-  FORTRESS_CHECK(service_->restore(pristine_state_));
-  view_ = 0;
-  applied_seq_ = 0;
+  reset_core();
   executed_count_ = 0;
-  last_primary_sign_of_life_ = 0.0;
-  requests_.clear();
-}
-
-PbReplica::~PbReplica() { stop(); }
-
-void PbReplica::start() {
-  FORTRESS_EXPECTS(!running_);
-  running_ = true;
-  last_primary_sign_of_life_ = sim_.now();
-  heartbeat_timer_.start();
-  failover_timer_.start();
-}
-
-void PbReplica::stop() {
-  if (!running_) return;
-  running_ = false;
-  heartbeat_timer_.stop();
-  failover_timer_.stop();
-}
-
-void PbReplica::broadcast(const MessageCore& msg) {
-  // Encode once into a pooled buffer; each recipient gets a pooled copy.
-  Bytes wire = network_.acquire_buffer();
-  msg.encode_into(wire);
-  for (std::uint32_t i = 0; i < replica_ids_.size(); ++i) {
-    if (i == config_.index) continue;
-    network_.send_copy(id_, replica_ids_[i], wire);
-  }
-  network_.recycle_buffer(std::move(wire));
 }
 
 void PbReplica::handle_message(const net::Envelope& env) {
@@ -87,7 +37,7 @@ void PbReplica::handle_message(const net::Envelope& env) {
       handle_heartbeat(*msg);
       break;
     case MsgType::ViewChange:
-      handle_view_change(*msg);
+      if (msg->view() > view_) adopt_view(msg->view());
       break;
     default:
       break;  // other planes (SMR/NS) are not ours
@@ -103,10 +53,10 @@ void PbReplica::handle_request(const net::Envelope& env,
   requests_.insert(req.requesters, env.from);
 
   if (req.has_response) {
-    send_response(req, env.from);  // duplicate: re-reply from cache
+    respond(req, env.from);  // duplicate: re-reply from cache
     return;
   }
-  if (!is_primary()) return;  // backups wait for the state update
+  if (!leads()) return;  // backups wait for the state update
 
   // Execute (the service may be non-deterministic; only the primary runs it).
   service_->execute(msg.payload(), execute_scratch_);
@@ -118,24 +68,25 @@ void PbReplica::handle_request(const net::Envelope& env,
   // The update borrows the cached response and rid; the snapshot is
   // written into a reused buffer.
   service_->snapshot(snapshot_scratch_);
-  broadcast(MessageCore{.type = MsgType::StateUpdate,
-                        .view = view_,
-                        .seq = applied_seq_,
-                        .sender_index = config_.index,
-                        .client = requests_.client(req),
-                        .client_seq = req.seq,
-                        .requester = network_.address_of(env.from),
-                        .payload = requests_.bytes(req.response),
-                        .aux = snapshot_scratch_});
+  broadcast({.type = MsgType::StateUpdate,
+             .view = view_,
+             .seq = applied_seq_,
+             .sender_index = index_,
+             .client = requests_.client(req),
+             .client_seq = req.seq,
+             .requester = network_.address_of(env.from),
+             .payload = requests_.bytes(req.response),
+             .aux = snapshot_scratch_},
+            false);
 
-  respond_to_all(req);
+  respond_to_requesters(req);
 }
 
 void PbReplica::handle_state_update(const MessageView& msg) {
   if (msg.view() < view_) return;  // stale primary
   if (msg.view() > view_) adopt_view(msg.view());
-  if (msg.sender_index() != msg.view() % config_.replicas.size()) return;
-  last_primary_sign_of_life_ = sim_.now();
+  if (msg.sender_index() != leader_of(msg.view())) return;
+  last_progress_ = sim_.now();
   // Resolve the wire-carried requester WITHOUT interning: an address the
   // interner has never seen was never attachable on this network, so a
   // response to it could only be dropped — and a forged StateUpdate must
@@ -151,7 +102,7 @@ void PbReplica::handle_state_update(const MessageView& msg) {
         requests_.find(msg.request_client(), msg.request_seq(), hash);
     if (req != nullptr && req->has_response &&
         requester != net::kInvalidHost) {
-      send_response(*req, requester);
+      respond(*req, requester);
     }
     return;
   }
@@ -166,83 +117,51 @@ void PbReplica::handle_state_update(const MessageView& msg) {
   if (requester != net::kInvalidHost) {
     requests_.insert(req.requesters, requester);
   }
-  respond_to_all(req);
-}
-
-void PbReplica::send_response(const RequestState& req, net::HostId to) {
-  respond_many(req, std::span<const net::HostId>(&to, 1));
-}
-
-void PbReplica::respond_to_all(const RequestState& req) {
-  respond_many(req, requests_.ids(req.requesters));
-}
-
-void PbReplica::respond_many(const RequestState& req,
-                             std::span<const net::HostId> recipients) {
-  FORTRESS_EXPECTS(req.has_response);
-  if (recipients.empty()) return;
-  // The Response signature covers the requester-blanked core, so every
-  // recipient shares one HMAC: sign once, splice the requester into each
-  // wire copy (SignedResponseTemplate).
-  response_.rebuild(view_, applied_seq_, config_.index, requests_.client(req),
-                    req.seq, requests_.bytes(req.response), key_);
-  for (net::HostId to : recipients) {
-    Bytes wire = network_.acquire_buffer();
-    response_.emit_into(wire, network_.address_of(to));
-    network_.send(id_, to, std::move(wire));
-  }
+  respond_to_requesters(req);
 }
 
 void PbReplica::send_heartbeat() {
-  if (!is_primary()) return;
-  broadcast(MessageCore{.type = MsgType::Heartbeat,
-                        .view = view_,
-                        .sender_index = config_.index});
+  if (!leads()) return;
+  broadcast({.type = MsgType::Heartbeat, .view = view_, .sender_index = index_},
+            false);
 }
 
 void PbReplica::handle_heartbeat(const MessageView& msg) {
   if (msg.view() < view_) return;
   if (msg.view() > view_) adopt_view(msg.view());
-  if (msg.sender_index() == msg.view() % config_.replicas.size()) {
-    last_primary_sign_of_life_ = sim_.now();
+  if (msg.sender_index() == leader_of(msg.view())) {
+    last_progress_ = sim_.now();
   }
 }
 
 void PbReplica::check_failover() {
-  if (is_primary()) return;
-  if (sim_.now() - last_primary_sign_of_life_ < config_.failover_timeout) {
-    return;
-  }
+  if (leads()) return;
+  if (sim_.now() - last_progress_ < failover_timeout_) return;
   // Primary presumed crashed: move to the next view. PB tolerates crash
   // faults only, so an unilateral, gossiped view bump suffices.
   std::uint64_t next = view_ + 1;
   FORTRESS_LOG_INFO("pb") << address() << " suspects primary of view "
                           << view_ << "; moving to view " << next;
-  broadcast(MessageCore{.type = MsgType::ViewChange,
-                        .view = next,
-                        .sender_index = config_.index});
+  broadcast({.type = MsgType::ViewChange, .view = next, .sender_index = index_},
+            false);
   adopt_view(next);
-}
-
-void PbReplica::handle_view_change(const MessageView& msg) {
-  if (msg.view() > view_) adopt_view(msg.view());
 }
 
 void PbReplica::adopt_view(std::uint64_t view) {
   FORTRESS_EXPECTS(view > view_);
   view_ = view;
-  last_primary_sign_of_life_ = sim_.now();
-  if (is_primary()) {
+  last_progress_ = sim_.now();
+  if (leads()) {
     FORTRESS_LOG_INFO("pb") << address() << " is primary of view " << view_;
     send_heartbeat();
   }
 }
 
 void PbReplica::handle_reboot() {
-  // Durable state (service_, responses_) survives; only liveness bookkeeping
+  // Durable state (service_, requests_) survives; only liveness bookkeeping
   // resets so a freshly rebooted backup does not instantly suspect the
   // primary it has not heard from while down.
-  last_primary_sign_of_life_ = sim_.now();
+  last_progress_ = sim_.now();
 }
 
 }  // namespace fortress::replication

@@ -35,69 +35,36 @@ SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
                        crypto::KeyRegistry& registry,
                        std::unique_ptr<DeterministicService> service,
                        SmrConfig config)
-    : sim_(sim),
-      network_(network),
-      registry_(registry),
-      key_(registry.enroll(config.replicas.at(config.index))),
-      service_(std::move(service)),
-      config_(std::move(config)),
-      heartbeat_timer_(sim, config_.heartbeat_interval,
-                       [this] {
-                         if (is_leader() && !stale_) {
-                           broadcast({.type = MsgType::Heartbeat,
-                                      .view = view_,
-                                      .sender_index = config_.index},
-                                     false);
-                         }
-                       }),
-      progress_timer_(sim, config_.progress_timeout / 4.0,
-                      [this] { check_progress(); }) {
-  FORTRESS_EXPECTS(service_ != nullptr);
-  FORTRESS_EXPECTS(config_.f >= 1);
-  FORTRESS_EXPECTS(config_.replicas.size() == 3 * config_.f + 1);
-  FORTRESS_EXPECTS(config_.index < config_.replicas.size());
+    : ReplicaCore(sim, network, registry, std::move(service),
+                  std::move(config.replicas), config.index,
+                  config.heartbeat_interval,
+                  [this] {
+                    if (leads() && !stale_) {
+                      broadcast({.type = MsgType::Heartbeat,
+                                 .view = view_,
+                                 .sender_index = index_},
+                                false);
+                    }
+                  },
+                  config.progress_timeout / 4.0, [this] { check_progress(); }),
+      f_(config.f),
+      progress_timeout_(config.progress_timeout) {
+  FORTRESS_EXPECTS(f_ >= 1);
+  FORTRESS_EXPECTS(replicas_.size() == 3 * f_ + 1);
   // Acks and votes are kept as one bit per replica index.
-  FORTRESS_EXPECTS(config_.replicas.size() <= 64);
-  service_->snapshot(pristine_state_);
-  replica_ids_.reserve(config_.replicas.size());
-  for (const net::Address& addr : config_.replicas) {
-    replica_ids_.push_back(network_.intern(addr));
-  }
-  id_ = replica_ids_[config_.index];
+  FORTRESS_EXPECTS(replicas_.size() <= 64);
 }
 
 void SmrReplica::reset() {
-  stop();
-  // key_ survives: the pooled stack keeps its PKI (see LiveSystem::reset).
-  FORTRESS_CHECK(service_->restore(pristine_state_));
-  view_ = 0;
+  reset_core();
   next_seq_ = 0;
-  executed_seq_ = 0;
   stale_ = false;
   slots_.clear();
   slot_bytes_.clear();
-  requests_.clear();
+  unexecuted_slots_ = 0;
   pending_count_ = 0;
   view_votes_.clear();
   state_offers_.clear();
-  last_progress_ = 0.0;
-}
-
-SmrReplica::~SmrReplica() { stop(); }
-
-void SmrReplica::start() {
-  FORTRESS_EXPECTS(!running_);
-  running_ = true;
-  last_progress_ = sim_.now();
-  heartbeat_timer_.start();
-  progress_timer_.start();
-}
-
-void SmrReplica::stop() {
-  if (!running_) return;
-  running_ = false;
-  heartbeat_timer_.stop();
-  progress_timer_.stop();
 }
 
 crypto::Digest SmrReplica::digest_of(std::string_view client,
@@ -114,21 +81,6 @@ crypto::Digest SmrReplica::digest_of(std::string_view client,
   return h.finish();
 }
 
-void SmrReplica::broadcast(const MessageCore& msg, bool sign) {
-  // Encode once into a pooled buffer; each recipient gets a pooled copy.
-  Bytes wire = network_.acquire_buffer();
-  if (sign) {
-    msg.encode_signed_into(wire, key_);
-  } else {
-    msg.encode_into(wire);
-  }
-  for (std::uint32_t i = 0; i < replica_ids_.size(); ++i) {
-    if (i == config_.index) continue;
-    network_.send_copy(id_, replica_ids_[i], wire);
-  }
-  network_.recycle_buffer(std::move(wire));
-}
-
 SmrReplica::Slot* SmrReplica::find_slot(std::uint64_t seq) {
   auto it = slot_lower_bound(slots_, seq);
   return it != slots_.end() && it->seq == seq ? &*it : nullptr;
@@ -139,31 +91,28 @@ SmrReplica::Slot& SmrReplica::slot_for(std::uint64_t seq) {
   blank.seq = seq;
   // Slots nearly always arrive in order: the append is the common case.
   if (slots_.empty() || slots_.back().seq < seq) {
+    ++unexecuted_slots_;
     return slots_.emplace_back(blank);
   }
   auto it = slot_lower_bound(slots_, seq);
   if (it != slots_.end() && it->seq == seq) return *it;
+  ++unexecuted_slots_;
   return *slots_.insert(it, blank);
-}
-
-void SmrReplica::resolve_peer_schedules() const {
-  // Schedules resolve lazily on first use: every peer of the tier is
-  // enrolled by the time traffic flows, and the arena keeps its PKI, so
-  // the cached pointers stay valid across pooled trials.
-  if (!peer_schedules_.empty()) return;
-  peer_schedules_.resize(config_.replicas.size(), nullptr);
-  for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
-    peer_schedules_[i] = registry_.schedule_for(config_.replicas[i]);
-  }
 }
 
 bool SmrReplica::verify_from_peer(const MessageView& msg) const {
   // Ordering traffic is signed by the replica the message's sender_index
   // names — and only by it: acks, votes and state offers are counted per
   // index, so a peer signing under another's index must not verify.
-  resolve_peer_schedules();
-  return verify_from_indexed_peer(msg, peer_schedules_, config_.replicas,
-                                  registry_);
+  // Schedules resolve lazily on first use: every peer of the tier is
+  // enrolled by the time traffic flows, and the arena keeps its PKI, so
+  // the cached pointers stay valid across pooled trials.
+  if (peer_schedules_.empty()) {
+    for (const net::Address& peer : replicas_) {
+      peer_schedules_.push_back(registry_.schedule_for(peer));
+    }
+  }
+  return verify_from_indexed_peer(msg, peer_schedules_, replicas_, registry_);
 }
 
 void SmrReplica::handle_message(const net::Envelope& env) {
@@ -177,7 +126,11 @@ void SmrReplica::handle_message(const net::Envelope& env) {
       handle_request(env, *msg);
       break;
     case MsgType::PrePrepare:
-      if (verify_from_peer(*msg)) handle_pre_prepare(*msg);
+      if (verify_from_peer(*msg)) {
+        apply_pre_prepare(msg->view(), msg->seq(), msg->sender_index(),
+                          msg->request_client(), msg->request_seq(),
+                          msg->payload());
+      }
       break;
     case MsgType::PrepareAck:
       if (verify_from_peer(*msg)) handle_prepare_ack(*msg);
@@ -188,7 +141,7 @@ void SmrReplica::handle_message(const net::Envelope& env) {
     case MsgType::Heartbeat:
       if (msg->view() >= view_) {
         if (msg->view() > view_) adopt_view(msg->view());
-        if (msg->sender_index() == msg->view() % config_.replicas.size()) {
+        if (msg->sender_index() == leader_of(msg->view())) {
           last_progress_ = sim_.now();
         }
       }
@@ -217,7 +170,7 @@ void SmrReplica::handle_request(const net::Envelope& env,
     return;
   }
   if (stale_) return;
-  if (is_leader()) {
+  if (leads()) {
     if (!req.proposed) propose(req, msg.payload());
   } else {
     if (!req.pending) ++pending_count_;
@@ -227,7 +180,7 @@ void SmrReplica::handle_request(const net::Envelope& env,
 }
 
 void SmrReplica::propose(RequestState& req, BytesView request) {
-  std::uint64_t seq = std::max(next_seq_, executed_seq_) + 1;
+  std::uint64_t seq = std::max(next_seq_, applied_seq_) + 1;
   next_seq_ = seq;
   req.proposed = true;
 
@@ -238,18 +191,13 @@ void SmrReplica::propose(RequestState& req, BytesView request) {
   broadcast({.type = MsgType::PrePrepare,
              .view = view_,
              .seq = seq,
-             .sender_index = config_.index,
+             .sender_index = index_,
              .client = client,
              .client_seq = rid_seq,
              .payload = request},
             true);
   // Process our own pre-prepare locally.
-  apply_pre_prepare(view_, seq, config_.index, client, rid_seq, request);
-}
-
-void SmrReplica::handle_pre_prepare(const MessageView& msg) {
-  apply_pre_prepare(msg.view(), msg.seq(), msg.sender_index(),
-                    msg.request_client(), msg.request_seq(), msg.payload());
+  apply_pre_prepare(view_, seq, index_, client, rid_seq, request);
 }
 
 void SmrReplica::apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
@@ -257,7 +205,7 @@ void SmrReplica::apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
                                    std::string_view client,
                                    std::uint64_t rid_seq, BytesView request) {
   if (view != view_ || stale_) return;
-  if (sender != view_ % config_.replicas.size()) return;
+  if (sender != leader_of(view_)) return;
   Slot& slot = slot_for(seq);
   if (slot.pre_prepared) return;  // already have a proposal for this slot
   slot.pre_prepared = true;
@@ -278,13 +226,13 @@ void SmrReplica::apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
   broadcast({.type = MsgType::PrepareAck,
              .view = view_,
              .seq = seq,
-             .sender_index = config_.index,
+             .sender_index = index_,
              .client = client,
              .client_seq = rid_seq,
              .aux = BytesView(slot.digest.data(), slot.digest.size())},
             true);
   // Count our own endorsement.
-  slot.acks |= peer_bit(config_.index);
+  slot.acks |= peer_bit(index_);
   if (votes(slot.acks) >= quorum()) slot.committed = true;
   try_execute();
 }
@@ -309,39 +257,19 @@ void SmrReplica::handle_prepare_ack(const MessageView& msg) {
 
 void SmrReplica::try_execute() {
   while (true) {
-    Slot* slot = find_slot(executed_seq_ + 1);
+    Slot* slot = find_slot(applied_seq_ + 1);
     if (slot == nullptr || !slot->committed || slot->executed) break;
     service_->execute(slot_bytes_.view(slot->request), execute_scratch_);
     slot->executed = true;
-    ++executed_seq_;
+    --unexecuted_slots_;
+    ++applied_seq_;
     last_progress_ = sim_.now();
     const std::string_view client = slot_bytes_.chars(slot->client);
     const std::uint64_t hash = request_key_hash(client, slot->rid_seq);
     RequestState& req = requests_.find_or_insert(client, slot->rid_seq, hash);
     req.has_response = true;
     requests_.assign(req.response, execute_scratch_);
-    respond_many(req, requests_.ids(req.requesters));
-  }
-}
-
-void SmrReplica::respond(const RequestState& req, net::HostId to) {
-  respond_many(req, std::span<const net::HostId>(&to, 1));
-}
-
-void SmrReplica::respond_many(const RequestState& req,
-                              std::span<const net::HostId> recipients) {
-  FORTRESS_EXPECTS(req.has_response);
-  if (recipients.empty()) return;
-  // The Response signature covers the requester-blanked core, so every
-  // recipient shares one HMAC: sign once, splice the requester into each
-  // wire copy (SignedResponseTemplate).
-  response_.rebuild(view_, executed_seq_, config_.index,
-                    requests_.client(req), req.seq,
-                    requests_.bytes(req.response), key_);
-  for (net::HostId to : recipients) {
-    Bytes wire = network_.acquire_buffer();
-    response_.emit_into(wire, network_.address_of(to));
-    network_.send(id_, to, std::move(wire));
+    respond_to_requesters(req);
   }
 }
 
@@ -351,23 +279,17 @@ void SmrReplica::check_progress() {
     return;
   }
   // Only suspect the leader when there is work it should be doing.
-  const bool work_pending =
-      pending_count_ > 0 ||
-      std::any_of(slots_.begin(), slots_.end(),
-                  [](const Slot& slot) { return !slot.executed; });
-  if (!work_pending) {
+  if (pending_count_ == 0 && unexecuted_slots_ == 0) {
     last_progress_ = sim_.now();
     return;
   }
-  if (sim_.now() - last_progress_ < config_.progress_timeout) return;
-  if (is_leader()) return;  // the leader cannot vote itself out
+  if (sim_.now() - last_progress_ < progress_timeout_) return;
+  if (leads()) return;  // the leader cannot vote itself out
 
   std::uint64_t next = view_ + 1;
-  broadcast({.type = MsgType::ViewChange,
-             .view = next,
-             .sender_index = config_.index},
+  broadcast({.type = MsgType::ViewChange, .view = next, .sender_index = index_},
             true);
-  view_votes_[next] |= peer_bit(config_.index);
+  view_votes_[next] |= peer_bit(index_);
   last_progress_ = sim_.now();  // give the vote time to gather
   if (votes(view_votes_[next]) >= quorum()) adopt_view(next);
 }
@@ -397,8 +319,9 @@ void SmrReplica::adopt_view(std::uint64_t view) {
     req.proposed = false;
   }
   std::erase_if(slots_, [](const Slot& slot) { return !slot.executed; });
-  next_seq_ = executed_seq_;
-  if (is_leader() && !stale_) {
+  unexecuted_slots_ = 0;
+  next_seq_ = applied_seq_;
+  if (leads() && !stale_) {
     FORTRESS_LOG_INFO("smr") << address() << " leads view " << view_;
     // Re-propose everything outstanding, in the rid order the old
     // std::map snapshot iterated in. Records are addressed by position:
@@ -425,10 +348,9 @@ void SmrReplica::adopt_view(std::uint64_t view) {
 }
 
 void SmrReplica::request_state() {
-  broadcast({.type = MsgType::StateRequest,
-             .view = view_,
-             .sender_index = config_.index},
-            false);
+  broadcast(
+      {.type = MsgType::StateRequest, .view = view_, .sender_index = index_},
+      false);
 }
 
 void SmrReplica::handle_state_request(const MessageView& msg) {
@@ -438,8 +360,8 @@ void SmrReplica::handle_state_request(const MessageView& msg) {
   Bytes wire = network_.acquire_buffer();
   MessageCore{.type = MsgType::StateReply,
               .view = view_,
-              .seq = executed_seq_,
-              .sender_index = config_.index,
+              .seq = applied_seq_,
+              .sender_index = index_,
               .aux = snapshot_scratch_}
       .encode_signed_into(wire, key_);
   network_.send(id_, replica_ids_[msg.sender_index()], std::move(wire));
@@ -448,26 +370,26 @@ void SmrReplica::handle_state_request(const MessageView& msg) {
 void SmrReplica::handle_state_reply(const MessageView& msg) {
   if (!stale_) return;
   if (!verify_from_peer(msg)) return;
-  if (msg.seq() < executed_seq_) return;  // older than what we already have
+  if (msg.seq() < applied_seq_) return;  // older than what we already have
   const auto key = std::make_pair(msg.seq(), crypto::Sha256::hash(msg.aux()));
   StateOffer& offer = state_offers_[key];
   offer.senders |= peer_bit(msg.sender_index());
   offer.snapshot.assign(msg.aux().begin(), msg.aux().end());
   // f+1 identical offers guarantee at least one comes from a correct
   // replica (n = 3f+1, at most f faulty).
-  if (votes(offer.senders) >= config_.f + 1) {
+  if (votes(offer.senders) >= f_ + 1) {
     // A record that does not parse is dropped; the rejoin keeps waiting.
     if (!service_->restore(offer.snapshot)) {
       state_offers_.erase(key);
       return;
     }
-    executed_seq_ = msg.seq();
-    next_seq_ = std::max(next_seq_, executed_seq_);
+    applied_seq_ = msg.seq();
+    next_seq_ = std::max(next_seq_, applied_seq_);
     stale_ = false;
     state_offers_.clear();
     last_progress_ = sim_.now();
     FORTRESS_LOG_INFO("smr") << address() << " restored state at seq "
-                             << executed_seq_;
+                             << applied_seq_;
   }
 }
 
@@ -477,6 +399,7 @@ void SmrReplica::handle_reboot() {
   stale_ = true;
   slots_.clear();
   slot_bytes_.clear();
+  unexecuted_slots_ = 0;
   // The old proposed_.clear(): buffered/pending and answered state is
   // durable, the view's proposal bookkeeping is not.
   for (RequestState& req : requests_.entries()) req.proposed = false;

@@ -25,18 +25,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "crypto/signature.hpp"
-#include "net/network.hpp"
-#include "osl/machine.hpp"
-#include "replication/message.hpp"
-#include "replication/request_table.hpp"
-#include "replication/service.hpp"
-#include "sim/simulator.hpp"
+#include "replication/replica_core.hpp"
 
 namespace fortress::replication {
 
@@ -48,28 +40,21 @@ struct SmrConfig {
   sim::Time heartbeat_interval = 5.0;
 };
 
-class SmrReplica final : public osl::Application {
+class SmrReplica final : public ReplicaCore {
  public:
   /// SMR accepts only deterministic services — the DSM requirement.
   SmrReplica(sim::Simulator& sim, net::Network& network,
              crypto::KeyRegistry& registry,
              std::unique_ptr<DeterministicService> service, SmrConfig config);
-  ~SmrReplica() override;
-
-  void start();
-  void stop();
 
   /// Return to the just-constructed state for a fresh campaign trial (see
-  /// PbReplica::reset for the contract).
+  /// ReplicaCore::reset_core).
   void reset();
 
-  std::uint64_t view() const { return view_; }
-  bool is_leader() const { return view_ % config_.replicas.size() == config_.index; }
-  std::uint64_t executed_seq() const { return executed_seq_; }
+  bool is_leader() const { return leads(); }
+  std::uint64_t executed_seq() const { return applied_seq_; }
   bool state_stale() const { return stale_; }
-  const Service& service() const { return *service_; }
-  const net::Address& address() const { return config_.replicas[config_.index]; }
-  std::uint32_t quorum() const { return 2 * config_.f + 1; }
+  std::uint32_t quorum() const { return 2 * f_ + 1; }
 
   // osl::Application:
   void handle_message(const net::Envelope& env) override;
@@ -90,28 +75,13 @@ class SmrReplica final : public osl::Application {
     bool executed = false;
   };
 
-  /// Consolidated per-request record — the flat-table replacement for the
-  /// old proposed_/responses_/requesters_/pending_ map quartet. Flags flip
-  /// where the maps erased; records themselves are never removed within a
-  /// trial.
-  struct RequestState : RequestKey {
-    bool proposed = false;      ///< leader assigned it a slot this view
-    bool has_response = false;  ///< executed; `response` is the reply cache
-    bool pending = false;       ///< buffered for (re-)proposal
-    ByteRef response;
-    ByteRef pending_request;
-    /// Who asked, ascending (the old std::set iteration order).
-    IdSetRef requesters;
-  };
-
   void handle_request(const net::Envelope& env, const MessageView& msg);
-  void handle_pre_prepare(const MessageView& msg);
   void handle_prepare_ack(const MessageView& msg);
   void handle_view_change(const MessageView& msg);
   void handle_state_request(const MessageView& msg);
   void handle_state_reply(const MessageView& msg);
-  /// The shared accept path behind handle_pre_prepare (borrowed fields from
-  /// the wire) and propose (the leader's own proposal).
+  /// The accept path for a peer's PrePrepare (borrowed fields from the
+  /// wire) and for the leader's own proposal.
   void apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
                          std::uint32_t sender, std::string_view client,
                          std::uint64_t rid_seq, BytesView request);
@@ -119,17 +89,8 @@ class SmrReplica final : public osl::Application {
   /// `request` may borrow from requests_.
   void propose(RequestState& req, BytesView request);
   void try_execute();
-  void respond(const RequestState& req, net::HostId to);
-  /// Sign the executed response ONCE and splice a per-recipient wire copy
-  /// for each requester (response_) — the fan-out path behind respond();
-  /// byte-identical to signing each copy individually.
-  void respond_many(const RequestState& req,
-                    std::span<const net::HostId> recipients);
   void check_progress();
   void adopt_view(std::uint64_t view);
-  /// Encode once (signed with key_ when `sign`) and send a copy to every
-  /// peer.
-  void broadcast(const MessageCore& msg, bool sign);
   void request_state();
   /// The slot for `seq`, or nullptr.
   Slot* find_slot(std::uint64_t seq);
@@ -139,45 +100,26 @@ class SmrReplica final : public osl::Application {
   /// Verify a peer-signed ordering message: the signer must be the replica
   /// its sender_index names (verify_from_indexed_peer).
   bool verify_from_peer(const MessageView& msg) const;
-  /// Fill peer_schedules_ on first use (every peer of the tier is enrolled
-  /// by the time traffic flows; the arena keeps its PKI across trials).
-  void resolve_peer_schedules() const;
   static crypto::Digest digest_of(std::string_view client, std::uint64_t seq,
                                   BytesView request);
 
-  sim::Simulator& sim_;
-  net::Network& network_;
-  crypto::KeyRegistry& registry_;
-  crypto::SigningKey key_;
-  std::unique_ptr<DeterministicService> service_;
-  Bytes pristine_state_;  ///< construction-time snapshot, restored by reset()
-  SmrConfig config_;
-  /// Dense ids, index-aligned with config_.replicas (interned at ctor).
-  net::HostId id_ = net::kInvalidHost;
-  std::vector<net::HostId> replica_ids_;
-  /// Per-peer verification schedules, resolved lazily at first start()
-  /// (every replica of the tier is enrolled by then; stable across pooled
-  /// trials because the arena keeps its PKI).
+  std::uint32_t f_;
+  sim::Time progress_timeout_;
+  /// Per-peer verification schedules, resolved lazily on first use (every
+  /// replica of the tier is enrolled by then; stable across pooled trials
+  /// because the arena keeps its PKI).
   mutable std::vector<const crypto::HmacKey*> peer_schedules_;
 
-  std::uint64_t view_ = 0;
-  std::uint64_t next_seq_ = 0;      ///< leader-side allocator (last assigned)
-  std::uint64_t executed_seq_ = 0;  ///< highest executed slot
-  bool stale_ = false;              ///< awaiting state transfer after reboot
+  std::uint64_t next_seq_ = 0;  ///< leader-side allocator (last assigned)
+  bool stale_ = false;          ///< awaiting state transfer after reboot
 
   /// Ordering slots, ascending by seq (the old std::map's order); their
-  /// variable-length fields live in slot_bytes_.
+  /// variable-length fields live in slot_bytes_. Executed slots are kept.
   std::vector<Slot> slots_;
   ByteArena slot_bytes_;
-  /// Per-request state, hashed on (client, seq) and probed with borrowed
-  /// MessageView keys — no allocation, no rb-tree string walks.
-  RequestTable<RequestState> requests_;
-  std::size_t pending_count_ = 0;  ///< records with pending == true
-  /// The response fan-out template, rebuilt in place per respond_many.
-  SignedResponseTemplate response_;
-  /// Reused buffers: execute()/snapshot() output and the re-proposal order.
-  Bytes execute_scratch_;
-  Bytes snapshot_scratch_;
+  std::size_t unexecuted_slots_ = 0;  ///< slots with executed == false
+  std::size_t pending_count_ = 0;     ///< records with pending == true
+  /// Reused re-proposal order (positions in requests_).
   std::vector<std::uint32_t> repropose_;
 
   /// View-change votes: view -> voter bitmask.
@@ -189,11 +131,6 @@ class SmrReplica final : public osl::Application {
     Bytes snapshot;
   };
   std::map<std::pair<std::uint64_t, crypto::Digest>, StateOffer> state_offers_;
-
-  sim::Time last_progress_ = 0.0;
-  sim::PeriodicTimer heartbeat_timer_;
-  sim::PeriodicTimer progress_timer_;
-  bool running_ = false;
 };
 
 }  // namespace fortress::replication

@@ -166,6 +166,28 @@ TEST_F(SmrTest, LeaderCrashTriggersViewChangeAndReproposal) {
   EXPECT_GE(client_.responders({"client", 2}, "OK").size(), 3u);
 }
 
+TEST_F(SmrTest, SilentLeaderWithoutWorkKeepsView) {
+  boot_and_start();
+  // One executed request leaves an executed slot in the log: it is not
+  // outstanding work.
+  client_.send_request({"client", 1}, "PUT a 1", addrs_);
+  sim_.run_until(40.0);
+  ASSERT_EQ(replicas_[1]->executed_seq(), 1u);
+
+  machines_[0]->shutdown();  // the leader falls silent
+  sim_.run_until(240.0);     // several progress timeouts (30 each)
+  for (std::uint32_t i = 1; i < kN; ++i) {
+    EXPECT_EQ(replicas_[i]->view(), 0u) << "replica " << i;
+  }
+
+  // One outstanding request makes the silence suspicious.
+  client_.send_request({"client", 2}, "PUT b 2", addrs_);
+  sim_.run_until(400.0);
+  for (std::uint32_t i = 1; i < kN; ++i) {
+    EXPECT_GT(replicas_[i]->view(), 0u) << "replica " << i;
+  }
+}
+
 TEST_F(SmrTest, RebootedReplicaRestoresStateFromQuorum) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
@@ -259,6 +281,33 @@ TEST_F(SmrTest, AcksSignedUnderAnotherIndexDoNotCommit) {
   send_signed_as(net_, registry_, addrs_, 2, ack, 0);
   sim_.run_until(15.0);
   EXPECT_EQ(replicas_[0]->executed_seq(), 1u);
+}
+
+TEST_F(SmrTest, UnexecutedSlotWithoutPendingRequestChangesView) {
+  boot_and_start();
+  sim_.run_until(1.0);
+  machines_[0]->shutdown();
+  // The dead leader's proposal reaches replica 1 only: replica 1 holds a
+  // pre-prepared slot and replicas 2 and 3 an ack-only one, none of them
+  // committed, and no replica has a pending client request.
+  Message proposal;
+  proposal.type = MsgType::PrePrepare;
+  proposal.view = 0;
+  proposal.seq = 1;
+  proposal.sender_index = 0;
+  proposal.request_id = {"client", 1};
+  proposal.payload = bytes_of("PUT a 1");
+  send_signed_as(net_, registry_, addrs_, 0, proposal, 1);
+  sim_.run_until(20.0);  // inside the progress timeout
+  for (std::uint32_t i = 1; i < kN; ++i) {
+    ASSERT_EQ(replicas_[i]->view(), 0u) << "replica " << i;
+    ASSERT_EQ(replicas_[i]->executed_seq(), 0u) << "replica " << i;
+  }
+
+  sim_.run_until(200.0);
+  for (std::uint32_t i = 1; i < kN; ++i) {
+    EXPECT_GT(replicas_[i]->view(), 0u) << "replica " << i;
+  }
 }
 
 TEST_F(SmrTest, ViewVotesSignedUnderAnotherIndexDoNotChangeView) {

@@ -235,23 +235,80 @@ TEST(CampaignTest, TopologyHooksPerClass) {
   plan.n_servers = 3;
   plan.n_proxies = 4;
 
+  using Target = net::FaultEvent::Target;
+
   auto s1 = core::make_live_system(sim, model::SystemKind::S1, plan, 1);
+  auto* s1_typed = dynamic_cast<core::LiveS1*>(s1.get());
+  ASSERT_NE(s1_typed, nullptr);
   // One shared key across the S1 tier => exactly one direct channel
   // (Definition 2); the primary stands in for the tier.
-  EXPECT_EQ(s1->direct_attack_surface().size(), 1u);
+  ASSERT_EQ(s1->direct_attack_surface().size(), 1u);
+  EXPECT_EQ(s1->direct_attack_surface()[0], &s1_typed->server_machine(0));
   EXPECT_TRUE(s1->launchpad_machines().empty());
   EXPECT_TRUE(s1->hidden_server_addresses().empty());
+  EXPECT_EQ(s1->blacklisted_sources(), 0u);
+  const std::vector<const osl::Machine*> s1_machines = s1->service_machines();
+  ASSERT_EQ(s1_machines.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(s1_machines[static_cast<std::size_t>(i)],
+              &s1_typed->server_machine(i));
+    EXPECT_EQ(s1->fault_target(Target::Server, i),
+              &s1_typed->server_machine(i));
+  }
+  EXPECT_EQ(s1->fault_target(Target::Server, -1), nullptr);
+  EXPECT_EQ(s1->fault_target(Target::Server, 3), nullptr);
+  EXPECT_EQ(s1->fault_target(Target::Proxy, 0), nullptr);
+  EXPECT_EQ(s1->fault_target(Target::Proxy, -1), nullptr);
 
   sim::Simulator sim2;
   auto s2 = core::make_live_system(sim2, model::SystemKind::S2, plan, 1);
+  auto* s2_typed = dynamic_cast<core::LiveS2*>(s2.get());
+  ASSERT_NE(s2_typed, nullptr);
   EXPECT_EQ(s2->direct_attack_surface().size(), 4u);  // proxies, not servers
   EXPECT_EQ(s2->launchpad_machines().size(), 4u);
   EXPECT_EQ(s2->hidden_server_addresses().size(), 3u);
-  EXPECT_NE(s2->fault_target(net::FaultEvent::Target::Proxy, 3), nullptr);
+  EXPECT_EQ(s2->fault_target(Target::Proxy, 3), &s2_typed->proxy_machine(3));
+  EXPECT_EQ(s2->fault_target(Target::Server, 2), &s2_typed->server_machine(2));
+  EXPECT_EQ(s2->fault_target(Target::Server, -1), nullptr);
+  EXPECT_EQ(s2->fault_target(Target::Server, 3), nullptr);
+  EXPECT_EQ(s2->fault_target(Target::Proxy, -1), nullptr);
+  EXPECT_EQ(s2->fault_target(Target::Proxy, 4), nullptr);
+  // Servers first, then proxies.
+  const std::vector<const osl::Machine*> s2_machines = s2->service_machines();
+  ASSERT_EQ(s2_machines.size(), 7u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(s2_machines[static_cast<std::size_t>(i)],
+              &s2_typed->server_machine(i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(s2_machines[static_cast<std::size_t>(3 + i)],
+              &s2_typed->proxy_machine(i));
+  }
 
   sim::Simulator sim3;
   auto s0 = core::make_live_system(sim3, model::SystemKind::S0, plan, 1);
+  auto* s0_typed = dynamic_cast<core::LiveS0*>(s0.get());
+  ASSERT_NE(s0_typed, nullptr);
   EXPECT_EQ(s0->direct_attack_surface().size(), 4u);  // 3f+1 with f=1
+  EXPECT_EQ(s0->blacklisted_sources(), 0u);
+  const std::vector<const osl::Machine*> s0_machines = s0->service_machines();
+  ASSERT_EQ(s0_machines.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(s0_machines[static_cast<std::size_t>(i)],
+              &s0_typed->server_machine(i));
+  }
+  EXPECT_EQ(s0->fault_target(Target::Server, -1), nullptr);
+  EXPECT_EQ(s0->fault_target(Target::Server, 4), nullptr);
+  EXPECT_EQ(s0->fault_target(Target::Proxy, 0), nullptr);
+
+  // n_servers is a floor for S0: 5 requested deploys the next 3f+1, 7.
+  net::ScenarioPlan five = plan;
+  five.n_servers = 5;
+  sim::Simulator sim4;
+  auto s0_five = core::make_live_system(sim4, model::SystemKind::S0, five, 1);
+  EXPECT_EQ(s0_five->direct_attack_surface().size(), 7u);
+  EXPECT_EQ(s0_five->service_machines().size(), 7u);
+  EXPECT_EQ(dynamic_cast<core::LiveS0&>(*s0_five).n_servers(), 7);
 }
 
 TEST(CampaignTest, AggregatesBitIdenticalForAnyThreadCount) {
