@@ -9,6 +9,11 @@ namespace fortress::analysis {
 
 namespace {
 
+// Panels per integration region, and the survival probability below which
+// the sum over steps stops.
+constexpr int kPanels = 8;
+constexpr double kSurvivalCutoff = 1e-12;
+
 // 16-point Gauss-Legendre nodes/weights on [-1, 1] (abscissae symmetric).
 constexpr int kGlPoints = 16;
 constexpr std::array<double, kGlPoints> kGlNodes = {
@@ -29,12 +34,10 @@ constexpr std::array<double, kGlPoints> kGlWeights = {
 }  // namespace
 
 double expected_lifetime_s2_so_numeric(const model::SystemShape& shape,
-                                       const model::AttackParams& params,
-                                       const S2SoNumericOptions& options) {
+                                       const model::AttackParams& params) {
   shape.validate();
   params.validate();
   FORTRESS_EXPECTS(shape.kind == model::SystemKind::S2);
-  FORTRESS_EXPECTS(options.panels >= 1);
 
   const double chi = static_cast<double>(params.chi);
   const double omega = static_cast<double>(params.omega());
@@ -73,8 +76,8 @@ double expected_lifetime_s2_so_numeric(const model::SystemShape& shape,
     double survival = 0.0;
     auto integrate = [&](double lo, double hi, bool below_m) {
       if (hi <= lo) return;
-      double panel_width = (hi - lo) / options.panels;
-      for (int panel = 0; panel < options.panels; ++panel) {
+      double panel_width = (hi - lo) / kPanels;
+      for (int panel = 0; panel < kPanels; ++panel) {
         double a = lo + panel * panel_width;
         double b = a + panel_width;
         double mid = 0.5 * (a + b);
@@ -91,7 +94,7 @@ double expected_lifetime_s2_so_numeric(const model::SystemShape& shape,
     integrate(0.0, m, /*below_m=*/true);    // pad exists; A3 may still be > m
     integrate(m, chi, /*below_m=*/false);   // no proxy fallen yet
     el += survival;
-    if (survival < options.survival_cutoff) break;
+    if (survival < kSurvivalCutoff) break;
   }
   return el;
 }

@@ -28,17 +28,10 @@
 
 namespace fortress::analysis {
 
-struct S2SoNumericOptions {
-  /// Panels per integration region (16-point Gauss-Legendre per panel; the
-  /// A1 range is split at the kink a1 = m before panelling).
-  int panels = 8;
-  /// Stop accumulating once P(T > s) drops below this.
-  double survival_cutoff = 1e-12;
-};
-
-/// Numeric EL of S2SO (whole steps before the compromise step).
+/// Numeric EL of S2SO (whole steps before the compromise step). Each
+/// integration region (the A1 range split at the kink a1 = m) is cut into 8
+/// panels of 16-point Gauss-Legendre; the sum stops once P(T > s) < 1e-12.
 double expected_lifetime_s2_so_numeric(const model::SystemShape& shape,
-                                       const model::AttackParams& params,
-                                       const S2SoNumericOptions& options = {});
+                                       const model::AttackParams& params);
 
 }  // namespace fortress::analysis

@@ -1,7 +1,6 @@
 #include "attack/derand_attacker.hpp"
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "osl/probe.hpp"
 #include "replication/message.hpp"
 
@@ -271,8 +270,6 @@ void DerandAttacker::on_message(const net::Envelope& env) {
     learn_key(channel, *channel.in_flight);
     channel.in_flight.reset();
   }
-  FORTRESS_LOG_INFO("attack")
-      << "controls " << network_.address_of(channel.target_id);
 }
 
 void DerandAttacker::on_connection_closed(net::ConnectionId id,

@@ -452,11 +452,6 @@ void Writer::value(std::string_view s) {
   quoted(s);
 }
 
-void Writer::value_null() {
-  prefix();
-  raw("null");
-}
-
 void Writer::quoted(std::string_view s) {
   out_.push_back('"');
   for (char c : s) {

@@ -126,7 +126,6 @@ class Writer {
   void value(std::uint64_t u);
   void value(int i);
   void value(std::string_view s);
-  void value_null();
 
   /// The finished document. Precondition: all containers closed.
   std::string str() const;

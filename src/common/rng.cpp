@@ -42,25 +42,6 @@ Xoshiro256::result_type Xoshiro256::operator()() {
   return result;
 }
 
-void Xoshiro256::jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_ = {s0, s1, s2, s3};
-}
-
 namespace {
 inline std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t index) {
   // Hash (seed, index) through SplitMix64 twice to decorrelate adjacent
@@ -94,15 +75,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
     std::uint64_t threshold = (0 - bound) % bound;
     if (low >= threshold) return static_cast<std::uint64_t>(m >> 64);
   }
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  FORTRESS_EXPECTS(lo <= hi);
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<std::int64_t>(bits());
-  }
-  return lo + static_cast<std::int64_t>(below(span));
 }
 
 double Rng::uniform01() {

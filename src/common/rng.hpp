@@ -45,10 +45,6 @@ class Xoshiro256 {
 
   result_type operator()();
 
-  /// Advance the state by 2^128 steps; used to derive non-overlapping
-  /// parallel substreams from a common seed.
-  void jump();
-
  private:
   std::array<std::uint64_t, 4> s_;
 };
@@ -76,9 +72,6 @@ class Rng {
   /// Uses Lemire's unbiased multiply-shift rejection method.
   std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform01();
 
@@ -101,16 +94,6 @@ class Rng {
   /// Exponential with rate lambda > 0.
   double exponential(double lambda);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
   /// Sample k distinct values from [0, n) without replacement (Floyd's
   /// algorithm); order of the result is unspecified. Precondition: k <= n.
   std::vector<std::uint64_t> sample_without_replacement(std::uint64_t n,
@@ -123,8 +106,6 @@ class Rng {
   /// kernels, not for bulk sampling.
   void sample_without_replacement_into(std::uint64_t n, std::uint64_t k,
                                        std::uint64_t* out);
-
-  Xoshiro256& engine() { return gen_; }
 
  private:
   Xoshiro256 gen_;

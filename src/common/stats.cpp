@@ -126,11 +126,6 @@ double quantile(std::vector<double> data, double q) {
   return data[i] * (1.0 - frac) + data[i + 1] * frac;
 }
 
-double relative_error(double a, double b, double eps) {
-  double denom = std::max({std::fabs(a), std::fabs(b), eps});
-  return std::fabs(a - b) / denom;
-}
-
 void LatencyHistogram::add(double v) {
   int idx;
   if (!(v >= kMinLatency)) {  // catches < kMin, 0, and NaN -> underflow

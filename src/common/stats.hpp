@@ -77,9 +77,6 @@ ConfidenceInterval wilson_ci(std::uint64_t successes, std::uint64_t trials,
 /// is copied and sorted. Precondition: data non-empty.
 double quantile(std::vector<double> data, double q);
 
-/// Relative error |a-b| / max(|a|,|b|, eps).
-double relative_error(double a, double b, double eps = 1e-300);
-
 /// Fixed-bin log-spaced latency histogram: O(1) add, exact elementwise
 /// merge, deterministic quantiles. 64 bins at 4 per octave starting at
 /// kMinLatency: bin 0 is underflow (< kMinLatency), bin 63 overflow, bin b

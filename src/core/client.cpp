@@ -127,10 +127,9 @@ bool Client::acceptable(const MessageView& msg, Outstanding& out) {
 
   // SMR: collect matching votes from f+1 distinct principals.
   std::string key = to_hex(msg.payload());
-  out.votes[key].insert(std::string(msg.signature()->signer));
-  auto& payload = out.vote_payloads[key];
-  payload.assign(msg.payload().begin(), msg.payload().end());
-  return out.votes[key].size() >= directory_.f + 1;
+  std::set<std::string>& signers = out.votes[key];
+  signers.insert(std::string(msg.signature()->signer));
+  return signers.size() >= directory_.f + 1;
 }
 
 void Client::on_message(const net::Envelope& env) {

@@ -111,9 +111,8 @@ class Client final : public net::Handler {
     /// The live retry/deadline timer — cancelled on completion so a
     /// response and a timeout can never both fire for one request.
     sim::EventId retry_event = 0;
-    /// SMR vote collection: response bytes -> signer principals.
+    /// SMR vote collection: response bytes (hex) -> signer principals.
     std::map<std::string, std::set<std::string>> votes;
-    std::map<std::string, Bytes> vote_payloads;
   };
 
   void broadcast_request(std::uint64_t seq);

@@ -7,12 +7,8 @@ namespace fortress::core {
 
 namespace {
 
-// Protocol timers every deployment runs with. The PB values are PbConfig's
-// defaults; the SMR progress timeout is deliberately shorter than
-// SmrConfig's default of 30.
-constexpr sim::Time kPbHeartbeat = 5.0;
-constexpr sim::Time kPbFailoverTimeout = 20.0;
-constexpr sim::Time kSmrHeartbeat = 5.0;
+// The SMR progress timeout every deployment runs with: deliberately shorter
+// than SmrConfig's default of 30.
 constexpr sim::Time kSmrProgressTimeout = 20.0;
 
 // Address prefixes of the three deployments' tiers ("s1-server-0", ...).
@@ -178,8 +174,6 @@ std::vector<net::Address> LiveSystem::build_pb_servers(
   FORTRESS_EXPECTS(factory != nullptr);
   replication::PbConfig pb;
   pb.replicas = tier_addresses(prefix, "server", plan.n_servers);
-  pb.heartbeat_interval = kPbHeartbeat;
-  pb.failover_timeout = kPbFailoverTimeout;
   build_tier(servers_, pb.replicas, plan, kServerSalt, true,
              [&](std::uint32_t i) -> osl::Application& {
                pb.index = i;
@@ -258,7 +252,6 @@ LiveS0::LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
   smr.f = f;
   smr.replicas =
       tier_addresses(kS0Prefix, "replica", static_cast<int>(3 * f + 1));
-  smr.heartbeat_interval = kSmrHeartbeat;
   smr.progress_timeout = kSmrProgressTimeout;
   build_tier(servers_, smr.replicas, plan, kServerSalt, true,
              [&](std::uint32_t i) -> osl::Application& {

@@ -14,7 +14,7 @@
 //           all proxies are simultaneously controlled.
 //
 // The compromise predicate is latched: the moment it first holds, failed()
-// becomes true and failure_time() records the simulation time.
+// becomes true and failure_step() reports the step it latched in.
 #pragma once
 
 #include <functional>
@@ -82,7 +82,6 @@ class LiveSystem {
 
   /// Latched compromise predicate.
   bool failed() const { return failure_time_.has_value(); }
-  std::optional<sim::Time> failure_time() const { return failure_time_; }
   /// Whole unit steps elapsed before compromise (the live EL sample).
   std::optional<std::uint64_t> failure_step() const;
 

@@ -205,21 +205,16 @@ void ClientPopulation::encode_request(std::size_t k, std::uint32_t slot) {
   body_.append(digits, end);
   if (write) body_.append(" v");
 
-  msg_.type = MsgType::Request;
-  msg_.view = 0;
-  msg_.seq = 0;
-  msg_.sender_index = 0;
-  msg_.request_id.client = cohort_addrs_[k];
   // (slot+1) << 24 | counter: globally unique per in-flight request, and
   // the response demux recovers the table row in O(1) from the echoed seq.
-  msg_.request_id.seq =
-      (static_cast<std::uint64_t>(slot) + 1) << 24 | counter_[slot];
-  msg_.requester = cohort_addrs_[k];
-  msg_.payload.assign(body_.begin(), body_.end());
-  msg_.aux.clear();
-  msg_.signature.reset();
-  msg_.over_signature.reset();
-  msg_.encode_into(wire_);
+  replication::MessageCore{
+      .type = MsgType::Request,
+      .client = cohort_addrs_[k],
+      .client_seq =
+          (static_cast<std::uint64_t>(slot) + 1) << 24 | counter_[slot],
+      .requester = cohort_addrs_[k],
+      .payload = bytes_view(body_)}
+      .encode_into(wire_);
 }
 
 void ClientPopulation::append_to_batches(std::size_t) {

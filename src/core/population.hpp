@@ -179,7 +179,6 @@ class ClientPopulation final : public net::Handler {
   std::vector<std::uint32_t> batch_counts_;
 
   // Encode scratch, reused across every request of every tick.
-  replication::Message msg_;
   Bytes wire_;
   std::string body_;
 

@@ -52,8 +52,4 @@ Digest hmac_sha256(BytesView key, BytesView message) {
   return HmacKey(key).mac(message);
 }
 
-Digest derive_key(BytesView key, BytesView label) {
-  return hmac_sha256(key, label);
-}
-
 }  // namespace fortress::crypto

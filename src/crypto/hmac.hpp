@@ -37,9 +37,4 @@ class HmacKey {
 /// Compute HMAC-SHA256(key, message).
 Digest hmac_sha256(BytesView key, BytesView message);
 
-/// HKDF-style key derivation (simplified, single-block expand):
-/// derive(key, label) = HMAC(key, label). Used to give each principal
-/// independent per-purpose subkeys from one master secret.
-Digest derive_key(BytesView key, BytesView label);
-
 }  // namespace fortress::crypto

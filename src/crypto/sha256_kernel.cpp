@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/check.hpp"
 #include "crypto/sha256_constants.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -37,8 +38,10 @@ ShaTier parse_tier_request(const char* request) {
       std::strcmp(request, "shani") == 0) {
     return tier_available(ShaTier::ShaNi) ? ShaTier::ShaNi : ShaTier::Scalar;
   }
-  // "scalar", or an unrecognized request: the safe interpretation is the
-  // reference tier.
+  // Anything else is rejected rather than read as "scalar": a misspelt tier
+  // would otherwise slow every HMAC several-fold without a word.
+  FORTRESS_CHECK(std::strcmp(request, "scalar") == 0 &&
+                 "FORTRESS_SHA_DISPATCH must be scalar|native|shani");
   return ShaTier::Scalar;
 }
 

@@ -13,7 +13,9 @@
 // Startup selection: env FORTRESS_SHA_DISPATCH = scalar | native | shani,
 // or "native" (the best tier CPUID reports) when it is unset. Requesting
 // an unavailable tier falls back to the scalar one, so a scalar-forced CI
-// lane and a heterogeneous fleet both run without special-casing.
+// lane and a heterogeneous fleet both run without special-casing. Any other
+// value throws ContractViolation at the first hash or tier query (the
+// selection is made lazily), naming the three accepted values.
 #pragma once
 
 #include <cstddef>

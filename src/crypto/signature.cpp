@@ -14,15 +14,11 @@ Signature SigningKey::sign(BytesView message) const {
   return sig;
 }
 
-KeyRegistry::KeyRegistry(std::uint64_t master_seed) { reset(master_seed); }
-
-void KeyRegistry::reset(std::uint64_t master_seed) {
+KeyRegistry::KeyRegistry(std::uint64_t master_seed) {
   Bytes seed_bytes;
   append_u64_be(seed_bytes, master_seed);
   Digest master = Sha256::hash(seed_bytes);
   master_key_ = HmacKey(BytesView(master.data(), master.size()));
-  index_.clear();
-  schedules_.clear();
 }
 
 std::size_t KeyRegistry::find_slot(std::string_view name) const {

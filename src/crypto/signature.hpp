@@ -84,24 +84,17 @@ class KeyRegistry {
   /// deterministically from it.
   explicit KeyRegistry(std::uint64_t master_seed);
 
-  /// Re-key the whole registry from a new master seed, dropping every
-  /// enrollment. Existing SigningKey handles keep signing under the OLD
-  /// secrets and stop verifying — holders must re-enroll. (The campaign
-  /// trial arena deliberately does NOT use this: a pooled stack keeps its
-  /// PKI across trials, see LiveSystem::reset.)
-  void reset(std::uint64_t master_seed);
-
   /// Enroll a principal, returning its private signing key. Enrolling the
   /// same name twice returns a key with the same secret (idempotent).
   SigningKey enroll(const std::string& name);
 
   /// The precomputed verification schedule of an enrolled principal, or
-  /// nullptr. The pointer is stable until reset() (enrollment never moves a
-  /// schedule), so per-message verifiers — proxies checking server
-  /// responses, SMR replicas checking peer ordering traffic — resolve each
-  /// expected signer ONCE into a direct-indexed table and skip the
-  /// per-message string-map lookup; see verify_tag_with(). Accepts a
-  /// borrowed name (no allocation).
+  /// nullptr. The pointer is stable for the registry's lifetime
+  /// (enrollment never moves a schedule), so per-message verifiers — proxies
+  /// checking server responses, SMR replicas checking peer ordering traffic
+  /// — resolve each expected signer ONCE into a direct-indexed table and
+  /// skip the per-message string-map lookup; see verify_tag_with(). Accepts
+  /// a borrowed name (no allocation).
   const HmacKey* schedule_for(std::string_view name) const;
 
   /// True iff `tag` is a valid signature by the enrolled principal `signer`
@@ -142,7 +135,7 @@ class KeyRegistry {
   /// name index over a deque of schedules: lookup is a binary search in one
   /// contiguous array (a handful of principals — the cache beats the
   /// red-black tree it replaced), while the deque keeps schedule_for
-  /// pointers stable across later enrollments, until reset().
+  /// pointers stable across later enrollments.
   struct IndexEntry {
     std::string name;
     std::uint32_t slot;

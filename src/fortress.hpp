@@ -8,7 +8,6 @@
 // Foundations.
 #include "common/bytes.hpp"
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 

@@ -36,12 +36,6 @@ std::uint64_t AttackParams::omega() const {
   return static_cast<std::uint64_t>(w);
 }
 
-std::uint64_t AttackParams::omega_indirect() const {
-  double w = std::round(kappa * static_cast<double>(omega()));
-  if (w < 0.0) return 0;
-  return static_cast<std::uint64_t>(w);
-}
-
 void SystemShape::validate() const {
   FORTRESS_EXPECTS(n_servers >= 1);
   switch (kind) {

@@ -67,9 +67,6 @@ struct AttackParams {
   /// ω: probes per channel per unit step implied by (α, χ) under
   /// sampling-without-replacement within a step: ω = round(α·χ), min 1.
   std::uint64_t omega() const;
-
-  /// Effective probes per step on the indirect channel: round(κ·ω), may be 0.
-  std::uint64_t omega_indirect() const;
 };
 
 /// Structural parameters of a system instance.

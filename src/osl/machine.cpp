@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 // Layering note: osl is below replication, but the service queue needs the
 // wire message CLASS (request vs response vs control) to pick a service-time
 // distribution. MessageView::peek is a fixed-offset header check with no
@@ -100,9 +99,6 @@ void Machine::handle_probe(const net::Envelope& env, RandKey guess) {
     if (!compromised_) {
       compromised_ = true;
       ++times_compromised_;
-      FORTRESS_LOG_INFO("machine")
-          << config_.address << " COMPROMISED by "
-          << network_.address_of(env.from) << " (key=" << key_ << ")";
       for (const auto& listener : compromise_listeners_) listener(*this);
     }
     Bytes ack = network_.acquire_buffer();
@@ -322,11 +318,6 @@ void Machine::set_attacker_taps(
 bool Machine::attacker_send_on(net::ConnectionId id, Bytes payload) {
   FORTRESS_EXPECTS(compromised_);
   return network_.send_on(id, id_, std::move(payload));
-}
-
-void Machine::attacker_send(net::HostId to, Bytes payload) {
-  FORTRESS_EXPECTS(compromised_);
-  network_.send(id_, to, std::move(payload));
 }
 
 }  // namespace fortress::osl

@@ -171,7 +171,6 @@ class Machine final : public net::Handler {
 
   std::optional<net::ConnectionId> attacker_connect(net::HostId to);
   bool attacker_send_on(net::ConnectionId id, Bytes payload);
-  void attacker_send(net::HostId to, Bytes payload);
 
   /// Install the attacker's observation taps: traffic and closure events on
   /// connections the attacker opened through this machine are routed to the

@@ -11,7 +11,6 @@ ObfuscationScheduler::ObfuscationScheduler(sim::Simulator& sim,
       rng_(config.rng_seed),
       timer_(sim, config.step_duration, [this] { step_boundary(); }) {
   FORTRESS_EXPECTS(config.step_duration > 0);
-  FORTRESS_EXPECTS(config.period >= 1);
 }
 
 void ObfuscationScheduler::add_machine(Machine& machine) {
@@ -111,7 +110,6 @@ void ObfuscationScheduler::stop() {
 
 void ObfuscationScheduler::reset(const ObfuscationConfig& config) {
   FORTRESS_EXPECTS(config.step_duration > 0);
-  FORTRESS_EXPECTS(config.period >= 1);
   // stop() cancels EventIds that are stale if the simulator was already
   // reset — cancel() just reports false for those, so the order is safe.
   stop();
@@ -120,18 +118,13 @@ void ObfuscationScheduler::reset(const ObfuscationConfig& config) {
   rng_ = Rng(config_.rng_seed);
   steps_ = 0;
   booted_ = false;
-  on_step = nullptr;
 }
 
 void ObfuscationScheduler::step_boundary() {
   ++steps_;
-  const bool boundary =
-      (config_.policy == ObfuscationPolicy::Rerandomize)
-          ? (steps_ % config_.period == 0)
-          : true;  // recovery happens every step under either policy
   // Machines that were shut down (crashed hardware, removed from service)
   // are skipped: there is nothing to reboot.
-  if (config_.policy == ObfuscationPolicy::Rerandomize && boundary) {
+  if (config_.policy == ObfuscationPolicy::Rerandomize) {
     auto keys = draw_distinct_keys(individuals_.size() + groups_.size());
     std::size_t ki = 0;
     for (Machine* m : individuals_) {
@@ -154,7 +147,6 @@ void ObfuscationScheduler::step_boundary() {
       }
     }
   }
-  if (on_step) on_step(steps_);
 }
 
 }  // namespace fortress::osl

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,10 +33,6 @@ struct ObfuscationConfig {
   ObfuscationPolicy policy = ObfuscationPolicy::Rerandomize;
   /// Keyspace size χ shared by every registered machine.
   std::uint64_t keyspace = 1ull << 16;
-  /// Re-randomization period in steps (paper: 1). Under Rerandomize with
-  /// period > 1, intermediate step boundaries recover (same key); fresh keys
-  /// are drawn only every `period`-th step.
-  std::uint32_t period = 1;
   std::uint64_t rng_seed = 7;
 };
 
@@ -75,9 +70,6 @@ class ObfuscationScheduler {
   void reset(const ObfuscationConfig& config);
 
   std::uint64_t steps_completed() const { return steps_; }
-
-  /// Invoked after each completed unit step (after reboots, if any).
-  std::function<void(std::uint64_t step)> on_step;
 
  private:
   void step_boundary();

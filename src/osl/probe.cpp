@@ -22,8 +22,6 @@ std::optional<RandKey> decode_probe(BytesView payload) {
   return read_u64_be(payload, 4);
 }
 
-bool is_probe(BytesView payload) { return decode_probe(payload).has_value(); }
-
 std::optional<RandKey> probe_inside_request(BytesView payload) {
   // This scan runs in osl::Machine::on_message for EVERY request-parsing
   // delivery, so it hops between candidate positions with memchr on the
@@ -45,12 +43,6 @@ std::optional<RandKey> probe_inside_request(BytesView payload) {
     ++off;
   }
   return std::nullopt;
-}
-
-Bytes encode_owned_ack(RandKey key) {
-  Bytes out;
-  encode_owned_ack_into(out, key);
-  return out;
 }
 
 void encode_owned_ack_into(Bytes& out, RandKey key) {

@@ -33,9 +33,6 @@ void encode_probe_into(Bytes& out, RandKey guess);
 /// Decode a probe; nullopt if `payload` is not a probe.
 std::optional<RandKey> decode_probe(BytesView payload);
 
-/// True iff `payload` is any probe message.
-bool is_probe(BytesView payload);
-
 /// Scan an arbitrary request body for an embedded probe (an exploit smuggled
 /// into a service request that a proxy forwarded): returns the guessed key
 /// if the probe byte pattern occurs anywhere in `payload`. This models the
@@ -43,10 +40,8 @@ bool is_probe(BytesView payload);
 /// regardless of how the bytes reached the server.
 std::optional<RandKey> probe_inside_request(BytesView payload);
 
-/// Encode the attacker-visible acknowledgement of a successful probe.
-Bytes encode_owned_ack(RandKey key);
-
-/// Ack into an existing (typically pooled) buffer, replacing its contents.
+/// Encode the attacker-visible acknowledgement of a successful probe into an
+/// existing (typically pooled) buffer, replacing its contents.
 void encode_owned_ack_into(Bytes& out, RandKey key);
 
 /// True iff `payload` is a successful-probe acknowledgement.

@@ -6,10 +6,9 @@ void ProbeLog::record(net::HostId source, Suspicion kind, sim::Time now) {
   if (source >= sources_.size()) {
     sources_.resize(static_cast<std::size_t>(source) + 1);
   }
-  SourceLog& log = sources_[source];
-  log.events.push_back(Event{now, kind});
-  expire(log.events, now);
-  ++log.total;
+  std::deque<Event>& events = sources_[source];
+  events.push_back(Event{now, kind});
+  expire(events, now);
 }
 
 void ProbeLog::expire(std::deque<Event>& events, sim::Time now) const {
@@ -19,28 +18,14 @@ void ProbeLog::expire(std::deque<Event>& events, sim::Time now) const {
 }
 
 std::uint32_t ProbeLog::score(net::HostId source, sim::Time now) const {
-  const SourceLog* log = log_of(source);
-  if (log == nullptr) return 0;
-  expire(sources_[source].events, now);
-  return static_cast<std::uint32_t>(log->events.size());
+  if (source >= sources_.size()) return 0;
+  std::deque<Event>& events = sources_[source];
+  expire(events, now);
+  return static_cast<std::uint32_t>(events.size());
 }
 
 bool ProbeLog::flagged(net::HostId source, sim::Time now) const {
   return score(source, now) >= config_.threshold;
-}
-
-std::vector<net::HostId> ProbeLog::flagged_sources(sim::Time now) const {
-  std::vector<net::HostId> out;
-  for (net::HostId source = 0; source < sources_.size(); ++source) {
-    if (sources_[source].total == 0) continue;
-    if (flagged(source, now)) out.push_back(source);
-  }
-  return out;
-}
-
-std::uint64_t ProbeLog::total_events(net::HostId source) const {
-  const SourceLog* log = log_of(source);
-  return log == nullptr ? 0 : log->total;
 }
 
 }  // namespace fortress::proxy

@@ -57,12 +57,6 @@ class ProbeLog {
   /// True when `source` meets the detection threshold at time `now`.
   bool flagged(net::HostId source, sim::Time now) const;
 
-  /// All sources currently at or above the threshold, ascending by id.
-  std::vector<net::HostId> flagged_sources(sim::Time now) const;
-
-  /// Lifetime (non-windowed) totals, for reporting.
-  std::uint64_t total_events(net::HostId source) const;
-
   const DetectionConfig& config() const { return config_; }
 
  private:
@@ -71,19 +65,12 @@ class ProbeLog {
     Suspicion kind;
   };
 
-  struct SourceLog {
-    std::deque<Event> events;  ///< in-window events (older ones expired)
-    std::uint64_t total = 0;   ///< lifetime count
-  };
-
   void expire(std::deque<Event>& events, sim::Time now) const;
-  const SourceLog* log_of(net::HostId source) const {
-    return source < sources_.size() ? &sources_[source] : nullptr;
-  }
 
   DetectionConfig config_;
-  /// Flat per-source table indexed by HostId (grown on first record).
-  mutable std::vector<SourceLog> sources_;
+  /// Flat per-source table of in-window events (older ones expired),
+  /// indexed by HostId (grown on first record).
+  mutable std::vector<std::deque<Event>> sources_;
 };
 
 }  // namespace fortress::proxy

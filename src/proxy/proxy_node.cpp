@@ -3,13 +3,17 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace fortress::proxy {
 
 using replication::Message;
 using replication::MessageView;
 using replication::MsgType;
+
+namespace {
+/// Delay before re-dialing a server whose connection dropped.
+constexpr sim::Time kReconnectDelay = 1.0;
+}  // namespace
 
 ProxyNode::ProxyNode(sim::Simulator& sim, net::Network& network,
                      crypto::KeyRegistry& registry, ProxyConfig config)
@@ -62,9 +66,8 @@ void ProxyNode::dial_server(std::size_t index) {
   if (link.conn) return;
   auto conn = network_.connect(self_id_, link.id);
   if (!conn) {
-    // Server down (rebooting): retry after the configured delay.
-    sim_.schedule_after(config_.reconnect_delay,
-                        [this, index] { dial_server(index); });
+    // Server down (rebooting): retry after the reconnect delay.
+    sim_.schedule_after(kReconnectDelay, [this, index] { dial_server(index); });
     return;
   }
   link.conn = *conn;
@@ -203,10 +206,7 @@ void ProxyNode::observe_server_closure(net::HostId source,
   if (source == net::kInvalidHost) return;
   log_.record(source, Suspicion::CorrelatedCrash, sim_.now());
   if (config_.blacklist_enabled && log_.flagged(source, sim_.now())) {
-    if (blacklist_.insert(source).second) {
-      FORTRESS_LOG_INFO("proxy") << config_.address << " blacklists "
-                                 << network_.address_of(source);
-    }
+    blacklist_.insert(source);
   }
 }
 
@@ -222,8 +222,7 @@ void ProxyNode::handle_connection_closed(net::ConnectionId id,
       link.conn.reset();
       link.last_source = net::kInvalidHost;
       observe_server_closure(source, reason);
-      sim_.schedule_after(config_.reconnect_delay,
-                          [this, i] { dial_server(i); });
+      sim_.schedule_after(kReconnectDelay, [this, i] { dial_server(i); });
       return;
     }
     for (std::size_t d = 0; d < link.dead_conns.size(); ++d) {

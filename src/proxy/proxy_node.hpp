@@ -39,8 +39,6 @@ namespace fortress::proxy {
 struct ProxyConfig {
   net::Address address;
   std::vector<net::Address> servers;
-  /// Delay before re-dialing a server whose connection dropped.
-  sim::Time reconnect_delay = 1.0;
   /// Attack detection; when disabled the proxy only logs.
   bool blacklist_enabled = true;
   DetectionConfig detection;

@@ -1,7 +1,6 @@
 #include "replication/pb_replica.hpp"
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace fortress::replication {
 
@@ -10,12 +9,8 @@ PbReplica::PbReplica(sim::Simulator& sim, net::Network& network,
                      std::unique_ptr<Service> service, PbConfig config)
     : ReplicaCore(sim, network, registry, std::move(service),
                   std::move(config.replicas), config.index,
-                  config.heartbeat_interval, [this] { send_heartbeat(); },
-                  config.failover_timeout / 4.0, [this] { check_failover(); }),
-      failover_timeout_(config.failover_timeout) {
-  FORTRESS_EXPECTS(config.heartbeat_interval > 0);
-  FORTRESS_EXPECTS(failover_timeout_ > config.heartbeat_interval);
-}
+                  kPbHeartbeatInterval, [this] { send_heartbeat(); },
+                  kPbFailoverTimeout / 4.0, [this] { check_failover(); }) {}
 
 void PbReplica::reset() {
   reset_core();
@@ -136,12 +131,10 @@ void PbReplica::handle_heartbeat(const MessageView& msg) {
 
 void PbReplica::check_failover() {
   if (leads()) return;
-  if (sim_.now() - last_progress_ < failover_timeout_) return;
+  if (sim_.now() - last_progress_ < kPbFailoverTimeout) return;
   // Primary presumed crashed: move to the next view. PB tolerates crash
   // faults only, so an unilateral, gossiped view bump suffices.
   std::uint64_t next = view_ + 1;
-  FORTRESS_LOG_INFO("pb") << address() << " suspects primary of view "
-                          << view_ << "; moving to view " << next;
   broadcast({.type = MsgType::ViewChange, .view = next, .sender_index = index_},
             false);
   adopt_view(next);
@@ -151,10 +144,7 @@ void PbReplica::adopt_view(std::uint64_t view) {
   FORTRESS_EXPECTS(view > view_);
   view_ = view;
   last_progress_ = sim_.now();
-  if (leads()) {
-    FORTRESS_LOG_INFO("pb") << address() << " is primary of view " << view_;
-    send_heartbeat();
-  }
+  if (leads()) send_heartbeat();
 }
 
 void PbReplica::handle_reboot() {

@@ -24,9 +24,12 @@ namespace fortress::replication {
 struct PbConfig {
   std::uint32_t index = 0;  ///< this replica's index (0-based)
   std::vector<net::Address> replicas;  ///< addresses by index
-  sim::Time heartbeat_interval = 5.0;
-  sim::Time failover_timeout = 20.0;
 };
+
+/// The primary's heartbeat period, and the silence after which a backup
+/// suspects it (checked every quarter of the timeout).
+inline constexpr sim::Time kPbHeartbeatInterval = 5.0;
+inline constexpr sim::Time kPbFailoverTimeout = 20.0;
 
 /// A primary-backup replica. Plug into an osl::Machine via set_application().
 class PbReplica final : public ReplicaCore {
@@ -55,7 +58,6 @@ class PbReplica final : public ReplicaCore {
   void send_heartbeat();
   void adopt_view(std::uint64_t view);
 
-  sim::Time failover_timeout_;
   std::uint64_t executed_count_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <charconv>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace fortress::replication {
 
@@ -37,7 +36,7 @@ SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
                        SmrConfig config)
     : ReplicaCore(sim, network, registry, std::move(service),
                   std::move(config.replicas), config.index,
-                  config.heartbeat_interval,
+                  kSmrHeartbeatInterval,
                   [this] {
                     if (leads() && !stale_) {
                       broadcast({.type = MsgType::Heartbeat,
@@ -322,7 +321,6 @@ void SmrReplica::adopt_view(std::uint64_t view) {
   unexecuted_slots_ = 0;
   next_seq_ = applied_seq_;
   if (leads() && !stale_) {
-    FORTRESS_LOG_INFO("smr") << address() << " leads view " << view_;
     // Re-propose everything outstanding, in the rid order the old
     // std::map snapshot iterated in. Records are addressed by position:
     // each proposal may grow the table.
@@ -388,8 +386,6 @@ void SmrReplica::handle_state_reply(const MessageView& msg) {
     stale_ = false;
     state_offers_.clear();
     last_progress_ = sim_.now();
-    FORTRESS_LOG_INFO("smr") << address() << " restored state at seq "
-                             << applied_seq_;
   }
 }
 

@@ -37,8 +37,10 @@ struct SmrConfig {
   std::uint32_t f = 1;                 ///< tolerated faults; n = 3f+1
   std::vector<net::Address> replicas;  ///< addresses by index (size 3f+1)
   sim::Time progress_timeout = 30.0;
-  sim::Time heartbeat_interval = 5.0;
 };
+
+/// The leader's heartbeat period.
+inline constexpr sim::Time kSmrHeartbeatInterval = 5.0;
 
 class SmrReplica final : public ReplicaCore {
  public:
@@ -51,7 +53,6 @@ class SmrReplica final : public ReplicaCore {
   /// ReplicaCore::reset_core).
   void reset();
 
-  bool is_leader() const { return leads(); }
   std::uint64_t executed_seq() const { return applied_seq_; }
   bool state_stale() const { return stale_; }
   std::uint32_t quorum() const { return 2 * f_ + 1; }

@@ -9,6 +9,9 @@ namespace fortress::scenario {
 
 namespace {
 
+/// Upper bound on full reduction passes.
+constexpr int kMaxPasses = 16;
+
 struct Ctx {
   const PlanPredicate* pred = nullptr;
   std::uint64_t calls = 0;
@@ -64,8 +67,7 @@ void try_edit(net::ScenarioPlan& current, Ctx& ctx,
 }  // namespace
 
 MinimizeResult minimize_plan(const net::ScenarioPlan& failing,
-                             const PlanPredicate& still_fails,
-                             const MinimizeOptions& options) {
+                             const PlanPredicate& still_fails) {
   FORTRESS_EXPECTS(still_fails != nullptr);
   failing.validate();
   FORTRESS_EXPECTS(still_fails(failing));  // minimizing a passing plan
@@ -74,7 +76,7 @@ MinimizeResult minimize_plan(const net::ScenarioPlan& failing,
   ctx.pred = &still_fails;
   net::ScenarioPlan current = failing;
 
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ctx.progressed_this_pass = false;
 
     // --- list axes (biggest structural wins first) -------------------------

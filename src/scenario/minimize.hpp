@@ -34,12 +34,6 @@ namespace fortress::scenario {
 /// Returns true while the plan still exhibits the failure being chased.
 using PlanPredicate = std::function<bool(const net::ScenarioPlan&)>;
 
-struct MinimizeOptions {
-  /// Upper bound on full reduction passes (each pass tries every candidate
-  /// once); the loop exits earlier at the first pass with no progress.
-  int max_passes = 16;
-};
-
 struct MinimizeResult {
   net::ScenarioPlan plan;             ///< locally minimal failing plan
   std::uint64_t predicate_calls = 0;  ///< total predicate evaluations
@@ -47,9 +41,10 @@ struct MinimizeResult {
 };
 
 /// Precondition: still_fails(failing) is true (throws ContractViolation
-/// otherwise — minimizing a passing plan is a caller bug).
+/// otherwise — minimizing a passing plan is a caller bug). At most 16 full
+/// reduction passes run (each tries every candidate once); the loop exits
+/// earlier at the first pass with no progress.
 MinimizeResult minimize_plan(const net::ScenarioPlan& failing,
-                             const PlanPredicate& still_fails,
-                             const MinimizeOptions& options = {});
+                             const PlanPredicate& still_fails);
 
 }  // namespace fortress::scenario

@@ -50,8 +50,6 @@ class PlanGenerator {
   /// The next random plan (named "fuzz-<seed>-<index>"). Always valid.
   net::ScenarioPlan next();
 
-  std::uint64_t plans_generated() const { return index_; }
-
  private:
   std::uint64_t seed_;
   std::uint64_t index_ = 0;

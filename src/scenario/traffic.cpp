@@ -67,18 +67,10 @@ void TrafficGenerator::submit_one() {
   const std::string body = (write ? "PUT k" : "GET k") + std::to_string(key) +
                            (write ? " v" : "");
   const sim::Time t0 = sim_.now();
-  client.submit(
-      Bytes(body.begin(), body.end()),
-      [this, t0](std::uint64_t, const Bytes&) {
-        latency_.add(sim_.now() - t0);
-      },
-      [this](std::uint64_t, core::RequestOutcome outcome) {
-        if (outcome == core::RequestOutcome::TimedOut) {
-          ++timed_out_;
-        } else {
-          ++gave_up_;
-        }
-      });
+  client.submit(Bytes(body.begin(), body.end()),
+                [this, t0](std::uint64_t, const Bytes&) {
+                  latency_.add(sim_.now() - t0);
+                });
 }
 
 TrafficStats TrafficGenerator::stats() const {
@@ -89,9 +81,9 @@ TrafficStats TrafficGenerator::stats() const {
     out.completed += cs.completed;
     out.retries += cs.retries;
     out.rejected_responses += cs.rejected_responses;
+    out.timed_out += cs.expired;
+    out.gave_up += cs.gave_up;
   }
-  out.timed_out = timed_out_;
-  out.gave_up = gave_up_;
   out.latency = latency_;
   return out;
 }

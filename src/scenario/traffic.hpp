@@ -58,8 +58,6 @@ class TrafficGenerator {
   std::vector<std::unique_ptr<core::Client>> clients_;
   std::size_t next_client_ = 0;
   std::size_t phase_ = 0;
-  std::uint64_t timed_out_ = 0;
-  std::uint64_t gave_up_ = 0;
   LatencyHistogram latency_;
 };
 

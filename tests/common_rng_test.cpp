@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -27,16 +26,6 @@ TEST(SplitMix64Test, DifferentSeedsDiffer) {
 TEST(Xoshiro256Test, Deterministic) {
   Xoshiro256 a(42), b(42);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
-}
-
-TEST(Xoshiro256Test, JumpChangesStream) {
-  Xoshiro256 a(42), b(42);
-  b.jump();
-  bool differs = false;
-  for (int i = 0; i < 10; ++i) {
-    if (a() != b()) differs = true;
-  }
-  EXPECT_TRUE(differs);
 }
 
 TEST(RngTest, BelowStaysInRange) {
@@ -68,15 +57,6 @@ TEST(RngTest, BelowIsRoughlyUniform) {
   for (int c : counts) {
     EXPECT_NEAR(c, kSamples / kBuckets, kSamples / kBuckets * 0.05);
   }
-}
-
-TEST(RngTest, UniformIntCoversInclusiveRange) {
-  Rng rng(3);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) seen.insert(rng.uniform_int(-2, 2));
-  EXPECT_EQ(seen.size(), 5u);
-  EXPECT_EQ(*seen.begin(), -2);
-  EXPECT_EQ(*seen.rbegin(), 2);
 }
 
 TEST(RngTest, Uniform01InHalfOpenInterval) {
@@ -180,15 +160,6 @@ TEST(RngTest, SampleWithoutReplacementUniformMarginal) {
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / kTrials, 0.3, 0.02);
   }
-}
-
-TEST(RngTest, ShufflePreservesElements) {
-  Rng rng(43);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  std::vector<int> orig = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, orig);
 }
 
 TEST(RngTest, SubstreamsAreDecorrelated) {

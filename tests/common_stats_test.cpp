@@ -149,12 +149,6 @@ TEST(QuantileTest, EmptyThrows) {
   EXPECT_THROW(quantile({}, 0.5), ContractViolation);
 }
 
-TEST(RelativeErrorTest, Basics) {
-  EXPECT_DOUBLE_EQ(relative_error(100.0, 110.0), 10.0 / 110.0);
-  EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(relative_error(-5.0, 5.0), 2.0);
-}
-
 TEST(RunningStatsTest, FromRawRebuildsBitIdenticalState) {
   // The shard sidecar contract: round-tripping the raw Welford state must
   // reproduce the accumulator exactly, so merges of deserialized stats are

@@ -146,17 +146,5 @@ TEST(HmacKeyTest, MatchesOneShotHmacAcrossLengths) {
   }
 }
 
-TEST(DeriveKeyTest, DistinctLabelsDistinctKeys) {
-  Bytes master = bytes_of("master-secret");
-  Digest a = derive_key(master, bytes_of("purpose-a"));
-  Digest b = derive_key(master, bytes_of("purpose-b"));
-  EXPECT_NE(a, b);
-}
-
-TEST(DeriveKeyTest, Deterministic) {
-  Bytes master = bytes_of("master-secret");
-  EXPECT_EQ(derive_key(master, bytes_of("x")), derive_key(master, bytes_of("x")));
-}
-
 }  // namespace
 }  // namespace fortress::crypto

@@ -83,31 +83,6 @@ TEST(SignatureTest, DistinctMasterSeedsDistinctSecrets) {
   EXPECT_NE(k1.sign(msg).tag, k2.sign(msg).tag);
 }
 
-TEST(SignatureTest, ResetRekeysAndDropsEnrollments) {
-  KeyRegistry registry(1);
-  SigningKey old_key = registry.enroll("server-0");
-  Bytes msg = bytes_of("payload");
-  Signature old_sig = old_key.sign(msg);
-  ASSERT_TRUE(verifies(registry, msg, old_sig));
-
-  registry.reset(2);
-  // All enrollments are gone and old-master signatures no longer verify.
-  EXPECT_EQ(registry.enrolled_count(), 0u);
-  EXPECT_FALSE(registry.is_enrolled("server-0"));
-  EXPECT_FALSE(verifies(registry, msg, old_sig));
-  // Re-enrolling under the new master yields a different, working secret.
-  SigningKey new_key = registry.enroll("server-0");
-  Signature new_sig = new_key.sign(msg);
-  EXPECT_NE(new_sig.tag, old_sig.tag);
-  EXPECT_TRUE(verifies(registry, msg, new_sig));
-  // Stale handles keep signing under the OLD secret: their tags fail.
-  EXPECT_FALSE(verifies(registry, msg, old_key.sign(msg)));
-
-  // reset(same seed) is equivalent to fresh construction with that seed.
-  registry.reset(1);
-  EXPECT_EQ(registry.enroll("server-0").sign(msg).tag, old_sig.tag);
-}
-
 TEST(SignatureTest, IsEnrolled) {
   KeyRegistry registry(3);
   EXPECT_FALSE(registry.is_enrolled("x"));

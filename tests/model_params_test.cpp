@@ -61,16 +61,6 @@ TEST(ParamsTest, OmegaNeverZeroOrAboveChi) {
   EXPECT_EQ(p.omega(), 64u);
 }
 
-TEST(ParamsTest, OmegaIndirectScalesByKappa) {
-  AttackParams p;
-  p.chi = 1 << 16;
-  p.alpha = 0.01;
-  p.kappa = 0.5;
-  EXPECT_EQ(p.omega_indirect(), 328u);  // round(0.5*655)
-  p.kappa = 0.0;
-  EXPECT_EQ(p.omega_indirect(), 0u);
-}
-
 TEST(ShapeTest, PaperDefaults) {
   SystemShape s0 = SystemShape::s0();
   EXPECT_EQ(s0.kind, SystemKind::S0);

@@ -61,26 +61,26 @@ class MachineTest : public ::testing::Test {
 };
 
 TEST(ProbeCodecTest, RoundTrip) {
-  Bytes p = encode_probe(1234);
-  EXPECT_TRUE(is_probe(p));
-  auto decoded = decode_probe(p);
+  auto decoded = decode_probe(encode_probe(1234));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, 1234u);
 }
 
 TEST(ProbeCodecTest, NonProbeRejected) {
-  EXPECT_FALSE(is_probe(bytes_of("hello")));
+  EXPECT_FALSE(decode_probe(bytes_of("hello")).has_value());
   EXPECT_FALSE(decode_probe(Bytes{}).has_value());
   Bytes wrong_magic = encode_probe(5);
   wrong_magic[0] ^= 0xff;
-  EXPECT_FALSE(is_probe(wrong_magic));
+  EXPECT_FALSE(decode_probe(wrong_magic).has_value());
 }
 
 TEST(ProbeCodecTest, OwnedAck) {
-  Bytes ack = encode_owned_ack(7);
+  Bytes ack = bytes_of("stale contents");
+  encode_owned_ack_into(ack, 7);
+  EXPECT_EQ(ack.size(), 12u);  // the buffer's old contents are replaced
   EXPECT_TRUE(is_owned_ack(ack));
   EXPECT_FALSE(is_owned_ack(encode_probe(7)));
-  EXPECT_FALSE(is_probe(ack));
+  EXPECT_FALSE(decode_probe(ack).has_value());
 }
 
 TEST_F(MachineTest, BootAttachesToNetwork) {
@@ -225,7 +225,9 @@ TEST_F(MachineTest, AttackerCapabilitiesRequireCompromise) {
   machine_.boot(5);
   const net::HostId anywhere = net_.intern("anywhere");
   EXPECT_THROW(machine_.attacker_connect(anywhere), ContractViolation);
-  EXPECT_THROW(machine_.attacker_send(anywhere, Bytes{}), ContractViolation);
+  auto conn = net_.connect(attacker_id_, machine_.id());
+  ASSERT_TRUE(conn.has_value());
+  EXPECT_THROW(machine_.attacker_send_on(*conn, Bytes{}), ContractViolation);
 }
 
 TEST_F(MachineTest, CompromisedMachineActsWithItsIdentity) {

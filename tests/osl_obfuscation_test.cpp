@@ -25,12 +25,11 @@ class ObfuscationTest : public ::testing::Test {
     }
   }
 
-  ObfuscationConfig config(ObfuscationPolicy policy, std::uint32_t period = 1) {
+  ObfuscationConfig config(ObfuscationPolicy policy) {
     ObfuscationConfig cfg;
     cfg.step_duration = 10.0;
     cfg.policy = policy;
     cfg.keyspace = kChi;
-    cfg.period = period;
     return cfg;
   }
 
@@ -117,33 +116,6 @@ TEST_F(ObfuscationTest, StepBoundaryCleansesCompromise) {
 
   sim_.run_until(10.0);  // boundary
   EXPECT_FALSE(proxies_[0]->compromised());
-}
-
-TEST_F(ObfuscationTest, PeriodDelaysRerandomization) {
-  ObfuscationScheduler sched(sim_,
-                             config(ObfuscationPolicy::Rerandomize, 3));
-  register_all(sched);
-  sched.boot_all();
-  sched.start();
-
-  RandKey initial = servers_[0]->key();
-  sim_.run_until(10.0);  // step 1: recovery only
-  EXPECT_EQ(servers_[0]->key(), initial);
-  sim_.run_until(20.0);  // step 2: recovery only
-  EXPECT_EQ(servers_[0]->key(), initial);
-  sim_.run_until(30.0);  // step 3: re-randomization boundary
-  EXPECT_NE(servers_[0]->key(), initial);
-}
-
-TEST_F(ObfuscationTest, OnStepCallbackCountsSteps) {
-  ObfuscationScheduler sched(sim_, config(ObfuscationPolicy::Recover));
-  register_all(sched);
-  sched.boot_all();
-  std::uint64_t last_step = 0;
-  sched.on_step = [&](std::uint64_t s) { last_step = s; };
-  sched.start();
-  sim_.run_until(35.0);
-  EXPECT_EQ(last_step, 3u);
 }
 
 TEST_F(ObfuscationTest, StopHaltsStepping) {

@@ -79,8 +79,6 @@ class PbTest : public ::testing::Test {
     }
     PbConfig cfg;
     cfg.replicas = addrs_;
-    cfg.heartbeat_interval = 5.0;
-    cfg.failover_timeout = 20.0;
     for (int i = 0; i < kN; ++i) {
       machines_.push_back(std::make_unique<osl::Machine>(
           net_, osl::MachineConfig{addrs_[static_cast<std::size_t>(i)], 1 << 10}));

@@ -71,7 +71,6 @@ class SmrTest : public ::testing::Test {
     cfg.f = kF;
     cfg.replicas = addrs_;
     cfg.progress_timeout = 30.0;
-    cfg.heartbeat_interval = 5.0;
     for (std::uint32_t i = 0; i < kN; ++i) {
       machines_.push_back(std::make_unique<osl::Machine>(
           net_, osl::MachineConfig{addrs_[i], 1 << 10}));

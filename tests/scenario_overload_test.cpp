@@ -144,6 +144,26 @@ TEST(ScenarioOverloadTest, DegradeUnsignedHoldsGoodputBySkippingVerification) {
   EXPECT_GT(deg.traffic.completed, (9 * deg.traffic.offered) / 10);
 }
 
+TEST(ScenarioOverloadTest, DeadlineAndBudgetFailuresAreEachCountedOnce) {
+  // Jittered backoff spreads budget exhaustion (4+8+16+16+16 = 60 units
+  // unjittered) around the 60-unit deadline, so past the knee some requests
+  // time out and others give up. Arrivals stop at t = 130, so every request
+  // ends before the 200-unit horizon. Both counts are pinned, and every
+  // offered request ends in exactly one terminal state.
+  net::ScenarioPlan plan = traffic_plan(net::OverloadPolicy::DropTail, 15.0);
+  plan.traffic.schedule = {net::RatePhase{0.0, 15.0},
+                           net::RatePhase{130.0, 0.0}};
+  plan.traffic.retry_jitter = 0.3;
+  plan.traffic.request_deadline = 60.0;
+  TrialOutcome out = run_trial(SystemKind::S1, plan, 99);
+  dump("deadline-and-budget", out.traffic);
+  EXPECT_EQ(out.traffic.timed_out, 539u);
+  EXPECT_EQ(out.traffic.gave_up, 516u);
+  EXPECT_EQ(out.traffic.offered, out.traffic.completed +
+                                     out.traffic.timed_out +
+                                     out.traffic.gave_up);
+}
+
 TEST(ScenarioOverloadTest, CrashRecoverAccountingIsExact) {
   net::ScenarioPlan plan = traffic_plan(net::OverloadPolicy::DropTail, 8.0);
   plan.faults = {
