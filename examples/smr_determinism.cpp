@@ -104,12 +104,11 @@ int main() {
     core::Client client(sim, smr.network(), smr.registry(), smr.directory(),
                         ccfg);
     std::string reply = "<pending>";
-    bool timed_out = false;
-    client.submit(
-        bytes_of("TOKEN alice"),
-        [&](std::uint64_t, const Bytes& r) { reply = string_of(r); },
-        [&](std::uint64_t, core::RequestOutcome) { timed_out = true; });
+    client.submit(bytes_of("TOKEN alice"), [&](std::uint64_t, const Bytes& r) {
+      reply = string_of(r);
+    });
     sim.run_until(600.0);
+    const bool timed_out = client.stats().expired == 1;
 
     std::printf("[3] SMR with the determinism claim faked:\n");
     std::printf("    all four replicas executed the request and minted "

@@ -32,13 +32,11 @@ Client::Client(sim::Simulator& sim, net::Network& network,
 
 Client::~Client() { network_.detach(id_); }
 
-std::uint64_t Client::submit(Bytes request, ResponseCallback on_response,
-                             TimeoutCallback on_timeout) {
+std::uint64_t Client::submit(Bytes request, ResponseCallback on_response) {
   std::uint64_t seq = ++next_seq_;
   Outstanding out;
   out.request = std::move(request);
   out.on_response = std::move(on_response);
-  out.on_timeout = std::move(on_timeout);
   out.submitted_at = sim_.now();
   out.next_delay = config_.retry_interval;
   auto [it, inserted] = outstanding_.emplace(seq, std::move(out));
@@ -89,12 +87,12 @@ void Client::schedule_retry(std::uint64_t seq, Outstanding& out) {
     o.retry_event = 0;
     if (at_deadline) {
       ++stats_.expired;
-      fail(seq, RequestOutcome::TimedOut);
+      outstanding_.erase(it);
       return;
     }
     if (config_.retry_budget > 0 && o.retries_used >= config_.retry_budget) {
       ++stats_.gave_up;
-      fail(seq, RequestOutcome::Overloaded);
+      outstanding_.erase(it);
       return;
     }
     ++o.retries_used;
@@ -106,14 +104,6 @@ void Client::schedule_retry(std::uint64_t seq, Outstanding& out) {
     }
     schedule_retry(seq, o);
   });
-}
-
-void Client::fail(std::uint64_t seq, RequestOutcome outcome) {
-  auto it = outstanding_.find(seq);
-  FORTRESS_EXPECTS(it != outstanding_.end());
-  auto cb = std::move(it->second.on_timeout);
-  outstanding_.erase(it);
-  if (cb) cb(seq, outcome);
 }
 
 bool Client::acceptable(const MessageView& msg, Outstanding& out) {

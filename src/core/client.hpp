@@ -15,10 +15,10 @@
 // optional deterministic jitter: the first retry fires retry_interval after
 // submission, each later one retry_multiplier times later than the last,
 // clamped at retry_cap. A request ends in exactly ONE of three ways —
-// completion, deadline expiry (TimedOut) or retry-budget exhaustion
-// (Overloaded) — and the retry/deadline timer is cancelled the moment a
-// response completes the request, so the completion and failure callbacks
-// are mutually exclusive per request by construction.
+// completion, deadline expiry or retry-budget exhaustion, counted in
+// ClientStats::completed, expired and gave_up — and the retry/deadline timer
+// is cancelled the moment a response completes the request, so a request
+// that completes is never also counted as failed.
 #pragma once
 
 #include <cstdint>
@@ -49,18 +49,12 @@ struct ClientConfig {
   /// stream. 0 (default) draws nothing — bitwise-identical to no jitter.
   double retry_jitter = 0.0;
   /// Retries allowed per request; one further backoff interval after the
-  /// last retry the request fails as Overloaded. 0 = unlimited.
+  /// last retry the request fails (counted in gave_up). 0 = unlimited.
   std::uint32_t retry_budget = 0;
-  /// Give up (and report TimedOut) after this long. 0 = never.
+  /// Give up (counted in expired) after this long. 0 = never.
   sim::Time deadline = 0.0;
   /// Seeds the jitter stream (only consulted when retry_jitter > 0).
   std::uint64_t seed = 0;
-};
-
-/// Why a request ended without a response (the failure callback's verdict).
-enum class RequestOutcome : std::uint8_t {
-  TimedOut,    ///< the per-request deadline elapsed
-  Overloaded,  ///< the retry budget was exhausted without an answer
 };
 
 struct ClientStats {
@@ -68,16 +62,14 @@ struct ClientStats {
   std::uint64_t completed = 0;
   std::uint64_t retries = 0;
   std::uint64_t rejected_responses = 0;  ///< failed a signature/validity rule
-  std::uint64_t expired = 0;             ///< deadline failures (TimedOut)
-  std::uint64_t gave_up = 0;             ///< budget failures (Overloaded)
+  std::uint64_t expired = 0;             ///< the deadline elapsed
+  std::uint64_t gave_up = 0;             ///< the retry budget ran out
 };
 
 class Client final : public net::Handler {
  public:
-  /// `on_response(seq, response)`; `on_timeout(seq, outcome)` when the
-  /// request fails terminally (deadline or retry budget).
+  /// `on_response(seq, response)` once the request is accepted.
   using ResponseCallback = std::function<void(std::uint64_t, const Bytes&)>;
-  using TimeoutCallback = std::function<void(std::uint64_t, RequestOutcome)>;
 
   Client(sim::Simulator& sim, net::Network& network,
          const crypto::KeyRegistry& registry, Directory directory,
@@ -87,8 +79,7 @@ class Client final : public net::Handler {
   Client& operator=(const Client&) = delete;
 
   /// Submit a request; returns its client-local sequence number.
-  std::uint64_t submit(Bytes request, ResponseCallback on_response,
-                       TimeoutCallback on_timeout = nullptr);
+  std::uint64_t submit(Bytes request, ResponseCallback on_response);
 
   const ClientStats& stats() const { return stats_; }
   const net::Address& address() const { return config_.address; }
@@ -102,7 +93,6 @@ class Client final : public net::Handler {
   struct Outstanding {
     Bytes request;
     ResponseCallback on_response;
-    TimeoutCallback on_timeout;
     sim::Time submitted_at = 0.0;
     /// Delay the NEXT retry timer will use (advanced by retry_multiplier,
     /// clamped at retry_cap, after each retry).
@@ -119,7 +109,6 @@ class Client final : public net::Handler {
   void schedule_retry(std::uint64_t seq, Outstanding& out);
   bool acceptable(const replication::MessageView& msg, Outstanding& out);
   void complete(std::uint64_t seq, const Bytes& response);
-  void fail(std::uint64_t seq, RequestOutcome outcome);
 
   sim::Simulator& sim_;
   net::Network& network_;

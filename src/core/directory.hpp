@@ -1,17 +1,17 @@
-// directory.hpp — the trusted name-server's directory contents (§3).
+// directory.hpp — what clients are told about a deployment (§3).
 //
-// What a client may know: proxies' addresses and public identities, servers'
+// In the paper, clients read this from a trusted, read-only name server; here
+// every client model is handed LiveSystem::directory() directly. What a
+// client may know: proxies' addresses and public identities, servers'
 // INDICES and identities (never their addresses, in a fortified system), the
 // replication type and the fault-tolerance degree. In 1-tier systems (S0,
 // S1) server addresses are public, since clients talk to servers directly.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "net/network.hpp"
 
 namespace fortress::crypto {
@@ -42,11 +42,6 @@ struct Directory {
 
   /// True when clients must go through proxies.
   bool fortified() const { return !proxies.empty(); }
-
-  Bytes encode() const;
-  static std::optional<Directory> decode(BytesView data);
-
-  bool operator==(const Directory&) const = default;
 };
 
 /// The client-side response-acceptance rule of `dir`'s deployment: the one

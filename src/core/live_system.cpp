@@ -85,7 +85,6 @@ void LiveSystem::reset(const net::ScenarioPlan& plan, std::uint64_t seed) {
   scheduler_.reset(obfuscation_config(plan, seed));
   failure_time_.reset();
   on_failure = nullptr;
-  nameserver_->reset();
   reset_tier(servers_, plan, kServerSalt);
   for (auto& r : pb_replicas_) r->reset();
   for (auto& r : smr_replicas_) r->reset();
@@ -196,7 +195,6 @@ void LiveSystem::publish(ReplicationType replication, std::uint32_t f,
   if (proxy_addrs.empty()) directory_.server_addrs = server_addrs;
   directory_.proxies = std::move(proxy_addrs);
   directory_.server_principals = server_addrs;  // principals == addresses
-  nameserver_ = std::make_unique<NameServer>(network_, registry_, directory_);
 }
 
 osl::Machine* LiveSystem::fault_target(net::FaultEvent::Target tier,

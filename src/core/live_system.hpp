@@ -1,7 +1,7 @@
 // live_system.hpp — assembled, runnable deployments of the paper's three
 // system classes (Definitions 1-3) on the simulation substrate.
 //
-// Each Live* owns its network, key registry, name-server, randomized
+// Each Live* owns its network, key registry, client directory, randomized
 // machines, replica/proxy applications and obfuscation scheduler. The three
 // classes differ only in tier shape and compromise predicate, which
 // LiveSystem holds as data:
@@ -26,7 +26,6 @@
 #include "core/client.hpp"
 #include "core/directory.hpp"
 #include "model/params.hpp"
-#include "core/nameserver.hpp"
 #include "crypto/signature.hpp"
 #include "net/network.hpp"
 #include "osl/machine.hpp"
@@ -151,9 +150,10 @@ class LiveSystem {
   std::vector<net::Address> build_pb_servers(const char* prefix,
                                              const net::ScenarioPlan& plan,
                                              const ServiceFactory& factory);
-  /// Publish the deployment to clients through the name-server. Clients of
-  /// a 1-tier system learn the server addresses; clients of S2 learn only
-  /// proxy addresses and server principal names (§3).
+  /// Fill the directory every client model is handed (the paper's trusted,
+  /// read-only name server, §3). Clients of a 1-tier system learn the
+  /// server addresses; clients of S2 learn only proxy addresses and server
+  /// principal names.
   void publish(ReplicationType replication, std::uint32_t f,
                const std::vector<net::Address>& server_addrs,
                std::vector<net::Address> proxy_addrs);
@@ -168,7 +168,6 @@ class LiveSystem {
   net::Network network_;
   osl::ObfuscationScheduler scheduler_;
   Directory directory_;
-  std::unique_ptr<NameServer> nameserver_;
   std::optional<sim::Time> failure_time_;
 
   /// The tiers. Machines are declared before their applications, so the

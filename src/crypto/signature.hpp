@@ -27,7 +27,7 @@
 
 namespace fortress::crypto {
 
-/// Identity of a signing principal (client, proxy, server, name-server).
+/// Identity of a signing principal (client, proxy, server).
 /// Value type; ordered so it can key maps.
 struct PrincipalId {
   std::string name;

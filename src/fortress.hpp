@@ -34,7 +34,6 @@
 #include "core/client.hpp"
 #include "core/directory.hpp"
 #include "core/live_system.hpp"
-#include "core/nameserver.hpp"
 #include "proxy/probe_log.hpp"
 #include "proxy/proxy_node.hpp"
 

@@ -370,63 +370,6 @@ LifetimeResult simulate_lifetime(const SystemShape& shape,
   return TrialKernel(shape, params, obf, gran).run(rng, max_steps);
 }
 
-LifetimeResult simulate_lifetime_po_naive(const SystemShape& shape,
-                                          const AttackParams& params, Rng& rng,
-                                          std::uint64_t max_steps) {
-  shape.validate();
-  params.validate();
-  const double a = params.alpha;
-  LifetimeResult out;
-  for (std::uint64_t step = 0; step < max_steps; ++step) {
-    switch (shape.kind) {
-      case SystemKind::S1:
-        if (rng.bernoulli(a)) {
-          out.whole_steps = step;
-          out.route = CompromiseRoute::SharedKey;
-          return out;
-        }
-        break;
-      case SystemKind::S0: {
-        int fallen = 0;
-        for (int n = 0; n < shape.n_servers; ++n) {
-          if (rng.bernoulli(a)) ++fallen;
-        }
-        if (fallen >= shape.smr_compromise) {
-          out.whole_steps = step;
-          out.route = CompromiseRoute::SmrQuorum;
-          return out;
-        }
-        break;
-      }
-      case SystemKind::S2: {
-        int fallen = 0;
-        for (int n = 0; n < shape.n_proxies; ++n) {
-          if (rng.bernoulli(a)) ++fallen;
-        }
-        if (fallen == shape.n_proxies) {
-          out.whole_steps = step;
-          out.route = CompromiseRoute::AllProxies;
-          return out;
-        }
-        if (rng.bernoulli(params.kappa * a)) {
-          out.whole_steps = step;
-          out.route = CompromiseRoute::ServerIndirect;
-          return out;
-        }
-        if (fallen >= 1 && rng.bernoulli(a)) {
-          out.whole_steps = step;
-          out.route = CompromiseRoute::ServerViaProxy;
-          return out;
-        }
-        break;
-      }
-    }
-  }
-  out.censored = true;
-  out.whole_steps = max_steps;
-  return out;
-}
-
 LifetimeResult simulate_lifetime_po_period_naive(const SystemShape& shape,
                                                  const AttackParams& params,
                                                  Rng& rng,

@@ -119,17 +119,13 @@ LifetimeResult simulate_lifetime(const SystemShape& shape,
                                  std::uint64_t max_steps);
 
 /// Reference implementation: a literal per-step, per-node Bernoulli loop for
-/// PO at step granularity. O(max_steps) — only usable for large α; exists so
-/// tests can cross-validate the geometric fast-forward.
-LifetimeResult simulate_lifetime_po_naive(const SystemShape& shape,
-                                          const AttackParams& params, Rng& rng,
-                                          std::uint64_t max_steps);
-
-/// Reference implementation for re-randomization periods P >= 1: nodes
+/// PO at step granularity and re-randomization period P >= 1. Nodes
 /// compromised mid-period stay controlled until the next boundary (steps
 /// divisible by params.period), matching the semantics of
-/// analysis::build_po_chain. O(max_steps); used to cross-validate the
-/// absorbing-Markov-chain lifetimes at P > 1.
+/// analysis::build_po_chain; at P = 1 every step is a boundary. O(max_steps)
+/// — only usable for large α; exists so tests can cross-validate the
+/// geometric fast-forward (P = 1) and the absorbing-Markov-chain lifetimes
+/// (P > 1).
 LifetimeResult simulate_lifetime_po_period_naive(const SystemShape& shape,
                                                  const AttackParams& params,
                                                  Rng& rng,

@@ -288,10 +288,6 @@ void Machine::clear_service_queue() {
   service_queue_.clear();
 }
 
-void Machine::on_connection_opened(net::ConnectionId id, net::HostId peer) {
-  if (app_ != nullptr) app_->handle_connection_opened(id, peer);
-}
-
 void Machine::on_connection_closed(net::ConnectionId id, net::HostId peer,
                                    net::CloseReason reason) {
   if (attacker_conns_.erase(id) > 0) {

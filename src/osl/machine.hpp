@@ -41,11 +41,6 @@ class Application {
  public:
   virtual ~Application() = default;
   virtual void handle_message(const net::Envelope& env) = 0;
-  virtual void handle_connection_opened(net::ConnectionId id,
-                                        net::HostId peer) {
-    (void)id;
-    (void)peer;
-  }
   virtual void handle_connection_closed(net::ConnectionId id,
                                         net::HostId peer,
                                         net::CloseReason reason) {
@@ -182,7 +177,6 @@ class Machine final : public net::Handler {
 
   // --- net::Handler --------------------------------------------------------
   void on_message(const net::Envelope& env) override;
-  void on_connection_opened(net::ConnectionId id, net::HostId peer) override;
   void on_connection_closed(net::ConnectionId id, net::HostId peer,
                             net::CloseReason reason) override;
 

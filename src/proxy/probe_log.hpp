@@ -30,12 +30,6 @@ struct DetectionConfig {
   std::uint32_t threshold = 5;
 };
 
-/// Kinds of suspicious observations a proxy can log.
-enum class Suspicion {
-  MalformedRequest,   ///< request failed protocol decoding
-  CorrelatedCrash,    ///< a server child crashed serving this source's request
-};
-
 /// Sliding-window per-source suspicion tracker.
 class ProbeLog {
  public:
@@ -48,8 +42,9 @@ class ProbeLog {
     sources_.clear();
   }
 
-  /// Record a suspicious event from `source` at time `now`.
-  void record(net::HostId source, Suspicion kind, sim::Time now);
+  /// Record a suspicious event from `source` at time `now`: a malformed
+  /// request or a correlated crash, which the window counts alike.
+  void record(net::HostId source, sim::Time now);
 
   /// Number of in-window suspicious events for `source` at time `now`.
   std::uint32_t score(net::HostId source, sim::Time now) const;
@@ -60,17 +55,12 @@ class ProbeLog {
   const DetectionConfig& config() const { return config_; }
 
  private:
-  struct Event {
-    sim::Time at;
-    Suspicion kind;
-  };
-
-  void expire(std::deque<Event>& events, sim::Time now) const;
+  void expire(std::deque<sim::Time>& events, sim::Time now) const;
 
   DetectionConfig config_;
-  /// Flat per-source table of in-window events (older ones expired),
+  /// Flat per-source table of in-window event times (older ones expired),
   /// indexed by HostId (grown on first record).
-  mutable std::vector<std::deque<Event>> sources_;
+  mutable std::vector<std::deque<sim::Time>> sources_;
 };
 
 }  // namespace fortress::proxy

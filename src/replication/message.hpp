@@ -2,9 +2,8 @@
 //
 // One self-describing record type covers every protocol message (client
 // request, primary-backup state update, SMR ordering traffic, signed
-// responses, name-server lookups). Fields unused by a message type are left
-// empty. Signatures sign the encoding WITHOUT the signature fields
-// (signing_bytes()).
+// responses). Fields unused by a message type are left empty. Signatures
+// sign the encoding WITHOUT the signature fields (signing_bytes()).
 //
 // One path out, one path in:
 //  * MessageCore is the one encoder input: every field borrowed, every
@@ -52,15 +51,10 @@ enum class MsgType : std::uint32_t {
   // SMR ordering plane.
   PrePrepare = 20,  ///< leader -> replicas: order (view, seq) = payload
   PrepareAck = 21,  ///< replica -> replicas: endorse (view, seq, digest)
-  NewView = 22,     ///< new leader -> replicas: adopt view, re-propose
 
   // State transfer (SMR proactive recovery; §2.3).
   StateRequest = 30,  ///< rejoining replica -> all: send me your state
   StateReply = 31,    ///< replica -> rejoiner: seq + snapshot
-
-  // Name-server plane.
-  NsLookup = 40,  ///< client -> NS: directory request
-  NsReply = 41,   ///< NS -> client: directory contents
 };
 
 /// Identity of a client request: (client name, client-local sequence).

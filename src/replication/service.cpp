@@ -151,35 +151,6 @@ bool KvService::restore(BytesView snapshot) {
   return restore_map(data_, snapshot);
 }
 
-void CounterService::execute(BytesView request, Bytes& out) {
-  const Words w = split_words(request);
-  if (w.count == 0) return reply(out, "ERR empty");
-  const std::string_view cmd = w.at[0];
-  if (cmd == "INC") {
-    ++value_;
-    return reply(out, "COUNT ", std::to_string(value_));
-  }
-  if (cmd == "ADD" && w.count >= 2) {
-    value_ += std::stoll(std::string(w.at[1]));
-    return reply(out, "COUNT ", std::to_string(value_));
-  }
-  if (cmd == "GET") {
-    return reply(out, "COUNT ", std::to_string(value_));
-  }
-  return reply(out, "ERR bad-command");
-}
-
-void CounterService::snapshot(Bytes& out) const {
-  out.clear();
-  append_u64_be(out, static_cast<std::uint64_t>(value_));
-}
-
-bool CounterService::restore(BytesView snapshot) {
-  if (snapshot.size() < 8) return false;
-  value_ = static_cast<std::int64_t>(detail::load_be64(snapshot.data()));
-  return true;
-}
-
 void SessionTokenService::execute(BytesView request, Bytes& out) {
   const Words w = split_words(request);
   if (w.count == 0) return reply(out, "ERR empty");

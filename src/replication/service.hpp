@@ -64,19 +64,6 @@ class KvService final : public DeterministicService {
   StringMap data_;
 };
 
-/// A deterministic counter: "INC", "ADD <n>", "GET" -> "COUNT <n>".
-class CounterService final : public DeterministicService {
- public:
-  void execute(BytesView request, Bytes& out) override;
-  void snapshot(Bytes& out) const override;
-  [[nodiscard]] bool restore(BytesView snapshot) override;
-
-  std::int64_t value() const { return value_; }
-
- private:
-  std::int64_t value_ = 0;
-};
-
 /// A key-value store with a NON-deterministic command: "TOKEN <key>" stores
 /// and returns a fresh random token. Legal to replicate with PB (backups
 /// receive the primary's state), impossible with naive SMR re-execution —

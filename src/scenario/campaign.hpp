@@ -57,7 +57,7 @@ struct TrafficStats {
   std::uint64_t offered = 0;    ///< requests submitted (excluding retries)
   std::uint64_t completed = 0;  ///< accepted responses
   std::uint64_t timed_out = 0;  ///< deadline failures
-  std::uint64_t gave_up = 0;    ///< retry-budget failures (Overloaded)
+  std::uint64_t gave_up = 0;    ///< retry-budget failures
   std::uint64_t retries = 0;    ///< re-sends across all requests
   std::uint64_t rejected_responses = 0;
   // --- service plane (summed over the deployment's machines) ---------------

@@ -365,11 +365,6 @@ void Simulator::reset() {
   stop_requested_ = false;
 }
 
-void Simulator::reset(SchedulerKind kind) {
-  reset();
-  kind_ = kind;
-}
-
 void PeriodicTimer::arm(Time delay) {
   pending_ = sim_.schedule_after(delay, [this] {
     if (!running_) return;

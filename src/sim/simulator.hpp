@@ -178,10 +178,6 @@ class Simulator {
   /// already ran).
   void reset();
 
-  /// reset(), then switch the scheduler implementation. Pooled arenas use
-  /// this to run wheel and heap trials back-to-back on one slab.
-  void reset(SchedulerKind kind);
-
  private:
   // Geometry, node layout and heap-entry pieces live in sim/timer_wheel.hpp
   // (shared vocabulary of the wheel and the heap reference).

@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "core/directory.hpp"
 #include "osl/probe.hpp"
 #include "replication/message.hpp"
 
@@ -270,14 +269,6 @@ TEST(CodecFuzzTest, DifferentialLengthFieldAttacks) {
     }
   }
   EXPECT_GT(accepted, 0);  // the round-trip check is not vacuous
-}
-
-TEST(CodecFuzzTest, DirectoryDecodeSurvivesRandomBytes) {
-  Rng rng(4);
-  for (int trial = 0; trial < 20000; ++trial) {
-    Bytes junk = random_bytes(rng, static_cast<std::size_t>(rng.below(128)));
-    EXPECT_NO_THROW({ auto r = core::Directory::decode(junk); (void)r; });
-  }
 }
 
 TEST(CodecFuzzTest, ProbeScannerSurvivesRandomBytes) {

@@ -214,16 +214,12 @@ TEST_F(ClientTest, RetriesUntilDeadlineThenTimesOut) {
   cfg.deadline = 45.0;
   Client client(sim_, net_, registry_, fortified_directory(), cfg);
 
-  bool timed_out = false;
-  client.submit(
-      bytes_of("GET x"), [](std::uint64_t, const Bytes&) { FAIL(); },
-      [&](std::uint64_t, core::RequestOutcome outcome) {
-        timed_out = true;
-        EXPECT_EQ(outcome, core::RequestOutcome::TimedOut);
-      });
+  client.submit(bytes_of("GET x"),
+                [](std::uint64_t, const Bytes&) { FAIL(); });
   sim_.run_until(200.0);
-  EXPECT_TRUE(timed_out);
   EXPECT_EQ(client.stats().expired, 1u);
+  EXPECT_EQ(client.stats().gave_up, 0u);
+  EXPECT_EQ(client.stats().completed, 0u);
   // Initial send + backoff retries at 10, 30 (the next, at 70, is clamped
   // to the deadline timer at 45) => proxy saw 3 copies.
   EXPECT_EQ(proxy0.requests.size(), 3u);
@@ -335,17 +331,12 @@ TEST_F(ClientTest, RetryBudgetExhaustionReportsOverloaded) {
   cfg.retry_multiplier = 2.0;
   cfg.retry_budget = 2;
   Client client(sim_, net_, registry_, fortified_directory(), cfg);
-  bool overloaded = false;
-  client.submit(
-      bytes_of("GET x"), [](std::uint64_t, const Bytes&) { FAIL(); },
-      [&](std::uint64_t, RequestOutcome outcome) {
-        overloaded = true;
-        EXPECT_EQ(outcome, RequestOutcome::Overloaded);
-      });
+  client.submit(bytes_of("GET x"),
+                [](std::uint64_t, const Bytes&) { FAIL(); });
   sim_.run_until(200.0);
-  EXPECT_TRUE(overloaded);
   EXPECT_EQ(client.stats().gave_up, 1u);
   EXPECT_EQ(client.stats().expired, 0u);
+  EXPECT_EQ(client.stats().completed, 0u);
   EXPECT_EQ(client.stats().retries, 2u);
   // Original + the two budgeted retries (at 5 and 15); the give-up fires
   // one further backoff later (t = 35) without re-sending.
@@ -362,11 +353,11 @@ TEST_F(ClientTest, ResponseCancelsDeadlineTimer) {
   cfg.deadline = 45.0;
   Client client(sim_, net_, registry_, fortified_directory(), cfg);
   std::string got;
-  bool timed_out = false;
-  client.submit(
-      bytes_of("GET x"),
-      [&](std::uint64_t, const Bytes& r) { got = string_of(r); },
-      [&](std::uint64_t, RequestOutcome) { timed_out = true; });
+  int responses = 0;
+  client.submit(bytes_of("GET x"), [&](std::uint64_t, const Bytes& r) {
+    got = string_of(r);
+    ++responses;
+  });
   sim_.run_until(44.0);  // one event-tick before the deadline timer at 45
   RequestId rid = proxy0.requests.at(0).request_id;
   Message good = response_for(rid, "VALUE 1");
@@ -378,9 +369,10 @@ TEST_F(ClientTest, ResponseCancelsDeadlineTimer) {
   // Completion and timeout are mutually exclusive: the response cancelled
   // the pending deadline timer.
   EXPECT_EQ(got, "VALUE 1");
-  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(responses, 1);
   EXPECT_EQ(client.stats().completed, 1u);
   EXPECT_EQ(client.stats().expired, 0u);
+  EXPECT_EQ(client.stats().gave_up, 0u);
 }
 
 TEST_F(ClientTest, CompletionAndTimeoutMutuallyExclusivePerRequest) {
@@ -394,13 +386,10 @@ TEST_F(ClientTest, CompletionAndTimeoutMutuallyExclusivePerRequest) {
   Client client(sim_, net_, registry_, fortified_directory(), cfg);
 
   constexpr int kRequests = 10;
-  std::map<std::uint64_t, int> responded, timed_out;
+  std::map<std::uint64_t, int> responded;
   for (int i = 0; i < kRequests; ++i) {
-    std::uint64_t seq = client.submit(
-        bytes_of("GET x" + std::to_string(i)),
-        [&](std::uint64_t s, const Bytes&) { ++responded[s]; },
-        [&](std::uint64_t s, RequestOutcome) { ++timed_out[s]; });
-    (void)seq;
+    client.submit(bytes_of("GET x" + std::to_string(i)),
+                  [&](std::uint64_t s, const Bytes&) { ++responded[s]; });
   }
   sim_.run_until(2.0);
   ASSERT_EQ(proxy0.requests.size(), static_cast<std::size_t>(kRequests));
@@ -417,12 +406,18 @@ TEST_F(ClientTest, CompletionAndTimeoutMutuallyExclusivePerRequest) {
     proxy0.send("client", good);
   }
   sim_.run_until(300.0);
-  EXPECT_EQ(client.stats().completed, 5u);
-  EXPECT_EQ(client.stats().expired, 5u);
-  // Exactly ONE terminal callback per request, never both.
+  // Each request ends exactly once: the answered ones complete (one
+  // response callback each), the rest expire, and no request is counted in
+  // two outcomes.
+  const ClientStats& stats = client.stats();
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.completed, 5u);
+  EXPECT_EQ(stats.expired, 5u);
+  EXPECT_EQ(stats.gave_up, 0u);
+  EXPECT_EQ(stats.completed + stats.expired + stats.gave_up, stats.submitted);
   for (std::uint64_t seq = 1; seq <= static_cast<std::uint64_t>(kRequests);
        ++seq) {
-    EXPECT_EQ(responded[seq] + timed_out[seq], 1) << "seq " << seq;
+    EXPECT_EQ(responded[seq], seq % 2 == 1 ? 1 : 0) << "seq " << seq;
   }
 }
 

@@ -17,43 +17,11 @@ Directory sample() {
   return d;
 }
 
-TEST(DirectoryTest, EncodeDecodeRoundTrip) {
-  Directory d = sample();
-  auto decoded = Directory::decode(d.encode());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, d);
-}
-
-TEST(DirectoryTest, EmptyListsRoundTrip) {
-  Directory d;
-  auto decoded = Directory::decode(d.encode());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, d);
-}
-
 TEST(DirectoryTest, FortifiedPredicate) {
   Directory d = sample();
   EXPECT_TRUE(d.fortified());
   d.proxies.clear();
   EXPECT_FALSE(d.fortified());
-}
-
-TEST(DirectoryTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(Directory::decode(bytes_of("nope")).has_value());
-  EXPECT_FALSE(Directory::decode(Bytes{}).has_value());
-}
-
-TEST(DirectoryTest, DecodeRejectsTruncation) {
-  Bytes wire = sample().encode();
-  for (std::size_t cut = 1; cut < wire.size(); cut += 7) {
-    EXPECT_FALSE(Directory::decode(BytesView(wire.data(), cut)).has_value());
-  }
-}
-
-TEST(DirectoryTest, DecodeRejectsTrailingBytes) {
-  Bytes wire = sample().encode();
-  wire.push_back(1);
-  EXPECT_FALSE(Directory::decode(wire).has_value());
 }
 
 // The client-side acceptance rule, case by case, for both deployment

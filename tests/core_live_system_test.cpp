@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "osl/probe.hpp"
@@ -266,40 +265,55 @@ TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
   EXPECT_EQ(keys.size(), 4u);  // np + 1 distinct keys (§3)
 }
 
-TEST(NameServerTest, ServesSignedDirectory) {
-  sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
-                kv_factory());
-  system.start();
-
-  class Lookup : public net::Handler {
-   public:
-    void on_message(const net::Envelope& env) override {
-      auto msg = replication::MessageView::decode(env.payload);
-      if (msg && msg->type() == replication::MsgType::NsReply) {
-        reply = msg->materialize();
-      }
+// §3: what each class tells its clients. A client of the fortified system
+// learns the proxies and the server principals, never the server addresses;
+// a client of a 1-tier system learns the server addresses, which are also
+// the server principals. All three classes are built from one plan.
+TEST(LiveSystemTest, DirectoryTellsClientsOnlyWhatTheirClassAllows) {
+  net::ScenarioPlan plan = test_config(osl::ObfuscationPolicy::Rerandomize);
+  plan.n_servers = 5;  // S0 deploys the smallest 3f+1 >= 5: f = 2, 7 replicas
+  auto machine_addresses = [](LiveSystem& system) {
+    std::vector<net::Address> out;
+    for (int i = 0; i < system.n_servers(); ++i) {
+      out.push_back(system.server_machine(i).address());
     }
-    std::optional<replication::Message> reply;
-  } lookup;
-  const net::HostId client_id =
-      system.network().attach("prospective-client", lookup);
+    return out;
+  };
 
-  replication::Message req;
-  req.type = replication::MsgType::NsLookup;
-  system.network().send(client_id,
-                        system.network().id_of(kNameServerAddress),
-                        req.encode());
-  sim.run_until(sim.now() + 5.0);
+  sim::Simulator sim2;
+  LiveS2 s2(sim2, plan, kSeed, kv_factory());
+  const Directory& d2 = s2.directory();
+  std::vector<net::Address> proxy_addrs;
+  for (int i = 0; i < s2.n_proxies(); ++i) {
+    proxy_addrs.push_back(s2.proxy_machine(i).address());
+  }
+  EXPECT_EQ(proxy_addrs.size(), 3u);
+  EXPECT_EQ(d2.proxies, proxy_addrs);
+  EXPECT_EQ(d2.server_principals, s2.server_addresses());
+  EXPECT_EQ(d2.server_principals, machine_addresses(s2));
+  EXPECT_TRUE(d2.server_addrs.empty());
+  EXPECT_EQ(d2.replication, ReplicationType::PrimaryBackup);
+  EXPECT_TRUE(d2.fortified());
 
-  ASSERT_TRUE(lookup.reply.has_value());
-  const Bytes wire = lookup.reply->encode();
-  auto view = replication::MessageView::decode(wire);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_TRUE(replication::verify_message(*view, system.registry()));
-  auto dir = Directory::decode(lookup.reply->aux);
-  ASSERT_TRUE(dir.has_value());
-  EXPECT_EQ(*dir, system.directory());
+  sim::Simulator sim1;
+  LiveS1 s1(sim1, plan, kSeed, kv_factory());
+  const Directory& d1 = s1.directory();
+  EXPECT_EQ(d1.server_addrs, d1.server_principals);
+  EXPECT_EQ(d1.server_addrs, machine_addresses(s1));
+  EXPECT_EQ(d1.server_addrs.size(), 5u);
+  EXPECT_TRUE(d1.proxies.empty());
+  EXPECT_EQ(d1.replication, ReplicationType::PrimaryBackup);
+  EXPECT_FALSE(d1.fortified());
+
+  sim::Simulator sim0;
+  LiveS0 s0(sim0, plan, kSeed, det_kv_factory());
+  const Directory& d0 = s0.directory();
+  EXPECT_EQ(d0.replication, ReplicationType::StateMachine);
+  EXPECT_EQ(d0.f, 2u);
+  EXPECT_EQ(s0.n_servers(), static_cast<int>(3 * d0.f + 1));
+  EXPECT_EQ(d0.server_principals, machine_addresses(s0));
+  EXPECT_EQ(d0.server_addrs, d0.server_principals);
+  EXPECT_TRUE(d0.proxies.empty());
 }
 
 }  // namespace

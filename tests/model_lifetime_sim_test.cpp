@@ -74,14 +74,15 @@ TEST(LifetimeSimTest, S2PoStepMatchesClosedForm) {
 }
 
 TEST(LifetimeSimTest, NaiveLoopAgreesWithFastForward) {
-  // The literal per-step Bernoulli loop and the geometric fast-forward must
-  // produce statistically identical lifetimes.
+  // The literal per-step Bernoulli loop (at the default period 1) and the
+  // geometric fast-forward must produce statistically identical lifetimes.
   auto p = params(0.05, 0.5);
+  ASSERT_EQ(p.period, 1u);
   for (auto shape : {SystemShape::s0(), SystemShape::s1(), SystemShape::s2()}) {
     RunningStats naive;
     for (std::uint64_t t = 0; t < 20000; ++t) {
       Rng rng = Rng::substream(100, t);
-      auto r = simulate_lifetime_po_naive(shape, p, rng, 1ull << 30);
+      auto r = simulate_lifetime_po_period_naive(shape, p, rng, 1ull << 30);
       naive.add(static_cast<double>(r.whole_steps));
     }
     double fast = mc_mean(shape, p, Obfuscation::Proactive, Granularity::Step,

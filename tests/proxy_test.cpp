@@ -186,11 +186,11 @@ class ProxyOverloadTest : public ::testing::Test {
 TEST(ProbeLogTest, ScoreAndWindowExpiry) {
   const net::HostId evil = 7;
   ProbeLog log(DetectionConfig{100.0, 3});
-  log.record(evil, Suspicion::MalformedRequest, 10.0);
-  log.record(evil, Suspicion::CorrelatedCrash, 20.0);
+  log.record(evil, 10.0);
+  log.record(evil, 20.0);
   EXPECT_EQ(log.score(evil, 25.0), 2u);
   EXPECT_FALSE(log.flagged(evil, 25.0));
-  log.record(evil, Suspicion::CorrelatedCrash, 30.0);
+  log.record(evil, 30.0);
   EXPECT_TRUE(log.flagged(evil, 35.0));
   // Events age out of the window: at t=115 only the 20.0 and 30.0 events
   // remain; at t=200 all have expired.
@@ -202,9 +202,9 @@ TEST(ProbeLogTest, ScoreAndWindowExpiry) {
 TEST(ProbeLogTest, SourcesAreIndependent) {
   const net::HostId a = 1, b = 2;
   ProbeLog log(DetectionConfig{100.0, 2});
-  log.record(a, Suspicion::MalformedRequest, 1.0);
-  log.record(a, Suspicion::MalformedRequest, 2.0);
-  log.record(b, Suspicion::MalformedRequest, 3.0);
+  log.record(a, 1.0);
+  log.record(a, 2.0);
+  log.record(b, 3.0);
   EXPECT_TRUE(log.flagged(a, 5.0));
   EXPECT_FALSE(log.flagged(b, 5.0));
   EXPECT_EQ(log.score(a, 5.0), 2u);

@@ -360,11 +360,10 @@ TEST(MessageViewTest, ProxyResponseEncodeMatchesMaterializedRewrite) {
 // --- the round-trip property ------------------------------------------------
 
 constexpr MsgType kAllTypes[] = {
-    MsgType::Request,      MsgType::Response,     MsgType::ProxyResponse,
-    MsgType::StateUpdate,  MsgType::Heartbeat,    MsgType::ViewChange,
-    MsgType::PrePrepare,   MsgType::PrepareAck,   MsgType::NewView,
-    MsgType::StateRequest, MsgType::StateReply,   MsgType::NsLookup,
-    MsgType::NsReply,
+    MsgType::Request,      MsgType::Response,   MsgType::ProxyResponse,
+    MsgType::StateUpdate,  MsgType::Heartbeat,  MsgType::ViewChange,
+    MsgType::PrePrepare,   MsgType::PrepareAck, MsgType::StateRequest,
+    MsgType::StateReply,
 };
 
 Bytes random_field(Rng& rng) {
@@ -533,7 +532,7 @@ TEST(MessageCoreTest, EncodeMatchesUnsignedMessage) {
 }
 
 TEST(MessageCoreTest, EncodeSignedMatchesSignMessage) {
-  // The SMR and name-server send paths sign straight from borrowed fields:
+  // The SMR and replica-core send paths sign straight from borrowed fields:
   // the bytes must equal the owning record signed by sign_message and
   // encoded — for ordering traffic (empty requester, signed bytes = wire
   // prefix) and for the types whose signed form differs from the wire (a
@@ -542,8 +541,7 @@ TEST(MessageCoreTest, EncodeSignedMatchesSignMessage) {
   crypto::SigningKey key = registry.enroll("replica-2");
   for (MsgType type :
        {MsgType::PrePrepare, MsgType::PrepareAck, MsgType::ViewChange,
-        MsgType::StateReply, MsgType::NsReply, MsgType::Response,
-        MsgType::ProxyResponse}) {
+        MsgType::StateReply, MsgType::Response, MsgType::ProxyResponse}) {
     for (bool with_requester : {false, true}) {
       Message m = sample();
       m.type = type;

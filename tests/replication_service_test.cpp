@@ -39,11 +39,6 @@ TEST(KvServiceTest, ExecuteAndSnapshotReplaceBufferContents) {
   KvService fresh;
   EXPECT_TRUE(fresh.restore(snap));
   EXPECT_EQ(run(fresh, "GET k"), "VALUE v");
-  CounterService counter;
-  counter.execute(req("ADD 5"), out);
-  EXPECT_EQ(string_of(out), "COUNT 5");
-  counter.snapshot(snap);
-  EXPECT_EQ(snap.size(), 8u);
 }
 
 TEST(KvServiceTest, PutGetDelete) {
@@ -107,23 +102,6 @@ TEST(KvServiceTest, DeterminismAcrossInstances) {
     EXPECT_EQ(execute(a, req(cmd)), execute(b, req(cmd)));
   }
   EXPECT_EQ(snapshot(a), snapshot(b));
-}
-
-TEST(CounterServiceTest, IncAddGet) {
-  CounterService c;
-  EXPECT_EQ(run(c, "GET"), "COUNT 0");
-  EXPECT_EQ(run(c, "INC"), "COUNT 1");
-  EXPECT_EQ(run(c, "ADD 10"), "COUNT 11");
-  EXPECT_EQ(run(c, "ADD -4"), "COUNT 7");
-  EXPECT_EQ(c.value(), 7);
-}
-
-TEST(CounterServiceTest, SnapshotRoundTrip) {
-  CounterService a;
-  run(a, "ADD 42");
-  CounterService b;
-  EXPECT_TRUE(b.restore(snapshot(a)));
-  EXPECT_EQ(b.value(), 42);
 }
 
 TEST(SessionTokenServiceTest, MintsAndChecksTokens) {
@@ -250,13 +228,6 @@ TEST(ServiceRestoreTest, MalformedSnapshotLeavesStateUntouched) {
     const Bytes tokens_before = snapshot(tokens);
     EXPECT_FALSE(tokens.restore(cut)) << "length " << len;
     EXPECT_EQ(snapshot(tokens), tokens_before) << "length " << len;
-  }
-  CounterService counter;
-  run(counter, "ADD 5");
-  const Bytes snap = snapshot(counter);
-  for (std::size_t len = 0; len < snap.size(); ++len) {
-    EXPECT_FALSE(counter.restore(BytesView(snap.data(), len)));
-    EXPECT_EQ(counter.value(), 5);
   }
 }
 

