@@ -6,6 +6,11 @@
 
 namespace fortress::attack {
 
+namespace {
+/// The first identity's address; sybil k is "attacker-sybil-k".
+constexpr const char* kAddress = "attacker";
+}  // namespace
+
 DerandAttacker::DerandAttacker(sim::Simulator& sim, net::Network& network,
                                AttackerConfig config)
     : sim_(sim),
@@ -15,9 +20,10 @@ DerandAttacker::DerandAttacker(sim::Simulator& sim, net::Network& network,
   FORTRESS_EXPECTS(config_.keyspace >= 2);
   FORTRESS_EXPECTS(config_.probes_per_step > 0);
   FORTRESS_EXPECTS(config_.sybil_identities >= 1);
-  identities_.push_back(config_.address);
+  identities_.push_back(kAddress);
   for (unsigned i = 1; i < config_.sybil_identities; ++i) {
-    identities_.push_back(config_.address + "-sybil-" + std::to_string(i));
+    identities_.push_back(kAddress + std::string("-sybil-") +
+                          std::to_string(i));
   }
   identity_ids_.reserve(identities_.size());
   for (const net::Address& id : identities_) {

@@ -41,7 +41,6 @@
 namespace fortress::attack {
 
 struct AttackerConfig {
-  net::Address address = "attacker";
   std::uint64_t keyspace = 1ull << 16;  ///< χ
   sim::Time step_duration = 100.0;
   double probes_per_step = 64.0;          ///< ω, per direct channel

@@ -212,6 +212,11 @@ void ScenarioPlan::validate() const {
               "must be finite and > 0 under proxy_blacklist",
               detection_window);
   }
+  if (proxy_blacklist && detection_threshold == 0) {
+    // A zero threshold flags every source on its first suspicious event.
+    plan_fail(ctx, "detection_threshold", "must be >= 1 under proxy_blacklist",
+              0.0);
+  }
   service.validate(ctx + ".service");
   traffic.validate(ctx + ".traffic");
   population.validate(ctx + ".population");

@@ -177,9 +177,6 @@ static_assert(fields::complete<AttackSchedule>());
 enum class OverloadPolicy : std::uint8_t {
   /// Arrivals to a full queue are dropped (counted as shed).
   DropTail,
-  /// The NEWEST queued entry is evicted to admit the arrival — oldest work
-  /// keeps its place, so in-progress retry chains converge.
-  ShedNewest,
   /// Arrivals to a full queue are parked and re-offered after
   /// `pushback_delay` (connection-level pushback): nothing is lost, but the
   /// sender's effective latency inflates without bound while overload lasts.
@@ -192,9 +189,8 @@ enum class OverloadPolicy : std::uint8_t {
   DegradeUnsigned,
 };
 
-inline constexpr fields::EnumNames<OverloadPolicy, 4> kOverloadPolicyNames{
-    "overload policy",
-    {"drop_tail", "shed_newest", "backpressure", "degrade_unsigned"}};
+inline constexpr fields::EnumNames<OverloadPolicy, 3> kOverloadPolicyNames{
+    "overload policy", {"drop_tail", "backpressure", "degrade_unsigned"}};
 
 /// Per-machine service-time model: when enabled, every protocol message a
 /// machine's application would handle is run through a bounded single-server
@@ -386,8 +382,8 @@ struct ScenarioPlan {
   int n_servers = 3;
   int n_proxies = 3;  ///< S2 only
   /// Proxy-tier detection (S2): blacklist sources whose suspicion score
-  /// reaches `detection_threshold` within `detection_window` time units
-  /// (0 threshold disables detection).
+  /// reaches `detection_threshold` (>= 1 when on) within `detection_window`
+  /// time units. Off, the proxies still score sources but blacklist none.
   bool proxy_blacklist = false;
   std::uint32_t detection_threshold = 0;
   sim::Time detection_window = 500.0;

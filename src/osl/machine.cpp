@@ -192,13 +192,6 @@ void Machine::enqueue_service(const net::Envelope& env, ServiceClass cls) {
       case net::OverloadPolicy::DegradeUnsigned:
         ++overload_stats_.shed;
         return;  // dropped before any copy is made
-      case net::OverloadPolicy::ShedNewest:
-        // Evict the newest queued entry: oldest work keeps its place, so a
-        // request that has waited is not starved by its own retries.
-        network_.recycle_buffer(std::move(service_queue_.back().payload));
-        service_queue_.pop_back();
-        ++overload_stats_.shed;
-        break;
       case net::OverloadPolicy::Backpressure:
         park_service(copy_message(env, cls));
         return;

@@ -59,8 +59,7 @@ class Application {
 struct OverloadStats {
   std::uint64_t enqueued = 0;  ///< admitted to the queue
   std::uint64_t served = 0;    ///< dispatched to the application
-  /// Dropped by DropTail/DegradeUnsigned at a full queue, or evicted by
-  /// ShedNewest.
+  /// Dropped by DropTail/DegradeUnsigned at a full queue.
   std::uint64_t shed = 0;
   /// Arrivals parked by Backpressure (counted once per park, so a message
   /// re-parked twice counts twice — the pushback the sender experienced).
@@ -208,7 +207,6 @@ class Machine final : public net::Handler {
       return slots_[(head_ + i) & (slots_.size() - 1)];
     }
     QueuedMessage& front() { return at(0); }
-    QueuedMessage& back() { return at(size_ - 1); }
     void push_back(QueuedMessage&& qm) {
       if (size_ == slots_.size()) grow();
       at(size_) = std::move(qm);
@@ -218,7 +216,6 @@ class Machine final : public net::Handler {
       head_ = (head_ + 1) & (slots_.size() - 1);
       --size_;
     }
-    void pop_back() { --size_; }
     void clear() {
       head_ = 0;
       size_ = 0;

@@ -87,10 +87,7 @@ void ProxyNode::handle_message(const net::Envelope& env) {
     // to the application layer — although raw probes never reach here, any
     // other malformed bytes do).
     ++stats_.malformed_requests;
-    log_.record(env.from, sim_.now());
-    if (config_.blacklist_enabled && log_.flagged(env.from, sim_.now())) {
-      blacklist_.insert(env.from);
-    }
+    suspect(env.from);
     return;
   }
   switch (msg->type()) {
@@ -169,7 +166,7 @@ void ProxyNode::handle_server_response(const net::Envelope& env,
   } else if (!replication::verify_from_indexed_peer(
                  msg, server_schedules_, config_.servers, registry_)) {
     ++stats_.invalid_signatures;
-    log_.record(env.from, sim_.now());
+    suspect(env.from);
     return;
   }
   // Over-sign this authentic response and deliver to every client that has
@@ -203,6 +200,10 @@ void ProxyNode::observe_server_closure(net::HostId source,
   // forwarded on that connection.
   ++stats_.server_crashes_observed;
   if (source == net::kInvalidHost) return;
+  suspect(source);
+}
+
+void ProxyNode::suspect(net::HostId source) {
   log_.record(source, sim_.now());
   if (config_.blacklist_enabled && log_.flagged(source, sim_.now())) {
     blacklist_.insert(source);

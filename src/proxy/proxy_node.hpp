@@ -116,6 +116,9 @@ class ProxyNode final : public osl::Application {
   void dial_server(std::size_t index);
   void forward(const replication::MessageView& msg);
   void observe_server_closure(net::HostId source, net::CloseReason reason);
+  /// Record one suspicious event against `source`, and blacklist it once
+  /// its score reaches the detection threshold (when blacklisting is on).
+  void suspect(net::HostId source);
 
   sim::Simulator& sim_;
   net::Network& network_;

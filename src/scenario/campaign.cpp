@@ -340,7 +340,9 @@ CampaignResult run_campaign_subset(
     rules = config.adaptive.effective_rules();
     for (const StoppingRule& rule : rules) validate_rule(rule);
   }
-  const bool stealing = adaptive && config.adaptive.work_stealing;
+  // There is one round schedule; the key stays only so committed specs
+  // decode.
+  FORTRESS_EXPECTS(!config.adaptive.work_stealing);
   for (const CampaignCell& cell : cells) cell.plan.validate();
 
   struct CellState {
@@ -400,53 +402,12 @@ CampaignResult run_campaign_subset(
   bool any_open = true;
   while (any_open) {
     // --- plan the round -------------------------------------------------
-    std::fill(grant.begin(), grant.end(), 0);
-    if (!stealing) {
-      // Legacy schedule: every open cell gets round_trials, capped by its
-      // remaining budget; closed cells shrink the round.
-      for (std::size_t c = 0; c < states.size(); ++c) {
-        if (!states[c].open) continue;
-        grant[c] = std::min(round_trials, max_trials - states[c].next_trial);
-      }
-    } else {
-      // Work-stealing schedule: the round's capacity is the FULL grid's
-      // (round_trials per cell, open or closed) and the open cells split
-      // it evenly in cell order — so closing a cell re-issues its share to
-      // the survivors instead of shrinking the round. Cells near their cap
-      // absorb only their headroom; the spill re-flows to the rest in
-      // further passes. While every cell is open this degenerates to the
-      // legacy schedule exactly.
-      std::uint64_t remaining =
-          round_trials * static_cast<std::uint64_t>(states.size());
-      while (remaining > 0) {
-        std::size_t takers = 0;
-        for (std::size_t c = 0; c < states.size(); ++c) {
-          if (states[c].open &&
-              states[c].next_trial + grant[c] < max_trials) {
-            ++takers;
-          }
-        }
-        if (takers == 0) break;
-        const std::uint64_t share = remaining / takers;
-        std::uint64_t extra = remaining % takers;
-        std::uint64_t assigned = 0;
-        for (std::size_t c = 0; c < states.size(); ++c) {
-          if (!states[c].open) continue;
-          const std::uint64_t headroom =
-              max_trials - states[c].next_trial - grant[c];
-          if (headroom == 0) continue;
-          std::uint64_t want = share;
-          if (extra > 0) {
-            ++want;
-            --extra;
-          }
-          const std::uint64_t give = std::min(want, headroom);
-          grant[c] += give;
-          assigned += give;
-        }
-        remaining -= assigned;
-        if (assigned == 0) break;
-      }
+    // Every open cell gets round_trials, capped by its remaining budget;
+    // closed cells shrink the round.
+    for (std::size_t c = 0; c < states.size(); ++c) {
+      grant[c] = states[c].open
+                     ? std::min(round_trials, max_trials - states[c].next_trial)
+                     : 0;
     }
 
     for (std::size_t c = 0; c < states.size(); ++c) {

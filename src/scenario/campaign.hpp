@@ -197,14 +197,13 @@ static_assert(fields::complete<StoppingRule>());
 ///
 /// Determinism contract: a cell's trial indices grow contiguously across
 /// rounds (trial t of cell c always uses trial_seed(base, c, t)), and the
-/// close/continue decision — and the next round's trial allocation, work-
-/// stealing included — is made by the in-order reducer between rounds, so
-/// the executed (cell, trial) seed set, and therefore every aggregate, is
-/// bit-identical for any thread count.
+/// close/continue decision — and the next round's trial allocation — is
+/// made by the in-order reducer between rounds, so the executed (cell,
+/// trial) seed set, and therefore every aggregate, is bit-identical for any
+/// thread count.
 struct AdaptiveConfig {
   bool enabled = false;
-  /// Per-cell trials per round (with work_stealing, the per-cell SHARE of
-  /// the round's capacity while every cell is open).
+  /// Per-cell trials per round.
   std::uint64_t round_trials = 16;
   /// The default mean-lifetime rule's relative target (used when `rules`
   /// is empty): close once half_width(CI) <= max(target_rel_ci * mean,
@@ -220,16 +219,9 @@ struct AdaptiveConfig {
   /// Multi-metric stopping: when non-empty these REPLACE the default
   /// mean-lifetime rule, and a cell stays open until every rule holds.
   std::vector<StoppingRule> rules;
-  /// Work-stealing rounds: every round re-issues the FULL grid capacity
-  /// (round_trials x number of cells) across the still-open cells, split
-  /// evenly in cell order (capped by each cell's remaining budget, spill
-  /// re-flowing to the rest) — closed cells donate their share instead of
-  /// shrinking the round, so workers never idle as the grid converges.
-  /// While every cell is open the allocation equals the legacy schedule;
-  /// off (the default) preserves the PR-3 allocation bit-exactly. Stealing
-  /// pools capacity WITHIN one run_campaign call: a sharded campaign steals
-  /// within each shard, so shard-vs-single-process bit-identity holds only
-  /// with stealing off (see scenario/shard.hpp).
+  /// Must be false (run_campaign rejects true): there is one round
+  /// schedule. The key stays because every committed spec and workload
+  /// carries it.
   bool work_stealing = false;
 
   /// The rule set in force: `rules`, or the single default mean-lifetime
@@ -356,8 +348,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
 /// owns a subset of a larger grid executes exactly the (cell, trial) seed
 /// set the full single-process run would have executed for those cells
 /// (stopping decisions are per-cell, so per-cell aggregates match bit for
-/// bit; see scenario/shard.hpp for the caveat on work_stealing, whose
-/// donation pool is per-call). run_campaign(cells, cfg) ==
+/// bit). run_campaign(cells, cfg) ==
 /// run_campaign_subset(cells, cfg, {0, 1, ..., cells.size()-1}).
 /// Precondition: cell_indices.size() == cells.size().
 CampaignResult run_campaign_subset(

@@ -33,7 +33,7 @@ std::vector<std::string> differential_check(
     fresh.cfg.reuse_trial_stacks = false;
     arms.push_back(fresh);
     Arm threads{"8 threads (vs 1)", reference};
-    threads.cfg.threads = options.threads;
+    threads.cfg.threads = 8;
     arms.push_back(threads);
     Arm heap{"heap scheduler (vs wheel)", reference};
     heap.cfg.scheduler = sim::SchedulerKind::Heap;

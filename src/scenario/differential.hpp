@@ -34,12 +34,10 @@ struct DifferentialOptions {
       model::SystemKind::S0, model::SystemKind::S1, model::SystemKind::S2};
   std::uint64_t trials_per_cell = 3;
   std::uint64_t base_seed = 1;
-  /// Thread count for the "many threads" comparison arm.
-  unsigned threads = 8;
 };
 
 /// Runs the reference campaign (pooled, 1 thread, wheel scheduler) and the
-/// three varied arms (fresh stacks / `threads` threads / heap scheduler);
+/// three varied arms (fresh stacks / 8 threads / heap scheduler);
 /// returns one description per diverging arm, empty when all aggregates are
 /// bit-identical. The reference fingerprint is appended to each message so
 /// failures are self-describing in CI logs.

@@ -11,6 +11,24 @@ namespace fortress::scenario {
 
 namespace {
 
+// Cost ceilings for generated plans: they keep one (plan x 3-trial)
+// campaign in the low-millisecond range, so the differential lane can
+// afford dozens of plans times four campaign configurations.
+constexpr std::uint64_t kMaxHorizonSteps = 5;
+constexpr double kMaxStepDuration = 60.0;
+constexpr double kMaxProbesPerStep = 24.0;
+constexpr std::uint64_t kMaxServers = 4;
+constexpr std::uint64_t kMaxProxies = 4;
+constexpr std::uint64_t kMaxTrafficClients = 3;
+constexpr double kMaxTrafficRate = 4.0;
+constexpr std::uint64_t kMaxPopulation = 4096;
+// Probability of opting into each optional plane.
+constexpr double kPPartitions = 0.5;
+constexpr double kPFaults = 0.6;
+constexpr double kPService = 0.45;
+constexpr double kPTraffic = 0.4;
+constexpr double kPPopulation = 0.3;
+
 /// Round a double to 6 significant-ish decimals so generated plans have
 /// short canonical lexemes (files and digests stay readable); the value is
 /// still an exact double, which is all determinism needs.
@@ -53,9 +71,6 @@ std::vector<net::Address> address_pool(int n_servers, int n_proxies) {
 
 }  // namespace
 
-PlanGenerator::PlanGenerator(std::uint64_t seed, GeneratorConfig config)
-    : seed_(seed), cfg_(config) {}
-
 net::ScenarioPlan PlanGenerator::next() {
   // One independent substream per plan: plan i is a function of (seed, i)
   // alone, so a failing plan index reproduces without replaying the stream.
@@ -67,14 +82,11 @@ net::ScenarioPlan PlanGenerator::next() {
 
   // --- deployment shape ------------------------------------------------------
   p.keyspace = 1ull << (5 + rng.below(6));  // 32 .. 1024
-  p.step_duration = rnd(10.0 + (cfg_.max_step_duration - 10.0) *
-                                   rng.uniform01());
-  p.horizon_steps = 1 + rng.below(cfg_.max_horizon_steps);
+  p.step_duration = rnd(10.0 + (kMaxStepDuration - 10.0) * rng.uniform01());
+  p.horizon_steps = 1 + rng.below(kMaxHorizonSteps);
   p.rerandomize = !rng.bernoulli(0.2);
-  p.n_servers = 1 + static_cast<int>(rng.below(
-                        static_cast<std::uint64_t>(cfg_.max_servers)));
-  p.n_proxies = 1 + static_cast<int>(rng.below(
-                        static_cast<std::uint64_t>(cfg_.max_proxies)));
+  p.n_servers = 1 + static_cast<int>(rng.below(kMaxServers));
+  p.n_proxies = 1 + static_cast<int>(rng.below(kMaxProxies));
   const double horizon = p.step_duration *
                          static_cast<double>(p.horizon_steps);
 
@@ -84,7 +96,7 @@ net::ScenarioPlan PlanGenerator::next() {
   p.duplicate_probability =
       rng.bernoulli(0.3) ? rnd(0.05 * rng.uniform01()) : 0.0;
 
-  if (rng.bernoulli(cfg_.p_partitions)) {
+  if (rng.bernoulli(kPPartitions)) {
     std::vector<net::Address> pool = address_pool(p.n_servers, p.n_proxies);
     const std::uint64_t windows = 1 + rng.below(3);
     for (std::uint64_t i = 0; i < windows; ++i) {
@@ -105,7 +117,7 @@ net::ScenarioPlan PlanGenerator::next() {
   }
 
   // --- fault schedule --------------------------------------------------------
-  if (rng.bernoulli(cfg_.p_faults)) {
+  if (rng.bernoulli(kPFaults)) {
     const std::uint64_t events = 1 + rng.below(4);
     for (std::uint64_t i = 0; i < events; ++i) {
       net::FaultEvent f;
@@ -130,7 +142,7 @@ net::ScenarioPlan PlanGenerator::next() {
   if (p.attack.enabled) {
     p.attack.direct_enabled = !rng.bernoulli(0.25);
     p.attack.probes_per_step =
-        rnd(1.0 + (cfg_.max_probes_per_step - 1.0) * rng.uniform01());
+        rnd(1.0 + (kMaxProbesPerStep - 1.0) * rng.uniform01());
     p.attack.indirect_fraction = rnd(rng.uniform01());
     p.attack.start_time = rnd(0.2 * horizon * rng.uniform01());
     p.attack.sybil_identities = 1 + static_cast<unsigned>(rng.below(4));
@@ -144,7 +156,7 @@ net::ScenarioPlan PlanGenerator::next() {
   }
 
   // --- service model ---------------------------------------------------------
-  if (rng.bernoulli(cfg_.p_service)) {
+  if (rng.bernoulli(kPService)) {
     p.service.enabled = true;
     p.service.request_service = random_latency(rng, 0.05, 0.1);
     p.service.response_service = random_latency(rng, 0.02, 0.05);
@@ -152,10 +164,9 @@ net::ScenarioPlan PlanGenerator::next() {
     p.service.verify_cost = rng.bernoulli(0.5) ? rnd(0.2 * rng.uniform01())
                                                : 0.0;
     p.service.queue_capacity = 4 + static_cast<std::uint32_t>(rng.below(61));
-    switch (rng.below(4)) {
+    switch (rng.below(3)) {
       case 0: p.service.policy = net::OverloadPolicy::DropTail; break;
-      case 1: p.service.policy = net::OverloadPolicy::ShedNewest; break;
-      case 2: p.service.policy = net::OverloadPolicy::Backpressure; break;
+      case 1: p.service.policy = net::OverloadPolicy::Backpressure; break;
       default: p.service.policy = net::OverloadPolicy::DegradeUnsigned; break;
     }
     p.service.degrade_watermark =
@@ -165,10 +176,8 @@ net::ScenarioPlan PlanGenerator::next() {
   }
 
   // --- open-loop traffic -----------------------------------------------------
-  if (rng.bernoulli(cfg_.p_traffic)) {
-    p.traffic.clients = 1 + static_cast<int>(rng.below(
-                                static_cast<std::uint64_t>(
-                                    cfg_.max_traffic_clients)));
+  if (rng.bernoulli(kPTraffic)) {
+    p.traffic.clients = 1 + static_cast<int>(rng.below(kMaxTrafficClients));
     // 1-4 strictly ascending phases; ~half the multi-phase schedules include
     // a zero-rate pause (diurnal trough).
     const std::uint64_t phases = 1 + rng.below(4);
@@ -178,8 +187,7 @@ net::ScenarioPlan PlanGenerator::next() {
       phase.at = at;
       phase.rate = (i > 0 && rng.bernoulli(0.3))
                        ? 0.0
-                       : rnd(0.2 + (cfg_.max_traffic_rate - 0.2) *
-                                       rng.uniform01());
+                       : rnd(0.2 + (kMaxTrafficRate - 0.2) * rng.uniform01());
       p.traffic.schedule.push_back(phase);
       at = rnd(at + 0.05 + (horizon / static_cast<double>(phases)) *
                                rng.uniform01());
@@ -200,8 +208,8 @@ net::ScenarioPlan PlanGenerator::next() {
   }
 
   // --- compact population ----------------------------------------------------
-  if (rng.bernoulli(cfg_.p_population)) {
-    p.population.clients = 64 + rng.below(cfg_.max_population - 63);
+  if (rng.bernoulli(kPPopulation)) {
+    p.population.clients = 64 + rng.below(kMaxPopulation - 63);
     p.population.cohort_size = 64u << rng.below(5);  // 64 .. 1024
     p.population.request_rate = rnd(0.0005 + 0.003 * rng.uniform01());
     p.population.write_fraction = rnd(rng.uniform01());

@@ -33,12 +33,7 @@
 // GLOBAL cell index (run_campaign_subset), and adaptive stopping decisions
 // are per-cell — a cell's close/continue history depends only on its own
 // trials. Partitioning cells across processes therefore does not change any
-// cell's executed (cell, trial) seed set. The one exception is work
-// stealing, whose donation pool is per-call: a spec with work_stealing on
-// still runs correctly sharded (each shard steals within itself), but
-// bit-identity to the single-process run is only guaranteed with stealing
-// off. merge_shards does not forbid the combination — the shard ctest lane
-// pins byte-identity on a stealing-off spec.
+// cell's executed (cell, trial) seed set.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +105,8 @@ struct ShardResult {
 /// == shard, which interleaves systems-major neighbours — adjacent cells
 /// tend to cost alike, so round-robin is also the static load balancer).
 /// Seeds derive from global indices via run_campaign_subset, so each cell's
-/// stats are bit-identical to the single-process run's (work stealing, if
-/// enabled, pools capacity within this shard only — see the header
-/// comment). Preconditions: n_shards >= 1, shard < n_shards.
+/// stats are bit-identical to the single-process run's. Preconditions:
+/// n_shards >= 1, shard < n_shards.
 ShardResult run_campaign_shard(const std::vector<CampaignCell>& cells,
                                const CampaignConfig& config,
                                std::uint32_t shard, std::uint32_t n_shards,
@@ -121,8 +115,8 @@ ShardResult run_campaign_shard(const std::vector<CampaignCell>& cells,
 /// Reassemble the full grid from shard sidecars. Verifies: non-empty input,
 /// all shards agree on n_cells / n_shards / spec digest (nonzero digests
 /// must match), and the union of cell indices covers [0, n_cells) exactly
-/// once. Returns the cells in GLOBAL order with summed totals — for a
-/// stealing-off spec, bit-identical to run_campaign on the full grid.
+/// once. Returns the cells in GLOBAL order with summed totals, bit-identical
+/// to run_campaign on the full grid.
 /// Throws json::ParseError on any violation (the merge is a codec-layer
 /// integrity check, not a numeric one).
 CampaignResult merge_shards(const std::vector<ShardResult>& shards);

@@ -132,18 +132,6 @@ TEST_F(MachineOverloadTest, DropTailShedsArrivalsAtFullQueue) {
   EXPECT_EQ(app_.payloads[2], request_wire("GET k2", 3));
 }
 
-TEST_F(MachineOverloadTest, ShedNewestEvictsYoungestQueuedEntry) {
-  machine_.configure_service(model(net::OverloadPolicy::ShedNewest, 2), 1);
-  send_requests(5);
-  sim_.run_until(20.0);
-  // 1 in service; 2,3 queued; 4 evicts 3; 5 evicts 4 => served 1, 2, 5.
-  ASSERT_EQ(app_.payloads.size(), 3u);
-  EXPECT_EQ(machine_.overload().shed, 2u);
-  EXPECT_EQ(app_.payloads[0], request_wire("GET k0", 1));
-  EXPECT_EQ(app_.payloads[1], request_wire("GET k1", 2));
-  EXPECT_EQ(app_.payloads[2], request_wire("GET k4", 5));
-}
-
 TEST_F(MachineOverloadTest, BackpressureParksAndRedelivers) {
   net::ServiceModel m = model(net::OverloadPolicy::Backpressure, 1);
   m.pushback_delay = 5.0;

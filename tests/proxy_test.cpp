@@ -367,6 +367,39 @@ TEST_F(ProxyTest, UnsolicitedServerResponseIgnored) {
   EXPECT_EQ(proxy_->stats().responses_delivered, 0u);
 }
 
+TEST_F(ProxyTest, ForgedResponsesGetSourceBlacklisted) {
+  boot_and_start();
+  ClientEndpoint client(net_, "client");
+  client.send_request({"client", 1}, "GET a", proxy_machine_->id());
+  sim_.run_until(sim_.now() + 30.0);
+  ASSERT_EQ(client.responses.size(), 1u);
+
+  // A host that is no server answers the pending request with responses it
+  // signed itself, as many times as the detection threshold (3).
+  ClientEndpoint forger(net_, "forger");
+  const crypto::SigningKey forger_key = registry_.enroll("forger");
+  for (int i = 0; i < 3; ++i) {
+    Message fake;
+    fake.type = MsgType::Response;
+    fake.request_id = RequestId{"client", 1};
+    fake.requester = "proxy-0";
+    fake.payload = bytes_of("bogus");
+    replication::sign_message(fake, forger_key);
+    net_.send(forger.id(), proxy_machine_->id(), fake.encode());
+    sim_.run_until(sim_.now() + 5.0);
+  }
+  EXPECT_EQ(proxy_->stats().invalid_signatures, 3u);
+  EXPECT_EQ(client.responses.size(), 1u);
+  EXPECT_TRUE(proxy_->blacklisted("forger"));
+
+  // Its next request is dropped, not forwarded.
+  const std::uint64_t forwarded = proxy_->stats().requests_forwarded;
+  forger.send_request({"forger", 1}, "GET a", proxy_machine_->id());
+  sim_.run_until(sim_.now() + 10.0);
+  EXPECT_EQ(proxy_->stats().requests_from_blacklisted, 1u);
+  EXPECT_EQ(proxy_->stats().requests_forwarded, forwarded);
+}
+
 TEST_F(ProxyOverloadTest, QueuedResponsesVerifiedAtDispatch) {
   start(net::OverloadPolicy::DropTail, 0, 12);
   // One burst: every response waits in the queue, every third is forged.

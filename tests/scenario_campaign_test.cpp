@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -709,12 +710,12 @@ TEST(CampaignWindowTest, MultiWindowRoundMatchesPerTrialOracle) {
 }
 
 TEST(CampaignWindowTest, StolenGrantsCrossWindowEdgesBitIdentically) {
-  // Work stealing makes grants uneven: the calm cell closes after round one
-  // and its 700 trials a round go to the two attacked cells, which close on
-  // the compromise-probability floor or at the cap in later rounds. Every
-  // round (2100 trials) spans more than two windows at one thread and fits
-  // in one at eight, so window edges fall at different task indices, and
-  // inside different cells, from run to run.
+  // Uneven rounds: the calm cell closes after round one (3 x 700 = 2100
+  // trials), and the two attacked cells go on granting 700 trials each a
+  // round until they close on the compromise-probability floor or at the
+  // cap. Their shared rounds (1400 trials) span two windows at one thread
+  // and fit in one at eight, so window edges fall at different task
+  // indices, and inside different cells, from run to run.
   net::ScenarioPlan calm = screening_plan(64);
   calm.name = "calm";
   calm.attack.enabled = false;
@@ -725,7 +726,6 @@ TEST(CampaignWindowTest, StolenGrantsCrossWindowEdgesBitIdentically) {
   CampaignConfig cfg;
   cfg.base_seed = 616;
   cfg.adaptive.enabled = true;
-  cfg.adaptive.work_stealing = true;
   cfg.adaptive.round_trials = 700;
   cfg.adaptive.max_trials_per_cell = 4000;
   StoppingRule rule;
@@ -737,11 +737,14 @@ TEST(CampaignWindowTest, StolenGrantsCrossWindowEdgesBitIdentically) {
   cfg.threads = 1;
   const CampaignResult reference = run_campaign(cells, cfg);
   EXPECT_EQ(reference.cells[0].rounds, 1u);
+  EXPECT_EQ(reference.cells[0].trials, cfg.adaptive.round_trials);
+  ASSERT_GT(2 * cfg.adaptive.round_trials, kOutcomeWindowPerThread);
   for (std::size_t c = 1; c < cells.size(); ++c) {
     EXPECT_GT(reference.cells[c].rounds, 1u) << "cell " << c;
-    EXPECT_GT(reference.cells[c].trials,
-              cfg.adaptive.round_trials * reference.cells[c].rounds)
-        << "cell " << c << " never received stolen capacity";
+    EXPECT_EQ(reference.cells[c].trials,
+              std::min(cfg.adaptive.round_trials * reference.cells[c].rounds,
+                       cfg.adaptive.max_trials_per_cell))
+        << "cell " << c;
   }
   const std::string want = campaign_result_to_json(reference);
   for (unsigned threads : {1u, 2u, 8u}) {

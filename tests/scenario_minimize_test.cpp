@@ -35,7 +35,7 @@ net::ScenarioPlan multi_axis_plan() {
   p.proxy_blacklist = true;
   p.detection_threshold = 3;
   p.service.enabled = true;
-  p.service.policy = net::OverloadPolicy::ShedNewest;
+  p.service.policy = net::OverloadPolicy::Backpressure;
   p.traffic.clients = 3;
   p.traffic.schedule = {{0.0, 2.0}, {50.0, 0.0}, {100.0, 1.0}, {150.0, 3.0}};
   p.population.clients = 2048;

@@ -170,6 +170,9 @@ TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
        "inverted window"},
       {"zero-keyspace", mutate("\"keyspace\": 1024", "\"keyspace\": 1"),
        "keyspace must be >= 2"},
+      {"zero-threshold-under-blacklist",
+       mutate("\"detection_threshold\": 4", "\"detection_threshold\": 0"),
+       "detection_threshold must be >= 1 under proxy_blacklist"},
   };
   for (const BadInput& row : table) {
     SCOPED_TRACE(row.label);

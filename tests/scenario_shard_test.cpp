@@ -287,7 +287,6 @@ TEST(ShardSpecTest, SpecRoundTripsThroughJson) {
   lat.quantile = 0.999;
   lat.abs_floor = 0.25;
   spec.config.adaptive.rules = {comp, lat};
-  spec.config.adaptive.work_stealing = true;
   spec.config.scheduler = sim::SchedulerKind::Heap;
   spec.config.reuse_trial_stacks = false;
 
@@ -302,7 +301,6 @@ TEST(ShardSpecTest, SpecRoundTripsThroughJson) {
   EXPECT_EQ(back.config.adaptive.enabled, spec.config.adaptive.enabled);
   EXPECT_EQ(back.config.adaptive.round_trials,
             spec.config.adaptive.round_trials);
-  EXPECT_EQ(back.config.adaptive.work_stealing, true);
   ASSERT_EQ(back.config.adaptive.rules.size(), 2u);
   EXPECT_EQ(back.config.adaptive.rules[0].metric,
             StoppingRule::Metric::CompromiseProbability);

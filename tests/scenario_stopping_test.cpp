@@ -1,6 +1,6 @@
 // Tests for adaptive stopping: the multi-metric rule engine, the
-// rare-event/zero-mean budget fix, rule validation, and work-stealing
-// rounds (deterministic capacity re-issue from closed to open cells).
+// rare-event/zero-mean budget fix, rule validation, and the rejection of
+// the work_stealing key.
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -214,132 +214,24 @@ TEST(MultiMetricTest, EmptyRulesEqualsDefaultMeanRule) {
             explicit_rule.cells[0].lifetime.variance());
 }
 
-// --- work-stealing rounds -------------------------------------------------
+// --- removed settings -------------------------------------------------------
 
-CampaignConfig steal_config(bool stealing) {
+TEST(CampaignConfigTest, WorkStealingIsRejectedNamingTheKey) {
+  // The key stays only so committed specs decode; a campaign that sets it
+  // fails loudly instead of silently running the one round schedule.
+  std::vector<CampaignCell> cells = {
+      {model::SystemKind::S1, fast_plan(64, 8.0, 0.5, 10)}};
   CampaignConfig cfg;
-  cfg.base_seed = 90210;
   cfg.adaptive.enabled = true;
-  cfg.adaptive.round_trials = 4;
-  cfg.adaptive.work_stealing = stealing;
-  return cfg;
-}
-
-TEST(WorkStealingTest, ReissuesClosedCellCapacityAndPreservesAggregates) {
-  // One calm cell (closes after round 1) and one noisy cell driven to the
-  // cap by an unreachable target. With stealing, the calm cell's share
-  // flows to the noisy cell from round 2 on, so the noisy cell reaches the
-  // cap in FEWER rounds — while executing the exact same contiguous trial
-  // set, so every aggregate is bit-identical to the no-stealing run.
-  net::ScenarioPlan calm = fast_plan(64, 8.0, 0.5, 20);
-  calm.name = "calm";
-  calm.attack.enabled = false;
-  net::ScenarioPlan noisy = fast_plan(512, 8.0, 0.5, 80);
-  noisy.name = "noisy";
-  std::vector<CampaignCell> cells = {{model::SystemKind::S1, calm},
-                                     {model::SystemKind::S1, noisy}};
-
-  CampaignConfig base = steal_config(false);
-  base.adaptive.target_rel_ci = 1e-9;  // unreachable: noisy runs to cap
-  base.adaptive.abs_ci_floor = 0.5;    // ...but calm (zero variance) closes
-  base.adaptive.max_trials_per_cell = 24;
-  const CampaignResult legacy = run_campaign(cells, base);
-
-  CampaignConfig steal = base;
-  steal.adaptive.work_stealing = true;
-  const CampaignResult stolen = run_campaign(cells, steal);
-
-  // Calm cell: closed in round 1 under both schedules, identical stats.
-  EXPECT_EQ(legacy.cells[0].rounds, 1u);
-  EXPECT_EQ(stolen.cells[0].rounds, 1u);
-  EXPECT_EQ(legacy.cells[0].trials, stolen.cells[0].trials);
-  EXPECT_EQ(legacy.cells[0].lifetime.mean(), stolen.cells[0].lifetime.mean());
-
-  // Noisy cell: same cap, same trials, same aggregates — fewer rounds.
-  EXPECT_EQ(legacy.cells[1].trials, base.adaptive.max_trials_per_cell);
-  EXPECT_EQ(stolen.cells[1].trials, base.adaptive.max_trials_per_cell);
-  EXPECT_LT(stolen.cells[1].rounds, legacy.cells[1].rounds);
-  EXPECT_EQ(legacy.cells[1].lifetime.mean(), stolen.cells[1].lifetime.mean());
-  EXPECT_EQ(legacy.cells[1].lifetime.variance(),
-            stolen.cells[1].lifetime.variance());
-  EXPECT_EQ(legacy.cells[1].events_executed, stolen.cells[1].events_executed);
-  EXPECT_EQ(legacy.cells[1].attacker.direct_probes,
-            stolen.cells[1].attacker.direct_probes);
-  EXPECT_EQ(legacy.total_trials, stolen.total_trials);
-  EXPECT_EQ(legacy.total_events, stolen.total_events);
-}
-
-TEST(WorkStealingTest, EqualsLegacyScheduleWhileEveryCellIsOpen) {
-  // While no cell has closed, the even split of the full-grid capacity IS
-  // round_trials per cell — so a grid where all cells run to the cap
-  // together must be bit-identical under both schedules, rounds included.
-  std::vector<net::ScenarioPlan> plans = {fast_plan(256, 8.0, 0.5, 60),
-                                          fast_plan(512, 8.0, 0.25, 60)};
-  plans[1].name = "slower";
-  std::vector<CampaignCell> cells =
-      cross({model::SystemKind::S1, model::SystemKind::S2}, plans);
-
-  CampaignConfig base = steal_config(false);
-  base.adaptive.target_rel_ci = 1e-9;
-  base.adaptive.abs_ci_floor = 1e-9;
-  base.adaptive.max_trials_per_cell = 12;
-  const CampaignResult legacy = run_campaign(cells, base);
-  CampaignConfig steal = base;
-  steal.adaptive.work_stealing = true;
-  const CampaignResult stolen = run_campaign(cells, steal);
-
-  ASSERT_EQ(legacy.cells.size(), stolen.cells.size());
-  EXPECT_EQ(legacy.total_trials, stolen.total_trials);
-  EXPECT_EQ(legacy.total_events, stolen.total_events);
-  for (std::size_t i = 0; i < legacy.cells.size(); ++i) {
-    EXPECT_EQ(legacy.cells[i].trials, stolen.cells[i].trials);
-    EXPECT_EQ(legacy.cells[i].rounds, stolen.cells[i].rounds);
-    EXPECT_EQ(legacy.cells[i].lifetime.mean(),
-              stolen.cells[i].lifetime.mean());
-    EXPECT_EQ(legacy.cells[i].lifetime_ci.hi, stolen.cells[i].lifetime_ci.hi);
+  cfg.adaptive.max_trials_per_cell = 4;
+  cfg.adaptive.work_stealing = true;
+  try {
+    run_campaign(cells, cfg);
+    FAIL() << "work_stealing = true was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("work_stealing"), std::string::npos)
+        << e.what();
   }
-}
-
-TEST(WorkStealingTest, BitIdenticalForAnyThreadCountAndIsolation) {
-  // The planner runs serially between rounds, so the stolen allocation —
-  // and with it every aggregate and per-cell round count — must not depend
-  // on thread count or on pooled-vs-fresh stacks.
-  net::ScenarioPlan calm = fast_plan(64, 8.0, 0.5, 20);
-  calm.name = "calm";
-  calm.attack.enabled = false;
-  net::ScenarioPlan noisy = fast_plan(256, 8.0, 0.5, 60);
-  noisy.name = "noisy";
-  std::vector<CampaignCell> cells = {{model::SystemKind::S1, calm},
-                                     {model::SystemKind::S2, noisy},
-                                     {model::SystemKind::S1, noisy}};
-
-  CampaignConfig cfg = steal_config(true);
-  cfg.adaptive.target_rel_ci = 0.15;
-  cfg.adaptive.max_trials_per_cell = 24;
-  cfg.threads = 1;
-  const CampaignResult serial = run_campaign(cells, cfg);
-  for (unsigned threads : {2u, 8u}) {
-    for (bool pooled : {true, false}) {
-      cfg.threads = threads;
-      cfg.reuse_trial_stacks = pooled;
-      const CampaignResult other = run_campaign(cells, cfg);
-      ASSERT_EQ(other.cells.size(), serial.cells.size());
-      EXPECT_EQ(other.total_trials, serial.total_trials);
-      EXPECT_EQ(other.total_events, serial.total_events);
-      for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-        EXPECT_EQ(other.cells[i].trials, serial.cells[i].trials)
-            << "cell " << i << " threads " << threads << " pooled " << pooled;
-        EXPECT_EQ(other.cells[i].rounds, serial.cells[i].rounds);
-        EXPECT_EQ(other.cells[i].lifetime.mean(),
-                  serial.cells[i].lifetime.mean());
-        EXPECT_EQ(other.cells[i].lifetime.variance(),
-                  serial.cells[i].lifetime.variance());
-        EXPECT_EQ(other.cells[i].lifetime_ci.lo,
-                  serial.cells[i].lifetime_ci.lo);
-      }
-    }
-  }
-  cfg.reuse_trial_stacks = true;
 }
 
 }  // namespace

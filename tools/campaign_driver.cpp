@@ -13,8 +13,8 @@
 //       merge previously written sidecars into the result report.
 //
 // Bit-identity contract (pinned by tools/shard_check.py in the ctest lane):
-// for a spec with work_stealing off, `run --shards N` produces a merged
-// report BYTE-identical to `run --shards 1` for any N — trial seeds derive
+// `run --shards N` produces a merged report BYTE-identical to
+// `run --shards 1` for any N — trial seeds derive
 // from global cell indices and adaptive stopping is per-cell, so
 // partitioning changes nothing (see scenario/shard.hpp).
 //

@@ -10,8 +10,7 @@ multi-process driver twice — `run --shards 1` and `run --shards 2` — and
 requires the two merged result reports to be BYTE-identical. That is the
 scale-out contract of scenario/shard.hpp: trial seeds derive from global
 cell indices and adaptive stopping is per-cell, so partitioning the grid
-across processes must change nothing (specs here keep work_stealing off,
-whose donation pool is deliberately per-process). The check also exercises
+across processes must change nothing. The check also exercises
 fork/wait, the sidecar codec and the merge's coverage checks for real, and
 requires that the driver's write-to-temp-then-rename leaves no *.tmp file.
 
@@ -77,7 +76,7 @@ def main() -> int:
         if one != two:
             print(f"FAIL {spec.name}: merged reports differ between "
                   "--shards 1 and --shards 2 (sharding must be "
-                  "bit-invariant with work stealing off)", file=sys.stderr)
+                  "bit-invariant)", file=sys.stderr)
             failures += 1
         else:
             print(f"OK   {spec.name}")
