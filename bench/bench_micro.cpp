@@ -94,9 +94,11 @@ void BM_LifetimeTrialSo(benchmark::State& state) {
   p.kappa = 0.5;
   Rng rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model::simulate_lifetime(
-        model::SystemShape::s2(), p, model::Obfuscation::StartupOnly,
-        model::Granularity::Step, rng, 1ull << 40));
+    benchmark::DoNotOptimize(
+        model::TrialKernel(model::SystemShape::s2(), p,
+                           model::Obfuscation::StartupOnly,
+                           model::Granularity::Step)
+            .run(rng, 1ull << 40));
   }
 }
 BENCHMARK(BM_LifetimeTrialSo);
@@ -107,9 +109,11 @@ void BM_LifetimeTrialPoProbe(benchmark::State& state) {
   p.kappa = 0.5;
   Rng rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model::simulate_lifetime(
-        model::SystemShape::s2(), p, model::Obfuscation::Proactive,
-        model::Granularity::Probe, rng, 1ull << 40));
+    benchmark::DoNotOptimize(
+        model::TrialKernel(model::SystemShape::s2(), p,
+                           model::Obfuscation::Proactive,
+                           model::Granularity::Probe)
+            .run(rng, 1ull << 40));
   }
 }
 BENCHMARK(BM_LifetimeTrialPoProbe);

@@ -1,12 +1,13 @@
 // partition_study — partition tolerance of S0 (SMR quorum) vs S2 (FORTRESS
-// proxies), driven by the committed scenario corpus.
+// proxies), driven by the committed scenario specs.
 //
 //   $ ./partition_study
 //
 // Two sections:
-//  1. replays the committed partition fixtures (scenarios/partition_*.json)
-//     exactly as pinned — same seed, same budget — and prints their cell
-//     aggregates, so the numbers on screen are the numbers in the corpus;
+//  1. replays the committed partition specs (scenarios/partition_*.json)
+//     under their own config — same seed, same budget — and prints their
+//     cell aggregates, so the numbers on screen are the numbers in the
+//     pinned reports (scenarios/reports/);
 //  2. sweeps the partition duration upward from zero to show the divergent
 //     failure modes: cutting two of four S0 replicas stalls the quorum (the
 //     service halts but the keys stay safe), while cutting all S2 proxies
@@ -20,8 +21,8 @@
 #include <vector>
 
 #include "scenario/campaign.hpp"
-#include "scenario/corpus.hpp"
 #include "scenario/plan_codec.hpp"
+#include "scenario/shard.hpp"
 
 #ifndef FORTRESS_SCENARIO_DIR
 #error "build defines FORTRESS_SCENARIO_DIR (see CMakeLists.txt)"
@@ -55,21 +56,17 @@ void print_cells(const std::vector<scenario::CampaignCell>& cells,
   }
 }
 
-void replay_corpus_entry(const std::string& filename) {
+void replay_spec(const std::string& filename) {
   const std::string path = std::string(FORTRESS_SCENARIO_DIR) + "/" + filename;
-  const scenario::CorpusEntry entry =
-      scenario::corpus_entry_from_json(slurp(path));
+  const scenario::CampaignSpec spec =
+      scenario::campaign_spec_from_json(slurp(path));
   std::printf("%s — %s\n  digest %s, seed %llu, %llu trials/cell\n",
-              entry.name.c_str(), entry.description.c_str(),
-              entry.digest.c_str(),
-              static_cast<unsigned long long>(entry.base_seed),
-              static_cast<unsigned long long>(entry.trials_per_cell));
-  std::vector<scenario::CampaignCell> cells;
-  for (model::SystemKind s : entry.systems) cells.push_back({s, entry.plan});
-  scenario::CampaignConfig cfg;
-  cfg.trials_per_cell = entry.trials_per_cell;
-  cfg.base_seed = entry.base_seed;
-  print_cells(cells, scenario::run_campaign(cells, cfg));
+              spec.name.c_str(), spec.description.c_str(),
+              scenario::plan_digest_string(spec.plans.front()).c_str(),
+              static_cast<unsigned long long>(spec.config.base_seed),
+              static_cast<unsigned long long>(spec.config.trials_per_cell));
+  const std::vector<scenario::CampaignCell> cells = spec.cells();
+  print_cells(cells, scenario::run_campaign(cells, spec.config));
   std::printf("\n");
 }
 
@@ -130,8 +127,8 @@ int main() {
               "(censored at the horizon)\n\n");
   try {
     std::printf("== committed corpus fixtures ==\n\n");
-    replay_corpus_entry("partition_quorum_loss.json");
-    replay_corpus_entry("partition_proxy_islands.json");
+    replay_spec("partition_quorum_loss.json");
+    replay_spec("partition_proxy_islands.json");
   } catch (const std::exception& e) {
     std::printf("corpus replay skipped: %s\n\n", e.what());
   }

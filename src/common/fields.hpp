@@ -1,6 +1,6 @@
 // fields.hpp — one field table per struct, and the generic visitors over it.
 //
-// A struct that crosses a merge, a JSON codec, a corpus pin or a fingerprint
+// A struct that crosses a merge, a JSON codec, a pinned report or a fingerprint
 // lists its fields exactly once, in a table next to its definition:
 //
 //   template <fields::FieldsOf<TrafficStats> S, class V>

@@ -1,6 +1,6 @@
 // json.hpp — a minimal, strict JSON reader/writer for plan fixtures.
 //
-// The scenario robustness plane (plan_codec, corpus files, the minimizer's
+// The scenario robustness plane (plan_codec, committed specs, the minimizer's
 // repro emission) needs a serialized form whose bytes are a reproducible
 // fixture. That rules out "whatever a third-party library emits": this
 // parser/writer pair is small, dependency-free, and CANONICAL —
@@ -11,7 +11,7 @@
 //  * the parser is strict: it rejects trailing garbage, duplicate keys,
 //    unescaped control characters, leading zeros, NaN/Infinity literals and
 //    every other liberty lenient parsers take, and every rejection carries
-//    the byte offset — malformed corpus files fail loudly at load, not
+//    the byte offset — malformed fixture files fail loudly at load, not
 //    deep inside the simulator.
 //
 // Numbers keep their raw lexeme alongside the parsed double so integer
@@ -146,8 +146,8 @@ class Writer {
   bool pending_key_ = false;
 };
 
-/// FNV-1a 64-bit over a byte string — the digest primitive the plan codec
-/// and corpus fixtures use (offset basis 14695981039346656037, prime
+/// FNV-1a 64-bit over a byte string — the digest primitive of the plan and
+/// spec codecs (offset basis 14695981039346656037, prime
 /// 1099511628211).
 std::uint64_t fnv1a64(std::string_view bytes);
 

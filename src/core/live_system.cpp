@@ -7,10 +7,6 @@ namespace fortress::core {
 
 namespace {
 
-// The SMR progress timeout every deployment runs with: deliberately shorter
-// than SmrConfig's default of 30.
-constexpr sim::Time kSmrProgressTimeout = 20.0;
-
 // Address prefixes of the three deployments' tiers ("s1-server-0", ...).
 constexpr const char* kS0Prefix = "s0";
 constexpr const char* kS1Prefix = "s1";
@@ -250,7 +246,6 @@ LiveS0::LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
   smr.f = f;
   smr.replicas =
       tier_addresses(kS0Prefix, "replica", static_cast<int>(3 * f + 1));
-  smr.progress_timeout = kSmrProgressTimeout;
   build_tier(servers_, smr.replicas, plan, kServerSalt, true,
              [&](std::uint32_t i) -> osl::Application& {
                smr.index = i;

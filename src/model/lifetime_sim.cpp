@@ -38,8 +38,7 @@ TrialKernel::TrialKernel(const SystemShape& shape, const AttackParams& params,
   omega_ = params_.omega();
 
   // Only the paths that use fixed-size stack buffers bound the node counts;
-  // Proactive/Step places no limit (matching simulate_lifetime's historical
-  // domain).
+  // Proactive/Step places no limit.
   if (obf_ == Obfuscation::StartupOnly) {
     FORTRESS_EXPECTS(shape_.n_servers <= kMaxChannels);
     FORTRESS_EXPECTS(shape_.n_proxies <= kMaxChannels);
@@ -361,13 +360,6 @@ LifetimeResult TrialKernel::run_po_probe(Rng& rng,
       return out;
     }
   }
-}
-
-LifetimeResult simulate_lifetime(const SystemShape& shape,
-                                 const AttackParams& params, Obfuscation obf,
-                                 Granularity gran, Rng& rng,
-                                 std::uint64_t max_steps) {
-  return TrialKernel(shape, params, obf, gran).run(rng, max_steps);
 }
 
 LifetimeResult simulate_lifetime_po_period_naive(const SystemShape& shape,

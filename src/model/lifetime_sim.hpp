@@ -67,8 +67,9 @@ class TrialKernel {
   TrialKernel(const SystemShape& shape, const AttackParams& params,
               Obfuscation obf, Granularity gran);
 
-  /// One lifetime trial on `rng`. Same distribution as simulate_lifetime;
-  /// for Proactive/Step on S2 the compromise route is drawn from the exact
+  /// One lifetime trial on `rng`. `max_steps` caps the simulation; trials
+  /// that survive longer are returned censored with whole_steps = max_steps.
+  /// For Proactive/Step on S2 the compromise route is drawn from the exact
   /// conditional route distribution (single uniform draw) rather than by
   /// rejection.
   LifetimeResult run(Rng& rng, std::uint64_t max_steps) const;
@@ -108,15 +109,6 @@ class TrialKernel {
   std::vector<std::uint16_t> subset_masks_;
   std::array<std::uint32_t, kMaxChannels + 2> subset_begin_{};
 };
-
-/// Simulate one lifetime. `max_steps` caps the simulation; trials that
-/// survive longer are returned censored with whole_steps = max_steps.
-/// Equivalent to TrialKernel(shape, params, obf, gran).run(rng, max_steps);
-/// batch callers should build the kernel once instead.
-LifetimeResult simulate_lifetime(const SystemShape& shape,
-                                 const AttackParams& params, Obfuscation obf,
-                                 Granularity gran, Rng& rng,
-                                 std::uint64_t max_steps);
 
 /// Reference implementation: a literal per-step, per-node Bernoulli loop for
 /// PO at step granularity and re-randomization period P >= 1. Nodes

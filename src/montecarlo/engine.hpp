@@ -1,6 +1,6 @@
 // engine.hpp — Monte-Carlo expected-lifetime estimation (§5 of the paper).
 //
-// Runs N independent lifetime trials (model::simulate_lifetime) on
+// Runs N independent lifetime trials (model::TrialKernel) on
 // deterministic per-trial substreams, optionally across threads, and reduces
 // them to an EL estimate with a confidence interval plus per-route
 // attribution. Censoring is reported, never silently dropped: a censored

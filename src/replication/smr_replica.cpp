@@ -45,9 +45,8 @@ SmrReplica::SmrReplica(sim::Simulator& sim, net::Network& network,
                                 false);
                     }
                   },
-                  config.progress_timeout / 4.0, [this] { check_progress(); }),
-      f_(config.f),
-      progress_timeout_(config.progress_timeout) {
+                  kSmrProgressTimeout / 4.0, [this] { check_progress(); }),
+      f_(config.f) {
   FORTRESS_EXPECTS(f_ >= 1);
   FORTRESS_EXPECTS(replicas_.size() == 3 * f_ + 1);
   // Acks and votes are kept as one bit per replica index.
@@ -282,7 +281,7 @@ void SmrReplica::check_progress() {
     last_progress_ = sim_.now();
     return;
   }
-  if (sim_.now() - last_progress_ < progress_timeout_) return;
+  if (sim_.now() - last_progress_ < kSmrProgressTimeout) return;
   if (leads()) return;  // the leader cannot vote itself out
 
   std::uint64_t next = view_ + 1;

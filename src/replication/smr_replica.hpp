@@ -36,11 +36,13 @@ struct SmrConfig {
   std::uint32_t index = 0;
   std::uint32_t f = 1;                 ///< tolerated faults; n = 3f+1
   std::vector<net::Address> replicas;  ///< addresses by index (size 3f+1)
-  sim::Time progress_timeout = 30.0;
 };
 
 /// The leader's heartbeat period.
 inline constexpr sim::Time kSmrHeartbeatInterval = 5.0;
+/// How long a backup waits without progress on outstanding work before it
+/// votes the leader out; it checks every quarter of this.
+inline constexpr sim::Time kSmrProgressTimeout = 20.0;
 
 class SmrReplica final : public ReplicaCore {
  public:
@@ -105,7 +107,6 @@ class SmrReplica final : public ReplicaCore {
                                   BytesView request);
 
   std::uint32_t f_;
-  sim::Time progress_timeout_;
   /// Per-peer verification schedules, resolved lazily on first use (every
   /// replica of the tier is enrolled by then; stable across pooled trials
   /// because the arena keeps its PKI).

@@ -14,7 +14,7 @@
 //    byte-identical;
 //  * plan_digest is FNV-1a 64 over the COMPACT canonical encoding, so it is
 //    a semantic digest: stable across whitespace/tooling, changed by any
-//    field change (including the name). Corpus files pin it as
+//    field change (including the name). plan_tool prints it as
 //    "fnv1a64:<16 hex digits>".
 //
 // Both directions are the generic fields:: visitors (common/fields.hpp)
@@ -24,8 +24,8 @@
 //
 // Default-valued fields ARE emitted (no omit-if-default): a plan file reads
 // complete, and adding a field to ScenarioPlan visibly changes every digest
-// — which is what forces corpus golden values to be re-captured when the
-// plan vocabulary grows.
+// — which is what forces the committed specs' pinned reports to be
+// re-captured when the plan vocabulary grows.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,7 @@ net::ScenarioPlan plan_from_json(std::string_view text);
 /// FNV-1a 64 over plan_to_json_compact(plan).
 std::uint64_t plan_digest(const net::ScenarioPlan& plan);
 
-/// plan_digest rendered as the corpus pin string "fnv1a64:0123456789abcdef".
+/// plan_digest rendered as "fnv1a64:0123456789abcdef".
 std::string plan_digest_string(const net::ScenarioPlan& plan);
 
 }  // namespace fortress::scenario

@@ -12,8 +12,8 @@
 //    the unit of distribution: every shard process loads the same bytes.
 //  * ShardResult — the sidecar one shard process writes: the global cell
 //    indices it owned and their full CellStats, every double pinned BY BIT
-//    PATTERN ("0x" + 16 hex, the corpus idiom), histograms as raw bin
-//    counts, RunningStats as raw accumulator state. The sidecar codec is
+//    PATTERN ("0x" + 16 hex), histograms as raw bin counts, RunningStats as
+//    raw accumulator state. The sidecar codec is
 //    exact by construction: shard_result_from_json(shard_result_to_json(r))
 //    rebuilds bit-identical stats, so merging deserialized sidecars equals
 //    merging in-memory results.

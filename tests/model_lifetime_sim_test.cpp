@@ -28,7 +28,7 @@ double mc_mean(const SystemShape& shape, const AttackParams& p,
   RunningStats stats;
   for (std::uint64_t t = 0; t < trials; ++t) {
     Rng rng = Rng::substream(seed, t);
-    auto r = simulate_lifetime(shape, p, obf, gran, rng, 1ull << 40);
+    auto r = TrialKernel(shape, p, obf, gran).run(rng, 1ull << 40);
     EXPECT_FALSE(r.censored);
     stats.add(static_cast<double>(r.whole_steps));
   }
@@ -43,9 +43,9 @@ TEST(LifetimeSimTest, RouteNames) {
 
 TEST(LifetimeSimTest, CensoringReportsCapAndRouteNone) {
   Rng rng(1);
-  auto r = simulate_lifetime(SystemShape::s1(), params(1e-5),
-                             Obfuscation::Proactive, Granularity::Step, rng,
-                             /*max_steps=*/1);
+  auto r = TrialKernel(SystemShape::s1(), params(1e-5), Obfuscation::Proactive,
+                       Granularity::Step)
+               .run(rng, /*max_steps=*/1);
   // With EL ~ 1e5 a 1-step cap censors essentially always.
   EXPECT_TRUE(r.censored);
   EXPECT_EQ(r.whole_steps, 1u);
@@ -113,10 +113,12 @@ TEST(LifetimeSimTest, SoIsGranularityInvariant) {
   for (std::uint64_t t = 0; t < 200; ++t) {
     Rng r1 = Rng::substream(5, t);
     Rng r2 = Rng::substream(5, t);
-    auto a = simulate_lifetime(SystemShape::s2(), p, Obfuscation::StartupOnly,
-                               Granularity::Step, r1, 1ull << 40);
-    auto b = simulate_lifetime(SystemShape::s2(), p, Obfuscation::StartupOnly,
-                               Granularity::Probe, r2, 1ull << 40);
+    auto a = TrialKernel(SystemShape::s2(), p, Obfuscation::StartupOnly,
+                         Granularity::Step)
+                 .run(r1, 1ull << 40);
+    auto b = TrialKernel(SystemShape::s2(), p, Obfuscation::StartupOnly,
+                         Granularity::Probe)
+                 .run(r2, 1ull << 40);
     EXPECT_EQ(a.whole_steps, b.whole_steps);
     EXPECT_EQ(a.route, b.route);
   }
@@ -156,9 +158,9 @@ TEST(LifetimeSimTest, S2SoRoutesRespondToKappa) {
     std::map<CompromiseRoute, int> counts;
     for (std::uint64_t t = 0; t < 4000; ++t) {
       Rng rng = Rng::substream(11, t);
-      auto r = simulate_lifetime(SystemShape::s2(), p,
-                                 Obfuscation::StartupOnly, Granularity::Step,
-                                 rng, 1ull << 40);
+      auto r = TrialKernel(SystemShape::s2(), p, Obfuscation::StartupOnly,
+                           Granularity::Step)
+                   .run(rng, 1ull << 40);
       ++counts[r.route];
     }
     return counts;
@@ -193,8 +195,8 @@ TEST(LifetimeSimTest, DeterministicGivenSameStream) {
   for (auto obf : {Obfuscation::StartupOnly, Obfuscation::Proactive}) {
     for (auto gran : {Granularity::Step, Granularity::Probe}) {
       Rng r1(99), r2(99);
-      auto a = simulate_lifetime(SystemShape::s2(), p, obf, gran, r1, 1u << 20);
-      auto b = simulate_lifetime(SystemShape::s2(), p, obf, gran, r2, 1u << 20);
+      auto a = TrialKernel(SystemShape::s2(), p, obf, gran).run(r1, 1u << 20);
+      auto b = TrialKernel(SystemShape::s2(), p, obf, gran).run(r2, 1u << 20);
       EXPECT_EQ(a.whole_steps, b.whole_steps);
       EXPECT_EQ(a.route, b.route);
     }

@@ -70,7 +70,6 @@ class SmrTest : public ::testing::Test {
     SmrConfig cfg;
     cfg.f = kF;
     cfg.replicas = addrs_;
-    cfg.progress_timeout = 30.0;
     for (std::uint32_t i = 0; i < kN; ++i) {
       machines_.push_back(std::make_unique<osl::Machine>(
           net_, osl::MachineConfig{addrs_[i], 1 << 10}));
@@ -174,14 +173,15 @@ TEST_F(SmrTest, SilentLeaderWithoutWorkKeepsView) {
   ASSERT_EQ(replicas_[1]->executed_seq(), 1u);
 
   machines_[0]->shutdown();  // the leader falls silent
-  sim_.run_until(240.0);     // several progress timeouts (30 each)
+  const sim::Time silent_until = 40.0 + 10 * kSmrProgressTimeout;
+  sim_.run_until(silent_until);
   for (std::uint32_t i = 1; i < kN; ++i) {
     EXPECT_EQ(replicas_[i]->view(), 0u) << "replica " << i;
   }
 
   // One outstanding request makes the silence suspicious.
   client_.send_request({"client", 2}, "PUT b 2", addrs_);
-  sim_.run_until(400.0);
+  sim_.run_until(silent_until + 8 * kSmrProgressTimeout);
   for (std::uint32_t i = 1; i < kN; ++i) {
     EXPECT_GT(replicas_[i]->view(), 0u) << "replica " << i;
   }
@@ -297,13 +297,13 @@ TEST_F(SmrTest, UnexecutedSlotWithoutPendingRequestChangesView) {
   proposal.request_id = {"client", 1};
   proposal.payload = bytes_of("PUT a 1");
   send_signed_as(net_, registry_, addrs_, 0, proposal, 1);
-  sim_.run_until(20.0);  // inside the progress timeout
+  sim_.run_until(kSmrProgressTimeout / 2);  // inside the progress timeout
   for (std::uint32_t i = 1; i < kN; ++i) {
     ASSERT_EQ(replicas_[i]->view(), 0u) << "replica " << i;
     ASSERT_EQ(replicas_[i]->executed_seq(), 0u) << "replica " << i;
   }
 
-  sim_.run_until(200.0);
+  sim_.run_until(10 * kSmrProgressTimeout);
   for (std::uint32_t i = 1; i < kN; ++i) {
     EXPECT_GT(replicas_[i]->view(), 0u) << "replica " << i;
   }

@@ -1,0 +1,119 @@
+// Committed-fixture regression suite. Every committed campaign spec
+// (specs/*.json, and one spec per scenario under scenarios/*.json) has a
+// pinned report at <dir>/reports/<stem>.json: the bytes `campaign_driver
+// run --spec F --shards 1` writes. This suite checks the specs' canonical
+// form and replays each one under execution modes the pin was not captured
+// with. The `fortress_tests_shard` ctest lane (tools/shard_check.py) checks
+// the same pins through the multi-process driver.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "scenario/campaign.hpp"
+#include "scenario/shard.hpp"
+
+#ifndef FORTRESS_SCENARIO_DIR
+#error "build defines FORTRESS_SCENARIO_DIR (see CMakeLists.txt)"
+#endif
+
+namespace fortress::scenario {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+const fs::path kScenarioDir = FORTRESS_SCENARIO_DIR;
+const fs::path kSpecDir = kScenarioDir.parent_path() / "specs";
+
+/// The *.json files directly under `dir` (not its reports/), sorted.
+std::vector<fs::path> json_files(const fs::path& dir) {
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".json") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::vector<fs::path> committed_specs() {
+  std::vector<fs::path> files = json_files(kSpecDir);
+  const std::vector<fs::path> scenarios = json_files(kScenarioDir);
+  files.insert(files.end(), scenarios.begin(), scenarios.end());
+  return files;
+}
+
+fs::path pin_of(const fs::path& spec) {
+  return spec.parent_path() / "reports" / spec.filename();
+}
+
+// The scenarios are a committed fixture set: losing a member silently would
+// disarm the regression gate, so the roster itself is pinned.
+TEST(ScenarioCorpusTest, RosterIsComplete) {
+  std::set<std::string> names;
+  for (const auto& path : json_files(kScenarioDir)) {
+    names.insert(campaign_spec_from_json(slurp(path)).name);
+  }
+  for (const char* required :
+       {"partition_quorum_loss", "partition_proxy_islands", "outage_waves",
+        "heavy_tail_latency", "diurnal_churn"}) {
+    EXPECT_TRUE(names.count(required)) << "missing scenario " << required;
+  }
+}
+
+// Every committed spec is a canonical fixed point and is named after its
+// file; a scenario holds exactly one plan, also named after the file.
+TEST(ShardSpecTest, CommittedSpecsAreCanonicalFixedPoints) {
+  std::size_t checked = 0;
+  for (const fs::path& path : committed_specs()) {
+    SCOPED_TRACE(path.string());
+    const std::string text = slurp(path);
+    const CampaignSpec spec = campaign_spec_from_json(text);
+    EXPECT_EQ(campaign_spec_to_json(spec), text);
+    EXPECT_EQ(spec.name, path.stem().string());
+    if (path.parent_path() == kScenarioDir) {
+      ASSERT_EQ(spec.plans.size(), 1u);
+      EXPECT_EQ(spec.plans.front().name, path.stem().string());
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 6u) << "specs missing under " << kSpecDir << " or "
+                         << kScenarioDir;
+}
+
+// A pin must hold under the campaign determinism contract, not only under
+// the spec's own config: re-run every committed spec on 4 threads with
+// fresh stacks, once under each scheduler, and demand the pinned report
+// byte for byte. The spec names its scheduler, so FORTRESS_SIM_SCHEDULER
+// does not reach these campaigns; the test sets both kinds itself.
+TEST(CommittedSpecTest, PinnedReportsHoldUnderEveryExecutionMode) {
+  for (const fs::path& path : committed_specs()) {
+    SCOPED_TRACE(path.string());
+    const CampaignSpec spec = campaign_spec_from_json(slurp(path));
+    const std::string pin = slurp(pin_of(path));
+    for (sim::SchedulerKind kind :
+         {sim::SchedulerKind::Wheel, sim::SchedulerKind::Heap}) {
+      SCOPED_TRACE(kind == sim::SchedulerKind::Wheel ? "wheel" : "heap");
+      CampaignConfig cfg = spec.config;
+      cfg.threads = 4;
+      cfg.reuse_trial_stacks = false;
+      cfg.scheduler = kind;
+      EXPECT_EQ(campaign_result_to_json(run_campaign(spec.cells(), cfg)), pin);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace fortress::scenario

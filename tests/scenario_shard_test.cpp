@@ -5,17 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
-
-#ifndef FORTRESS_SCENARIO_DIR
-#error "build defines FORTRESS_SCENARIO_DIR (see CMakeLists.txt)"
-#endif
 
 namespace fortress::scenario {
 namespace {
@@ -501,24 +494,6 @@ TEST(ShardSpecTest, U32FieldsDecodeUpToTheirLimit) {
       mutate(campaign_spec_to_json(smoke_spec()), "\"threads\": 2",
              "\"threads\": 4294967295"));
   EXPECT_EQ(spec.config.threads, 4294967295u);
-}
-
-// The committed specs are canonical fixed points, like the scenario corpus.
-TEST(ShardSpecTest, CommittedSpecsAreCanonicalFixedPoints) {
-  const std::filesystem::path dir =
-      std::filesystem::path(FORTRESS_SCENARIO_DIR).parent_path() / "specs";
-  std::size_t checked = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    SCOPED_TRACE(entry.path().filename().string());
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    EXPECT_EQ(campaign_spec_to_json(campaign_spec_from_json(text.str())),
-              text.str());
-    ++checked;
-  }
-  EXPECT_GE(checked, 1u) << "no specs under " << dir;
 }
 
 }  // namespace

@@ -8,13 +8,17 @@
 //   campaign_driver shard --spec F --shard I --shards N [--out F]
 //       run ONE shard in this process and write its sidecar — the building
 //       block for running shards on separate machines; ship the sidecars
-//       back and `merge` them.
-//   campaign_driver merge --out F <shard.json>...
+//       back and `merge` them. The sidecar goes to --out, else
+//       ./shard-<I>.json.
+//   campaign_driver merge [--out F] <shard.json>...
 //       merge previously written sidecars into the result report.
+//
+// N is a whole number from 1 to the spec's cell count; run and shard reject
+// anything else before any work starts.
 //
 // Bit-identity contract (pinned by tools/shard_check.py in the ctest lane):
 // `run --shards N` produces a merged report BYTE-identical to
-// `run --shards 1` for any N — trial seeds derive
+// `run --shards 1` for any valid N — trial seeds derive
 // from global cell indices and adaptive stopping is per-cell, so
 // partitioning changes nothing (see scenario/shard.hpp).
 //
@@ -28,6 +32,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -73,6 +78,22 @@ void spit(const std::string& path, const std::string& text) {
   }
 }
 
+/// A shard index or count: the whole string must be a decimal uint32_t
+/// (std::stoul would read "-1" as 4294967295 and "2x" as 2, and the cast
+/// would wrap "4294967297" to 1). Counts must also be at least 1.
+std::uint32_t parse_u32(const std::string& flag, const std::string& text,
+                        std::uint32_t min) {
+  std::uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    throw std::runtime_error(flag + " must be an integer in [" +
+                             std::to_string(min) + ", 4294967295], got \"" +
+                             text + "\"");
+  }
+  return value;
+}
+
 struct Options {
   std::string spec_path;
   std::string out_path;
@@ -95,8 +116,8 @@ Options parse_options(const std::vector<std::string>& args) {
     if (a == "--spec") o.spec_path = next();
     else if (a == "--out") o.out_path = next();
     else if (a == "--out-dir") o.out_dir = next();
-    else if (a == "--shard") o.shard = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (a == "--shards") o.n_shards = static_cast<std::uint32_t>(std::stoul(next()));
+    else if (a == "--shard") o.shard = parse_u32(a, next(), 0);
+    else if (a == "--shards") o.n_shards = parse_u32(a, next(), 1);
     else if (!a.empty() && a[0] == '-') {
       throw std::runtime_error("unknown option " + a);
     } else {
@@ -137,14 +158,27 @@ void emit_result(const scenario::CampaignResult& merged,
   }
 }
 
+/// Load the spec and reject a partition with more shards than cells: a
+/// shard beyond the last cell would have nothing to run.
+scenario::CampaignSpec load_spec(const Options& o) {
+  scenario::CampaignSpec spec =
+      scenario::campaign_spec_from_json(slurp(o.spec_path));
+  const std::size_t n_cells = spec.cells().size();
+  if (o.n_shards > n_cells) {
+    throw std::runtime_error("--shards " + std::to_string(o.n_shards) +
+                             " exceeds the spec's " +
+                             std::to_string(n_cells) + " cells");
+  }
+  return spec;
+}
+
 int cmd_run(const Options& o) {
-  if (o.spec_path.empty() || o.out_dir.empty() || o.n_shards < 1) {
+  if (o.spec_path.empty() || o.out_dir.empty()) {
     throw std::runtime_error(
         "usage: campaign_driver run --spec F --shards N --out-dir D "
         "[--out merged.json]");
   }
-  const scenario::CampaignSpec spec =
-      scenario::campaign_spec_from_json(slurp(o.spec_path));
+  const scenario::CampaignSpec spec = load_spec(o);
 
   // Fork the workers. The parent has done no pool work yet — each child
   // image is single-threaded and builds its own shared pool on first use.
@@ -184,13 +218,12 @@ int cmd_run(const Options& o) {
 }
 
 int cmd_shard(const Options& o) {
-  if (o.spec_path.empty() || o.n_shards < 1 || o.shard >= o.n_shards) {
+  if (o.spec_path.empty() || o.shard >= o.n_shards) {
     throw std::runtime_error(
         "usage: campaign_driver shard --spec F --shard I --shards N "
         "[--out F]  (I < N)");
   }
-  const scenario::CampaignSpec spec =
-      scenario::campaign_spec_from_json(slurp(o.spec_path));
+  const scenario::CampaignSpec spec = load_spec(o);
   const std::string out =
       o.out_path.empty() ? sidecar_path(".", o.shard) : o.out_path;
   return run_one_shard(spec, o.shard, o.n_shards, out);

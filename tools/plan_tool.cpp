@@ -1,17 +1,14 @@
-// plan_tool — the scenario-fixture workbench (canonicalize, digest, check,
-// capture, generate, fuzz, minimize).
+// plan_tool — the scenario-plan workbench (canonicalize, digest, generate,
+// fuzz, minimize).
 //
-//   plan_tool canon    <plan.json>              re-emit canonical plan JSON
-//   plan_tool digest   <plan-or-corpus.json>    print "fnv1a64:..." digest
-//   plan_tool check    <corpus.json>...         verify digest + byte form +
-//                                               golden rows (exit 1 on drift)
-//   plan_tool capture  <corpus.json>            recompute digest + golden
-//                                               rows, print updated file
+//   plan_tool canon    <plan-or-spec.json>      re-emit canonical plan JSON
+//   plan_tool digest   <plan-or-spec.json>      print "fnv1a64:..." digest
 //   plan_tool gen      <seed> [count]           print `count` random plans
 //   plan_tool fuzz     <seed> [count]           differential-check `count`
 //                                               random plans (exit 1 on any
 //                                               divergence)
-//   plan_tool minimize <plan.json> --pred P     shrink a failing plan and
+//   plan_tool minimize <plan-or-spec.json> --pred P
+//                                               shrink a failing plan and
 //                                               print the minimal repro JSON
 //
 // Built-in minimizer predicates (--pred):
@@ -21,8 +18,8 @@
 //   crash                                       run_trial throws
 // Knobs: --systems S0,S2 (default all), --trials N (default 3), --seed S.
 //
-// `tools/corpus_check.py` drives `check` over every committed
-// scenarios/*.json from the ctest lane.
+// A plan argument is a bare plan file or a campaign spec holding exactly one
+// plan, such as a committed scenarios/<name>.json.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,11 +28,12 @@
 #include <string>
 #include <vector>
 
-#include "scenario/corpus.hpp"
+#include "common/fields.hpp"
 #include "scenario/differential.hpp"
 #include "scenario/minimize.hpp"
 #include "scenario/plan_codec.hpp"
 #include "scenario/plan_generator.hpp"
+#include "scenario/shard.hpp"
 
 namespace {
 
@@ -49,16 +47,20 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-bool looks_like_corpus(const std::string& text) {
-  return text.find("\"schema\"") != std::string::npos;
-}
-
+/// A bare plan, or the one plan of a campaign spec (a plan has no "schema"
+/// member; a spec document does).
 net::ScenarioPlan load_plan(const std::string& path) {
   const std::string text = slurp(path);
-  if (looks_like_corpus(text)) {
-    return scenario::corpus_entry_from_json(text).plan;
+  if (text.find("\"schema\"") == std::string::npos) {
+    return scenario::plan_from_json(text);
   }
-  return scenario::plan_from_json(text);
+  scenario::CampaignSpec spec = scenario::campaign_spec_from_json(text);
+  if (spec.plans.size() != 1) {
+    throw std::runtime_error(path + ": spec holds " +
+                             std::to_string(spec.plans.size()) +
+                             " plans, expected exactly one");
+  }
+  return std::move(spec.plans.front());
 }
 
 int cmd_canon(const std::string& path) {
@@ -68,37 +70,6 @@ int cmd_canon(const std::string& path) {
 
 int cmd_digest(const std::string& path) {
   std::cout << scenario::plan_digest_string(load_plan(path)) << "\n";
-  return 0;
-}
-
-int cmd_check(const std::vector<std::string>& paths) {
-  int failures = 0;
-  for (const std::string& path : paths) {
-    const std::string text = slurp(path);
-    std::vector<std::string> problems;
-    try {
-      const scenario::CorpusEntry entry =
-          scenario::corpus_entry_from_json(text);
-      problems = scenario::check_corpus_entry(entry, text);
-    } catch (const std::exception& e) {
-      problems.push_back(e.what());
-    }
-    if (problems.empty()) {
-      std::cout << "OK   " << path << "\n";
-    } else {
-      ++failures;
-      std::cout << "FAIL " << path << "\n";
-      for (const std::string& p : problems) std::cout << "     " << p << "\n";
-    }
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int cmd_capture(const std::string& path) {
-  scenario::CorpusEntry entry = scenario::corpus_entry_from_json(slurp(path));
-  entry.digest = scenario::plan_digest_string(entry.plan);
-  entry.golden = scenario::capture_corpus_golden(entry);
-  std::cout << scenario::corpus_entry_to_json(entry);
   return 0;
 }
 
@@ -129,12 +100,20 @@ int cmd_fuzz(std::uint64_t seed, std::uint64_t count) {
   return divergent == 0 ? 0 : 1;
 }
 
+/// Parses "S0"/"S1"/"S2" (throws json::ParseError otherwise).
+model::SystemKind system_kind_from_string(const std::string& s) {
+  model::SystemKind kind{};
+  fields::read_value(json::Value::make_string(s), json::Path("--systems"),
+                     kind, model::kSystemKindNames, fields::Doubles::Decimal);
+  return kind;
+}
+
 std::vector<model::SystemKind> parse_systems(const std::string& csv) {
   std::vector<model::SystemKind> out;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    out.push_back(scenario::system_kind_from_string(item, "--systems"));
+    out.push_back(system_kind_from_string(item));
   }
   if (out.empty()) throw std::runtime_error("--systems: empty list");
   return out;
@@ -215,7 +194,7 @@ int cmd_minimize(const std::vector<std::string>& args) {
 }
 
 int usage() {
-  std::cerr << "usage: plan_tool canon|digest|check|capture|gen|fuzz|minimize"
+  std::cerr << "usage: plan_tool canon|digest|gen|fuzz|minimize"
                " ... (see tools/plan_tool.cpp header)\n";
   return 2;
 }
@@ -230,8 +209,6 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "canon" && args.size() == 1) return cmd_canon(args[0]);
     if (cmd == "digest" && args.size() == 1) return cmd_digest(args[0]);
-    if (cmd == "check" && !args.empty()) return cmd_check(args);
-    if (cmd == "capture" && args.size() == 1) return cmd_capture(args[0]);
     if (cmd == "gen" && (args.size() == 1 || args.size() == 2)) {
       return cmd_gen(std::stoull(args[0]),
                      args.size() == 2 ? std::stoull(args[1]) : 1);
