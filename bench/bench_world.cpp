@@ -116,9 +116,11 @@ void bench_sched(BenchRecorder& rec, const char* label, int chains,
             .count();
     const double ns_per_event = sec * 1e9 / static_cast<double>(total_events);
     const double events_per_sec = static_cast<double>(total_events) / sec;
+    const char* kind_name =
+        sim::kSchedulerKindNames.names[static_cast<std::size_t>(kind)];
     std::printf("  %-28s %-6s %9.1f ns/event %12.0f events/s\n", label,
-                to_string(kind), ns_per_event, events_per_sec);
-    rec.add(std::string("world_sched_") + label + "_" + to_string(kind),
+                kind_name, ns_per_event, events_per_sec);
+    rec.add(std::string("world_sched_") + label + "_" + kind_name,
             ns_per_event, events_per_sec);
   }
   // Identical virtual-time trajectories under both schedulers.

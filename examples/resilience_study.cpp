@@ -187,8 +187,7 @@ int main(int argc, char** argv) {
     }
   }
   live_campaign_section();
-  std::printf("\n(run with: %s [s0|s1|s2] [so|po] [alpha] [kappa] [log2chi] "
-              "[period] for a single configuration)\n",
-              argv[0]);
+  std::printf("\n(run with: resilience_study [s0|s1|s2] [so|po] [alpha] "
+              "[kappa] [log2chi] [period] for a single configuration)\n");
   return 0;
 }

@@ -93,8 +93,7 @@ void ServiceModel::validate(const std::string& ctx) const {
 }
 
 void TrafficSpec::validate(const std::string& ctx) const {
-  if (!enabled()) return;
-  if (clients < 1) plan_fail(ctx, "clients", "must be >= 1", clients);
+  if (!enabled()) return;  // so clients >= 1 below
   check_probability(ctx, "write_fraction", write_fraction);
   if (distinct_keys < 1) {
     plan_fail(ctx, "distinct_keys", "must be >= 1", distinct_keys);

@@ -21,27 +21,6 @@ SchedulerKind default_scheduler_kind() {
   return kind;
 }
 
-const char* to_string(SchedulerKind kind) {
-  return kSchedulerKindNames.names[static_cast<std::size_t>(kind)];
-}
-
-EventId Simulator::schedule_at(Time at, EventFn fn) {
-  FORTRESS_EXPECTS(at >= now_);
-  FORTRESS_EXPECTS(static_cast<bool>(fn));
-  const std::uint32_t slot = alloc_node();
-  Node& n = node(slot);
-  fn_of(slot) = std::move(fn);
-  n.at = at;
-  n.seq = next_seq_++;
-  enqueue(slot);
-  return make_id(slot, n.gen);
-}
-
-EventId Simulator::schedule_after(Time delay, EventFn fn) {
-  FORTRESS_EXPECTS(delay >= 0);
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
 /// Execute the handler of `slot` IN PLACE in the slab, then recycle the
 /// slot. The id is released (generation bump) before invocation, so the
 /// handler observes exactly the classic contract: cancel(own id) returns

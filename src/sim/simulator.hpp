@@ -74,8 +74,6 @@ SchedulerKind default_scheduler_kind();
 inline constexpr fields::EnumNames<SchedulerKind, 2> kSchedulerKindNames{
     "scheduler", {"wheel", "heap"}};
 
-const char* to_string(SchedulerKind kind);
-
 /// The event-driven simulator. Single-threaded by construction: handlers run
 /// to completion and may schedule further events.
 class Simulator {
@@ -108,9 +106,6 @@ class Simulator {
     return make_id(slot, n.gen);
   }
 
-  /// Overload for a pre-built EventFn (relocated into the slab).
-  EventId schedule_at(Time at, EventFn fn);
-
   /// Schedule `fn` after `delay` (>= 0) from now.
   template <typename F,
             typename Fn = std::remove_cvref_t<F>,
@@ -120,8 +115,6 @@ class Simulator {
     FORTRESS_EXPECTS(delay >= 0);
     return schedule_at(now_ + delay, std::forward<F>(f));
   }
-
-  EventId schedule_after(Time delay, EventFn fn);
 
   /// Cancel a pending event; returns false if it already ran or was
   /// cancelled. Wheel-resident events are unlinked immediately; events

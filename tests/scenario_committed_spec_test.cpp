@@ -3,8 +3,10 @@
 // pinned report at <dir>/reports/<stem>.json: the bytes `campaign_driver
 // run --spec F --shards 1` writes. This suite checks the specs' canonical
 // form and replays each one under execution modes the pin was not captured
-// with. The `fortress_tests_shard` ctest lane (tools/shard_check.py) checks
-// the same pins through the multi-process driver.
+// with; the three dense-plane golden specs are also replayed on one thread
+// with pooled and with fresh stacks, the modes their cells were first pinned
+// under. The `fortress_tests_shard` ctest lane (tools/pin_check.py) checks
+// the same pins through the multi-process driver, with pooled stacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,8 +91,41 @@ TEST(ShardSpecTest, CommittedSpecsAreCanonicalFixedPoints) {
     }
     ++checked;
   }
-  EXPECT_GE(checked, 6u) << "specs missing under " << kSpecDir << " or "
+  EXPECT_GE(checked, 9u) << "specs missing under " << kSpecDir << " or "
                          << kScenarioDir;
+}
+
+/// Shape checks independent of the pinned bits, so that a re-capture cannot
+/// silently pin a cell that stopped exercising its plane. Returns how many
+/// golden-d/golden-e cells (specs/golden_de.json) it saw.
+int expect_planes_exercised(const std::vector<CampaignCell>& cells,
+                            const CampaignResult& result) {
+  int plane_cells = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const net::ScenarioPlan& plan = cells[i].plan;
+    const CellStats& c = result.cells[i];
+    SCOPED_TRACE(plan.name);
+    // A plane a plan does not opt into must stay inert.
+    if (!plan.traffic.enabled()) EXPECT_EQ(c.traffic.offered, 0u);
+    if (!plan.population.enabled()) EXPECT_EQ(c.population.offered, 0u);
+    if (plan.name == "golden-d") {
+      // Traffic flowed and crossed the degrade watermark.
+      EXPECT_GT(c.traffic.offered, 0u);
+      EXPECT_GT(c.traffic.completed, 0u);
+      EXPECT_GT(c.traffic.degraded, 0u);
+      ++plane_cells;
+    }
+    if (plan.name == "golden-e") {
+      // The population generated load, completed some, and drops forced
+      // retries; none of its responses failed verification.
+      EXPECT_GT(c.population.offered, 1000u);
+      EXPECT_GT(c.population.completed, 0u);
+      EXPECT_GT(c.population.retries, 0u);
+      EXPECT_EQ(c.population.rejected_responses, 0u);
+      ++plane_cells;
+    }
+  }
+  return plane_cells;
 }
 
 // A pin must hold under the campaign determinism contract, not only under
@@ -99,9 +134,11 @@ TEST(ShardSpecTest, CommittedSpecsAreCanonicalFixedPoints) {
 // byte for byte. The spec names its scheduler, so FORTRESS_SIM_SCHEDULER
 // does not reach these campaigns; the test sets both kinds itself.
 TEST(CommittedSpecTest, PinnedReportsHoldUnderEveryExecutionMode) {
+  int plane_cells = 0;
   for (const fs::path& path : committed_specs()) {
     SCOPED_TRACE(path.string());
     const CampaignSpec spec = campaign_spec_from_json(slurp(path));
+    const std::vector<CampaignCell> cells = spec.cells();
     const std::string pin = slurp(pin_of(path));
     for (sim::SchedulerKind kind :
          {sim::SchedulerKind::Wheel, sim::SchedulerKind::Heap}) {
@@ -110,9 +147,40 @@ TEST(CommittedSpecTest, PinnedReportsHoldUnderEveryExecutionMode) {
       cfg.threads = 4;
       cfg.reuse_trial_stacks = false;
       cfg.scheduler = kind;
-      EXPECT_EQ(campaign_result_to_json(run_campaign(spec.cells(), cfg)), pin);
+      const CampaignResult result = run_campaign(cells, cfg);
+      EXPECT_EQ(campaign_result_to_json(result), pin);
+      plane_cells += expect_planes_exercised(cells, result);
     }
   }
+  EXPECT_EQ(plane_cells, 4) << "golden-d and golden-e, once per scheduler";
+}
+
+/// Replays the three dense-plane golden specs (specs/golden_*.json) the way
+/// their cells were first pinned: one thread, trial stacks pooled per worker
+/// or built fresh per trial. Both must give the pinned report byte for byte.
+void expect_golden_specs_hold(bool pooled) {
+  int plane_cells = 0;
+  for (const char* stem : {"golden_ab", "golden_c", "golden_de"}) {
+    const fs::path path = kSpecDir / (std::string(stem) + ".json");
+    SCOPED_TRACE(path.string());
+    const CampaignSpec spec = campaign_spec_from_json(slurp(path));
+    const std::vector<CampaignCell> cells = spec.cells();
+    CampaignConfig cfg = spec.config;
+    cfg.threads = 1;
+    cfg.reuse_trial_stacks = pooled;
+    const CampaignResult result = run_campaign(cells, cfg);
+    EXPECT_EQ(campaign_result_to_json(result), slurp(pin_of(path)));
+    plane_cells += expect_planes_exercised(cells, result);
+  }
+  EXPECT_EQ(plane_cells, 2) << "golden-d and golden-e";
+}
+
+TEST(DensePlaneGoldenTest, PooledArenaAggregatesMatchStringPlaneGolden) {
+  expect_golden_specs_hold(/*pooled=*/true);
+}
+
+TEST(DensePlaneGoldenTest, FreshStackAggregatesMatchStringPlaneGolden) {
+  expect_golden_specs_hold(/*pooled=*/false);
 }
 
 }  // namespace

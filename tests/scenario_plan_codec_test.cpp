@@ -106,10 +106,12 @@ struct BadInput {
 
 std::string valid_text() { return plan_to_json(rich_plan()); }
 
-/// Replace the first occurrence of `from` in the valid encoding.
-std::string mutate(const std::string& from, const std::string& to) {
+/// Replace the first occurrence of `from` in the valid encoding, or the first
+/// one after `after` (a key that shares its name with an earlier one).
+std::string mutate(const std::string& from, const std::string& to,
+                   const std::string& after = "") {
   std::string text = valid_text();
-  const std::size_t at = text.find(from);
+  const std::size_t at = text.find(from, text.find(after));
   EXPECT_NE(at, std::string::npos) << "bad table row: " << from;
   text.replace(at, from.size(), to);
   return text;
@@ -173,6 +175,70 @@ TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
       {"zero-threshold-under-blacklist",
        mutate("\"detection_threshold\": 4", "\"detection_threshold\": 0"),
        "detection_threshold must be >= 1 under proxy_blacklist"},
+      // One row per remaining validate() check, each with its whole message.
+      {"zero-exponential-mean", mutate("\"b\": 0.4", "\"b\": 0"),
+       "ScenarioPlan 'codec-rich'.latency: b must be finite and > 0 "
+       "(exponential mean), got 0"},
+      {"negative-fault-index", mutate("\"index\": 1", "\"index\": -1"),
+       "ScenarioPlan 'codec-rich': faults[0].index must be >= 0, got -1"},
+      {"zero-probe-rate",
+       mutate("\"probes_per_step\": 16", "\"probes_per_step\": 0"),
+       "ScenarioPlan 'codec-rich': attack.probes_per_step must be finite and "
+       "> 0, got 0"},
+      {"zero-sybils",
+       mutate("\"sybil_identities\": 3", "\"sybil_identities\": 0"),
+       "ScenarioPlan 'codec-rich': attack.sybil_identities must be >= 1, "
+       "got 0"},
+      {"zero-step", mutate("\"step_duration\": 100", "\"step_duration\": 0"),
+       "ScenarioPlan 'codec-rich': step_duration must be finite and > 0, "
+       "got 0"},
+      {"zero-servers", mutate("\"n_servers\": 3", "\"n_servers\": 0"),
+       "ScenarioPlan 'codec-rich': n_servers must be >= 1, got 0"},
+      {"zero-proxies", mutate("\"n_proxies\": 3", "\"n_proxies\": 0"),
+       "ScenarioPlan 'codec-rich': n_proxies must be >= 1, got 0"},
+      {"zero-horizon", mutate("\"horizon_steps\": 100", "\"horizon_steps\": 0"),
+       "ScenarioPlan 'codec-rich': horizon_steps must be >= 1, got 0"},
+      {"zero-detection-window",
+       mutate("\"detection_window\": 500", "\"detection_window\": 0"),
+       "ScenarioPlan 'codec-rich': detection_window must be finite and > 0 "
+       "under proxy_blacklist, got 0"},
+      {"zero-queue", mutate("\"queue_capacity\": 64", "\"queue_capacity\": 0"),
+       "ScenarioPlan 'codec-rich'.service: queue_capacity must be >= 1, got 0"},
+      {"zero-pushback",
+       mutate("\"pushback_delay\": 0.5", "\"pushback_delay\": 0"),
+       "ScenarioPlan 'codec-rich'.service: pushback_delay must be finite and "
+       "> 0 under Backpressure, got 0"},
+      {"zero-traffic-keys",
+       mutate("\"distinct_keys\": 16", "\"distinct_keys\": 0"),
+       "ScenarioPlan 'codec-rich'.traffic: distinct_keys must be >= 1, got 0"},
+      {"zero-traffic-retry-base",
+       mutate("\"retry_base\": 2", "\"retry_base\": 0"),
+       "ScenarioPlan 'codec-rich'.traffic: retry_base must be finite and > 0, "
+       "got 0"},
+      {"shrinking-traffic-backoff",
+       mutate("\"retry_multiplier\": 2", "\"retry_multiplier\": 0.5"),
+       "ScenarioPlan 'codec-rich'.traffic: retry_multiplier must be finite "
+       "and >= 1, got 0.5"},
+      {"full-jitter", mutate("\"retry_jitter\": 0.1", "\"retry_jitter\": 1"),
+       "ScenarioPlan 'codec-rich'.traffic: retry_jitter must be in [0, 1), "
+       "got 1"},
+      {"too-many-population-keys",
+       mutate("\"distinct_keys\": 16", "\"distinct_keys\": 65537",
+              "\"population\""),
+       "ScenarioPlan 'codec-rich'.population: distinct_keys must be in "
+       "[1, 65536], got 65537"},
+      {"zero-tick", mutate("\"tick_interval\": 1", "\"tick_interval\": 0"),
+       "ScenarioPlan 'codec-rich'.population: tick_interval must be finite "
+       "and > 0, got 0"},
+      {"zero-population-retry-base",
+       mutate("\"retry_base\": 2", "\"retry_base\": 0", "\"population\""),
+       "ScenarioPlan 'codec-rich'.population: retry_base must be finite and "
+       "> 0, got 0"},
+      {"shrinking-population-backoff",
+       mutate("\"retry_multiplier\": 2", "\"retry_multiplier\": 0.5",
+              "\"population\""),
+       "ScenarioPlan 'codec-rich'.population: retry_multiplier must be "
+       "finite and >= 1, got 0.5"},
   };
   for (const BadInput& row : table) {
     SCOPED_TRACE(row.label);

@@ -13,10 +13,11 @@
 //   campaign_driver merge [--out F] <shard.json>...
 //       merge previously written sidecars into the result report.
 //
-// N is a whole number from 1 to the spec's cell count; run and shard reject
-// anything else before any work starts.
+// N is a whole number from 1 to the spec's cell count, and run's D must be
+// an existing directory; run and shard reject anything else before any work
+// starts.
 //
-// Bit-identity contract (pinned by tools/shard_check.py in the ctest lane):
+// Bit-identity contract (pinned by tools/pin_check.py in the ctest lane):
 // `run --shards N` produces a merged report BYTE-identical to
 // `run --shards 1` for any valid N — trial seeds derive
 // from global cell indices and adaptive stopping is per-cell, so
@@ -35,6 +36,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -177,6 +179,12 @@ int cmd_run(const Options& o) {
     throw std::runtime_error(
         "usage: campaign_driver run --spec F --shards N --out-dir D "
         "[--out merged.json]");
+  }
+  // Checked before the fork: otherwise every worker would run its whole
+  // shard and only then fail to write its sidecar.
+  if (!std::filesystem::is_directory(o.out_dir)) {
+    throw std::runtime_error("--out-dir " + o.out_dir +
+                             " is not a directory");
   }
   const scenario::CampaignSpec spec = load_spec(o);
 
