@@ -1,10 +1,7 @@
 #include "crypto/sha256_kernel.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
-#include "common/check.hpp"
 #include "crypto/sha256_constants.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -31,27 +28,10 @@ bool cpu_has_shani() {
 }
 #endif
 
-ShaTier parse_tier_request(const char* request) {
-  // "native" and "shani" both ask for the best tier, which falls back to
-  // the reference one on a CPU without the SHA extensions.
-  if (request == nullptr || std::strcmp(request, "native") == 0 ||
-      std::strcmp(request, "shani") == 0) {
-    return tier_available(ShaTier::ShaNi) ? ShaTier::ShaNi : ShaTier::Scalar;
-  }
-  // Anything else is rejected rather than read as "scalar": a misspelt tier
-  // would otherwise slow every HMAC several-fold without a word.
-  FORTRESS_CHECK(std::strcmp(request, "scalar") == 0 &&
-                 "FORTRESS_SHA_DISPATCH must be scalar|native|shani");
-  return ShaTier::Scalar;
-}
-
-ShaTier select_startup_tier() {
-  // Unset means "native" (parse_tier_request treats nullptr so).
-  return parse_tier_request(std::getenv("FORTRESS_SHA_DISPATCH"));
-}
-
 ShaTier& active_tier_slot() {
-  static ShaTier tier = select_startup_tier();
+  // The best tier CPUID reports.
+  static ShaTier tier =
+      tier_available(ShaTier::ShaNi) ? ShaTier::ShaNi : ShaTier::Scalar;
   return tier;
 }
 

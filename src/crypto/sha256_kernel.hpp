@@ -10,12 +10,8 @@
 // tests); dispatch is therefore observationally invisible to everything
 // above, including the campaign golden aggregates.
 //
-// Startup selection: env FORTRESS_SHA_DISPATCH = scalar | native | shani,
-// or "native" (the best tier CPUID reports) when it is unset. Requesting
-// an unavailable tier falls back to the scalar one, so a scalar-forced CI
-// lane and a heterogeneous fleet both run without special-casing. Any other
-// value throws ContractViolation at the first hash or tier query (the
-// selection is made lazily), naming the three accepted values.
+// Startup selection: the best tier CPUID reports, made lazily at the first
+// hash or tier query. Tests and benches pick a tier with force_tier().
 #pragma once
 
 #include <cstddef>
@@ -35,7 +31,7 @@ bool tier_available(ShaTier tier);
 /// The tier all kernel entry points currently route through.
 ShaTier active_tier();
 
-/// Force the active tier (tests/benches exercising a specific lane). Not
+/// Force the active tier (tests/benches exercising a specific tier). Not
 /// thread-safe against concurrent hashing — call before spinning up
 /// workers. Returns false (and leaves dispatch unchanged) if `tier` is not
 /// available on this CPU.

@@ -252,11 +252,10 @@ struct CampaignConfig {
   /// Confidence level for the per-cell lifetime interval (also the CI the
   /// adaptive stopping rule tests).
   double ci_level = 0.95;
-  /// Event scheduler for every trial simulator (pooled and fresh).
-  /// Defaults to the process-wide choice (FORTRESS_SIM_SCHEDULER); results
-  /// are bit-identical either way — this knob exists for the differential
-  /// lane and A/B benches.
-  sim::SchedulerKind scheduler = sim::default_scheduler_kind();
+  /// Event scheduler for every trial simulator (pooled and fresh). Results
+  /// are bit-identical either way; the heap reference exists for the
+  /// differential tests.
+  sim::SchedulerKind scheduler = sim::SchedulerKind::Wheel;
   AdaptiveConfig adaptive;
   /// Run trials on pooled per-worker stacks (TrialArena): the Simulator
   /// event slab, Network buffers and LiveSystem allocations are reused via

@@ -9,7 +9,7 @@
 // plan through ScenarioPlan::validate() (net::PlanValidationError) so a
 // malformed file can never reach the simulator.
 //
-// Invariants (pinned by scenario_plan_codec_test + the planfuzz lane):
+// Invariants (pinned by scenario_plan_codec_test and the plan fuzz test):
 //  * plan_from_json(plan_to_json(p)) reproduces p exactly — re-encoding is
 //    byte-identical;
 //  * plan_digest is FNV-1a 64 over the COMPACT canonical encoding, so it is

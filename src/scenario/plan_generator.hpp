@@ -9,12 +9,12 @@
 // piecewise traffic schedules (including zero-rate pauses — diurnal churn),
 // and the compact client population.
 //
-// Guarantees (pinned by the codec round-trip property test and the
-// planfuzz lane):
+// Guarantees (pinned by the codec round-trip property test and the plan
+// fuzz test):
 //  * next() is deterministic in (seed, call index);
 //  * every emitted plan passes ScenarioPlan::validate();
 //  * every knob stays inside the cost caps in plan_generator.cpp, so a fuzz
-//    campaign over the plan is cheap enough to run 64+ plans per CI lane.
+//    campaign over the plan is cheap enough to run 64 plans per test run.
 #pragma once
 
 #include <cstdint>

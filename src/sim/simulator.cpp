@@ -2,24 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 
 namespace fortress::sim {
-
-SchedulerKind default_scheduler_kind() {
-  static const SchedulerKind kind = [] {
-    const char* env = std::getenv("FORTRESS_SIM_SCHEDULER");
-    if (env != nullptr) {
-      const std::string_view v(env);
-      if (v == "heap") return SchedulerKind::Heap;
-      if (v == "wheel") return SchedulerKind::Wheel;
-      FORTRESS_CHECK(false && "FORTRESS_SIM_SCHEDULER must be wheel|heap");
-    }
-    return SchedulerKind::Wheel;
-  }();
-  return kind;
-}
 
 /// Execute the handler of `slot` IN PLACE in the slab, then recycle the
 /// slot. The id is released (generation bump) before invocation, so the

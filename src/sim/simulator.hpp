@@ -31,9 +31,9 @@
 //    orders the entries of the current tick, keeping execution order
 //    bit-identical to a global binary heap.
 //  * The original binary heap survives as a reference scheduler, selected
-//    per-instance or process-wide via FORTRESS_SIM_SCHEDULER=heap; a ctest
-//    lane re-runs the sim/scenario suites under it so both implementations
-//    stay continuously differentially tested.
+//    per instance by the constructor argument; the simulator, replica and
+//    deployment tests run under both kinds, and the campaign differentials
+//    compare their trajectories bit for bit.
 //  * Cancelled events in the binary heaps (reference scheduler, due/
 //    overflow staging) leave generation-mismatch tombstones that are
 //    skipped (and accounted) when touched.
@@ -67,10 +67,6 @@ using EventId = std::uint64_t;
 /// the straightforward binary-heap reference both are tested against.
 enum class SchedulerKind : std::uint8_t { Wheel, Heap };
 
-/// Process-wide default, resolved once: FORTRESS_SIM_SCHEDULER=heap|wheel
-/// overrides; otherwise Wheel.
-SchedulerKind default_scheduler_kind();
-
 inline constexpr fields::EnumNames<SchedulerKind, 2> kSchedulerKindNames{
     "scheduler", {"wheel", "heap"}};
 
@@ -78,8 +74,7 @@ inline constexpr fields::EnumNames<SchedulerKind, 2> kSchedulerKindNames{
 /// to completion and may schedule further events.
 class Simulator {
  public:
-  explicit Simulator(SchedulerKind kind = default_scheduler_kind())
-      : kind_(kind) {}
+  explicit Simulator(SchedulerKind kind = SchedulerKind::Wheel) : kind_(kind) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

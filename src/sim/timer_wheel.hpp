@@ -13,8 +13,8 @@
 // Determinism: bucket membership only ever narrows as the cursor advances
 // (entries cascade from coarser to finer levels), and the tick at/behind
 // the cursor is totally ordered by a small (time, seq) "due" heap — so
-// execution order is bit-identical to a global binary heap, which the heap
-// reference scheduler and the fortress_tests_heap ctest lane pin.
+// execution order is bit-identical to a global binary heap, which the tests
+// pin against the heap reference scheduler.
 //
 // This header holds the shared POD pieces — geometry constants, the
 // 32-byte slab Node, the binary-heap entry/comparator, and the tick/level

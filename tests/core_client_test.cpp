@@ -9,6 +9,7 @@
 #include "core/directory.hpp"
 #include "net/network.hpp"
 #include "replication/message.hpp"
+#include "scheduler_test.hpp"
 #include "sim/simulator.hpp"
 
 namespace fortress::core {
@@ -49,7 +50,8 @@ class Responder : public net::Handler {
 
 class ClientTest : public ::testing::Test {
  protected:
-  ClientTest() : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}) {}
+  explicit ClientTest(sim::SchedulerKind kind = sim::SchedulerKind::Wheel)
+      : sim_(kind), net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}) {}
 
   Directory fortified_directory() {
     Directory d;
@@ -162,7 +164,7 @@ TEST_F(ClientTest, FortifiedRejectsUnknownServerPrincipal) {
   EXPECT_FALSE(answered);
 }
 
-TEST_F(ClientTest, SmrNeedsFPlusOneMatchingVotes) {
+SCHEDULER_TEST_F(ClientTest, SmrNeedsFPlusOneMatchingVotes) {
   std::vector<std::unique_ptr<Responder>> servers;
   for (const auto& a : smr_directory().server_addrs) {
     servers.push_back(std::make_unique<Responder>(net_, a));

@@ -10,6 +10,7 @@
 
 #include "osl/probe.hpp"
 #include "replication/service.hpp"
+#include "scheduler_test.hpp"
 
 namespace fortress::core {
 namespace {
@@ -56,8 +57,8 @@ std::vector<std::string> collect_responses(sim::Simulator& sim, Client& client,
   return out;
 }
 
-TEST(LiveS1Test, EndToEndRequests) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS1Test, EndToEndRequests) {
+  sim::Simulator sim(scheduler);
   LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
@@ -70,8 +71,8 @@ TEST(LiveS1Test, EndToEndRequests) {
   EXPECT_EQ(client.stats().completed, 4u);
 }
 
-TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
+  sim::Simulator sim(scheduler);
   net::ScenarioPlan cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
   cfg.step_duration = 50.0;  // several reboots during the workload
   LiveS1 system(sim, cfg, kSeed, kv_factory());
@@ -87,8 +88,8 @@ TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
   EXPECT_EQ(after, (std::vector<std::string>{"VALUE 1", "VALUE 2"}));
 }
 
-TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
+  sim::Simulator sim(scheduler);
   LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
@@ -108,8 +109,8 @@ TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
   EXPECT_EQ(*system.failure_step(), 0u);
 }
 
-TEST(LiveS0Test, EndToEndRequestsWithVoting) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS0Test, EndToEndRequestsWithVoting) {
+  sim::Simulator sim(scheduler);
   LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 det_kv_factory());
   system.start();
@@ -119,8 +120,8 @@ TEST(LiveS0Test, EndToEndRequestsWithVoting) {
   EXPECT_EQ(replies, (std::vector<std::string>{"OK", "VALUE 1"}));
 }
 
-TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
+  sim::Simulator sim(scheduler);
   LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 det_kv_factory());
   system.start();
@@ -143,8 +144,8 @@ TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
   EXPECT_TRUE(system.failed());
 }
 
-TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
+  sim::Simulator sim(scheduler);
   net::ScenarioPlan cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
   cfg.step_duration = 100.0;
   LiveS0 system(sim, cfg, kSeed, det_kv_factory());
@@ -164,8 +165,8 @@ TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
   EXPECT_GE(system.steps_completed(), 3u);
 }
 
-TEST(LiveS2Test, EndToEndThroughProxies) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS2Test, EndToEndThroughProxies) {
+  sim::Simulator sim(scheduler);
   LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
@@ -176,8 +177,8 @@ TEST(LiveS2Test, EndToEndThroughProxies) {
   EXPECT_EQ(replies, (std::vector<std::string>{"OK", "VALUE 1"}));
 }
 
-TEST(LiveS2Test, DirectoryHidesServerAddresses) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS2Test, DirectoryHidesServerAddresses) {
+  sim::Simulator sim(scheduler);
   LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   EXPECT_TRUE(system.directory().fortified());
@@ -186,8 +187,8 @@ TEST(LiveS2Test, DirectoryHidesServerAddresses) {
   EXPECT_EQ(system.directory().server_principals.size(), 3u);
 }
 
-TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
+  sim::Simulator sim(scheduler);
   LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
@@ -214,8 +215,8 @@ TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
   EXPECT_TRUE(system.failed());
 }
 
-TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
+  sim::Simulator sim(scheduler);
   LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
@@ -231,8 +232,8 @@ TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
   EXPECT_TRUE(system.failed());
 }
 
-TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
+  sim::Simulator sim(scheduler);
   net::ScenarioPlan cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
   cfg.step_duration = 50.0;
   LiveS2 system(sim, cfg, kSeed, kv_factory());
@@ -252,8 +253,8 @@ TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
   EXPECT_FALSE(system.failed());
 }
 
-TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
-  sim::Simulator sim;
+SCHEDULER_TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
+  sim::Simulator sim(scheduler);
   LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize), kSeed,
                 kv_factory());
   system.start();
@@ -269,7 +270,7 @@ TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
 // learns the proxies and the server principals, never the server addresses;
 // a client of a 1-tier system learns the server addresses, which are also
 // the server principals. All three classes are built from one plan.
-TEST(LiveSystemTest, DirectoryTellsClientsOnlyWhatTheirClassAllows) {
+SCHEDULER_TEST(LiveSystemTest, DirectoryTellsClientsOnlyWhatTheirClassAllows) {
   net::ScenarioPlan plan = test_config(osl::ObfuscationPolicy::Rerandomize);
   plan.n_servers = 5;  // S0 deploys the smallest 3f+1 >= 5: f = 2, 7 replicas
   auto machine_addresses = [](LiveSystem& system) {
@@ -280,7 +281,7 @@ TEST(LiveSystemTest, DirectoryTellsClientsOnlyWhatTheirClassAllows) {
     return out;
   };
 
-  sim::Simulator sim2;
+  sim::Simulator sim2(scheduler);
   LiveS2 s2(sim2, plan, kSeed, kv_factory());
   const Directory& d2 = s2.directory();
   std::vector<net::Address> proxy_addrs;
@@ -295,7 +296,7 @@ TEST(LiveSystemTest, DirectoryTellsClientsOnlyWhatTheirClassAllows) {
   EXPECT_EQ(d2.replication, ReplicationType::PrimaryBackup);
   EXPECT_TRUE(d2.fortified());
 
-  sim::Simulator sim1;
+  sim::Simulator sim1(scheduler);
   LiveS1 s1(sim1, plan, kSeed, kv_factory());
   const Directory& d1 = s1.directory();
   EXPECT_EQ(d1.server_addrs, d1.server_principals);
@@ -305,7 +306,7 @@ TEST(LiveSystemTest, DirectoryTellsClientsOnlyWhatTheirClassAllows) {
   EXPECT_EQ(d1.replication, ReplicationType::PrimaryBackup);
   EXPECT_FALSE(d1.fortified());
 
-  sim::Simulator sim0;
+  sim::Simulator sim0(scheduler);
   LiveS0 s0(sim0, plan, kSeed, det_kv_factory());
   const Directory& d0 = s0.directory();
   EXPECT_EQ(d0.replication, ReplicationType::StateMachine);

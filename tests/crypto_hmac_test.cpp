@@ -2,27 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/bytes.hpp"
+#include "sha_tiers.hpp"
 
 namespace fortress::crypto {
 namespace {
 
-std::string hmac_hex(BytesView key, BytesView msg) {
-  Digest d = hmac_sha256(key, msg);
-  return to_hex(BytesView(d.data(), d.size()));
+/// Known-answer check of the one-shot HMAC on every kernel tier.
+void expect_hmac(BytesView key, BytesView msg, const std::string& hex) {
+  on_every_tier([&] {
+    const Digest d = hmac_sha256(key, msg);
+    EXPECT_EQ(to_hex(BytesView(d.data(), d.size())), hex);
+  });
 }
 
 // RFC 4231 test case 1.
 TEST(HmacTest, Rfc4231Case1) {
   Bytes key(20, 0x0b);
-  EXPECT_EQ(hmac_hex(key, bytes_of("Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  expect_hmac(
+      key, bytes_of("Hi There"),
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
 // RFC 4231 test case 2: short key "Jefe".
 TEST(HmacTest, Rfc4231Case2) {
-  EXPECT_EQ(
-      hmac_hex(bytes_of("Jefe"), bytes_of("what do ya want for nothing?")),
+  expect_hmac(
+      bytes_of("Jefe"), bytes_of("what do ya want for nothing?"),
       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
@@ -30,8 +37,9 @@ TEST(HmacTest, Rfc4231Case2) {
 TEST(HmacTest, Rfc4231Case3) {
   Bytes key(20, 0xaa);
   Bytes data(50, 0xdd);
-  EXPECT_EQ(hmac_hex(key, data),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  expect_hmac(
+      key, data,
+      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
 // RFC 4231 test case 4: incrementing key, 50 bytes of 0xcd.
@@ -39,27 +47,28 @@ TEST(HmacTest, Rfc4231Case4) {
   Bytes key;
   for (std::uint8_t b = 0x01; b <= 0x19; ++b) key.push_back(b);
   Bytes data(50, 0xcd);
-  EXPECT_EQ(hmac_hex(key, data),
-            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+  expect_hmac(
+      key, data,
+      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
 }
 
 // RFC 4231 test case 6: 131-byte key (longer than block size).
 TEST(HmacTest, Rfc4231Case6LongKey) {
   Bytes key(131, 0xaa);
-  EXPECT_EQ(hmac_hex(key, bytes_of("Test Using Larger Than Block-Size Key - "
-                                   "Hash Key First")),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  expect_hmac(
+      key, bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 // RFC 4231 test case 7: long key and long data.
 TEST(HmacTest, Rfc4231Case7LongKeyLongData) {
   Bytes key(131, 0xaa);
-  EXPECT_EQ(hmac_hex(key,
-                     bytes_of("This is a test using a larger than block-size "
-                              "key and a larger than block-size data. The key "
-                              "needs to be hashed before being used by the "
-                              "HMAC algorithm.")),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+  expect_hmac(
+      key,
+      bytes_of("This is a test using a larger than block-size key and a larger "
+               "than block-size data. The key needs to be hashed before being "
+               "used by the HMAC algorithm."),
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(HmacTest, KeySensitivity) {
@@ -86,8 +95,9 @@ TEST(HmacTest, ExactBlockSizeKeyNotHashed) {
 
 TEST(HmacTest, EmptyKeyAndMessage) {
   // HMAC-SHA256("", "") — well-known value.
-  EXPECT_EQ(hmac_hex(Bytes{}, Bytes{}),
-            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+  expect_hmac(
+      Bytes{}, Bytes{},
+      "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
 }
 
 /// RFC 2104 spelled out on the streaming hash, with no midstate or

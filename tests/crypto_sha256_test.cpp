@@ -8,43 +8,54 @@
 #include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "crypto/sha256_kernel.hpp"
+#include "sha_tiers.hpp"
 
 namespace fortress::crypto {
 namespace {
 
-std::string hash_hex(const std::string& msg) {
-  Digest d = Sha256::hash(bytes_of(msg));
+std::string hex_of(const Digest& d) {
   return to_hex(BytesView(d.data(), d.size()));
+}
+
+/// Known-answer check of the one-shot hash on every kernel tier.
+void expect_digest(BytesView msg, const std::string& hex) {
+  on_every_tier([&] { EXPECT_EQ(hex_of(Sha256::hash(msg)), hex); });
 }
 
 // FIPS 180-4 / NIST CAVS reference vectors.
 TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(hash_hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  expect_digest(
+      bytes_of(""),
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256Test, Abc) {
-  EXPECT_EQ(hash_hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  expect_digest(
+      bytes_of("abc"),
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256Test, TwoBlockMessage) {
-  EXPECT_EQ(hash_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  expect_digest(
+      bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 TEST(Sha256Test, QuickBrownFox) {
-  EXPECT_EQ(hash_hex("The quick brown fox jumps over the lazy dog"),
-            "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592");
+  expect_digest(
+      bytes_of("The quick brown fox jumps over the lazy dog"),
+      "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592");
 }
 
 TEST(Sha256Test, MillionAs) {
-  Sha256 h;
-  Bytes chunk(1000, static_cast<std::uint8_t>('a'));
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  Digest d = h.finish();
-  EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  on_every_tier([] {
+    Sha256 h;
+    Bytes chunk(1000, static_cast<std::uint8_t>('a'));
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(
+        hex_of(h.finish()),
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  });
 }
 
 TEST(Sha256Test, StreamingEqualsOneShot) {
@@ -89,8 +100,7 @@ TEST(Sha256Test, ResetAllowsReuse) {
   (void)h.finish();
   h.reset();
   h.update(bytes_of("abc"));
-  Digest d = h.finish();
-  EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+  EXPECT_EQ(hex_of(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
@@ -157,39 +167,16 @@ constexpr CavpVector kCavpVectors[] = {
 
 TEST(Sha256Test, CavpPatternVectors) {
   for (const CavpVector& v : kCavpVectors) {
-    Digest d = Sha256::hash(pattern_msg(v.len));
-    EXPECT_EQ(to_hex(BytesView(d.data(), d.size())), v.hex)
-        << "len=" << v.len;
+    SCOPED_TRACE(v.len);
+    expect_digest(pattern_msg(v.len), v.hex);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch-lane equivalence: every available kernel tier must produce the
-// scalar reference digest for every message length 0..130, both through
-// the single-stream entry and the 8-lane multi-buffer entry.
+// Tier equivalence: every available kernel tier must produce the scalar
+// reference digest for every message length 0..130, and the scalar
+// reference's compression from any chaining state.
 // ---------------------------------------------------------------------------
-
-// Restores the process dispatch tier on scope exit so tests compose.
-class ScopedTier {
- public:
-  explicit ScopedTier(kernel::ShaTier tier)
-      : saved_(kernel::active_tier()),
-        forced_(kernel::force_tier(tier)) {}
-  ~ScopedTier() { kernel::force_tier(saved_); }
-  bool forced() const { return forced_; }
-
- private:
-  kernel::ShaTier saved_;
-  bool forced_;
-};
-
-std::vector<kernel::ShaTier> available_tiers() {
-  std::vector<kernel::ShaTier> tiers;
-  for (kernel::ShaTier t : {kernel::ShaTier::Scalar, kernel::ShaTier::ShaNi}) {
-    if (kernel::tier_available(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
 
 // SHA-256 pad `msg` to whole blocks (the finish() layout).
 Bytes padded(const Bytes& msg) {
@@ -232,14 +219,37 @@ TEST(Sha256DispatchTest, EveryLaneMatchesScalarEveryLength) {
     reference.push_back(digest_from_state(st));
   }
 
-  for (kernel::ShaTier tier : available_tiers()) {
-    ScopedTier scope(tier);
-    ASSERT_TRUE(scope.forced()) << kernel::tier_name(tier);
+  on_every_tier([&] {
     for (std::size_t len = 0; len <= 130; ++len) {
-      EXPECT_EQ(Sha256::hash(messages[len]), reference[len])
-          << "tier=" << kernel::tier_name(tier) << " len=" << len;
+      EXPECT_EQ(Sha256::hash(messages[len]), reference[len]) << "len=" << len;
     }
-  }
+  });
+}
+
+TEST(Sha256DispatchTest, EveryTierMatchesScalarFromNonIvStates) {
+  // HMAC resumes compression from cached ipad/opad midstates, so each tier
+  // must agree with the scalar reference from arbitrary chaining values,
+  // not only from the IV.
+  const Bytes data = pattern_msg(64 * 5);
+  on_every_tier([&] {
+    for (std::uint32_t s = 0; s < 16; ++s) {
+      std::uint32_t start[8];
+      for (int i = 0; i < 8; ++i) {
+        const auto word = static_cast<std::uint32_t>(i);
+        start[i] = kIv[i] ^ (0x9e3779b9u * (s * 8 + word + 1));
+      }
+      for (std::size_t nblocks = 1; nblocks <= 5; ++nblocks) {
+        std::uint32_t expected[8], actual[8];
+        std::copy(std::begin(start), std::end(start), expected);
+        std::copy(std::begin(start), std::end(start), actual);
+        kernel::compress_blocks_scalar(expected, data.data(), nblocks);
+        kernel::compress_blocks(actual, data.data(), nblocks);
+        EXPECT_TRUE(std::equal(std::begin(expected), std::end(expected),
+                               std::begin(actual)))
+            << "state=" << s << " blocks=" << nblocks;
+      }
+    }
+  });
 }
 
 TEST(Sha256DispatchTest, TierNamesAndScalarAlwaysAvailable) {

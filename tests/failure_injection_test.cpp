@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <vector>
 
 #include "core/live_system.hpp"
 #include "net/network.hpp"
 #include "replication/pb_replica.hpp"
 #include "replication/service.hpp"
 #include "replication/smr_replica.hpp"
+#include "scheduler_test.hpp"
 #include "sim/simulator.hpp"
 
 namespace fortress {
@@ -22,11 +25,22 @@ using replication::RequestId;
 
 // --- datagram loss on a raw PB deployment ----------------------------------
 
-class LossyPbTest : public ::testing::TestWithParam<double> {
+struct LossyCase {
+  double drop_probability;
+  sim::SchedulerKind scheduler;
+};
+
+// The case's name is its drop rate, with /heap on the reference scheduler.
+void PrintTo(const LossyCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.drop_probability);
+  if (c.scheduler == sim::SchedulerKind::Heap) *os << "/heap";
+}
+
+class LossyPbTest : public ::testing::TestWithParam<LossyCase> {
  protected:
-  LossyPbTest() {
+  LossyPbTest() : sim_(GetParam().scheduler) {
     net::NetworkConfig ncfg;
-    ncfg.drop_probability = GetParam();
+    ncfg.drop_probability = GetParam().drop_probability;
     ncfg.rng_seed = 77;
     ncfg.latency = net::LatencySpec::fixed(0.5);
     net_ = std::make_unique<net::Network>(sim_, ncfg);
@@ -92,8 +106,17 @@ TEST_P(LossyPbTest, ClientRetriesUntilServed) {
   EXPECT_EQ(get_reply, "VALUE lossy");
 }
 
+std::vector<LossyCase> lossy_cases() {
+  std::vector<LossyCase> cases;
+  for (sim::SchedulerKind kind :
+       {sim::SchedulerKind::Wheel, sim::SchedulerKind::Heap}) {
+    for (double drop : {0.0, 0.1, 0.3, 0.5}) cases.push_back({drop, kind});
+  }
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(DropRates, LossyPbTest,
-                         ::testing::Values(0.0, 0.1, 0.3, 0.5));
+                         ::testing::ValuesIn(lossy_cases()));
 
 // --- reboot races on the FORTRESS deployment -------------------------------
 
@@ -194,8 +217,8 @@ TEST(RebootRaceTest, AllServersRebootTogetherStateSurvives) {
 
 // --- cascading crash: two backups die, primary soldiers on ------------------
 
-TEST(CascadeTest, PbPrimaryAloneStillServes) {
-  sim::Simulator sim;
+SCHEDULER_TEST(CascadeTest, PbPrimaryAloneStillServes) {
+  sim::Simulator sim(scheduler);
   net::ScenarioPlan cfg = fast_reboot_config();
   cfg.step_duration = 10000.0;
   core::LiveS1 system(sim, cfg, kSeed, [](std::uint32_t) {
@@ -215,9 +238,9 @@ TEST(CascadeTest, PbPrimaryAloneStillServes) {
   EXPECT_EQ(reply, "OK");
 }
 
-TEST(CascadeTest, PbChainOfFailovers) {
+SCHEDULER_TEST(CascadeTest, PbChainOfFailovers) {
   // Primary dies; successor takes over; successor dies; last replica leads.
-  sim::Simulator sim;
+  sim::Simulator sim(scheduler);
   net::ScenarioPlan cfg = fast_reboot_config();
   cfg.step_duration = 100000.0;
   core::LiveS1 system(sim, cfg, kSeed, [](std::uint32_t) {

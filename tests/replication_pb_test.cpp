@@ -7,6 +7,7 @@
 #include "net/network.hpp"
 #include "osl/machine.hpp"
 #include "replication/service.hpp"
+#include "scheduler_test.hpp"
 #include "sim/simulator.hpp"
 
 namespace fortress::replication {
@@ -71,8 +72,9 @@ class PbTest : public ::testing::Test {
  protected:
   static constexpr int kN = 3;
 
-  PbTest()
-      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
+  explicit PbTest(sim::SchedulerKind kind)
+      : sim_(kind),
+        net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         client_(net_, "client") {
     for (int i = 0; i < kN; ++i) {
       addrs_.push_back("server-" + std::to_string(i));
@@ -105,14 +107,14 @@ class PbTest : public ::testing::Test {
   TestClient client_;
 };
 
-TEST_F(PbTest, InitialPrimaryIsIndexZero) {
+SCHEDULER_TEST_F(PbTest, InitialPrimaryIsIndexZero) {
   boot_and_start();
   EXPECT_TRUE(replicas_[0]->is_primary());
   EXPECT_FALSE(replicas_[1]->is_primary());
   EXPECT_FALSE(replicas_[2]->is_primary());
 }
 
-TEST_F(PbTest, AllReplicasSignAndAnswer) {
+SCHEDULER_TEST_F(PbTest, AllReplicasSignAndAnswer) {
   boot_and_start();
   RequestId rid{"client", 1};
   client_.send_request(rid, "PUT a 1", addrs_);
@@ -129,7 +131,7 @@ TEST_F(PbTest, AllReplicasSignAndAnswer) {
   }
 }
 
-TEST_F(PbTest, BackupsAnswerRequesterLearnedFromStateUpdate) {
+SCHEDULER_TEST_F(PbTest, BackupsAnswerRequesterLearnedFromStateUpdate) {
   // Regression (dense-id plane): when a request reaches ONLY the primary
   // (dropped datagrams, or a proxy that connected to one server), backups
   // learn the requester exclusively from the StateUpdate's requester field
@@ -142,7 +144,7 @@ TEST_F(PbTest, BackupsAnswerRequesterLearnedFromStateUpdate) {
   EXPECT_EQ(responders.size(), 3u);  // backups answered via the update
 }
 
-TEST_F(PbTest, OnlyPrimaryExecutes) {
+SCHEDULER_TEST_F(PbTest, OnlyPrimaryExecutes) {
   boot_and_start();
   RequestId rid{"client", 1};
   client_.send_request(rid, "PUT a 1", addrs_);
@@ -152,7 +154,7 @@ TEST_F(PbTest, OnlyPrimaryExecutes) {
   EXPECT_EQ(replicas_[2]->executed_requests(), 0u);
 }
 
-TEST_F(PbTest, BackupsReceiveState) {
+SCHEDULER_TEST_F(PbTest, BackupsReceiveState) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(30.0);
@@ -161,7 +163,7 @@ TEST_F(PbTest, BackupsReceiveState) {
   }
 }
 
-TEST_F(PbTest, DuplicateRequestNotReExecuted) {
+SCHEDULER_TEST_F(PbTest, DuplicateRequestNotReExecuted) {
   boot_and_start();
   RequestId rid{"client", 1};
   client_.send_request(rid, "PUT a 1", addrs_);
@@ -173,7 +175,7 @@ TEST_F(PbTest, DuplicateRequestNotReExecuted) {
   EXPECT_GE(client_.responders(rid, "OK").size(), 3u);
 }
 
-TEST_F(PbTest, SequentialRequestsBuildState) {
+SCHEDULER_TEST_F(PbTest, SequentialRequestsBuildState) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(30.0);
@@ -184,7 +186,7 @@ TEST_F(PbTest, SequentialRequestsBuildState) {
   EXPECT_EQ(client_.responders({"client", 3}, "VALUE 1").size(), 3u);
 }
 
-TEST_F(PbTest, FailoverAfterPrimaryCrash) {
+SCHEDULER_TEST_F(PbTest, FailoverAfterPrimaryCrash) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(30.0);
@@ -202,7 +204,7 @@ TEST_F(PbTest, FailoverAfterPrimaryCrash) {
   EXPECT_GE(ok.size(), 2u);  // the two survivors
 }
 
-TEST_F(PbTest, NonDeterministicServiceStaysConsistent) {
+SCHEDULER_TEST_F(PbTest, NonDeterministicServiceStaysConsistent) {
   // Replace services with the non-deterministic token service: PB must keep
   // replicas consistent because only the primary executes.
   machines_.clear();
@@ -238,7 +240,7 @@ TEST_F(PbTest, NonDeterministicServiceStaysConsistent) {
   EXPECT_EQ(client_.responders({"client", 2}, "VALID").size(), 3u);
 }
 
-TEST_F(PbTest, RebootedBackupRejoinsQuietly) {
+SCHEDULER_TEST_F(PbTest, RebootedBackupRejoinsQuietly) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(30.0);
@@ -252,7 +254,7 @@ TEST_F(PbTest, RebootedBackupRejoinsQuietly) {
   EXPECT_EQ(client_.responders({"client", 2}, "VALUE 1").size(), 3u);
 }
 
-TEST_F(PbTest, MalformedStateUpdateIsDroppedNotThrown) {
+SCHEDULER_TEST_F(PbTest, MalformedStateUpdateIsDroppedNotThrown) {
   // StateUpdates are unsigned, so a backup must survive one whose snapshot
   // does not parse: it keeps its state and applied_seq, and the next valid
   // update still applies.

@@ -9,6 +9,7 @@
 #include "crypto/sha256.hpp"
 #include "osl/machine.hpp"
 #include "replication/service.hpp"
+#include "scheduler_test.hpp"
 #include "sim/simulator.hpp"
 
 namespace fortress::replication {
@@ -61,8 +62,9 @@ class SmrTest : public ::testing::Test {
   static constexpr std::uint32_t kF = 1;
   static constexpr std::uint32_t kN = 3 * kF + 1;
 
-  SmrTest()
-      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
+  explicit SmrTest(sim::SchedulerKind kind)
+      : sim_(kind),
+        net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         client_(net_, "client") {
     for (std::uint32_t i = 0; i < kN; ++i) {
       addrs_.push_back("replica-" + std::to_string(i));
@@ -96,7 +98,7 @@ class SmrTest : public ::testing::Test {
   TestClient client_;
 };
 
-TEST_F(SmrTest, AllReplicasExecuteAndAgree) {
+SCHEDULER_TEST_F(SmrTest, AllReplicasExecuteAndAgree) {
   boot_and_start();
   RequestId rid{"client", 1};
   client_.send_request(rid, "PUT a 1", addrs_);
@@ -106,7 +108,7 @@ TEST_F(SmrTest, AllReplicasExecuteAndAgree) {
   for (const auto& r : replicas_) EXPECT_EQ(r->executed_seq(), 1u);
 }
 
-TEST_F(SmrTest, ResponsesAreSigned) {
+SCHEDULER_TEST_F(SmrTest, ResponsesAreSigned) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(40.0);
@@ -119,7 +121,7 @@ TEST_F(SmrTest, ResponsesAreSigned) {
   }
 }
 
-TEST_F(SmrTest, ConcurrentRequestsExecuteInSameOrderEverywhere) {
+SCHEDULER_TEST_F(SmrTest, ConcurrentRequestsExecuteInSameOrderEverywhere) {
   boot_and_start();
   // Two clients race PUTs to the same key; all replicas must order them the
   // same way, whatever that order is.
@@ -136,7 +138,7 @@ TEST_F(SmrTest, ConcurrentRequestsExecuteInSameOrderEverywhere) {
       << "c1=" << c1.size() << " c2=" << c2.size();
 }
 
-TEST_F(SmrTest, DedupAcrossRetries) {
+SCHEDULER_TEST_F(SmrTest, DedupAcrossRetries) {
   boot_and_start();
   RequestId rid{"client", 1};
   client_.send_request(rid, "PUT a 1", addrs_);
@@ -146,7 +148,7 @@ TEST_F(SmrTest, DedupAcrossRetries) {
   for (const auto& r : replicas_) EXPECT_EQ(r->executed_seq(), 1u);
 }
 
-TEST_F(SmrTest, LeaderCrashTriggersViewChangeAndReproposal) {
+SCHEDULER_TEST_F(SmrTest, LeaderCrashTriggersViewChangeAndReproposal) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(40.0);
@@ -164,7 +166,7 @@ TEST_F(SmrTest, LeaderCrashTriggersViewChangeAndReproposal) {
   EXPECT_GE(client_.responders({"client", 2}, "OK").size(), 3u);
 }
 
-TEST_F(SmrTest, SilentLeaderWithoutWorkKeepsView) {
+SCHEDULER_TEST_F(SmrTest, SilentLeaderWithoutWorkKeepsView) {
   boot_and_start();
   // One executed request leaves an executed slot in the log: it is not
   // outstanding work.
@@ -187,7 +189,7 @@ TEST_F(SmrTest, SilentLeaderWithoutWorkKeepsView) {
   }
 }
 
-TEST_F(SmrTest, RebootedReplicaRestoresStateFromQuorum) {
+SCHEDULER_TEST_F(SmrTest, RebootedReplicaRestoresStateFromQuorum) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   client_.send_request({"client", 2}, "PUT b 2", addrs_);
@@ -202,7 +204,7 @@ TEST_F(SmrTest, RebootedReplicaRestoresStateFromQuorum) {
   EXPECT_EQ(replicas_[3]->executed_seq(), 2u);
 }
 
-TEST_F(SmrTest, StaleReplicaDoesNotServeRequests) {
+SCHEDULER_TEST_F(SmrTest, StaleReplicaDoesNotServeRequests) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(40.0);
@@ -215,7 +217,7 @@ TEST_F(SmrTest, StaleReplicaDoesNotServeRequests) {
   EXPECT_GE(client_.responders({"client", 2}, "OK").size(), 3u);
 }
 
-TEST_F(SmrTest, QuorumLossStallsThenRecovers) {
+SCHEDULER_TEST_F(SmrTest, QuorumLossStallsThenRecovers) {
   boot_and_start();
   // Take down two replicas: 2f+1 = 3 acks are impossible with only 2 left.
   machines_[2]->shutdown();
@@ -251,7 +253,7 @@ Bytes ack_digest(const std::string& client, std::uint64_t seq,
   return Bytes(d.begin(), d.end());
 }
 
-TEST_F(SmrTest, AcksSignedUnderAnotherIndexDoNotCommit) {
+SCHEDULER_TEST_F(SmrTest, AcksSignedUnderAnotherIndexDoNotCommit) {
   boot_and_start();
   // Two replicas down: the leader (0) and replica 1 can only reach 2 of
   // the 2f+1 = 3 acks.
@@ -282,7 +284,7 @@ TEST_F(SmrTest, AcksSignedUnderAnotherIndexDoNotCommit) {
   EXPECT_EQ(replicas_[0]->executed_seq(), 1u);
 }
 
-TEST_F(SmrTest, UnexecutedSlotWithoutPendingRequestChangesView) {
+SCHEDULER_TEST_F(SmrTest, UnexecutedSlotWithoutPendingRequestChangesView) {
   boot_and_start();
   sim_.run_until(1.0);
   machines_[0]->shutdown();
@@ -309,7 +311,7 @@ TEST_F(SmrTest, UnexecutedSlotWithoutPendingRequestChangesView) {
   }
 }
 
-TEST_F(SmrTest, ViewVotesSignedUnderAnotherIndexDoNotChangeView) {
+SCHEDULER_TEST_F(SmrTest, ViewVotesSignedUnderAnotherIndexDoNotChangeView) {
   boot_and_start();
   sim_.run_until(1.0);
   Message vote;
@@ -332,7 +334,7 @@ TEST_F(SmrTest, ViewVotesSignedUnderAnotherIndexDoNotChangeView) {
   EXPECT_EQ(replicas_[0]->view(), 1u);
 }
 
-TEST_F(SmrTest, StateOffersSignedUnderAnotherIndexDoNotRestore) {
+SCHEDULER_TEST_F(SmrTest, StateOffersSignedUnderAnotherIndexDoNotRestore) {
   boot_and_start();
   client_.send_request({"client", 1}, "PUT a 1", addrs_);
   sim_.run_until(40.0);
@@ -366,7 +368,7 @@ TEST_F(SmrTest, StateOffersSignedUnderAnotherIndexDoNotRestore) {
   EXPECT_FALSE(replicas_[3]->state_stale());
 }
 
-TEST_F(SmrTest, RequiresFourReplicasForFOne) {
+SCHEDULER_TEST_F(SmrTest, RequiresFourReplicasForFOne) {
   SmrConfig bad;
   bad.f = 1;
   bad.replicas = {"a", "b", "c"};  // only 3

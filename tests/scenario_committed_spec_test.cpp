@@ -131,8 +131,8 @@ int expect_planes_exercised(const std::vector<CampaignCell>& cells,
 // A pin must hold under the campaign determinism contract, not only under
 // the spec's own config: re-run every committed spec on 4 threads with
 // fresh stacks, once under each scheduler, and demand the pinned report
-// byte for byte. The spec names its scheduler, so FORTRESS_SIM_SCHEDULER
-// does not reach these campaigns; the test sets both kinds itself.
+// byte for byte. The spec names its scheduler; the test overrides it with
+// each kind in turn.
 TEST(CommittedSpecTest, PinnedReportsHoldUnderEveryExecutionMode) {
   int plane_cells = 0;
   for (const fs::path& path : committed_specs()) {

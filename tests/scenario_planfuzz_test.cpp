@@ -6,12 +6,10 @@
 // fingerprints). Each plan also round-trips through the codec first, so the
 // fuzzer exercises parser and simulator together.
 //
-// Budget: FORTRESS_PLANFUZZ_PLANS (default 8 here, so a plain
-// fortress_tests run stays fast). The fortress_tests_planfuzz ctest lane
-// re-runs this suite at the CI budget of 64 plans.
+// The guard covers the first 64 plans of one generator stream, each its own
+// test case, so a failure names the plan's index.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "scenario/differential.hpp"
@@ -21,33 +19,27 @@
 namespace fortress::scenario {
 namespace {
 
-int fuzz_budget() {
-  if (const char* env = std::getenv("FORTRESS_PLANFUZZ_PLANS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
+class PlanFuzzTest : public ::testing::TestWithParam<int> {};
 
-TEST(PlanFuzzTest, RandomPlansAreDeterministicAcrossExecutionModes) {
+TEST_P(PlanFuzzTest, RandomPlansAreDeterministicAcrossExecutionModes) {
   PlanGenerator gen(0xF0221);
-  const int budget = fuzz_budget();
-  for (int i = 0; i < budget; ++i) {
-    const net::ScenarioPlan original = gen.next();
-    SCOPED_TRACE(original.name);
+  for (int i = 0; i < GetParam(); ++i) gen.next();
+  const net::ScenarioPlan original = gen.next();
+  SCOPED_TRACE(original.name);
 
-    // Codec round-trip first: the plan under differential test is the
-    // DECODED one, so a codec bug that perturbs a field shows up as either
-    // a byte diff here or a fingerprint diff below.
-    const std::string encoded = plan_to_json(original);
-    const net::ScenarioPlan plan = plan_from_json(encoded);
-    ASSERT_EQ(plan_to_json(plan), encoded);
+  // Codec round-trip first: the plan under differential test is the
+  // DECODED one, so a codec bug that perturbs a field shows up as either
+  // a byte diff here or a fingerprint diff below.
+  const std::string encoded = plan_to_json(original);
+  const net::ScenarioPlan plan = plan_from_json(encoded);
+  ASSERT_EQ(plan_to_json(plan), encoded);
 
-    for (const std::string& divergence : differential_check(plan)) {
-      ADD_FAILURE() << divergence << "\nrepro plan:\n" << encoded;
-    }
+  for (const std::string& divergence : differential_check(plan)) {
+    ADD_FAILURE() << divergence << "\nrepro plan:\n" << encoded;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Plans, PlanFuzzTest, ::testing::Range(0, 64));
 
 // The generator itself is part of the guard's trust base: same seed, same
 // plans, forever — otherwise a fuzz failure in CI is not reproducible

@@ -244,25 +244,58 @@ TEST(ShardTest, SidecarJsonRoundTripsBitExactly) {
   EXPECT_EQ(shard_result_to_json(back), text);
 }
 
+/// The message merge_shards rejects `shards` with, or "" when it merges them.
+std::string merge_error(const std::vector<ShardResult>& shards) {
+  try {
+    merge_shards(shards);
+  } catch (const json::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ShardTest, MergeRejectsBrokenPartitions) {
+  // Sidecars are files from outside the program: each way a set of them can
+  // fail to partition the grid is rejected with its whole message. Shard 0
+  // of 2 holds cells {0, 2}, shard 1 holds {1, 3}.
   const CampaignSpec spec = smoke_spec();
   const std::vector<CampaignCell> cells = spec.cells();
   ShardResult s0 = run_campaign_shard(cells, spec.config, 0, 2, 7);
   ShardResult s1 = run_campaign_shard(cells, spec.config, 1, 2, 7);
+  ASSERT_EQ(cells.size(), 4u);
 
-  EXPECT_THROW(merge_shards({}), json::ParseError);
+  EXPECT_EQ(merge_error({}), "merge: no shard results");
   // Missing a shard: cells uncovered.
-  EXPECT_THROW(merge_shards({s0}), json::ParseError);
+  EXPECT_EQ(merge_error({s0}), "merge: cell 1 is covered by no shard");
   // The same shard twice: duplicate coverage.
-  EXPECT_THROW(merge_shards({s0, s0}), json::ParseError);
+  EXPECT_EQ(merge_error({s0, s0}),
+            "merge: cell 0 appears in more than one shard");
   // Sidecars from different specs must not merge.
   ShardResult other = s1;
   other.spec_digest = 8;
-  EXPECT_THROW(merge_shards({s0, other}), json::ParseError);
+  EXPECT_EQ(merge_error({s0, other}),
+            "merge: shard 1 was computed from a different spec (digest "
+            "0x0000000000000008 vs 0x0000000000000007)");
   // Disagreeing grid sizes must not merge.
   ShardResult wrong = s1;
   wrong.n_cells += 1;
-  EXPECT_THROW(merge_shards({s0, wrong}), json::ParseError);
+  EXPECT_EQ(merge_error({s0, wrong}),
+            "merge: shard 1 reports n_cells 5, shard 0 reports 4");
+  // Nor disagreeing shard counts.
+  ShardResult resplit = s1;
+  resplit.n_shards = 3;
+  EXPECT_EQ(merge_error({s0, resplit}),
+            "merge: shard 1 reports n_shards 3, expected 2");
+  // Every cell record needs exactly one index.
+  ShardResult truncated = s1;
+  truncated.cells.pop_back();
+  EXPECT_EQ(merge_error({s0, truncated}),
+            "merge: shard 1 has 2 indices but 1 cell records");
+  // An index must name a cell of the grid.
+  ShardResult stray = s1;
+  stray.cell_indices.back() = 4;
+  EXPECT_EQ(merge_error({s0, stray}),
+            "merge: shard 1 reports cell index 4 outside the grid of 4");
   // An unpinned digest (0) is compatible with a pinned one.
   ShardResult unpinned = s1;
   unpinned.spec_digest = 0;

@@ -9,18 +9,19 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "scheduler_test.hpp"
 
 namespace fortress::sim {
 namespace {
 
-TEST(SimulatorTest, StartsAtZero) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, StartsAtZero) {
+  Simulator sim(scheduler);
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
   EXPECT_TRUE(sim.idle());
 }
 
-TEST(SimulatorTest, EventsFireInTimeOrder) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, EventsFireInTimeOrder) {
+  Simulator sim(scheduler);
   std::vector<int> order;
   sim.schedule_at(3.0, [&] { order.push_back(3); });
   sim.schedule_at(1.0, [&] { order.push_back(1); });
@@ -30,8 +31,8 @@ TEST(SimulatorTest, EventsFireInTimeOrder) {
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
-TEST(SimulatorTest, TiesFireInInsertionOrder) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, TiesFireInInsertionOrder) {
+  Simulator sim(scheduler);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(5.0, [&order, i] { order.push_back(i); });
@@ -40,8 +41,8 @@ TEST(SimulatorTest, TiesFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
+  Simulator sim(scheduler);
   double fired_at = -1;
   sim.schedule_at(10.0, [&] {
     sim.schedule_after(5.0, [&] { fired_at = sim.now(); });
@@ -50,16 +51,16 @@ TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
   EXPECT_DOUBLE_EQ(fired_at, 15.0);
 }
 
-TEST(SimulatorTest, SchedulingInPastViolatesContract) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, SchedulingInPastViolatesContract) {
+  Simulator sim(scheduler);
   sim.schedule_at(10.0, [] {});
   sim.run();
   EXPECT_THROW(sim.schedule_at(5.0, [] {}), ContractViolation);
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), ContractViolation);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, CancelPreventsExecution) {
+  Simulator sim(scheduler);
   bool ran = false;
   EventId id = sim.schedule_at(1.0, [&] { ran = true; });
   EXPECT_TRUE(sim.cancel(id));
@@ -68,15 +69,15 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST(SimulatorTest, CancelAfterExecutionReturnsFalse) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, CancelAfterExecutionReturnsFalse) {
+  Simulator sim(scheduler);
   EventId id = sim.schedule_at(1.0, [] {});
   sim.run();
   EXPECT_FALSE(sim.cancel(id));
 }
 
-TEST(SimulatorTest, RunUntilStopsAtBoundary) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, RunUntilStopsAtBoundary) {
+  Simulator sim(scheduler);
   std::vector<double> fired;
   for (double t : {1.0, 2.0, 3.0, 4.0}) {
     sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
@@ -92,14 +93,14 @@ TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired.size(), 4u);
 }
 
-TEST(SimulatorTest, RunUntilAdvancesTimeWhenIdle) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, RunUntilAdvancesTimeWhenIdle) {
+  Simulator sim(scheduler);
   sim.run_until(100.0);
   EXPECT_DOUBLE_EQ(sim.now(), 100.0);
 }
 
-TEST(SimulatorTest, StepExecutesOneEvent) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, StepExecutesOneEvent) {
+  Simulator sim(scheduler);
   int count = 0;
   sim.schedule_at(1.0, [&] { ++count; });
   sim.schedule_at(2.0, [&] { ++count; });
@@ -110,8 +111,8 @@ TEST(SimulatorTest, StepExecutesOneEvent) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(SimulatorTest, RequestStopBreaksRun) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, RequestStopBreaksRun) {
+  Simulator sim(scheduler);
   int count = 0;
   for (double t = 1.0; t <= 10.0; t += 1.0) {
     sim.schedule_at(t, [&] {
@@ -126,8 +127,8 @@ TEST(SimulatorTest, RequestStopBreaksRun) {
   EXPECT_EQ(count, 10);
 }
 
-TEST(SimulatorTest, HandlersCanScheduleRecursively) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, HandlersCanScheduleRecursively) {
+  Simulator sim(scheduler);
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 50) sim.schedule_after(1.0, recurse);
@@ -138,11 +139,11 @@ TEST(SimulatorTest, HandlersCanScheduleRecursively) {
   EXPECT_DOUBLE_EQ(sim.now(), 50.0);
 }
 
-TEST(SimulatorTest, CancelledIdNotConfusedWithSlotReuse) {
+SCHEDULER_TEST(SimulatorTest, CancelledIdNotConfusedWithSlotReuse) {
   // The slab recycles event slots; a stale EventId whose slot was reused
   // must neither cancel the new occupant nor report success (generation
   // check, ABA guard).
-  Simulator sim;
+  Simulator sim(scheduler);
   bool first_ran = false;
   bool second_ran = false;
   EventId first = sim.schedule_at(1.0, [&] { first_ran = true; });
@@ -156,8 +157,8 @@ TEST(SimulatorTest, CancelledIdNotConfusedWithSlotReuse) {
   EXPECT_FALSE(sim.cancel(second));
 }
 
-TEST(SimulatorTest, CancelFromWithinHandler) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, CancelFromWithinHandler) {
+  Simulator sim(scheduler);
   bool victim_ran = false;
   EventId victim = sim.schedule_at(2.0, [&] { victim_ran = true; });
   sim.schedule_at(1.0, [&] { EXPECT_TRUE(sim.cancel(victim)); });
@@ -165,10 +166,10 @@ TEST(SimulatorTest, CancelFromWithinHandler) {
   EXPECT_FALSE(victim_ran);
 }
 
-TEST(SimulatorTest, CancelledEventsNeverFireAcrossRunModes) {
+SCHEDULER_TEST(SimulatorTest, CancelledEventsNeverFireAcrossRunModes) {
   // Cancelled events must not fire whether drained by run(), run_until() or
   // step(), including tombstones popped long after cancellation.
-  Simulator sim;
+  Simulator sim(scheduler);
   int fired = 0;
   std::vector<EventId> ids;
   for (int i = 0; i < 20; ++i) {
@@ -183,8 +184,8 @@ TEST(SimulatorTest, CancelledEventsNeverFireAcrossRunModes) {
   EXPECT_TRUE(sim.idle());
 }
 
-TEST(SimulatorTest, PendingExcludesCancelledTombstones) {
-  Simulator sim;
+SCHEDULER_TEST(SimulatorTest, PendingExcludesCancelledTombstones) {
+  Simulator sim(scheduler);
   EventId a = sim.schedule_at(1.0, [] {});
   sim.schedule_at(2.0, [] {});
   EXPECT_EQ(sim.pending(), 2u);
@@ -196,10 +197,10 @@ TEST(SimulatorTest, PendingExcludesCancelledTombstones) {
   EXPECT_TRUE(sim.idle());
 }
 
-TEST(SimulatorTest, LargeCaptureFallsBackToHeapCorrectly) {
+SCHEDULER_TEST(SimulatorTest, LargeCaptureFallsBackToHeapCorrectly) {
   // Captures larger than EventFn's inline buffer take the heap path; the
   // callable must still move, fire once, and destruct exactly once.
-  Simulator sim;
+  Simulator sim(scheduler);
   std::vector<int> big(1000, 7);
   std::array<char, 200> pad{};  // bigger than any inline buffer
   long sum = 0;
@@ -210,10 +211,10 @@ TEST(SimulatorTest, LargeCaptureFallsBackToHeapCorrectly) {
   EXPECT_EQ(sum, 7);
 }
 
-TEST(SimulatorTest, HighChurnReusesSlotsDeterministically) {
+SCHEDULER_TEST(SimulatorTest, HighChurnReusesSlotsDeterministically) {
   // Interleaved schedule/cancel/run churn across many slots: order and
   // counts must stay exact while the free list recycles aggressively.
-  Simulator sim;
+  Simulator sim(scheduler);
   std::vector<double> fired;
   for (int round = 0; round < 50; ++round) {
     std::vector<EventId> ids;
@@ -375,8 +376,8 @@ TEST(TimerWheelTest, PooledResetReproducesFreshTrajectory) {
   }
 }
 
-TEST(PeriodicTimerTest, FiresEveryPeriod) {
-  Simulator sim;
+SCHEDULER_TEST(PeriodicTimerTest, FiresEveryPeriod) {
+  Simulator sim(scheduler);
   std::vector<double> fires;
   PeriodicTimer timer(sim, 10.0, [&] { fires.push_back(sim.now()); });
   timer.start();
@@ -384,8 +385,8 @@ TEST(PeriodicTimerTest, FiresEveryPeriod) {
   EXPECT_EQ(fires, (std::vector<double>{10.0, 20.0, 30.0}));
 }
 
-TEST(PeriodicTimerTest, StartAfterCustomDelay) {
-  Simulator sim;
+SCHEDULER_TEST(PeriodicTimerTest, StartAfterCustomDelay) {
+  Simulator sim(scheduler);
   std::vector<double> fires;
   PeriodicTimer timer(sim, 10.0, [&] { fires.push_back(sim.now()); });
   timer.start_after(3.0);
@@ -393,8 +394,8 @@ TEST(PeriodicTimerTest, StartAfterCustomDelay) {
   EXPECT_EQ(fires, (std::vector<double>{3.0, 13.0, 23.0}));
 }
 
-TEST(PeriodicTimerTest, StopHaltsFiring) {
-  Simulator sim;
+SCHEDULER_TEST(PeriodicTimerTest, StopHaltsFiring) {
+  Simulator sim(scheduler);
   int count = 0;
   PeriodicTimer timer(sim, 1.0, [&] { ++count; });
   timer.start();
@@ -405,8 +406,8 @@ TEST(PeriodicTimerTest, StopHaltsFiring) {
   EXPECT_FALSE(timer.running());
 }
 
-TEST(PeriodicTimerTest, StopFromWithinCallback) {
-  Simulator sim;
+SCHEDULER_TEST(PeriodicTimerTest, StopFromWithinCallback) {
+  Simulator sim(scheduler);
   int count = 0;
   PeriodicTimer timer(sim, 1.0, [&] {
     if (++count == 3) timer.stop();
@@ -416,8 +417,8 @@ TEST(PeriodicTimerTest, StopFromWithinCallback) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(PeriodicTimerTest, RestartFromWithinCallbackFiresOncePerPeriod) {
-  Simulator sim;
+SCHEDULER_TEST(PeriodicTimerTest, RestartFromWithinCallbackFiresOncePerPeriod) {
+  Simulator sim(scheduler);
   std::vector<Time> fires;
   PeriodicTimer timer(sim, 1.0, [&] {
     fires.push_back(sim.now());
@@ -436,8 +437,8 @@ TEST(PeriodicTimerTest, RestartFromWithinCallbackFiresOncePerPeriod) {
   EXPECT_EQ(fires.size(), 6u);
 }
 
-TEST(PeriodicTimerTest, ZeroPeriodViolatesContract) {
-  Simulator sim;
+SCHEDULER_TEST(PeriodicTimerTest, ZeroPeriodViolatesContract) {
+  Simulator sim(scheduler);
   EXPECT_THROW(PeriodicTimer(sim, 0.0, [] {}), ContractViolation);
 }
 
