@@ -118,13 +118,26 @@ struct TrialOutcome {
   core::PopulationStats population;
 };
 
-/// Run one live experiment on a fresh stack under the process-wide
-/// scheduler: build the deployment `plan` describes for `system`, schedule
-/// the plan's faults, wire the plan's attacker to the system's attack
-/// surface, and simulate until compromise or the plan horizon. Deterministic
-/// in (system, plan, seed) — and bit-identical for either scheduler kind
-/// (the wheel/heap differential tests pin this; a one-trial
-/// TrialArena(scheduler) picks the kind).
+/// Lets two outcomes be compared whole through their encoding.
+template <fields::FieldsOf<TrialOutcome> S, class V>
+constexpr void visit_fields(S& s, V&& v) {
+  v("compromised", s.compromised, fields::kBool);
+  v("lifetime_steps", s.lifetime_steps, fields::kU64);
+  v("attacker", s.attacker, fields::kNested);
+  v("events_executed", s.events_executed, fields::kU64);
+  v("blacklisted_sources", s.blacklisted_sources, fields::kU64);
+  v("traffic", s.traffic, fields::kNested);
+  v("population", s.population, fields::kNested);
+}
+static_assert(fields::complete<TrialOutcome>());
+
+/// Run one live experiment on a fresh stack under the timer wheel: build
+/// the deployment `plan` describes for `system`, schedule the plan's faults,
+/// wire the plan's attacker to the system's attack surface, and simulate
+/// until compromise or the plan horizon. Deterministic in (system, plan,
+/// seed) — and bit-identical for either scheduler kind (the wheel/heap
+/// differential tests pin this; a one-trial TrialArena(scheduler) picks the
+/// kind).
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
                        std::uint64_t seed);
 
@@ -260,8 +273,8 @@ struct CampaignConfig {
   /// Run trials on pooled per-worker stacks (TrialArena): the Simulator
   /// event slab, Network buffers and LiveSystem allocations are reused via
   /// reset() instead of reconstructed per trial. Outcomes are identical
-  /// either way (tested); false forces the fresh-stack path (the bench
-  /// compares both).
+  /// either way; false forces the fresh-stack path, the other side of the
+  /// pooled-vs-fresh contract (differential.hpp).
   bool reuse_trial_stacks = true;
 };
 
@@ -304,8 +317,9 @@ struct CellStats {
 };
 
 /// The sidecar and report encode a cell through this table (doubles by bit
-/// pattern), and campaign_fingerprint hashes that encoding — so a field
-/// added here is sharded, reported and fingerprinted with no other edit.
+/// pattern), and the determinism harness (differential.hpp) compares that
+/// encoding — so a field added here is sharded, reported and compared
+/// across execution modes with no other edit.
 template <fields::FieldsOf<CellStats> S, class V>
 constexpr void visit_fields(S& s, V&& v) {
   v("system", s.system, model::kSystemKindNames);

@@ -1,55 +1,79 @@
 #include "scenario/differential.hpp"
 
-#include "common/json.hpp"
+#include <algorithm>
+#include <string_view>
+
 #include "scenario/shard.hpp"
 
 namespace fortress::scenario {
+namespace {
 
-std::uint64_t campaign_fingerprint(const CampaignResult& result) {
-  return json::fnv1a64(campaign_result_to_json(result));
+/// The report of `cells` run under `cfg` in `mode`.
+std::string report_in(const std::vector<CampaignCell>& cells,
+                      CampaignConfig cfg, const ExecutionMode& mode) {
+  cfg.threads = mode.threads;
+  cfg.reuse_trial_stacks = mode.pooled;
+  cfg.scheduler = mode.scheduler;
+  return campaign_result_to_json(run_campaign(cells, cfg));
+}
+
+/// "report line N: got `...`, want `...`" for the first line that differs
+/// between two reports that are not equal.
+std::string first_difference(std::string_view got, std::string_view want) {
+  auto unindented = [](std::string_view s) {
+    return std::string(s.substr(std::min(s.find_first_not_of(' '), s.size())));
+  };
+  for (std::size_t line = 1;; ++line) {
+    const std::size_t g = got.find('\n');
+    const std::size_t w = want.find('\n');
+    if (got.substr(0, g) != want.substr(0, w) || got.empty() || want.empty()) {
+      return "report line " + std::to_string(line) + ": got `" +
+             unindented(got.substr(0, g)) + "`, want `" +
+             unindented(want.substr(0, w)) + "`";
+    }
+    got.remove_prefix(std::min(g + 1, got.size()));
+    want.remove_prefix(std::min(w + 1, want.size()));
+  }
+}
+
+}  // namespace
+
+std::string to_string(const ExecutionMode& mode) {
+  return std::to_string(mode.threads) +
+         (mode.threads == 1 ? " thread, " : " threads, ") +
+         (mode.pooled ? "pooled-stacks, " : "fresh-stacks, ") +
+         sim::kSchedulerKindNames.names[static_cast<std::size_t>(
+             mode.scheduler)] +
+         " scheduler";
+}
+
+std::vector<std::string> report_divergences(
+    const std::vector<CampaignCell>& cells, const CampaignConfig& base,
+    const std::vector<ExecutionMode>& modes, const std::string& want) {
+  std::vector<std::string> divergences;
+  for (const ExecutionMode& mode : modes) {
+    const std::string got = report_in(cells, base, mode);
+    if (got != want) {
+      divergences.push_back(to_string(mode) + " diverged at " +
+                            first_difference(got, want));
+    }
+  }
+  return divergences;
 }
 
 std::vector<std::string> differential_check(
     const net::ScenarioPlan& plan, const DifferentialOptions& options) {
   std::vector<CampaignCell> cells;
   for (model::SystemKind s : options.systems) cells.push_back({s, plan});
+  CampaignConfig base;
+  base.trials_per_cell = options.trials_per_cell;
+  base.base_seed = options.base_seed;
 
-  CampaignConfig reference;
-  reference.trials_per_cell = options.trials_per_cell;
-  reference.base_seed = options.base_seed;
-  reference.threads = 1;
-  reference.reuse_trial_stacks = true;
-  reference.scheduler = sim::SchedulerKind::Wheel;
-  const std::uint64_t want =
-      campaign_fingerprint(run_campaign(cells, reference));
-
-  struct Arm {
-    const char* label;
-    CampaignConfig cfg;
-  };
-  std::vector<Arm> arms;
-  {
-    Arm fresh{"fresh-stacks (vs pooled arenas)", reference};
-    fresh.cfg.reuse_trial_stacks = false;
-    arms.push_back(fresh);
-    Arm threads{"8 threads (vs 1)", reference};
-    threads.cfg.threads = 8;
-    arms.push_back(threads);
-    Arm heap{"heap scheduler (vs wheel)", reference};
-    heap.cfg.scheduler = sim::SchedulerKind::Heap;
-    arms.push_back(heap);
-  }
-
-  std::vector<std::string> divergences;
-  for (const Arm& arm : arms) {
-    const std::uint64_t got =
-        campaign_fingerprint(run_campaign(cells, arm.cfg));
-    if (got != want) {
-      divergences.push_back("plan '" + plan.name + "': " + arm.label +
-                            " diverged — fingerprint " + json::hex64(got) +
-                            " != reference " + json::hex64(want));
-    }
-  }
+  std::vector<std::string> divergences = report_divergences(
+      cells, base,
+      {{1, /*pooled=*/false}, {8}, {1, true, sim::SchedulerKind::Heap}},
+      report_in(cells, base, ExecutionMode{}));
+  for (std::string& d : divergences) d = "plan '" + plan.name + "': " + d;
   return divergences;
 }
 

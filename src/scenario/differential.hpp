@@ -1,14 +1,12 @@
 // differential.hpp — the machine-enforced determinism contract.
 //
-// PRs 3-8 each proved, by hand-written golden tests, that campaign
-// aggregates are bit-identical across (a) pooled arenas vs fresh per-trial
-// stacks, (b) any thread count, and (c) the timer-wheel vs binary-heap
-// scheduler. differential_check turns those invariants into a reusable
-// guard any plan can be pushed through: run the plan's campaign under the
-// reference configuration (pooled, 1 thread, wheel) and under each varied
-// configuration, and demand EVERY aggregate bit match. The planfuzz ctest
-// lane feeds it randomly generated plans; plan_tool's built-in minimizer
-// predicates feed it shrinking candidates.
+// A campaign report must be bit-identical in every execution mode: any
+// thread count, pooled or fresh trial stacks, wheel or heap scheduler.
+// report_divergences is the one harness for it: it compares each mode's
+// whole report (campaign_result_to_json: every CellStats field, doubles by
+// bit pattern) byte for byte with a reference run's report or a committed
+// pin. differential_check pushes one plan through three fixed arms, for the
+// plan fuzz test (Plans/PlanFuzzTest.*) and plan_tool's fuzz and minimize.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +19,23 @@
 
 namespace fortress::scenario {
 
-/// FNV-1a 64 over campaign_result_to_json(result): the report encodes every
-/// CellStats table field, doubles by bit pattern, so two results
-/// fingerprint equal iff every aggregate is bit-identical.
-std::uint64_t campaign_fingerprint(const CampaignResult& result);
+/// How a campaign is executed; none of it may change the report.
+struct ExecutionMode {
+  unsigned threads = 1;
+  bool pooled = true;  ///< CampaignConfig::reuse_trial_stacks
+  sim::SchedulerKind scheduler = sim::SchedulerKind::Wheel;
+};
+
+/// "8 threads, pooled-stacks, wheel scheduler".
+std::string to_string(const ExecutionMode& mode);
+
+/// Runs `cells` once per mode (`base` with the mode's threads, stacks and
+/// scheduler) and compares each report with `want` byte for byte. Returns
+/// one message per diverging mode, naming the mode and the first report
+/// line that differs; empty when every mode reproduces `want`.
+std::vector<std::string> report_divergences(
+    const std::vector<CampaignCell>& cells, const CampaignConfig& base,
+    const std::vector<ExecutionMode>& modes, const std::string& want);
 
 struct DifferentialOptions {
   /// One campaign cell per listed class. Defaults to all three so class-
@@ -36,11 +47,11 @@ struct DifferentialOptions {
   std::uint64_t base_seed = 1;
 };
 
-/// Runs the reference campaign (pooled, 1 thread, wheel scheduler) and the
-/// three varied arms (fresh stacks / 8 threads / heap scheduler);
-/// returns one description per diverging arm, empty when all aggregates are
-/// bit-identical. The reference fingerprint is appended to each message so
-/// failures are self-describing in CI logs.
+/// Demands the reference campaign's report (1 thread, pooled, wheel) from
+/// three arms: fresh stacks, 8 threads, heap scheduler. Returns one message
+/// per diverging arm, prefixed with the plan's name; only the arm's own
+/// message contains "fresh-stacks", "threads" or "heap scheduler"
+/// (plan_tool's predicates match on them).
 std::vector<std::string> differential_check(
     const net::ScenarioPlan& plan, const DifferentialOptions& options = {});
 

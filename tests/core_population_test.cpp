@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "core/live_system.hpp"
+#include "same_result.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/differential.hpp"
+#include "scenario/shard.hpp"
 
 namespace fortress::scenario {
 namespace {
@@ -22,29 +25,6 @@ net::ScenarioPlan population_plan(std::uint64_t clients, double rate,
   plan.population.clients = clients;
   plan.population.request_rate = rate;
   return plan;
-}
-
-void expect_population_equal(const core::PopulationStats& a,
-                             const core::PopulationStats& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.timed_out, b.timed_out);
-  EXPECT_EQ(a.gave_up, b.gave_up);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.rejected_responses, b.rejected_responses);
-  EXPECT_EQ(a.skipped_busy, b.skipped_busy);
-  EXPECT_EQ(a.latency.fingerprint(), b.latency.fingerprint());
-}
-
-void expect_outcomes_equal(const TrialOutcome& a, const TrialOutcome& b) {
-  EXPECT_EQ(a.compromised, b.compromised);
-  EXPECT_EQ(a.lifetime_steps, b.lifetime_steps);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.blacklisted_sources, b.blacklisted_sources);
-  EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
-  EXPECT_EQ(a.traffic.completed, b.traffic.completed);
-  EXPECT_EQ(a.traffic.latency.fingerprint(), b.traffic.latency.fingerprint());
-  expect_population_equal(a.population, b.population);
 }
 
 TEST(PopulationTest, TableRowFitsByteBudget) {
@@ -88,8 +68,7 @@ TEST(PopulationTest, RequestsCompleteThroughOneTierDeployment) {
 TEST(PopulationTest, DeterministicInSeed) {
   net::ScenarioPlan plan = population_plan(3'000, 0.002, 2);
   TrialOutcome a = run_trial(model::SystemKind::S2, plan, 21);
-  TrialOutcome b = run_trial(model::SystemKind::S2, plan, 21);
-  expect_outcomes_equal(a, b);
+  expect_same_outcome(a, run_trial(model::SystemKind::S2, plan, 21));
   TrialOutcome c = run_trial(model::SystemKind::S2, plan, 22);
   EXPECT_NE(a.population.offered, 0u);
   // Different seed, different arrival draws (overwhelmingly likely).
@@ -107,10 +86,10 @@ TEST(PopulationTest, PooledTrialsBitIdenticalToFresh) {
 
   TrialArena arena;
   for (std::uint64_t seed : {31ull, 32ull, 33ull}) {
-    expect_outcomes_equal(arena.run(model::SystemKind::S2, small, seed),
-                          run_trial(model::SystemKind::S2, small, seed));
-    expect_outcomes_equal(arena.run(model::SystemKind::S2, large, seed),
-                          run_trial(model::SystemKind::S2, large, seed));
+    expect_same_outcome(run_trial(model::SystemKind::S2, small, seed),
+                        arena.run(model::SystemKind::S2, small, seed));
+    expect_same_outcome(run_trial(model::SystemKind::S2, large, seed),
+                        arena.run(model::SystemKind::S2, large, seed));
   }
 }
 
@@ -120,7 +99,7 @@ TEST(PopulationTest, WheelAndHeapSchedulersBitIdentical) {
   plan.attack.probes_per_step = 8.0;
   plan.keyspace = 1ull << 12;
   for (std::uint64_t seed : {41ull, 42ull}) {
-    expect_outcomes_equal(
+    expect_same_outcome(
         TrialArena(sim::SchedulerKind::Wheel)
             .run(model::SystemKind::S2, plan, seed),
         TrialArena(sim::SchedulerKind::Heap)
@@ -156,11 +135,11 @@ TEST(PopulationTest, LossyTrialsTimeOutGiveUpAndRetryIdentically) {
     for (std::uint64_t seed : {61ull, 62ull}) {
       const TrialOutcome fresh =
           run_trial(model::SystemKind::S2, *pin.plan, seed);
-      expect_outcomes_equal(arena.run(model::SystemKind::S2, *pin.plan, seed),
-                            fresh);
-      expect_outcomes_equal(TrialArena(sim::SchedulerKind::Heap)
-                                .run(model::SystemKind::S2, *pin.plan, seed),
-                            fresh);
+      expect_same_outcome(fresh,
+                          arena.run(model::SystemKind::S2, *pin.plan, seed));
+      expect_same_outcome(fresh, TrialArena(sim::SchedulerKind::Heap)
+                                     .run(model::SystemKind::S2, *pin.plan,
+                                          seed));
       total.merge(fresh.population);
     }
     EXPECT_EQ(total.offered, pin.offered);
@@ -200,30 +179,18 @@ TEST(PopulationCampaignTest, SchedulerKindInvariantAcrossThreadsAndPooling) {
 
   cfg.threads = 1;
   cfg.scheduler = sim::SchedulerKind::Wheel;
-  const CampaignResult reference = run_campaign(cells, cfg);
+  const std::string reference =
+      campaign_result_to_json(run_campaign(cells, cfg));
+  std::vector<ExecutionMode> modes;
   for (unsigned threads : {1u, 2u, 8u}) {
     for (bool pooled : {true, false}) {
       for (sim::SchedulerKind kind :
            {sim::SchedulerKind::Wheel, sim::SchedulerKind::Heap}) {
-        cfg.threads = threads;
-        cfg.reuse_trial_stacks = pooled;
-        cfg.scheduler = kind;
-        const CampaignResult got = run_campaign(cells, cfg);
-        ASSERT_EQ(got.cells.size(), reference.cells.size());
-        EXPECT_EQ(got.total_events, reference.total_events);
-        for (std::size_t i = 0; i < reference.cells.size(); ++i) {
-          const CellStats& a = reference.cells[i];
-          const CellStats& b = got.cells[i];
-          EXPECT_EQ(a.compromised, b.compromised);
-          EXPECT_EQ(a.events_executed, b.events_executed);
-          EXPECT_EQ(a.lifetime.mean(), b.lifetime.mean());
-          EXPECT_EQ(a.traffic.latency.fingerprint(),
-                    b.traffic.latency.fingerprint());
-          expect_population_equal(a.population, b.population);
-        }
+        modes.push_back({threads, pooled, kind});
       }
     }
   }
+  expect_no_divergences(report_divergences(cells, cfg, modes, reference));
 }
 
 }  // namespace

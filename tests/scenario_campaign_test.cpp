@@ -13,6 +13,8 @@
 #include "core/live_system.hpp"
 #include "exec/thread_pool.hpp"
 #include "replication/service.hpp"
+#include "same_result.hpp"
+#include "scenario/differential.hpp"
 #include "scenario/shard.hpp"
 
 namespace fortress::scenario {
@@ -32,14 +34,8 @@ net::ScenarioPlan fast_plan(std::uint64_t chi, double omega, double kappa,
 
 TEST(RunTrialTest, DeterministicInSeed) {
   net::ScenarioPlan plan = fast_plan(64, 8.0, 0.5, 60);
-  TrialOutcome a = run_trial(model::SystemKind::S2, plan, 99);
-  TrialOutcome b = run_trial(model::SystemKind::S2, plan, 99);
-  EXPECT_EQ(a.compromised, b.compromised);
-  EXPECT_EQ(a.lifetime_steps, b.lifetime_steps);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
-  EXPECT_EQ(a.attacker.indirect_probes, b.attacker.indirect_probes);
-  EXPECT_EQ(a.attacker.compromises, b.attacker.compromises);
+  expect_same_outcome(run_trial(model::SystemKind::S2, plan, 99),
+                      run_trial(model::SystemKind::S2, plan, 99));
 }
 
 TEST(RunTrialTest, SurvivesWithoutAttack) {
@@ -215,11 +211,7 @@ TEST(RunTrialTest, FaultAtHorizonBoundaryNeverFires) {
   boundary.faults.push_back({net::FaultEvent::Target::Server, 0,
                              horizon + 500.0, net::FaultEvent::Kind::Crash});
   const TrialOutcome a = run_trial(model::SystemKind::S1, plan, 11);
-  const TrialOutcome b = run_trial(model::SystemKind::S1, boundary, 11);
-  EXPECT_EQ(a.compromised, b.compromised);
-  EXPECT_EQ(a.lifetime_steps, b.lifetime_steps);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
+  expect_same_outcome(a, run_trial(model::SystemKind::S1, boundary, 11));
 
   // One tick inside the horizon, the same fault IS scheduled (and, here,
   // changes the outcome by taking the probed server down at the end).
@@ -324,42 +316,8 @@ TEST(CampaignTest, AggregatesBitIdenticalForAnyThreadCount) {
   cfg.base_seed = 31337;
 
   cfg.threads = 1;
-  CampaignResult serial = run_campaign(cells, cfg);
-  for (unsigned threads : {3u, 8u}) {
-    cfg.threads = threads;
-    CampaignResult parallel = run_campaign(cells, cfg);
-    ASSERT_EQ(parallel.cells.size(), serial.cells.size());
-    EXPECT_EQ(parallel.total_trials, serial.total_trials);
-    EXPECT_EQ(parallel.total_events, serial.total_events);
-    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-      const CellStats& a = serial.cells[i];
-      const CellStats& b = parallel.cells[i];
-      EXPECT_EQ(a.plan_name, b.plan_name);
-      EXPECT_EQ(a.compromised, b.compromised);
-      EXPECT_EQ(a.censored, b.censored);
-      EXPECT_EQ(a.events_executed, b.events_executed);
-      EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
-      EXPECT_EQ(a.attacker.crashes_caused, b.attacker.crashes_caused);
-      EXPECT_EQ(a.attacker.keys_learned, b.attacker.keys_learned);
-      // Bit-identical, not just close:
-      EXPECT_EQ(a.lifetime.mean(), b.lifetime.mean());
-      EXPECT_EQ(a.lifetime.variance(), b.lifetime.variance());
-      EXPECT_EQ(a.lifetime_ci.lo, b.lifetime_ci.lo);
-      EXPECT_EQ(a.lifetime_ci.hi, b.lifetime_ci.hi);
-    }
-  }
-}
-
-void expect_outcomes_equal(const TrialOutcome& a, const TrialOutcome& b) {
-  EXPECT_EQ(a.compromised, b.compromised);
-  EXPECT_EQ(a.lifetime_steps, b.lifetime_steps);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.blacklisted_sources, b.blacklisted_sources);
-  EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
-  EXPECT_EQ(a.attacker.indirect_probes, b.attacker.indirect_probes);
-  EXPECT_EQ(a.attacker.crashes_caused, b.attacker.crashes_caused);
-  EXPECT_EQ(a.attacker.compromises, b.attacker.compromises);
-  EXPECT_EQ(a.attacker.keys_learned, b.attacker.keys_learned);
+  const std::string serial = campaign_result_to_json(run_campaign(cells, cfg));
+  expect_no_divergences(report_divergences(cells, cfg, {{3}, {8}}, serial));
 }
 
 TEST(TrialArenaTest, ArenaTrialsMatchFreshTrials) {
@@ -418,9 +376,8 @@ TEST(TrialArenaTest, ArenaTrialsMatchFreshTrials) {
     SCOPED_TRACE(testing::Message() << "system " << static_cast<int>(c.system)
                                     << " plan " << c.plan->name << " seed "
                                     << c.seed);
-    const TrialOutcome pooled = arena.run(c.system, *c.plan, c.seed);
-    const TrialOutcome fresh = run_trial(c.system, *c.plan, c.seed);
-    expect_outcomes_equal(pooled, fresh);
+    expect_same_outcome(run_trial(c.system, *c.plan, c.seed),
+                        arena.run(c.system, *c.plan, c.seed));
   }
 }
 
@@ -440,25 +397,9 @@ TEST(CampaignTest, PooledAndFreshStacksBitIdentical) {
   cfg.base_seed = 99;
   cfg.threads = 3;
   cfg.reuse_trial_stacks = false;
-  const CampaignResult fresh = run_campaign(cells, cfg);
-  cfg.reuse_trial_stacks = true;
-  const CampaignResult pooled = run_campaign(cells, cfg);
-
-  ASSERT_EQ(pooled.cells.size(), fresh.cells.size());
-  EXPECT_EQ(pooled.total_trials, fresh.total_trials);
-  EXPECT_EQ(pooled.total_events, fresh.total_events);
-  for (std::size_t i = 0; i < fresh.cells.size(); ++i) {
-    const CellStats& a = fresh.cells[i];
-    const CellStats& b = pooled.cells[i];
-    EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.compromised, b.compromised);
-    EXPECT_EQ(a.censored, b.censored);
-    EXPECT_EQ(a.events_executed, b.events_executed);
-    EXPECT_EQ(a.blacklisted_sources, b.blacklisted_sources);
-    EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
-    EXPECT_EQ(a.lifetime.mean(), b.lifetime.mean());
-    EXPECT_EQ(a.lifetime.variance(), b.lifetime.variance());
-  }
+  const std::string fresh = campaign_result_to_json(run_campaign(cells, cfg));
+  expect_no_divergences(
+      report_divergences(cells, cfg, {{3, /*pooled=*/true}}, fresh));
 }
 
 TEST(AdaptiveCampaignTest, AggregatesBitIdenticalForAnyThreadCount) {
@@ -480,30 +421,8 @@ TEST(AdaptiveCampaignTest, AggregatesBitIdenticalForAnyThreadCount) {
   cfg.adaptive.max_trials_per_cell = 24;
 
   cfg.threads = 1;
-  const CampaignResult serial = run_campaign(cells, cfg);
-  for (unsigned threads : {2u, 8u}) {
-    cfg.threads = threads;
-    const CampaignResult parallel = run_campaign(cells, cfg);
-    ASSERT_EQ(parallel.cells.size(), serial.cells.size());
-    EXPECT_EQ(parallel.total_trials, serial.total_trials);
-    EXPECT_EQ(parallel.total_events, serial.total_events);
-    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-      const CellStats& a = serial.cells[i];
-      const CellStats& b = parallel.cells[i];
-      EXPECT_EQ(a.trials, b.trials) << "cell " << i << " @" << threads;
-      EXPECT_EQ(a.rounds, b.rounds);
-      EXPECT_EQ(a.compromised, b.compromised);
-      EXPECT_EQ(a.censored, b.censored);
-      EXPECT_EQ(a.events_executed, b.events_executed);
-      EXPECT_EQ(a.attacker.direct_probes, b.attacker.direct_probes);
-      EXPECT_EQ(a.attacker.keys_learned, b.attacker.keys_learned);
-      // Bit-identical, not just close:
-      EXPECT_EQ(a.lifetime.mean(), b.lifetime.mean());
-      EXPECT_EQ(a.lifetime.variance(), b.lifetime.variance());
-      EXPECT_EQ(a.lifetime_ci.lo, b.lifetime_ci.lo);
-      EXPECT_EQ(a.lifetime_ci.hi, b.lifetime_ci.hi);
-    }
-  }
+  const std::string serial = campaign_result_to_json(run_campaign(cells, cfg));
+  expect_no_divergences(report_divergences(cells, cfg, {{2}, {8}}, serial));
 }
 
 TEST(AdaptiveCampaignTest, LowVarianceCellStopsEarlyAndMeetsTarget) {
@@ -612,7 +531,7 @@ TEST(CampaignTest, NestedCampaignInsideForeignPoolBitIdentical) {
   cfg.trials_per_cell = 4;
   cfg.base_seed = 77;
   cfg.threads = 2;
-  const CampaignResult want = run_campaign(cells, cfg);
+  const std::string want = campaign_result_to_json(run_campaign(cells, cfg));
 
   // Strictly more slots than the shared pool: at least one worker's slot
   // is out of range for the campaign's arena vector.
@@ -625,19 +544,8 @@ TEST(CampaignTest, NestedCampaignInsideForeignPoolBitIdentical) {
           results[i] = run_campaign(cells, cfg);
         }
       });
-  for (std::uint64_t i = 0; i < kRuns; ++i) {
-    ASSERT_EQ(results[i].cells.size(), want.cells.size());
-    EXPECT_EQ(results[i].total_trials, want.total_trials);
-    EXPECT_EQ(results[i].total_events, want.total_events);
-    for (std::size_t c = 0; c < want.cells.size(); ++c) {
-      EXPECT_EQ(results[i].cells[c].compromised, want.cells[c].compromised);
-      EXPECT_EQ(results[i].cells[c].events_executed,
-                want.cells[c].events_executed);
-      EXPECT_EQ(results[i].cells[c].lifetime.mean(),
-                want.cells[c].lifetime.mean());
-      EXPECT_EQ(results[i].cells[c].lifetime.variance(),
-                want.cells[c].lifetime.variance());
-    }
+  for (const CampaignResult& result : results) {
+    EXPECT_EQ(campaign_result_to_json(result), want);
   }
 }
 
@@ -684,6 +592,15 @@ CampaignResult per_trial_oracle(const std::vector<CampaignCell>& cells,
   return want;
 }
 
+// 1, 2 and 8 threads, pooled and fresh: a different window width each.
+std::vector<ExecutionMode> every_window_mode() {
+  std::vector<ExecutionMode> modes;
+  for (unsigned threads : {1u, 2u, 8u}) {
+    for (bool pooled : {true, false}) modes.push_back({threads, pooled});
+  }
+  return modes;
+}
+
 TEST(CampaignWindowTest, MultiWindowRoundMatchesPerTrialOracle) {
   // One fixed-mode round of three full outcome windows plus a remainder even
   // at 8 threads, the widest window here (more windows at fewer threads),
@@ -697,16 +614,8 @@ TEST(CampaignWindowTest, MultiWindowRoundMatchesPerTrialOracle) {
   cfg.trials_per_cell = (3 * widest + widest / 3) / 2;
   const CampaignResult oracle = per_trial_oracle(cells, cfg);
   EXPECT_GT(oracle.cells[0].compromised, 0u);
-  const std::string want = campaign_result_to_json(oracle);
-
-  for (unsigned threads : {1u, 2u, 8u}) {
-    for (bool pooled : {true, false}) {
-      cfg.threads = threads;
-      cfg.reuse_trial_stacks = pooled;
-      EXPECT_EQ(campaign_result_to_json(run_campaign(cells, cfg)), want)
-          << threads << " threads, " << (pooled ? "pooled" : "fresh");
-    }
-  }
+  expect_no_divergences(report_divergences(
+      cells, cfg, every_window_mode(), campaign_result_to_json(oracle)));
 }
 
 TEST(CampaignWindowTest, StolenGrantsCrossWindowEdgesBitIdentically) {
@@ -746,15 +655,8 @@ TEST(CampaignWindowTest, StolenGrantsCrossWindowEdgesBitIdentically) {
                        cfg.adaptive.max_trials_per_cell))
         << "cell " << c;
   }
-  const std::string want = campaign_result_to_json(reference);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    for (bool pooled : {true, false}) {
-      cfg.threads = threads;
-      cfg.reuse_trial_stacks = pooled;
-      EXPECT_EQ(campaign_result_to_json(run_campaign(cells, cfg)), want)
-          << threads << " threads, " << (pooled ? "pooled" : "fresh");
-    }
-  }
+  expect_no_divergences(report_divergences(
+      cells, cfg, every_window_mode(), campaign_result_to_json(reference)));
 }
 
 TEST(CampaignTest, CrossIsSystemsMajor) {

@@ -17,7 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
+#include "same_result.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/differential.hpp"
 #include "scenario/shard.hpp"
 
 #ifndef FORTRESS_SCENARIO_DIR
@@ -95,15 +98,34 @@ TEST(ShardSpecTest, CommittedSpecsAreCanonicalFixedPoints) {
                          << kScenarioDir;
 }
 
-/// Shape checks independent of the pinned bits, so that a re-capture cannot
-/// silently pin a cell that stopped exercising its plane. Returns how many
-/// golden-d/golden-e cells (specs/golden_de.json) it saw.
+/// The cells of a pinned report, read back through CellStats' table.
+std::vector<CellStats> pinned_cells(const std::string& pin) {
+  const json::Value doc = json::parse(pin);
+  const json::Path root("report");
+  const json::Path cells_path(root, "cells");
+  std::vector<CellStats> cells;
+  for (const json::Value& row :
+       json::ObjectReader(doc, root).required("cells").as_array(cells_path)) {
+    json::ObjectReader r(row, cells_path);
+    std::uint64_t index = 0;
+    fields::read_field(r, "index", index, fields::kU64, fields::Doubles::Bits);
+    fields::read_members(r, cells.emplace_back(), fields::Doubles::Bits);
+    r.done();
+  }
+  return cells;
+}
+
+/// Shape checks on a pin, independent of its bits, so that a re-capture
+/// cannot silently pin a cell that stopped exercising its plane. Returns
+/// how many golden-d/golden-e cells (specs/golden_de.json) it saw.
 int expect_planes_exercised(const std::vector<CampaignCell>& cells,
-                            const CampaignResult& result) {
+                            const std::string& pin) {
+  const std::vector<CellStats> pinned = pinned_cells(pin);
+  EXPECT_EQ(pinned.size(), cells.size());
   int plane_cells = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  for (std::size_t i = 0; i < std::min(cells.size(), pinned.size()); ++i) {
     const net::ScenarioPlan& plan = cells[i].plan;
-    const CellStats& c = result.cells[i];
+    const CellStats& c = pinned[i];
     SCOPED_TRACE(plan.name);
     // A plane a plan does not opt into must stay inert.
     if (!plan.traffic.enabled()) EXPECT_EQ(c.traffic.offered, 0u);
@@ -131,8 +153,7 @@ int expect_planes_exercised(const std::vector<CampaignCell>& cells,
 // A pin must hold under the campaign determinism contract, not only under
 // the spec's own config: re-run every committed spec on 4 threads with
 // fresh stacks, once under each scheduler, and demand the pinned report
-// byte for byte. The spec names its scheduler; the test overrides it with
-// each kind in turn.
+// byte for byte. The spec names its scheduler; the modes override it.
 TEST(CommittedSpecTest, PinnedReportsHoldUnderEveryExecutionMode) {
   int plane_cells = 0;
   for (const fs::path& path : committed_specs()) {
@@ -140,19 +161,14 @@ TEST(CommittedSpecTest, PinnedReportsHoldUnderEveryExecutionMode) {
     const CampaignSpec spec = campaign_spec_from_json(slurp(path));
     const std::vector<CampaignCell> cells = spec.cells();
     const std::string pin = slurp(pin_of(path));
-    for (sim::SchedulerKind kind :
-         {sim::SchedulerKind::Wheel, sim::SchedulerKind::Heap}) {
-      SCOPED_TRACE(kind == sim::SchedulerKind::Wheel ? "wheel" : "heap");
-      CampaignConfig cfg = spec.config;
-      cfg.threads = 4;
-      cfg.reuse_trial_stacks = false;
-      cfg.scheduler = kind;
-      const CampaignResult result = run_campaign(cells, cfg);
-      EXPECT_EQ(campaign_result_to_json(result), pin);
-      plane_cells += expect_planes_exercised(cells, result);
-    }
+    expect_no_divergences(report_divergences(
+        cells, spec.config,
+        {{4, /*pooled=*/false, sim::SchedulerKind::Wheel},
+         {4, /*pooled=*/false, sim::SchedulerKind::Heap}},
+        pin));
+    plane_cells += expect_planes_exercised(cells, pin);
   }
-  EXPECT_EQ(plane_cells, 4) << "golden-d and golden-e, once per scheduler";
+  EXPECT_EQ(plane_cells, 2) << "golden-d and golden-e";
 }
 
 /// Replays the three dense-plane golden specs (specs/golden_*.json) the way
@@ -165,12 +181,10 @@ void expect_golden_specs_hold(bool pooled) {
     SCOPED_TRACE(path.string());
     const CampaignSpec spec = campaign_spec_from_json(slurp(path));
     const std::vector<CampaignCell> cells = spec.cells();
-    CampaignConfig cfg = spec.config;
-    cfg.threads = 1;
-    cfg.reuse_trial_stacks = pooled;
-    const CampaignResult result = run_campaign(cells, cfg);
-    EXPECT_EQ(campaign_result_to_json(result), slurp(pin_of(path)));
-    plane_cells += expect_planes_exercised(cells, result);
+    const std::string pin = slurp(pin_of(path));
+    expect_no_divergences(report_divergences(
+        cells, spec.config, {{1, pooled, spec.config.scheduler}}, pin));
+    plane_cells += expect_planes_exercised(cells, pin);
   }
   EXPECT_EQ(plane_cells, 2) << "golden-d and golden-e";
 }

@@ -5,11 +5,12 @@
 // tail-latency campaign aggregates.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "model/params.hpp"
 #include "net/scenario.hpp"
+#include "same_result.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/differential.hpp"
+#include "scenario/shard.hpp"
 
 namespace fortress::scenario {
 namespace {
@@ -60,26 +61,9 @@ net::ScenarioPlan degrade_plan(net::OverloadPolicy policy, double rate) {
   return plan;
 }
 
-void dump(const char* tag, const TrafficStats& t) {
-  std::printf(
-      "[%s] offered=%llu completed=%llu timed_out=%llu gave_up=%llu "
-      "retries=%llu shed=%llu backpressured=%llu degraded=%llu "
-      "dropped=%llu max_depth=%llu p50=%.3f p99=%.3f goodput=%.4f "
-      "fp=0x%llxull\n",
-      tag, (unsigned long long)t.offered, (unsigned long long)t.completed,
-      (unsigned long long)t.timed_out, (unsigned long long)t.gave_up,
-      (unsigned long long)t.retries, (unsigned long long)t.shed,
-      (unsigned long long)t.backpressured, (unsigned long long)t.degraded,
-      (unsigned long long)t.dropped_on_reboot,
-      (unsigned long long)t.max_queue_depth, t.latency.quantile(0.5),
-      t.latency.quantile(0.99), t.goodput,
-      (unsigned long long)t.latency.fingerprint());
-}
-
 TEST(ScenarioOverloadTest, UnderloadCompletesEverythingCleanly) {
   TrialOutcome out = run_trial(
       SystemKind::S1, traffic_plan(net::OverloadPolicy::DropTail, 2.0), 99);
-  dump("under", out.traffic);
   EXPECT_GT(out.traffic.offered, 250u);  // ~2/unit over 160 units
   EXPECT_EQ(out.traffic.shed, 0u);
   EXPECT_EQ(out.traffic.timed_out, 0u);
@@ -91,7 +75,6 @@ TEST(ScenarioOverloadTest, UnderloadCompletesEverythingCleanly) {
 TEST(ScenarioOverloadTest, DropTailKneeShedsAndTimesOut) {
   TrialOutcome out = run_trial(
       SystemKind::S1, traffic_plan(net::OverloadPolicy::DropTail, 15.0), 99);
-  dump("droptail", out.traffic);
   // 15/unit offered against 5/unit of service: the knee is far exceeded.
   EXPECT_GT(out.traffic.shed, 0u);
   EXPECT_LT(out.traffic.completed, out.traffic.offered);
@@ -111,8 +94,6 @@ TEST(ScenarioOverloadTest, BackpressureInflatesLatencyInsteadOfShedding) {
       SystemKind::S1, traffic_plan(net::OverloadPolicy::DropTail, 7.0), 99);
   TrialOutcome under = run_trial(
       SystemKind::S1, traffic_plan(net::OverloadPolicy::DropTail, 2.0), 99);
-  dump("backpressure", bp.traffic);
-  dump("droptail-7", drop.traffic);
   EXPECT_EQ(bp.traffic.shed, 0u);
   EXPECT_GT(bp.traffic.backpressured, 0u);
   // Nothing is refused, so overload surfaces as tail latency instead: the
@@ -135,8 +116,6 @@ TEST(ScenarioOverloadTest, DegradeUnsignedHoldsGoodputBySkippingVerification) {
       99);
   TrialOutcome ref = run_trial(
       SystemKind::S1, degrade_plan(net::OverloadPolicy::DropTail, 15.0), 99);
-  dump("degrade", deg.traffic);
-  dump("degrade-ref", ref.traffic);
   EXPECT_GT(deg.traffic.degraded, 0u);
   // Skipping the 0.15 verification units quadruples capacity: goodput holds
   // where the verifying DropTail system sheds most of the offered load.
@@ -156,7 +135,6 @@ TEST(ScenarioOverloadTest, DeadlineAndBudgetFailuresAreEachCountedOnce) {
   plan.traffic.retry_jitter = 0.3;
   plan.traffic.request_deadline = 60.0;
   TrialOutcome out = run_trial(SystemKind::S1, plan, 99);
-  dump("deadline-and-budget", out.traffic);
   EXPECT_EQ(out.traffic.timed_out, 539u);
   EXPECT_EQ(out.traffic.gave_up, 516u);
   EXPECT_EQ(out.traffic.offered, out.traffic.completed +
@@ -173,7 +151,6 @@ TEST(ScenarioOverloadTest, CrashRecoverAccountingIsExact) {
                       net::FaultEvent::Kind::Recover},
   };
   TrialOutcome out = run_trial(SystemKind::S1, plan, 7);
-  dump("crash-recover", out.traffic);
   // The crashed machine's queue is dropped, not leaked: the loss shows up
   // in dropped_on_reboot and the affected clients' retry/timeout paths, and
   // every offered request still reaches EXACTLY one terminal state.
@@ -202,40 +179,15 @@ TEST(ScenarioOverloadTest, TrafficAggregatesAreThreadAndIsolationInvariant) {
   cfg.base_seed = 42;
   cfg.threads = 1;
   cfg.reuse_trial_stacks = true;
-  const CampaignResult ref = run_campaign(cells, cfg);
-  for (std::size_t c = 0; c < ref.cells.size(); ++c) {
-    dump(("cell-" + std::to_string(c)).c_str(), ref.cells[c].traffic);
-  }
-
+  const std::string ref = campaign_result_to_json(run_campaign(cells, cfg));
+  std::vector<ExecutionMode> modes;
   for (unsigned threads : {1u, 2u, 8u}) {
     for (bool pooled : {true, false}) {
       if (threads == 1 && pooled) continue;  // the reference itself
-      cfg.threads = threads;
-      cfg.reuse_trial_stacks = pooled;
-      const CampaignResult got = run_campaign(cells, cfg);
-      ASSERT_EQ(got.cells.size(), ref.cells.size());
-      for (std::size_t c = 0; c < ref.cells.size(); ++c) {
-        const TrafficStats& a = ref.cells[c].traffic;
-        const TrafficStats& b = got.cells[c].traffic;
-        SCOPED_TRACE("cell " + std::to_string(c) + " threads " +
-                     std::to_string(threads) + (pooled ? " pooled" : " fresh"));
-        EXPECT_EQ(a.offered, b.offered);
-        EXPECT_EQ(a.completed, b.completed);
-        EXPECT_EQ(a.timed_out, b.timed_out);
-        EXPECT_EQ(a.gave_up, b.gave_up);
-        EXPECT_EQ(a.retries, b.retries);
-        EXPECT_EQ(a.enqueued, b.enqueued);
-        EXPECT_EQ(a.served, b.served);
-        EXPECT_EQ(a.shed, b.shed);
-        EXPECT_EQ(a.backpressured, b.backpressured);
-        EXPECT_EQ(a.degraded, b.degraded);
-        EXPECT_EQ(a.dropped_on_reboot, b.dropped_on_reboot);
-        EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
-        EXPECT_EQ(a.goodput, b.goodput);  // exact: same bits
-        EXPECT_EQ(a.latency.fingerprint(), b.latency.fingerprint());
-      }
+      modes.push_back({threads, pooled});
     }
   }
+  expect_no_divergences(report_divergences(cells, cfg, modes, ref));
 }
 
 }  // namespace

@@ -1,20 +1,23 @@
 // The standing differential fuzz guard. Each random plan's campaign is run
 // four ways — reference (1 thread, pooled arenas, wheel scheduler) against
-// fresh-stacks, 8-thread and heap-scheduler arms — and every aggregate must
-// be bit-identical (campaign_fingerprint covers lifetime moments, attacker
-// counters, traffic/population stats and both latency-histogram
-// fingerprints). Each plan also round-trips through the codec first, so the
-// fuzzer exercises parser and simulator together.
+// fresh-stacks, 8-thread and heap-scheduler arms — and the whole report
+// (every CellStats field, doubles by bit pattern) must be byte-identical.
+// Each plan also round-trips through the codec first, so the fuzzer
+// exercises parser and simulator together.
 //
 // The guard covers the first 64 plans of one generator stream, each its own
-// test case, so a failure names the plan's index.
+// test case, so a failure names the plan's index. The DifferentialTest
+// cases show that the harness itself can fail.
 #include <gtest/gtest.h>
+#include <gtest/gtest-spi.h>
 
 #include <string>
 
+#include "same_result.hpp"
 #include "scenario/differential.hpp"
 #include "scenario/plan_codec.hpp"
 #include "scenario/plan_generator.hpp"
+#include "scenario/shard.hpp"
 
 namespace fortress::scenario {
 namespace {
@@ -29,7 +32,7 @@ TEST_P(PlanFuzzTest, RandomPlansAreDeterministicAcrossExecutionModes) {
 
   // Codec round-trip first: the plan under differential test is the
   // DECODED one, so a codec bug that perturbs a field shows up as either
-  // a byte diff here or a fingerprint diff below.
+  // a byte diff here or a report diff below.
   const std::string encoded = plan_to_json(original);
   const net::ScenarioPlan plan = plan_from_json(encoded);
   ASSERT_EQ(plan_to_json(plan), encoded);
@@ -40,6 +43,46 @@ TEST_P(PlanFuzzTest, RandomPlansAreDeterministicAcrossExecutionModes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Plans, PlanFuzzTest, ::testing::Range(0, 64));
+
+// Negative control: a want captured at another base seed differs in every
+// mode, and each message names its mode and the first report line that
+// differs.
+TEST(DifferentialTest, ReportDivergencesNamesEveryDivergingMode) {
+  net::ScenarioPlan plan;
+  plan.keyspace = 64;
+  plan.horizon_steps = 10;
+  const std::vector<CampaignCell> cells = {{model::SystemKind::S1, plan}};
+  CampaignConfig cfg;
+  cfg.trials_per_cell = 2;
+  cfg.threads = 1;
+  cfg.base_seed = 2;
+  const std::string other_seed =
+      campaign_result_to_json(run_campaign(cells, cfg));
+  cfg.base_seed = 1;
+
+  const std::vector<ExecutionMode> modes = {
+      {1, true, sim::SchedulerKind::Wheel},
+      {2, false, sim::SchedulerKind::Heap}};
+  const std::vector<std::string> got =
+      report_divergences(cells, cfg, modes, other_seed);
+  ASSERT_EQ(got.size(), modes.size());
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    EXPECT_TRUE(got[i].starts_with(to_string(modes[i]) +
+                                   " diverged at report line "))
+        << got[i];
+    EXPECT_NE(got[i].find("`, want `"), std::string::npos) << got[i];
+  }
+}
+
+// Negative control: two outcomes that differ in one population counter are
+// not the same result.
+TEST(DifferentialTest, SameOutcomeCatchesOnePopulationCounter) {
+  TrialOutcome a;
+  a.lifetime_steps = 7;
+  TrialOutcome b = a;
+  b.population.skipped_busy = 1;
+  EXPECT_NONFATAL_FAILURE(expect_same_outcome(a, b), "skipped_busy");
+}
 
 // The generator itself is part of the guard's trust base: same seed, same
 // plans, forever — otherwise a fuzz failure in CI is not reproducible

@@ -10,6 +10,8 @@
 //   plan_tool minimize <plan-or-spec.json> --pred P
 //                                               shrink a failing plan and
 //                                               print the minimal repro JSON
+//                                               (exit 1 when P does not hold
+//                                               for the input)
 //
 // Built-in minimizer predicates (--pred):
 //   pooled-vs-fresh | threads | wheel-vs-heap   the matching differential
@@ -183,6 +185,12 @@ int cmd_minimize(const std::vector<std::string>& args) {
   }
 
   const net::ScenarioPlan failing = load_plan(path);
+  if (!pred(failing)) {
+    std::cerr << "plan_tool minimize: predicate '" << pred_name
+              << "' does not hold for " << path
+              << "; only a failing plan can be minimized\n";
+    return 1;
+  }
   const scenario::MinimizeResult result =
       scenario::minimize_plan(failing, pred);
   std::cerr << "minimized in " << result.predicate_calls
