@@ -27,26 +27,20 @@ namespace detail {
 
 }  // namespace fortress
 
-/// Precondition check: argument/state requirements at function entry.
-#define FORTRESS_EXPECTS(cond)                                               \
+/// The shared body: throws ContractViolation("<kind> failed: <text> at
+/// <file>:<line>") when `cond` is false. Each macro stringifies its own
+/// argument, so `text` is the condition as written, unexpanded.
+#define FORTRESS_CONTRACT(kind, cond, text)                                  \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::fortress::detail::contract_fail("Precondition", #cond, __FILE__,     \
-                                        __LINE__);                           \
+      ::fortress::detail::contract_fail(kind, text, __FILE__, __LINE__);     \
   } while (false)
+
+/// Precondition check: argument/state requirements at function entry.
+#define FORTRESS_EXPECTS(cond) FORTRESS_CONTRACT("Precondition", cond, #cond)
 
 /// Postcondition check: guarantees at function exit.
-#define FORTRESS_ENSURES(cond)                                               \
-  do {                                                                       \
-    if (!(cond))                                                             \
-      ::fortress::detail::contract_fail("Postcondition", #cond, __FILE__,    \
-                                        __LINE__);                           \
-  } while (false)
+#define FORTRESS_ENSURES(cond) FORTRESS_CONTRACT("Postcondition", cond, #cond)
 
 /// Internal invariant check.
-#define FORTRESS_CHECK(cond)                                                 \
-  do {                                                                       \
-    if (!(cond))                                                             \
-      ::fortress::detail::contract_fail("Invariant", #cond, __FILE__,        \
-                                        __LINE__);                           \
-  } while (false)
+#define FORTRESS_CHECK(cond) FORTRESS_CONTRACT("Invariant", cond, #cond)

@@ -1,6 +1,5 @@
 #include "common/json.hpp"
 
-#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
@@ -24,7 +23,6 @@ namespace {
 
 const char* Value::kind_name(Kind k) {
   switch (k) {
-    case Kind::Null: return "null";
     case Kind::Bool: return "bool";
     case Kind::Number: return "number";
     case Kind::String: return "string";
@@ -92,7 +90,6 @@ const std::vector<std::pair<std::string, Value>>& Value::members(
   return members_;
 }
 
-Value Value::make_null() { return Value{}; }
 Value Value::make_bool(bool b) {
   Value v;
   v.kind_ = Kind::Bool;
@@ -185,7 +182,6 @@ class Parser {
       case '"': return Value::make_string(parse_string());
       case 't': parse_literal("true"); return Value::make_bool(true);
       case 'f': parse_literal("false"); return Value::make_bool(false);
-      case 'n': parse_literal("null"); return Value::make_null();
       default: return parse_number();
     }
   }
@@ -243,75 +239,19 @@ class Parser {
     return Value::make_array(std::move(items));
   }
 
+  /// A string's bytes up to the closing quote, taken verbatim: the writer
+  /// never emits an escape, so a backslash is rejected rather than decoded.
   std::string parse_string() {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
     while (true) {
-      char c = next();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
+      const char c = next();
+      if (c == '"') return std::string(text_.substr(start, pos_ - 1 - start));
+      if (c == '\\' || static_cast<unsigned char>(c) < 0x20) {
         --pos_;
-        err("unescaped control character in string");
+        err(c == '\\' ? "invalid escape sequence"
+                      : "control character in string");
       }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      char esc = next();
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': append_unicode_escape(out); break;
-        default: --pos_; err("invalid escape sequence");
-      }
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = next();
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-      else { --pos_; err("invalid \\u escape digit"); }
-    }
-    return v;
-  }
-
-  void append_unicode_escape(std::string& out) {
-    unsigned cp = parse_hex4();
-    if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate: need a low one
-      if (text_.substr(pos_, 2) != "\\u") err("unpaired surrogate");
-      pos_ += 2;
-      unsigned lo = parse_hex4();
-      if (lo < 0xDC00 || lo > 0xDFFF) err("invalid low surrogate");
-      cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-      err("unpaired surrogate");
-    }
-    // UTF-8 encode.
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
     }
   }
 
@@ -416,8 +356,7 @@ void Writer::end_array() {
 }
 
 void Writer::key(std::string_view k) {
-  prefix();
-  quoted(k);
+  value(k);
   out_.push_back(':');
   if (!compact_) out_.push_back(' ');
   pending_key_ = true;
@@ -448,32 +387,15 @@ void Writer::value(int i) {
 }
 
 void Writer::value(std::string_view s) {
-  prefix();
-  quoted(s);
-}
-
-void Writer::quoted(std::string_view s) {
-  out_.push_back('"');
   for (char c : s) {
-    switch (c) {
-      case '"': out_.append("\\\""); break;
-      case '\\': out_.append("\\\\"); break;
-      case '\b': out_.append("\\b"); break;
-      case '\f': out_.append("\\f"); break;
-      case '\n': out_.append("\\n"); break;
-      case '\r': out_.append("\\r"); break;
-      case '\t': out_.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out_.append(buf);
-        } else {
-          out_.push_back(c);
-        }
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      fail("JSON writer: string '" + std::string(s) +
+           "' would need an escape");
     }
   }
+  prefix();
+  out_.push_back('"');
+  out_.append(s);
   out_.push_back('"');
 }
 

@@ -8,11 +8,13 @@
 //  * the writer has exactly one output form (2-space indent, fixed member
 //    order as given by the caller, shortest round-trip number formatting
 //    via std::to_chars), so encode(decode(encode(x))) is byte-identical;
-//  * the parser is strict: it rejects trailing garbage, duplicate keys,
-//    unescaped control characters, leading zeros, NaN/Infinity literals and
-//    every other liberty lenient parsers take, and every rejection carries
-//    the byte offset — malformed fixture files fail loudly at load, not
-//    deep inside the simulator.
+//  * the parser reads a strict subset of RFC 8259, exactly what the writer
+//    emits: no string escapes and no `null` (every fixture string is an
+//    identifier such as "s2-fortress"), no trailing garbage, duplicate
+//    keys, leading zeros or NaN/Infinity; every rejection carries the byte
+//    offset, so malformed fixture files fail loudly at load, not deep
+//    inside the simulator. The writer refuses a string that would need an
+//    escape.
 //
 // Numbers keep their raw lexeme alongside the parsed double so integer
 // fields (u64 seeds, keyspaces) round-trip without passing through a
@@ -61,7 +63,7 @@ class Path {
 /// order), which the strict codecs rely on to verify canonical layout.
 class Value {
  public:
-  enum class Kind { Null, Bool, Number, String, Array, Object };
+  enum class Kind { Bool, Number, String, Array, Object };
 
   Kind kind() const { return kind_; }
 
@@ -83,7 +85,6 @@ class Value {
   static const char* kind_name(Kind k);
 
   // Construction (used by the parser; codecs only read).
-  static Value make_null();
   static Value make_bool(bool b);
   static Value make_number(double num, std::string lexeme);
   static Value make_string(std::string s);
@@ -91,7 +92,9 @@ class Value {
   static Value make_object(std::vector<std::pair<std::string, Value>> members);
 
  private:
-  Kind kind_ = Kind::Null;
+  Value() = default;
+
+  Kind kind_ = Kind::Bool;
   bool bool_ = false;
   double num_ = 0.0;
   std::string str_;  ///< string payload, or the raw lexeme for numbers
@@ -100,8 +103,8 @@ class Value {
 };
 
 /// Strict parse of one complete JSON document. Throws ParseError (with byte
-/// offset) on any deviation from RFC 8259 plus these extra strictures:
-/// duplicate object keys and any bytes after the document are rejected.
+/// offset) on any deviation from RFC 8259, on string escapes and `null`,
+/// on duplicate object keys and on any bytes after the document.
 Value parse(std::string_view text);
 
 /// Canonical writer: the caller pushes the document in order and there is
@@ -118,13 +121,15 @@ class Writer {
   void begin_array();
   void end_array();
   /// Starts a member inside an object; follow with exactly one value call
-  /// (or begin_object / begin_array).
+  /// (or begin_object / begin_array). `k` obeys value(string_view)'s rule.
   void key(std::string_view k);
 
   void value(bool b);
   void value(double d);       ///< shortest round-trip form (std::to_chars)
   void value(std::uint64_t u);
   void value(int i);
+  /// Written verbatim in quotes; throws ParseError, writing nothing, if `s`
+  /// holds `"`, `\` or a byte below 0x20 (it would need an escape).
   void value(std::string_view s);
 
   /// The finished document. Precondition: all containers closed.
@@ -137,7 +142,6 @@ class Writer {
  private:
   void prefix();  ///< separator + newline + indent before any new item
   void raw(std::string_view s) { out_.append(s); }
-  void quoted(std::string_view s);
 
   bool compact_ = false;
   std::string out_;

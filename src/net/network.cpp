@@ -5,15 +5,6 @@
 
 namespace fortress::net {
 
-const char* to_string(CloseReason reason) {
-  switch (reason) {
-    case CloseReason::PeerClosed: return "peer-closed";
-    case CloseReason::PeerCrashed: return "peer-crashed";
-    case CloseReason::LocalDetach: return "local-detach";
-  }
-  return "?";
-}
-
 Network::Network(sim::Simulator& sim, NetworkConfig config)
     : sim_(sim), config_(std::move(config)), rng_(config_.rng_seed) {
   config_.latency.validate();

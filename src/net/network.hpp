@@ -72,8 +72,6 @@ enum class CloseReason {
   LocalDetach,  ///< this endpoint's own host detached
 };
 
-const char* to_string(CloseReason reason);
-
 /// Callbacks a host implements to use the network. Peers are identified by
 /// HostId; Network::address_of() recovers the string when needed (logging,
 /// wire fields).

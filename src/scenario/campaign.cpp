@@ -201,14 +201,8 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
 
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
                        std::uint64_t seed) {
-#ifndef NDEBUG
-  // Debug builds validate the plan here, before anything is built, so a
-  // malformed hand-authored plan fails with a precise PlanValidationError
-  // at the trial boundary. Release builds rely on the deployment: it
-  // validates the whole plan through NetworkConfig::from_plan on
-  // construction and on every pooled reset.
-  plan.validate();
-#endif
+  // The deployment validates the whole plan (NetworkConfig::from_plan)
+  // before it builds anything that depends on it.
   return TrialArena().run(system, plan, seed);
 }
 

@@ -75,6 +75,23 @@ TEST(MinimizeTest, StripsEveryAxisThePredicateIgnores) {
   EXPECT_EQ(result.plan.n_proxies, 1);
 }
 
+TEST(MinimizeTest, ShrinksInsideThePlanesThePredicateKeeps) {
+  // The attack, traffic and population planes must stay on, so the
+  // minimizer can only shrink inside them: the direct channel goes, the
+  // sybils fall to one, and both client counts are halved to their floors.
+  const PlanPredicate pred = [](const net::ScenarioPlan& p) {
+    return p.attack.enabled && p.traffic.enabled() && p.population.enabled();
+  };
+  const MinimizeResult result = minimize_plan(multi_axis_plan(), pred);
+
+  EXPECT_TRUE(pred(result.plan));
+  EXPECT_FALSE(result.plan.attack.direct_enabled);
+  EXPECT_EQ(result.plan.attack.sybil_identities, 1u);
+  EXPECT_EQ(result.plan.traffic.clients, 1);
+  EXPECT_EQ(result.plan.traffic.schedule.size(), 1u);
+  EXPECT_EQ(result.plan.population.clients, 64u);
+}
+
 TEST(MinimizeTest, ResultIsLocallyMinimal) {
   const PlanPredicate pred = [](const net::ScenarioPlan& p) {
     return !p.partitions.empty() && p.service.enabled;

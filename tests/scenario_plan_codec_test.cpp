@@ -101,7 +101,7 @@ TEST(PlanCodecTest, DigestIsSemanticNotCosmetic) {
 struct BadInput {
   const char* label;
   std::string text;
-  const char* expect_substring;
+  std::string expect_substring;
 };
 
 std::string valid_text() { return plan_to_json(rich_plan()); }
@@ -115,6 +115,16 @@ std::string mutate(const std::string& from, const std::string& to,
   EXPECT_NE(at, std::string::npos) << "bad table row: " << from;
   text.replace(at, from.size(), to);
   return text;
+}
+
+/// A row whose parse fails: `to` replaces `from` as in mutate(), and the
+/// parser stops `at` bytes into `to`; the row expects the whole message.
+BadInput parse_row(const char* label, const std::string& from,
+                   const std::string& to, std::size_t at,
+                   const std::string& what) {
+  const std::size_t offset = valid_text().find(from) + at;
+  return {label, mutate(from, to),
+          "JSON parse error at byte " + std::to_string(offset) + ": " + what};
 }
 
 TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
@@ -145,6 +155,10 @@ TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
        "expected number, got string"},
       {"number-for-string", mutate("\"name\": \"codec-rich\"", "\"name\": 7"),
        "expected string, got number"},
+      {"bool-for-number", mutate("\"keyspace\": 1024", "\"keyspace\": true"),
+       "plan.keyspace: expected number, got bool"},
+      {"array-for-number", mutate("\"keyspace\": 1024", "\"keyspace\": []"),
+       "plan.keyspace: expected number, got array"},
       {"float-for-u64", mutate("\"keyspace\": 1024", "\"keyspace\": 1024.5"),
        "expected unsigned integer"},
       {"negative-for-u64",
@@ -157,6 +171,29 @@ TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
       {"leading-zero", mutate("\"keyspace\": 1024", "\"keyspace\": 01024"),
        "leading zeros"},
       {"bad-escape", mutate("codec-rich", "codec\\qrich"), "invalid escape"},
+      // Strings are read verbatim: no escape is decoded, no control byte
+      // is taken, and `null` is not a value.
+      parse_row("control-byte", "codec-rich", std::string("codec\x01") + "rich",
+                5, "control character in string"),
+      parse_row("escaped-quote", "codec-rich", "codec\\\"rich", 5,
+                "invalid escape sequence"),
+      parse_row("unicode-escape", "codec-rich", "codec\\u0041rich", 5,
+                "invalid escape sequence"),
+      parse_row("null", "\"drop_probability\": 0.03",
+                "\"drop_probability\": null", 20, "invalid value"),
+      parse_row("truncated-true", "\"proxy_blacklist\": true",
+                "\"proxy_blacklist\": tru", 19,
+                "invalid literal (expected 'true')"),
+      parse_row("missing-colon", "\"keyspace\": 1024", "\"keyspace\" 1024", 11,
+                "expected ':'"),
+      parse_row("bare-decimal-point", "\"keyspace\": 1024", "\"keyspace\": 1.",
+                14, "digit required after decimal point"),
+      parse_row("bare-exponent", "\"keyspace\": 1024", "\"keyspace\": 1e", 14,
+                "digit required in exponent"),
+      parse_row("huge-exponent", "\"keyspace\": 1024", "\"keyspace\": 1e999",
+                12, "number out of range: '1e999'"),
+      {"float-for-int", mutate("\"index\": 1", "\"index\": 1.5"),
+       "plan.faults[0].index: expected integer, got '1.5'"},
       // Enum vocabulary.
       {"unknown-enum",
        mutate("\"kind\": \"exponential\"", "\"kind\": \"pareto\""),
@@ -244,12 +281,35 @@ TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
     SCOPED_TRACE(row.label);
     try {
       plan_from_json(row.text);
-      FAIL() << "accepted malformed input";
+      ADD_FAILURE() << "accepted malformed input";
     } catch (const std::exception& e) {
       EXPECT_NE(std::string(e.what()).find(row.expect_substring),
                 std::string::npos)
           << "error was: " << e.what();
     }
+  }
+}
+
+// The writer emits strings verbatim, so it refuses one that would need an
+// escape, and it does so before writing anything.
+TEST(PlanCodecTest, WriterRefusesStringsThatWouldNeedAnEscape) {
+  net::ScenarioPlan p = rich_plan();
+  p.name = "a\"b";
+  try {
+    plan_to_json(p);
+    FAIL() << "encoded a name with a quote";
+  } catch (const json::ParseError& e) {
+    EXPECT_STREQ(e.what(), "JSON writer: string 'a\"b' would need an escape");
+  }
+  for (const std::string bad : {"a\"b", "a\\b", "a\x1f"}) {
+    SCOPED_TRACE(bad);
+    json::Writer w;
+    w.begin_array();
+    w.value(std::string_view("x"));
+    EXPECT_THROW(w.value(std::string_view(bad)), json::ParseError);
+    EXPECT_THROW(w.key(bad), json::ParseError);
+    w.end_array();
+    EXPECT_EQ(w.str(), "[\n  \"x\"\n]");
   }
 }
 

@@ -458,6 +458,11 @@ TEST(ShardSidecarTest, MalformedSidecarsAreRejectedWithFieldPaths) {
                   "\"mean_bits\": \"0x1\", \"x\": \""),
            "shard result.cells[0].lifetime.mean_bits: expected \"0x\" + 16 "
            "hex digits, got \"0x1\""},
+          {"non-hex-bits",
+           mutate(good, "\"mean_bits\": \"0x",
+                  "\"mean_bits\": \"0x000000000000000g\", \"x\": \""),
+           "shard result.cells[0].lifetime.mean_bits: invalid hex literal "
+           "\"0x000000000000000g\""},
           {"63-latency-bins", short_bins,
            "shard result.cells[0].traffic.latency_bins: expected 64 bins, "
            "got 63"},
